@@ -32,6 +32,21 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("core.co_design")
 
+#: The bit-line capture :meth:`CoDesignOptimizer.run` searches over: a
+#: per-layer reservoir of ``DISTRIBUTION_CAPACITY`` values, seeded with
+#: ``CODESIGN_SEED``, filled in batches of ``capture_batch_size(batch_size)``.
+#: The experiments layer schedules exactly this capture as a shared stored
+#: job (:meth:`repro.experiments.JobSpec.capture_job`), so these constants
+#: have this one definition.
+DISTRIBUTION_CAPACITY = 50_000
+CODESIGN_SEED = 0
+MAX_CAPTURE_BATCH = 8
+
+
+def capture_batch_size(batch_size: int) -> int:
+    """Batch size of the capture behind a co-design run at ``batch_size``."""
+    return min(int(batch_size), MAX_CAPTURE_BATCH)
+
 
 # --------------------------------------------------------------------- #
 # setting -> hardware configuration register
@@ -134,6 +149,9 @@ class CoDesignOptimizer:
         (:func:`repro.sim.pim_layer.throughput_chunk_size`), which is what
         makes the outer accuracy-constrained loop of Algorithm 1 — one full
         evaluation per candidate ``Nmax`` — cheap enough to leave enabled.
+    quantized:
+        ``model`` already PTQ-quantized on ``calibration_images``; skips the
+        (deterministic, hence identical) re-quantization.
     """
 
     def __init__(
@@ -146,8 +164,9 @@ class CoDesignOptimizer:
         min_n_max: int = 2,
         max_samples_per_layer: int = 16384,
         chunk_size: Optional[int] = None,
-        distribution_capacity: int = 50_000,
-        seed: int = 0,
+        distribution_capacity: int = DISTRIBUTION_CAPACITY,
+        seed: int = CODESIGN_SEED,
+        quantized=None,
     ) -> None:
         from repro.quantization.ptq import quantize_model  # local import
         from repro.sim.simulator import PimSimulator  # local import
@@ -165,13 +184,18 @@ class CoDesignOptimizer:
             max_samples_per_layer=max_samples_per_layer,
             seed=seed,
         )
-        self.quantized = quantize_model(model, self.calibration_images)
+        self.quantized = (
+            quantized if quantized is not None
+            else quantize_model(model, self.calibration_images)
+        )
         self.simulator = PimSimulator(self.quantized, chunk_size=chunk_size)
         self.distribution_capacity = int(distribution_capacity)
         self._seed = int(seed)
 
     # ------------------------------------------------------------------ #
-    def collect_distributions(self, batch_size: int = 8) -> Dict[str, np.ndarray]:
+    def collect_distributions(
+        self, batch_size: int = MAX_CAPTURE_BATCH
+    ) -> Dict[str, np.ndarray]:
         """Bit-line value samples per layer on the calibration images."""
         return self.simulator.collect_bitline_distributions(
             self.calibration_images,
@@ -187,6 +211,8 @@ class CoDesignOptimizer:
         batch_size: int = 16,
         use_accuracy_loop: bool = True,
         initial_n_max: Optional[int] = None,
+        layer_samples: Optional[Dict[str, np.ndarray]] = None,
+        baseline_accuracy: Optional[float] = None,
     ) -> CoDesignResult:
         """Execute the full co-design flow.
 
@@ -200,6 +226,16 @@ class CoDesignOptimizer:
             When False the outer Nmax loop is skipped (single iteration),
             which is much faster and useful for sweeps that fix Nmax via
             ``initial_n_max``.
+        layer_samples, baseline_accuracy:
+            Precomputed inputs that replace the run's own bit-line capture
+            (:meth:`collect_distributions` at
+            ``capture_batch_size(batch_size)``) and ideal-ADC baseline
+            evaluation.  The result is bit-identical only if they come from
+            the same PTQ model, images, batch size, reservoir capacity and
+            seed as the computation they replace — and ``layer_samples``
+            must keep the capture's layer order, because the search draws
+            every layer's subsample from one RNG in that order.  ``None``
+            (default) computes them here.
         """
         if eval_images is None:
             eval_images = self.calibration_images
@@ -210,12 +246,16 @@ class CoDesignOptimizer:
         eval_labels = np.asarray(eval_labels)
 
         resolution = self.search_space.adc_resolution
-        baseline = self.simulator.evaluate(
-            eval_images, eval_labels, adc_configs=None, batch_size=batch_size
-        )
-        logger.debug("baseline (ideal ADC) accuracy: %.4f", baseline.accuracy)
+        if baseline_accuracy is None:
+            baseline_accuracy = self.simulator.evaluate(
+                eval_images, eval_labels, adc_configs=None, batch_size=batch_size
+            ).accuracy
+        logger.debug("baseline (ideal ADC) accuracy: %.4f", baseline_accuracy)
 
-        layer_samples = self.collect_distributions(batch_size=min(batch_size, 8))
+        if layer_samples is None:
+            layer_samples = self.collect_distributions(
+                batch_size=capture_batch_size(batch_size)
+            )
 
         accuracy_fn = None
         if use_accuracy_loop:
@@ -229,7 +269,7 @@ class CoDesignOptimizer:
         calibration = self.calibrator.calibrate(
             layer_samples,
             accuracy_fn=accuracy_fn,
-            baseline_accuracy=baseline.accuracy if use_accuracy_loop else None,
+            baseline_accuracy=baseline_accuracy if use_accuracy_loop else None,
             initial_n_max=initial_n_max,
         )
         adc_configs = settings_to_adc_configs(calibration.settings, resolution)
@@ -240,7 +280,7 @@ class CoDesignOptimizer:
         return CoDesignResult(
             calibration=calibration,
             adc_configs=adc_configs,
-            baseline_accuracy=baseline.accuracy,
+            baseline_accuracy=baseline_accuracy,
             final_accuracy=final.accuracy,
             remaining_ops_fraction=final.remaining_ops_fraction,
             ops_reduction_factor=final.ops_reduction_factor,

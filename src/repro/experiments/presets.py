@@ -369,14 +369,17 @@ def fig3(
     workloads: Optional[Sequence[WorkloadSpec]] = None,
 ) -> ExperimentSpec:
     """Fig. 3a: distribution of crossbar bit-line outputs."""
+    selected = _figure_workloads(smoke, workloads, workload_names, preset)
     sweep = SweepSpec(
         name="fig3",
         kind="distribution",
-        workloads=_figure_workloads(smoke, workloads, workload_names, preset),
+        workloads=selected,
         distributions=[
             DistributionParams(
-                images=FIGURE_CAPTURE_IMAGES, batch_size=8,
-                capacity_per_layer=50_000, seed=0,
+                # One capture for every workload: no more images than the
+                # smallest calibration split holds.
+                images=min(_capture_images(workload) for workload in selected),
+                batch_size=8, capacity_per_layer=50_000, seed=0,
             )
         ],
     )

@@ -36,8 +36,10 @@ config) by whichever job needs it first, then shared by every sibling —
 across grid points, worker processes, and resumed runs.  The same
 load-or-compute sharing applies to the other cross-job artifacts: the
 bit-line distribution capture behind ``uniform_calibrated`` evaluations
-(:meth:`JobSpec.distribution_job`) and the Algorithm 1 search behind
-``power`` jobs (:meth:`JobSpec.calibration_job`).
+(:meth:`JobSpec.distribution_job`), the capture and ideal-ADC baseline
+behind every cap of a workload-split calibration
+(:meth:`JobSpec.capture_job`, :meth:`JobSpec.baseline_job`) and the
+Algorithm 1 search behind ``power`` jobs (:meth:`JobSpec.calibration_job`).
 
 * **Failure policy** — a job that raises leaves no store artifact (writes
   are atomic and happen only on success); the exception and traceback are
@@ -143,13 +145,13 @@ def _prepared_workload(job: JobSpec, weights_cache_dir: Optional[str]):
 
 
 def _clean_reference(
-    job: JobSpec,
+    clean_job: JobSpec,
     store: ResultStore,
     weights_cache_dir: Optional[str],
     salt: Optional[str],
 ) -> SimulationResult:
-    """Load-or-compute the shared deterministic reference of a MC job."""
-    clean_job = job.clean_job()
+    """Load-or-compute a shared deterministic ``evaluate`` artifact: a Monte
+    Carlo job's clean reference or a calibration job's ideal-ADC baseline."""
     key = job_key(clean_job, salt)
     # Memoised per (store, key): the reference must be *persisted* into the
     # store this sweep is writing, or its MC artifacts would carry a
@@ -171,15 +173,15 @@ def _clean_reference(
 
 
 def _distribution_samples(
-    job: JobSpec,
+    dist_job: JobSpec,
     store: ResultStore,
     weights_cache_dir: Optional[str],
     salt: Optional[str],
 ) -> Dict[str, np.ndarray]:
-    """Load-or-compute the shared bit-line capture of a calibrated-uniform
-    evaluation (one artifact per (workload, capture params), shared by every
-    sensing precision)."""
-    dist_job = job.distribution_job()
+    """Load-or-compute a shared bit-line capture: the one behind every
+    sensing precision of a calibrated-uniform evaluation, or the one behind
+    every cap of a workload-split calibration.  Layers keep the capture's
+    order through the NPZ round trip."""
     key = job_key(dist_job, salt)
     memo_key = f"{store.root.resolve()}|{key}"
     memo = _DISTRIBUTION_MEMO.get(memo_key)
@@ -292,7 +294,9 @@ def _execute_evaluate(
     simulator = prepared.simulator
     split = prepared.eval_split(job.images)
     if job.adc.needs_distributions:
-        samples = _distribution_samples(job, store, weights_cache_dir, salt)
+        samples = _distribution_samples(
+            job.distribution_job(), store, weights_cache_dir, salt
+        )
         configs = job.adc.build_configs_from_samples(samples)
     else:
         configs = job.adc.build_configs(simulator.layer_names())
@@ -353,12 +357,14 @@ def _monte_carlo_inputs(
     salt: Optional[str],
 ):
     """The shared execution inputs of one MC job (or one sibling group)."""
-    clean = _clean_reference(job, store, weights_cache_dir, salt)
+    clean = _clean_reference(job.clean_job(), store, weights_cache_dir, salt)
     prepared = _prepared_workload(job, weights_cache_dir)
     simulator = prepared.simulator
     split = prepared.eval_split(job.images)
     if job.adc.needs_distributions:
-        samples = _distribution_samples(job, store, weights_cache_dir, salt)
+        samples = _distribution_samples(
+            job.distribution_job(), store, weights_cache_dir, salt
+        )
         configs = job.adc.build_configs_from_samples(samples)
     else:
         configs = job.adc.build_configs(simulator.layer_names())
@@ -486,8 +492,9 @@ def execute_mc_group_nodes(nodes, context, submitted_mono=None):
     cache hits short-circuit per node (``job_cached``), a single remaining
     node runs the ordinary per-job path, and a genuine group computes once
     for everyone.  Lifecycle telemetry is emitted per node **after** the
-    group completes (a failed group falls back to per-job execution, which
-    owns its own full lifecycle — so no node ever records two attempts):
+    group completes (a failed group emits one ``group_fallback`` event and
+    falls back to per-job execution, which owns its own full lifecycle — so
+    no node ever records two attempts):
     each node's ``job_finish`` carries the amortised ``duration_s``
     (group wall time / group size) plus the whole-group ``group_duration_s``
     and ``coalesced`` count, so per-kind timing aggregates stay meaningful.
@@ -549,6 +556,12 @@ def execute_mc_group_nodes(nodes, context, submitted_mono=None):
         logger.warning(
             "coalesced Monte Carlo group failed (%s: %s); retrying jobs "
             "individually", type(error).__name__, error,
+        )
+        tracer.emit(
+            telemetry_events.GROUP_FALLBACK,
+            error=f"{type(error).__name__}: {error}",
+            keys=[node.key for node in remaining],
+            wave=context.wave, shard=context.shard,
         )
         for node in remaining:
             yield run_solo(node)
@@ -623,6 +636,7 @@ def _execute_calibration(
             num_images=params.calibration_size,
             seed=params.resolved_calib_seed,
         )
+    shared = job.shares_workload_calibration
     optimizer = CoDesignOptimizer(
         prepared.model,
         calibration.images,
@@ -631,13 +645,27 @@ def _execute_calibration(
             num_v_grid_candidates=params.num_v_grid_candidates
         ),
         max_samples_per_layer=params.max_samples_per_layer,
+        # PTQ on the whole prepared split is the prepared model itself.
+        quantized=prepared.quantized if shared else None,
     )
+    layer_samples = baseline_accuracy = None
+    if shared:
+        # Every cap of the workload reads the same stored capture and
+        # ideal-ADC baseline instead of recomputing them.
+        layer_samples = _distribution_samples(
+            job.capture_job(), store, weights_cache_dir, salt
+        )
+        baseline_accuracy = _clean_reference(
+            job.baseline_job(), store, weights_cache_dir, salt
+        ).accuracy
     result = optimizer.run(
         split.images,
         split.labels,
         batch_size=job.batch_size,
         use_accuracy_loop=params.use_accuracy_loop,
         initial_n_max=params.initial_n_max,
+        layer_samples=layer_samples,
+        baseline_accuracy=baseline_accuracy,
     )
     row = {
         "baseline_accuracy": result.baseline_accuracy,

@@ -34,6 +34,9 @@ Five job kinds cover the repository's evaluation surface:
 * ``calibration`` — the Algorithm 1 co-design search
   (:class:`repro.core.CoDesignOptimizer`) under varying calibration budgets
   and sensing-precision caps (``initial_n_max`` — the Fig. 6b/6c axis).
+  On the workload's whole calibration split, every cap shares one stored
+  bit-line capture and one ideal-ADC baseline
+  (:meth:`JobSpec.capture_job`, :meth:`JobSpec.baseline_job`).
 * ``distribution`` — bit-line value capture on the calibration images
   (Fig. 3a); also the shared input of ``uniform_calibrated`` evaluations.
 * ``power`` — the Fig. 7 accelerator energy breakdown (ISAAC baseline vs
@@ -48,13 +51,38 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adc.config import AdcConfig, twin_range_config, uniform_config
+from repro.core.co_design import (
+    CODESIGN_SEED,
+    DISTRIBUTION_CAPACITY,
+    capture_batch_size,
+)
+from repro.core.search_space import DEFAULT_SEARCH_SPACE
 from repro.core.trq import TRQParams
 from repro.utils.config import canonical_json
+from repro.utils.validation import check_in_range, check_integer
 from repro.workloads import default_epochs, workload_fingerprint
 
 JOB_KINDS = ("evaluate", "monte_carlo", "calibration", "distribution", "power")
 
 DATAPATHS = ("pim", "float", "fakequant")
+
+#: Sensing-precision caps Algorithm 1 accepts: the calibrator's default
+#: ``min_n_max`` up to the ADC resolution.
+_MIN_N_MAX = 2
+
+
+def _check_at_least(value, name: str, low: int, high: Optional[int] = None) -> None:
+    check_in_range(check_integer(value, name), name, low=low, high=high)
+
+
+def _check_calibration_images(value: int, name: str, workload: "WorkloadSpec") -> None:
+    """A capture or calibration cannot use more calibration images than the
+    workload prepares (slicing would silently use fewer)."""
+    if value > workload.calibration_images:
+        raise ValueError(
+            f"{name}={value} exceeds the {workload.calibration_images} "
+            f"calibration images workload {workload.name!r} prepares"
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -139,6 +167,8 @@ class AdcSpec:
                 raise ValueError(
                     f"uniform_calibrated bits {bits} outside 1..{self.resolution}"
                 )
+            for name in ("calib_images", "calib_batch_size", "calib_capacity"):
+                _check_at_least(getattr(self, name), f"adc.{name}", 1)
         else:
             self.build_config()  # validate eagerly
 
@@ -244,6 +274,10 @@ class DistributionParams:
     batch_size: int = 8
     capacity_per_layer: int = 100_000
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("images", "batch_size", "capacity_per_layer"):
+            _check_at_least(getattr(self, name), f"distribution.{name}", 1)
 
     def resolved(self) -> Dict[str, object]:
         return {
@@ -402,6 +436,18 @@ class CalibrationParams:
     def __post_init__(self) -> None:
         if self.source not in ("resampled", "workload"):
             raise ValueError(f"unknown calibration source {self.source!r}")
+        _check_at_least(self.calibration_size, "calibration.calibration_size", 1)
+        _check_at_least(
+            self.num_v_grid_candidates, "calibration.num_v_grid_candidates", 1
+        )
+        # The bounds TwinRangeCalibrator enforces, checked before any worker.
+        _check_at_least(
+            self.max_samples_per_layer, "calibration.max_samples_per_layer", 16
+        )
+        _check_at_least(
+            self.initial_n_max, "calibration.initial_n_max",
+            _MIN_N_MAX, DEFAULT_SEARCH_SPACE.adc_resolution,
+        )
 
     @property
     def resolved_calib_seed(self) -> int:
@@ -483,6 +529,19 @@ class JobSpec:
                 )
             if self.power is None:
                 object.__setattr__(self, "power", PowerSpec())
+        if self.kind == "distribution":
+            _check_calibration_images(
+                self.distribution.images, "distribution.images", self.workload
+            )
+        if self.consumes_capture:
+            _check_calibration_images(
+                self.adc.calib_images, "adc.calib_images", self.workload
+            )
+        if self.kind in ("calibration", "power") and self.calibration.source == "workload":
+            _check_calibration_images(
+                self.calibration.calibration_size,
+                "calibration.calibration_size", self.workload,
+            )
         label = self.label
         if isinstance(label, dict):
             label = tuple(sorted(label.items()))
@@ -492,6 +551,32 @@ class JobSpec:
     @property
     def label_dict(self) -> Dict[str, object]:
         return dict(self.label)
+
+    @property
+    def consumes_capture(self) -> bool:
+        """True when the job derives its ADC configs from a bit-line
+        capture (a ``uniform_calibrated`` PIM evaluation or Monte Carlo)."""
+        return (
+            self.kind in ("evaluate", "monte_carlo")
+            and self.datapath == "pim"
+            and self.adc.needs_distributions
+        )
+
+    @property
+    def shares_workload_calibration(self) -> bool:
+        """True for a calibration job that runs Algorithm 1 on the
+        workload's whole prepared calibration split (the figure presets).
+
+        Its PTQ model is then the prepared workload's own, and its bit-line
+        capture and ideal-ADC baseline are stored sibling jobs
+        (:meth:`capture_job`, :meth:`baseline_job`) shared by every
+        sensing-precision cap.
+        """
+        return (
+            self.kind == "calibration"
+            and self.calibration.source == "workload"
+            and self.calibration.calibration_size == self.workload.calibration_images
+        )
 
     def resolved(self) -> Dict[str, object]:
         """The fully-resolved plain-JSON job description that gets hashed.
@@ -554,12 +639,10 @@ class JobSpec:
         deps: List[JobSpec] = []
         if self.kind == "monte_carlo":
             deps.append(self.clean_job())
-        if (
-            self.kind in ("evaluate", "monte_carlo")
-            and self.datapath == "pim"
-            and self.adc.needs_distributions
-        ):
+        if self.consumes_capture:
             deps.append(self.distribution_job())
+        if self.shares_workload_calibration:
+            deps += [self.capture_job(), self.baseline_job()]
         if self.kind == "power":
             deps.append(self.calibration_job())
         return deps
@@ -595,6 +678,37 @@ class JobSpec:
             kind="distribution",
             workload=self.workload,
             distribution=self.adc.distribution_params(),
+        )
+
+    def capture_job(self) -> "JobSpec":
+        """The bit-line capture a workload-split calibration job searches.
+
+        Exactly the capture :meth:`repro.core.CoDesignOptimizer.run` would
+        take itself — every calibration image, the optimizer's reservoir
+        capacity, seed and capture batch size — so all caps of a workload
+        (at one batch size) share one stored ``distribution`` job.
+        """
+        return JobSpec(
+            kind="distribution",
+            workload=self.workload,
+            distribution=DistributionParams(
+                images=self.workload.calibration_images,
+                batch_size=capture_batch_size(self.batch_size),
+                capacity_per_layer=DISTRIBUTION_CAPACITY,
+                seed=CODESIGN_SEED,
+            ),
+        )
+
+    def baseline_job(self) -> "JobSpec":
+        """The ideal-ADC evaluation whose accuracy a calibration job reports
+        as its baseline (and checks Algorithm 1's accuracy drop against)."""
+        return JobSpec(
+            kind="evaluate",
+            workload=self.workload,
+            adc=AdcSpec(mode="ideal"),
+            images=self.images,
+            batch_size=self.batch_size,
+            engine=self.engine,
         )
 
     def calibration_job(self) -> "JobSpec":

@@ -95,6 +95,11 @@ JOB_UPSTREAM_FAILED = "job_upstream_failed"  # key, cause_key, wave — not run
 SHARD_DISPATCH = "shard_dispatch"
 SHARD_REDISPATCH = "shard_redispatch"  # ..., reason
 
+#: A coalesced Monte Carlo group failed and its member jobs are being
+#: retried one by one (each then emits its own job lifecycle): ``error``,
+#: ``keys`` (the members' content addresses), ``wave``, ``shard``.
+GROUP_FALLBACK = "group_fallback"
+
 #: A named monotonic counter sample: ``name``, ``value``.
 COUNTER = "counter"
 
@@ -117,7 +122,7 @@ ALL_EVENTS = (
     PREWARM_START, PREWARM_FINISH,
     WAVE_START, WAVE_FINISH,
     JOB_START, JOB_FINISH, JOB_FAILED, JOB_CACHED, JOB_UPSTREAM_FAILED,
-    SHARD_DISPATCH, SHARD_REDISPATCH,
+    SHARD_DISPATCH, SHARD_REDISPATCH, GROUP_FALLBACK,
     COUNTER, RESOURCE_SAMPLE,
 )
 

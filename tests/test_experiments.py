@@ -399,19 +399,62 @@ class TestMonteCarloCoalescing:
         with pytest.raises(ValueError, match="differing only"):
             execute_mc_group(mixed, ResultStore(tmp_path / "s"), trial_batch=2)
 
+    def test_failed_group_retries_per_job_and_records_the_fallback(
+        self, reference_run, weights_cache, tmp_path, monkeypatch
+    ):
+        """A coalesced group that raises is retried job by job: every job
+        still computes, artifacts stay byte-identical to the uncoalesced
+        run, and exactly one ``group_fallback`` event names the members."""
+        from repro.telemetry import events as telemetry_events
+        from repro.telemetry.tracer import load_events
+
+        def broken_group(*args, **kwargs):
+            raise RuntimeError("batched kernel unavailable")
+
+        monkeypatch.setattr(runner_module, "execute_mc_group", broken_group)
+        root = tmp_path / "store-fallback"
+        run = run_sweep(
+            tiny_sweep(), ResultStore(root), weights_cache_dir=weights_cache,
+            trial_batch=3, trace=True,
+        )
+        assert run.stats.computed == run.stats.total
+        assert run.stats.failed == 0
+        assert record_bytes(run) == record_bytes(reference_run)
+        assert self.artifact_bytes(root) == self.artifact_bytes(
+            reference_run_store_root(reference_run)
+        )
+        fallbacks = [
+            event for event in load_events(run.telemetry_dir)
+            if event["event"] == telemetry_events.GROUP_FALLBACK
+        ]
+        mc_keys = [
+            job_key(job) for job in tiny_sweep().expand()
+            if job.kind == "monte_carlo"
+        ]
+        assert len(fallbacks) == 1
+        assert fallbacks[0]["keys"] == mc_keys
+        assert fallbacks[0]["error"] == "RuntimeError: batched kernel unavailable"
+        for key in mc_keys:  # each member ran (and is recorded) solo
+            meta = json.loads(ResultStore(root).meta_path(key).read_text())
+            assert "coalesced" not in meta
+
 
 # --------------------------------------------------------------------- #
 # Figure-pipeline job kinds: hashing and sibling sharing
 # --------------------------------------------------------------------- #
 class TestFigureJobKinds:
     def test_new_kinds_hash_on_their_own_axes(self):
-        dist = JobSpec(kind="distribution", workload=TINY)
+        dist = JobSpec(
+            kind="distribution", workload=TINY,
+            distribution=DistributionParams(images=8),
+        )
         assert job_key(dist) != job_key(
-            dataclasses.replace(dist, distribution=DistributionParams(images=8))
+            dataclasses.replace(dist, distribution=DistributionParams(images=4))
         )
         assert job_key(dist) != job_key(
             dataclasses.replace(
-                dist, distribution=DistributionParams(capacity_per_layer=1000)
+                dist,
+                distribution=DistributionParams(images=8, capacity_per_layer=1000),
             )
         )
         power = JobSpec(kind="power", workload=TINY, calibration=CalibrationParams())
@@ -482,7 +525,7 @@ class TestFigureJobKinds:
     def test_workload_source_calibration_ignores_resample_seed(self):
         base = JobSpec(
             kind="calibration", workload=TINY,
-            calibration=CalibrationParams(source="workload"),
+            calibration=CalibrationParams(calibration_size=8, source="workload"),
         )
         reseeded = dataclasses.replace(
             base, calibration=dataclasses.replace(base.calibration, calib_seed=7)

@@ -29,6 +29,7 @@ import pytest
 
 from repro.experiments import (
     AdcSpec,
+    DistributionParams,
     FailureLog,
     JobSpec,
     NoiseScenario,
@@ -132,7 +133,10 @@ class TestDependencies:
             kind="evaluate", workload=TINY, datapath="float", images=4
         ).dependencies() == []
         assert JobSpec(kind="evaluate", workload=TINY, images=4).dependencies() == []
-        assert JobSpec(kind="distribution", workload=TINY).dependencies() == []
+        assert JobSpec(
+            kind="distribution", workload=TINY,
+            distribution=DistributionParams(images=TINY.calibration_images),
+        ).dependencies() == []
 
     def test_transitive_closure_reaches_the_capture_through_the_clean_job(self):
         """An MC job over a calibrated-uniform ADC: its clean reference
@@ -174,11 +178,20 @@ class TestJobGraph:
         )
         waves = graph.waves()
         assert [[n.job.kind for n in wave] for wave in waves] == [
-            ["calibration"], ["power"],
+            ["distribution", "evaluate"], ["calibration"], ["power"],
         ]
-        # The shared calibration node is not a grid point of the sweep.
-        assert waves[0][0].indices == ()
-        assert waves[1][0].indices == (0,)
+        capture, baseline = waves[0]
+        calibration = waves[1][0]
+        power = waves[2][0]
+        assert job_key(capture.job) == job_key(calibration.job.capture_job())
+        assert job_key(baseline.job) == job_key(calibration.job.baseline_job())
+        assert baseline.job.adc.mode == "ideal"
+        assert calibration.dependencies == (capture.key, baseline.key)
+        assert power.dependencies == (calibration.key,)
+        # The shared capture, baseline and calibration nodes are not grid
+        # points of the sweep.
+        assert capture.indices == baseline.indices == calibration.indices == ()
+        assert power.indices == (0,)
 
     def test_three_deep_waves_for_mc_over_calibrated_uniform(self, tmp_path):
         mc = JobSpec(
@@ -211,14 +224,34 @@ class TestJobGraph:
             list(enumerate(jobs)), ResultStore(tmp_path / "s")
         )
         captures = [n for n in graph if n.job.kind == "distribution"]
-        assert len(captures) == 1  # both sensing precisions share one capture
-        assert captures[0].indices == ()  # not itself a grid point
-        assert len(graph) == len(jobs) + 1
+        # Both sensing precisions share one capture and both TRQ caps share
+        # another; their reservoir capacities differ, so the two cannot merge.
+        assert len(captures) == 2
+        assert all(c.indices == () for c in captures)  # not grid points
         ucal = [
             n for n in graph
             if n.job.kind == "evaluate" and n.job.adc.needs_distributions
         ]
-        assert all(n.dependencies == (captures[0].key,) for n in ucal)
+        calibrations = [n for n in graph if n.job.kind == "calibration"]
+        assert len(ucal) == len(calibrations) == 2
+        ucal_capture = next(
+            c for c in captures if c.key == job_key(ucal[0].job.distribution_job())
+        )
+        cal_capture = next(c for c in captures if c is not ucal_capture)
+        assert (
+            ucal_capture.job.distribution.capacity_per_layer
+            != cal_capture.job.distribution.capacity_per_layer
+        )
+        assert all(n.dependencies == (ucal_capture.key,) for n in ucal)
+        baselines = [
+            n for n in graph if n.job.kind == "evaluate" and n.job.adc.mode == "ideal"
+        ]
+        assert len(baselines) == 1 and baselines[0].indices == ()
+        assert all(
+            n.dependencies == (cal_capture.key, baselines[0].key)
+            for n in calibrations
+        )
+        assert len(graph) == len(jobs) + 3
 
     def test_transitive_dependents(self, tmp_path):
         mc = JobSpec(
