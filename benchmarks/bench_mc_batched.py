@@ -19,17 +19,13 @@ Two measurements are reported:
   where those fixed costs dominate; wide layers are compute-bound and
   reported without a gate.
 * **end-to-end** — ``PimSimulator.run_monte_carlo`` with ``trial_batch=1``
-  (the per-trial oracle) vs ``trial_batch=TRIALS``, asserting **byte
+  (the per-trial loop: groups of one through the same kernel) vs
+  ``trial_batch=TRIALS``, asserting **byte
   identical** Monte Carlo artifacts (trial accuracies, flip rates, summary
   statistics and per-layer robustness stats) plus a lenient wall-time
   sanity bound — the full pipeline includes engine-independent overhead
   (im2col, forward plumbing), so its speedup is small and noisy and is
   reported, not gated.
-
-The trial-batch-aware scratch accounting of
-:func:`repro.sim.pim_layer.throughput_chunk_size` is sanity-checked here as
-well: more trials per invocation must never enlarge the physical working
-set.
 """
 
 from __future__ import annotations
@@ -52,7 +48,7 @@ from repro.nonideal.stack import NonIdealityStack, TrialNoiseStates
 from repro.quantization import quantize_model
 from repro.quantization.ptq import find_mvm_layers
 from repro.sim import PimSimulator
-from repro.sim.pim_layer import MIN_CHUNK_SIZE, PimBackend, throughput_chunk_size
+from repro.sim.pim_layer import PimBackend
 
 #: Required wall-clock advantage of the batched kernel on narrow layers.
 MIN_SPEEDUP = 5.0
@@ -125,22 +121,6 @@ def test_mc_batched_speedup_and_byte_identity(benchmark, lenet_tiny_quantized, r
     config = twin_range_config(TRQ_PARAMS)
     names = [name for name, _ in find_mvm_layers(quantized.model)]
     configs = {name: config for name in names}
-
-    # ------------------------------------------------------------------ #
-    # trial-batch scratch accounting: more trials per invocation must
-    # shrink (never grow) the physical chunk, and N=1 is the solo grid
-    # ------------------------------------------------------------------ #
-    for cycles, cols in ((4, 28), (4, 420), (8, 1680)):
-        solo = throughput_chunk_size(cycles, cols)
-        assert throughput_chunk_size(cycles, cols, trial_batch=1) == solo
-        previous = solo
-        for trial_batch in (2, 4, 16):
-            chunk = throughput_chunk_size(cycles, cols, trial_batch=trial_batch)
-            assert MIN_CHUNK_SIZE <= chunk <= previous, (
-                f"chunk must shrink monotonically with trial_batch "
-                f"(cycles={cycles}, cols={cols}, N={trial_batch})"
-            )
-            previous = chunk
 
     # ------------------------------------------------------------------ #
     # datapath: matmul_trials vs the per-trial matmul loop at MC_ROWS
@@ -227,7 +207,7 @@ def test_mc_batched_speedup_and_byte_identity(benchmark, lenet_tiny_quantized, r
     speedup = narrow_total["loop"] / narrow_total["batched"]
 
     # ------------------------------------------------------------------ #
-    # end-to-end: run_monte_carlo trial_batch=1 (oracle) vs TRIALS
+    # end-to-end: run_monte_carlo trial_batch=1 (per-trial loop) vs TRIALS
     # ------------------------------------------------------------------ #
     images = dataset.test.images[:8]
     labels = dataset.test.labels[:8]
@@ -251,7 +231,7 @@ def test_mc_batched_speedup_and_byte_identity(benchmark, lenet_tiny_quantized, r
     fingerprint_batched = _mc_payload_fingerprint(end_to_end["batched"])
     assert fingerprint_loop == fingerprint_batched, (
         "batched Monte Carlo artifact is not byte-identical to the "
-        "per-trial oracle"
+        "per-trial loop"
     )
     end_to_end_ratio = end_to_end["batched_s"] / end_to_end["loop_s"]
     assert end_to_end_ratio <= MAX_END_TO_END_RATIO, (

@@ -144,9 +144,8 @@ def gather_levels(
     ``counts`` (shape ``(lut.max_value + 1,)``), from which
     :meth:`LutConversionMixin.record_code_counts` later derives exact
     operation/region totals.  This is the conversion core of the fused
-    crossbar kernel — including its batched Monte Carlo variant, where one
-    call per trial applies that trial's (differently-sized) composed LUT.
-    Raises ``ValueError`` when a value exceeds the LUT bound.
+    crossbar kernel at one trial (:meth:`TrialLutGather.gather`).  Raises
+    ``ValueError`` when a value exceeds the LUT bound.
 
     The array primitives route through the active :mod:`repro.backend`
     array-ops shim; under the default numpy backend they are the exact
@@ -263,10 +262,17 @@ class TrialLutGather:
         leading (``(trials, …)``); ``out_levels`` has the same shape (dtype
         of the combined table) and ``counts`` is ``(total_size,)``.
         """
+        trials = values.shape[0]
+        if trials == 1:
+            # One table: no offsets to add, and the histogram length is the
+            # bound check, so the values need no separate max scan.
+            gather_levels(
+                self.luts[0], values.reshape(-1), counts, out_levels.reshape(-1), tile
+            )
+            return
         from repro.backend import active_ops  # lazy: keep adc import-light
 
         ops = active_ops()
-        trials = values.shape[0]
         flat_per_trial = values.reshape(trials, -1)
         if flat_per_trial.shape[1]:
             maxes = flat_per_trial.max(axis=1).astype(np.int64)

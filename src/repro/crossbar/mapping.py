@@ -33,6 +33,10 @@ Simulation engines
   :mod:`repro.adc.lut`) convert them with one integer gather and derive exact
   region/op totals from ``np.bincount`` instead of per-element float math.
 
+There is exactly one fused kernel, and it carries a leading Monte Carlo
+``trials`` axis (:meth:`MappedMVMLayer.matmul_trials`): a solo
+``matmul(engine="fast")`` is a one-trial call into it.
+
 Bit-reproducibility rests on the **integer-domain invariant**: every quantity
 the datapath merges is an exact small integer.  ADCs with a uniform level
 grid expose integer *output levels* ``k`` (quantized value = ``scale · k``
@@ -58,11 +62,11 @@ are even folded into the transfer LUT itself
 perturbations (read noise, analog variation, IR drop) route the fused
 kernel through the element-wise fallback.
 
-Observable differences are limited to the optional ``partial_observer``: the
-reference engine emits blocks cycle-major, the fast engine segment-major
-(block shapes and values are identical), and fast-engine blocks are
-transient views into reused scratch buffers — observers must copy what they
-keep.
+Observable differences are limited to the optional ``partial_observer``
+(one trial only): the reference engine emits blocks cycle-major, the fast
+engine segment-major with the input cycle innermost (block shapes, values
+and dtypes are identical), and fast-engine blocks are transient views into
+reused scratch buffers — observers must copy what they keep.
 """
 
 from __future__ import annotations
@@ -72,13 +76,14 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.adc.lut import TrialLutGather, compose_transfer_lut, gather_levels
+from repro.adc.lut import TrialLutGather, compose_transfer_lut
 from repro.backend import active_ops
 from repro.crossbar.slicing import (
     num_slices,
     slice_inputs_temporal,
     slice_weights_differential,
 )
+from repro.nonideal.stack import TrialNoiseStates
 from repro.quantization.qconfig import DEFAULT_QUANT_CONFIG, QuantizationConfig
 from repro.utils.validation import check_in_range, check_integer
 
@@ -301,9 +306,9 @@ class MappedMVMLayer:
             the *ideal* (pre-noise) values.
         engine:
             ``"reference"`` (per-cycle/segment loop, the oracle) or ``"fast"``
-            (fused cycles + integer-domain LUT conversion).  Both produce
-            bit-identical results and identical operation counts; see the
-            module docstring.
+            (the fused kernel of :meth:`matmul_trials` at one trial).  Both
+            produce bit-identical results and identical operation counts;
+            see the module docstring.
         noise:
             Optional :class:`repro.nonideal.stack.LayerNoiseState` bound to
             this layer.  Perturbations are keyed on (chunk, segment, cycle),
@@ -327,7 +332,13 @@ class MappedMVMLayer:
             )
             return self._matmul_reference(cycles, adc, partial_observer, noise)
         if engine == "fast":
-            return self._matmul_fast(input_codes, adc, partial_observer, noise)
+            outputs, total_ops = self._matmul_fast_trials(
+                input_codes[None],
+                None if adc is None else [adc],
+                None if noise is None else TrialNoiseStates([noise]),
+                partial_observer,
+            )
+            return outputs[0], total_ops[0]
         raise ValueError(f"unknown engine {engine!r} (expected 'fast' or 'reference')")
 
     def _stack_cycles(self, input_codes: np.ndarray) -> np.ndarray:
@@ -415,209 +426,16 @@ class MappedMVMLayer:
     #: integer codes and gathered levels stay cache-resident.
     _FAST_TILE = 1 << 18
 
-    def _matmul_fast(
-        self,
-        input_codes: np.ndarray,
-        adc: Optional[object],
-        partial_observer: Optional[Callable[[np.ndarray], None]],
-        noise: Optional[object] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """Fused kernel: one matmul per segment, integer-domain conversion.
-
-        All input cycles are stacked into a single ``(cycles · batch, rows)``
-        operand per segment, so the matmul count drops from ``cycles ×
-        segments`` to ``segments``.  ADCs with an integer level grid (see
-        :mod:`repro.adc.lut`) are applied as a tiled integer gather of output
-        *levels*; the cycle/plane/sign merge then collapses into a single
-        einsum per segment whose factors are exact powers of two, making
-        every partial sum exact integer arithmetic in float64 — bit-identical
-        to the reference loop regardless of summation order.  Exact operation
-        and region totals come from ``np.bincount`` on the same codes.
-        Converters without a level grid (e.g. the non-uniform baseline) fall
-        back to element-wise conversion on the fused block with the
-        reference engine's merge semantics.
-
-        Integer-domain noise keeps this path: pure per-value maps are folded
-        into the transfer LUT (zero per-element cost), column-dependent
-        integer perturbations are applied per (cycle, segment) block before
-        the gather with the LUT sized to the perturbed bound.  Continuous
-        noise leaves the integer domain and routes through the fallback.
-
-        Blocks handed to ``partial_observer`` are transient views into a
-        reused buffer — observers must copy what they keep (the distribution
-        collector does).
-        """
-        num_cycles, batch = self.num_input_cycles, input_codes.shape[0]
-        stacked = self._stack_cycles(input_codes)
-        integer_noise = noise is None or noise.integer_domain
-        lut = None
-        value_mapped = False
-        if adc is not None:
-            transfer_lut = getattr(adc, "transfer_lut", None)
-            if transfer_lut is not None and integer_noise:
-                if noise is None:
-                    lut = transfer_lut(self._max_bitline)
-                else:
-                    vmap = noise.pure_value_map()
-                    if vmap is not None:
-                        lut = transfer_lut(int(vmap.max(initial=0)))
-                        if lut.levels is not None:
-                            lut = compose_transfer_lut(lut, vmap)
-                            value_mapped = True
-                    else:
-                        lut = transfer_lut(noise.lut_bound)
-                if lut is not None and lut.levels is None:
-                    lut = None
-            if lut is None:
-                return self._matmul_fast_fallback(
-                    stacked, num_cycles, batch, adc, partial_observer, noise
-                )
-        elif not integer_noise:
-            # Ideal conversion under continuous noise merges floats, where
-            # summation order matters; replay the reference order.
-            return self._matmul_fast_fallback(
-                stacked, num_cycles, batch, None, partial_observer, noise
-            )
-
-        ops_shim = active_ops()
-        perturb_blocks = noise is not None and not value_mapped
-        total_ops = 0
-        cols = 2 * self.num_weight_planes * self.out_features
-        block_shape = (num_cycles, batch, 2 * self.num_weight_planes, self.out_features)
-        fused_factors = self._fused_factors.reshape(num_cycles, -1)
-        accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
-        partials_buf = self._fast_buffer("partials", (num_cycles * batch, cols), np.float32)
-        if perturb_blocks:
-            noisy_buf = self._fast_buffer("noisy", (num_cycles * batch, cols), np.float64)
-        if lut is not None:
-            counts = np.zeros(lut.values.size, dtype=np.int64)
-            levels_buf = self._fast_buffer(
-                "levels", (num_cycles * batch, cols), lut.levels.dtype
-            )
-
-        for segment_index, segment in enumerate(self._segments):
-            ops_shim.matmul(
-                stacked[:, segment], self._plane_matrix[segment], out=partials_buf
-            )
-            if partial_observer is not None:
-                blocks = partials_buf.reshape(num_cycles, batch, cols)
-                for cycle_index in range(num_cycles):
-                    partial_observer(blocks[cycle_index])
-            if perturb_blocks:
-                # Same keyed draws as the reference loop's per-block calls.
-                raw = partials_buf.reshape(num_cycles, batch, cols)
-                noisy = noisy_buf.reshape(num_cycles, batch, cols)
-                for cycle_index in range(num_cycles):
-                    np.copyto(
-                        noisy[cycle_index],
-                        noise.perturb_block(raw[cycle_index], segment_index, cycle_index),
-                    )
-                conversion_source = noisy_buf
-            else:
-                conversion_source = partials_buf
-            if lut is None:
-                total_ops += partials_buf.size * self.topology.ideal_adc_resolution
-                merged_source = conversion_source
-            else:
-                gather_levels(
-                    lut,
-                    conversion_source.reshape(-1),
-                    counts,
-                    levels_buf.reshape(-1),
-                    tile=self._FAST_TILE,
-                )
-                merged_source = levels_buf
-            # Contract the (cycle, sign·plane) axes with the fused power-of-two
-            # factors — exact float64 accumulation, tiled over the batch so the
-            # contraction operands stay cache-resident.
-            blocks = merged_source.reshape(block_shape)
-            row_tile = max(1, self._FAST_TILE // max(1, num_cycles * cols))
-            for start in range(0, batch, row_tile):
-                stop = min(start + row_tile, batch)
-                accumulator[start:stop] += np.tensordot(
-                    blocks[:, start:stop], fused_factors, axes=([0, 2], [0, 1])
-                )
-
-        if lut is not None:
-            total_ops += adc.record_code_counts(counts, lut)
-            if lut.scale != 1.0:
-                accumulator *= lut.scale
-        return accumulator, total_ops
-
-    def _matmul_fast_fallback(
-        self,
-        stacked: np.ndarray,
-        num_cycles: int,
-        batch: int,
-        adc: Optional[object],
-        partial_observer: Optional[Callable[[np.ndarray], None]],
-        noise: Optional[object] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """Fused-GEMM path for element-wise (non-LUT) conversion.
-
-        One matmul per segment is kept; conversion and noise run per
-        (cycle, segment) block — the same blocks, values and keyed noise
-        draws as the reference loop — so the result matches the loop path
-        bit for bit whenever the converter is deterministic.  Converters
-        with an integer level grid merge integer levels (scale applied once
-        per output), which is order-free exact arithmetic and is accumulated
-        directly.  Converters without one (and ideal conversion of
-        continuous-noise floats) merge floats, where order matters: their
-        ``cycles × segments`` contributions are replayed in the reference
-        order, trading memory for bit-parity at large ``chunk_size`` —
-        shrink the chunk if that matters.
-        """
-        total_ops = 0
-        baseline_ops = self.topology.ideal_adc_resolution
-        convert_levels = getattr(adc, "convert_levels", None) if adc is not None else None
-        scale = float(adc.level_scale) if convert_levels is not None else 1.0
-        # Integer levels merge exactly in any order; float merges replay the
-        # reference (cycle-major) accumulation order.
-        preserve_order = convert_levels is None
-        ops_shim = active_ops()
-        accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
-        contributions: List[List[np.ndarray]] = [[] for _ in range(num_cycles)]
-        for segment_index, segment in enumerate(self._segments):
-            partials = ops_shim.matmul(stacked[:, segment], self._plane_matrix[segment])
-            blocks = partials.reshape(num_cycles, batch, -1)
-            if partial_observer is not None:
-                for cycle_index in range(num_cycles):
-                    partial_observer(blocks[cycle_index])
-            for cycle_index in range(num_cycles):
-                block = blocks[cycle_index]
-                if noise is not None:
-                    block = noise.perturb_block(block, segment_index, cycle_index)
-                if adc is None:
-                    quantized = block
-                    total_ops += block.size * baseline_ops
-                elif convert_levels is not None:
-                    quantized, ops = convert_levels(block)
-                    total_ops += int(ops)
-                else:
-                    quantized, ops = adc.convert(block)
-                    total_ops += int(ops)
-                cycle_factor = float(1 << (cycle_index * self.topology.dac_bits))
-                contribution = cycle_factor * self.merge_partials(quantized)
-                if preserve_order:
-                    contributions[cycle_index].append(contribution)
-                else:
-                    accumulator += contribution
-        for per_cycle in contributions:
-            for contribution in per_cycle:
-                accumulator += contribution
-        if scale != 1.0:
-            accumulator *= scale
-        return accumulator, total_ops
-
     # ------------------------------------------------------------------ #
-    # batched Monte Carlo datapath
+    # the fused kernel: a leading trials axis, a solo run is one trial
     # ------------------------------------------------------------------ #
     def matmul_trials(
         self,
         input_codes: np.ndarray,
         adcs: Optional[List[object]],
-        noise,
+        noise: Optional[TrialNoiseStates],
         engine: str = "fast",
+        partial_observer: Optional[Callable[[np.ndarray], None]] = None,
     ) -> Tuple[np.ndarray, List[int]]:
         """Execute one MVM batch for several Monte Carlo trials at once.
 
@@ -633,10 +451,14 @@ class MappedMVMLayer:
             recorded statistics — are trial-specific.
         noise:
             :class:`repro.nonideal.stack.TrialNoiseStates` bound to this
-            layer, chunk counters already advanced in lockstep.
+            layer with one state per trial, chunk counters already advanced
+            in lockstep; ``None`` for a noise-free run.
         engine:
-            ``"fast"`` runs the fused batched kernel; ``"reference"`` loops
-            the solo oracle per trial (transparent, for verification).
+            ``"fast"`` runs the fused kernel; ``"reference"`` loops the solo
+            oracle per trial (transparent, for verification).
+        partial_observer:
+            Optional bit-line observer as in :meth:`matmul`; only a single
+            trial can be observed.
 
         Returns
         -------
@@ -653,14 +475,16 @@ class MappedMVMLayer:
                 f"got {input_codes.shape}"
             )
         trials = input_codes.shape[0]
-        if noise is None or noise.trials != trials:
+        if noise is not None and noise.trials != trials:
             raise ValueError(
-                "matmul_trials needs a TrialNoiseStates with one state per trial"
+                f"expected one noise state per trial ({trials}), got {noise.trials}"
             )
         if adcs is not None and len(adcs) != trials:
             raise ValueError(
                 f"expected {trials} per-trial ADCs, got {len(adcs)}"
             )
+        if partial_observer is not None and trials != 1:
+            raise ValueError("a partial_observer can only observe a single trial")
         if engine == "reference":
             outputs = np.empty(
                 (trials, input_codes.shape[1], self.out_features), dtype=np.float64
@@ -670,8 +494,9 @@ class MappedMVMLayer:
                 outputs[t], ops = self.matmul(
                     input_codes[t],
                     adc=None if adcs is None else adcs[t],
+                    partial_observer=partial_observer,
                     engine="reference",
-                    noise=noise.states[t],
+                    noise=None if noise is None else noise.states[t],
                 )
                 total_ops.append(int(ops))
             return outputs, total_ops
@@ -679,34 +504,101 @@ class MappedMVMLayer:
             raise ValueError(
                 f"unknown engine {engine!r} (expected 'fast' or 'reference')"
             )
-        return self._matmul_fast_trials(input_codes, adcs, noise)
+        return self._matmul_fast_trials(input_codes, adcs, noise, partial_observer)
+
+    def _conversion_setup(
+        self,
+        adcs: Optional[List[object]],
+        noise: Optional[TrialNoiseStates],
+    ) -> tuple:
+        """Per-trial transfer LUTs: ``(luts, value_mapped, gather)``.
+
+        ``luts`` is ``None`` when a converter has no integer level grid or
+        the noise leaves the integer domain.  The setup — value maps,
+        per-trial transfer LUTs, the combined gather table — is a pure
+        function of the per-trial noise states and ADC instances, both
+        stable across the chunks of one run.  It is cached on exactly those
+        objects (never on a :class:`TrialNoiseStates` wrapper, which a solo
+        :meth:`matmul` builds afresh per call), making it a per-run cost
+        instead of a per-chunk one; in the overhead-bound small-row regime
+        this setup would otherwise rival the kernel work itself.
+        """
+        if adcs is None:
+            return None, False, None
+        states = () if noise is None else noise.states
+        key = (tuple(map(id, states)), tuple(map(id, adcs)))
+        cache = self.__dict__.setdefault("_conversion_cache", {})
+        entry = cache.get(key)
+        if entry is not None:
+            return entry[1]
+        luts = None
+        value_mapped = False
+        lut_capable = all(getattr(adc, "transfer_lut", None) is not None for adc in adcs)
+        if lut_capable and (noise is None or noise.integer_domain):
+            vmaps = None if noise is None else noise.pure_value_maps()
+            if vmaps is not None:
+                luts = [
+                    adc.transfer_lut(int(vmap.max(initial=0)))
+                    for adc, vmap in zip(adcs, vmaps)
+                ]
+                if all(lut.levels is not None for lut in luts):
+                    luts = [compose_transfer_lut(lut, vmap) for lut, vmap in zip(luts, vmaps)]
+                    value_mapped = True
+            else:
+                bounds = [self._max_bitline] * len(adcs) if noise is None else noise.lut_bounds
+                luts = [adc.transfer_lut(bound) for adc, bound in zip(adcs, bounds)]
+            if any(lut.levels is None for lut in luts):
+                luts = None
+        setup = (luts, value_mapped, None if luts is None else TrialLutGather(luts))
+        if len(cache) >= 64:
+            cache.clear()
+        # The entry holds strong references to the keyed objects, so their
+        # ids cannot be recycled while the entry lives.
+        cache[key] = ((states, tuple(adcs)), setup)
+        return setup
 
     def _matmul_fast_trials(
         self,
         input_codes: np.ndarray,
         adcs: Optional[List[object]],
-        noise,
+        noise: Optional[TrialNoiseStates],
+        partial_observer: Optional[Callable[[np.ndarray], None]] = None,
     ) -> Tuple[np.ndarray, List[int]]:
-        """Fused kernel over a leading ``trials`` batch dimension.
+        """The fused kernel: one matmul per segment, integer-domain conversion.
 
-        The trial axis rides through the same integer-exact datapath as the
-        solo fast engine, which is why the batch is bit-identical per trial:
+        All input cycles are stacked into a single ``(cycles · rows,
+        in_features)`` operand, so the matmul count drops from ``cycles ×
+        segments`` to ``segments``.  ADCs with an integer level grid (see
+        :mod:`repro.adc.lut`) are applied as a tiled integer gather of output
+        *levels*; the cycle/plane/sign merge then collapses into a single
+        contraction whose factors are exact powers of two, making every
+        partial sum exact integer arithmetic in float64 — bit-identical to
+        the reference loop regardless of summation order.  Exact operation
+        and region totals come from ``np.bincount`` on the same codes.
+        Converters without a level grid (e.g. the non-uniform baseline) and
+        continuous noise take :meth:`_matmul_fast_trials_fallback`.
+
+        The leading trial axis rides through the same integer-exact
+        datapath, which is why every trial is bit-identical to a solo run:
 
         * the stacked-cycle matmul computes exact small integers, so its
           results do not depend on operand blocking (a ``(trials · batch)``
-          row block equals the per-trial rows);
-        * noise is applied as one ``(trials, rows, cols)`` batched pass per
-          (cycle, segment) block through
+          row block equals the per-trial rows); when every trial receives
+          the same input rows (always for one trial, and for the first MVM
+          layer) the matmul runs once and is broadcast;
+        * integer-domain noise is applied through
           :meth:`~repro.nonideal.stack.TrialNoiseStates.perturb_trials`,
-          whose per-trial slices equal the solo keyed draws exactly;
-        * conversion and merge run per trial — each trial's (differently
-          sized) transfer LUT gathers through
-          :func:`repro.adc.lut.gather_levels` and merges with the same
-          order-free exact power-of-two contraction as the solo kernel.
+          whose per-trial slices equal the solo keyed draws exactly, with
+          each LUT sized to its trial's perturbed bound — pure per-value
+          maps are folded into the transfer LUTs instead (zero per-element
+          cost);
+        * the trials' (differently sized) LUTs gather through one combined
+          :class:`~repro.adc.lut.TrialLutGather` table and merge with the
+          same order-free exact power-of-two contraction.
 
-        When every trial receives the same input rows (always true for the
-        first MVM layer), the matmul is computed once and broadcast into the
-        batched perturbation instead of repeated per trial.
+        Blocks handed to ``partial_observer`` are transient views into a
+        reused buffer — observers must copy what they keep (the
+        distribution collector does).
         """
         trials, batch = input_codes.shape[0], input_codes.shape[1]
         num_cycles = self.num_input_cycles
@@ -721,74 +613,15 @@ class MappedMVMLayer:
             shared_input = trials == 2 or bool(
                 (input_codes[2:] == input_codes[:1]).all()
             )
-
-        # The conversion setup below — value maps, per-trial transfer LUTs,
-        # the combined gather tables — is a pure function of (noise binding,
-        # ADC instances), both stable across the chunks of one Monte Carlo
-        # run.  A single-slot identity-keyed cache makes it a per-run cost
-        # instead of a per-chunk one; in the overhead-bound small-row regime
-        # the batching targets, this setup would otherwise rival the kernel
-        # work itself.
-        cache = self.__dict__.setdefault("_trials_conversion_cache", {})
-        cached = cache.get(id(noise))
-        adcs_key = tuple(adcs) if adcs is not None else None
-        if (
-            cached is not None
-            and cached[0] is noise
-            and cached[1] is not None
-            and adcs_key is not None
-            and len(cached[1]) == len(adcs_key)
-            and all(a is b for a, b in zip(cached[1], adcs_key))
-        ):
-            luts, value_mapped, gather = cached[2], cached[3], cached[4]
-            if luts is None:
-                return self._matmul_fast_trials_fallback(
-                    input_codes, adcs, noise, shared_input
-                )
-            integer_noise = True
-        else:
-            integer_noise = noise.integer_domain
-            luts = None
-            value_mapped = False
-            gather = None
-            if adcs is not None:
-                lut_capable = all(
-                    getattr(adc, "transfer_lut", None) is not None for adc in adcs
-                )
-                if lut_capable and integer_noise:
-                    vmaps = noise.pure_value_maps()
-                    if vmaps is not None:
-                        luts = []
-                        for adc, vmap in zip(adcs, vmaps):
-                            lut = adc.transfer_lut(int(vmap.max(initial=0)))
-                            if lut.levels is None:
-                                luts = None
-                                break
-                            luts.append(compose_transfer_lut(lut, vmap))
-                        if luts is not None:
-                            value_mapped = True
-                    else:
-                        luts = [
-                            adc.transfer_lut(bound)
-                            for adc, bound in zip(adcs, noise.lut_bounds)
-                        ]
-                        if any(lut.levels is None for lut in luts):
-                            luts = None
-                if luts is not None:
-                    gather = TrialLutGather(luts)
-                if len(cache) >= 64:
-                    cache.clear()
-                # The entry holds a strong reference to its noise object, so
-                # the ``id`` key cannot be recycled while the entry lives.
-                cache[id(noise)] = (noise, adcs_key, luts, value_mapped, gather)
-                if luts is None:
-                    return self._matmul_fast_trials_fallback(
-                        input_codes, adcs, noise, shared_input
-                    )
-            elif not integer_noise:
-                return self._matmul_fast_trials_fallback(
-                    input_codes, None, noise, shared_input
-                )
+        luts, value_mapped, gather = self._conversion_setup(adcs, noise)
+        integer_noise = noise is None or noise.integer_domain
+        if luts is None and (adcs is not None or not integer_noise):
+            # Ideal conversion under continuous noise merges floats, where
+            # summation order matters; like non-LUT converters it replays
+            # the reference order.
+            return self._matmul_fast_trials_fallback(
+                input_codes, adcs, noise, shared_input, partial_observer
+            )
 
         ops_shim = active_ops()
         eff = 1 if shared_input else trials
@@ -797,8 +630,11 @@ class MappedMVMLayer:
             if shared_input
             else input_codes.reshape(trials * batch, self.in_features)
         )
-        perturb_blocks = not value_mapped
-        baseline_ops = self.topology.ideal_adc_resolution
+        perturb_blocks = noise is not None and not value_mapped
+        invariant_perturb = perturb_blocks and noise.cycle_invariant
+        # One unperturbed trial converts its contiguous segment buffer in a
+        # single gather; only the contraction is row-blocked.
+        whole_segment = trials == 1 and not perturb_blocks
         fused_factors = self._fused_factors.reshape(num_cycles, -1)
         # Cache blocking: the per-trial loop incidentally works on small,
         # cache-resident blocks; a naive trial batch would drag every
@@ -810,23 +646,19 @@ class MappedMVMLayer:
         # are shaped by the full chunk, so that path materializes the
         # whole chunk first and the blocking only covers gather + merge.
         row_blk = max(1, self._FAST_TILE // max(1, trials * num_cycles * cols))
-        invariant_perturb = perturb_blocks and noise.cycle_invariant
         outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
-        total_ops = [0] * trials
         partials_buf = self._fast_buffer(
             "partials", (num_cycles * eff * batch, cols), np.float32
         )
         if perturb_blocks and not invariant_perturb:
             noisy_buf = self._fast_buffer(
-                "noisy_trials", (trials * num_cycles * batch, cols), np.float64
+                "noisy", (trials * num_cycles * batch, cols), np.float64
             )
         if luts is not None:
             counts = gather.new_counts()
-            blk_rows = min(row_blk, batch)
+            level_rows = batch if whole_segment else min(row_blk, batch)
             levels_buf = self._fast_buffer(
-                "levels_trials",
-                (trials * num_cycles * blk_rows, cols),
-                gather.levels.dtype,
+                "levels", (trials * num_cycles * level_rows, cols), gather.levels.dtype
             )
 
         for segment_index, segment in enumerate(self._segments):
@@ -834,26 +666,35 @@ class MappedMVMLayer:
                 stacked[:, segment], self._plane_matrix[segment], out=partials_buf
             )
             raw = partials_buf.reshape(num_cycles, eff, batch, cols)
-            noisy_full = None
-            if perturb_blocks and not invariant_perturb:
+            if partial_observer is not None:
+                for cycle_index in range(num_cycles):
+                    partial_observer(raw[cycle_index, 0])
+            converted = None
+            if whole_segment:
+                converted = partials_buf.reshape(1, num_cycles, batch, cols)
+                if luts is not None:
+                    levels = levels_buf.reshape(1, num_cycles, batch, cols)
+                    gather.gather(converted, counts, levels)
+                    converted = levels
+            elif perturb_blocks and not invariant_perturb:
                 # Per-read draws are shaped by the whole chunk: one batched
                 # keyed-noise pass per (cycle, segment) block, materialized
                 # before the blocked gather/merge below.  The per-trial
                 # slices equal the solo perturb_block calls.
-                noisy_full = noisy_buf.reshape(trials, num_cycles, batch, cols)
+                converted = noisy_buf.reshape(trials, num_cycles, batch, cols)
                 for cycle_index in range(num_cycles):
                     values = raw[cycle_index]
                     if eff == 1:
                         values = np.broadcast_to(values[0], (trials, batch, cols))
                     np.copyto(
-                        noisy_full[:, cycle_index],
+                        converted[:, cycle_index],
                         noise.perturb_trials(values, segment_index, cycle_index),
                     )
             for start in range(0, batch, row_blk):
                 stop = min(start + row_blk, batch)
                 rows = stop - start
-                if noisy_full is not None:
-                    source = noisy_full[:, :, start:stop]
+                if converted is not None:
+                    source = converted[:, :, start:stop]
                 elif invariant_perturb:
                     # Static stacks perturb every input cycle identically,
                     # so one batched pass covers the block's whole cycle
@@ -878,18 +719,17 @@ class MappedMVMLayer:
                     )
                 else:
                     source = raw[:, :, start:stop].transpose(1, 0, 2, 3)
-                if luts is None:
-                    merged = source
-                else:
+                if luts is not None and not whole_segment:
                     levels = levels_buf[: trials * num_cycles * rows].reshape(
                         trials, num_cycles, rows, cols
                     )
                     gather.gather(source, counts, levels)
-                    merged = levels
-                # The same order-free exact power-of-two contraction as the
-                # solo kernel, one cache-sized batched block at a time.
+                    source = levels
+                # Contract the (cycle, sign·plane) axes with the fused
+                # power-of-two factors — exact float64 accumulation, one
+                # cache-sized block at a time.
                 outputs[:, start:stop] += np.tensordot(
-                    merged.reshape(
+                    source.reshape(
                         trials,
                         num_cycles,
                         rows,
@@ -899,31 +739,40 @@ class MappedMVMLayer:
                     fused_factors,
                     axes=([1, 3], [0, 1]),
                 )
-            if luts is None:
-                for t in range(trials):
-                    total_ops[t] += num_cycles * batch * cols * baseline_ops
 
-        if luts is not None:
-            for t, ops_count in enumerate(gather.record_trials(counts, adcs)):
-                total_ops[t] += ops_count
-                if luts[t].scale != 1.0:
-                    outputs[t] *= luts[t].scale
+        if luts is None:
+            # Ideal conversion charges the full-resolution baseline.
+            conversions = self.num_segments * num_cycles * batch * cols
+            return outputs, [conversions * self.topology.ideal_adc_resolution] * trials
+        total_ops = gather.record_trials(counts, adcs)
+        for t, lut in enumerate(luts):
+            if lut.scale != 1.0:
+                outputs[t] *= lut.scale
         return outputs, total_ops
 
     def _matmul_fast_trials_fallback(
         self,
         input_codes: np.ndarray,
         adcs: Optional[List[object]],
-        noise,
+        noise: Optional[TrialNoiseStates],
         shared_input: bool,
+        partial_observer: Optional[Callable[[np.ndarray], None]] = None,
     ) -> Tuple[np.ndarray, List[int]]:
-        """Batched element-wise (non-LUT) conversion path.
+        """Fused-GEMM path for element-wise (non-LUT) conversion.
 
-        Mirrors :meth:`_matmul_fast_fallback` per trial — same block order,
-        same replayed reference accumulation for float merges — but the
-        keyed noise still runs as one ``(trials, rows, cols)`` batched pass
-        per block, and the segment matmul is shared across trials whenever
-        the inputs are.
+        One matmul per segment is kept, shared across trials whenever the
+        inputs are; conversion runs per (trial, cycle, segment) block — the
+        same blocks, values and keyed noise draws as the reference loop — so
+        every trial matches the loop bit for bit whenever the converter is
+        deterministic.  Keyed noise runs as one ``(trials, rows, cols)``
+        batched pass per block (per segment for cycle-invariant stacks).
+        Converters with an integer level grid merge integer levels (scale
+        applied once per output), which is order-free exact arithmetic and
+        is accumulated directly.  Converters without one (and ideal
+        conversion of continuous-noise floats) merge floats, where order
+        matters: their ``cycles × segments`` contributions are replayed in
+        the reference (cycle-major) order, trading memory for bit-parity at
+        large ``chunk_size`` — shrink the chunk if that matters.
         """
         trials, batch = input_codes.shape[0], input_codes.shape[1]
         num_cycles = self.num_input_cycles
@@ -952,8 +801,11 @@ class MappedMVMLayer:
         for segment_index, segment in enumerate(self._segments):
             partials = ops_shim.matmul(stacked[:, segment], self._plane_matrix[segment])
             blocks = partials.reshape(num_cycles, eff, batch, cols)
+            if partial_observer is not None:
+                for cycle_index in range(num_cycles):
+                    partial_observer(blocks[cycle_index, 0])
             noisy_all = None
-            if noise.cycle_invariant:
+            if noise is not None and noise.cycle_invariant:
                 # Same cycle-axis fold as the LUT path: static stacks
                 # perturb the segment's cycles in one batched pass.
                 if eff == 1:
@@ -972,10 +824,11 @@ class MappedMVMLayer:
                 if noisy_all is not None:
                     noisy = noisy_all[:, cycle_index]
                 else:
-                    values = blocks[cycle_index]
+                    noisy = blocks[cycle_index]
                     if eff == 1:
-                        values = np.broadcast_to(values[0], (trials, batch, cols))
-                    noisy = noise.perturb_trials(values, segment_index, cycle_index)
+                        noisy = np.broadcast_to(noisy[0], (trials, batch, cols))
+                    if noise is not None:
+                        noisy = noise.perturb_trials(noisy, segment_index, cycle_index)
                 cycle_factor = float(1 << (cycle_index * self.topology.dac_bits))
                 for t in range(trials):
                     block = noisy[t]

@@ -455,22 +455,11 @@ def execute_mc_group(
     for start in range(0, len(pairs), max(1, trial_batch)):
         chunk = pairs[start : start + max(1, trial_batch)]
         chunk_stacks = [stack.derive_trial(job.mc_seed, trial) for job, trial in chunk]
-        if len(chunk_stacks) == 1:
-            trial_results.append(
-                simulator.evaluate(
-                    split.images,
-                    split.labels,
-                    configs,
-                    batch_size=job0.batch_size,
-                    noise=chunk_stacks[0],
-                )
+        trial_results.extend(
+            simulator.monte_carlo_trial_results(
+                split.images, split.labels, chunk_stacks, configs, job0.batch_size
             )
-        else:
-            trial_results.extend(
-                simulator.monte_carlo_trial_results(
-                    split.images, split.labels, chunk_stacks, configs, job0.batch_size
-                )
-            )
+        )
     offset = 0
     for job, key in zip(jobs, keys):
         result = simulator.assemble_monte_carlo(

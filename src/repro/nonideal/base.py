@@ -126,7 +126,7 @@ class BoundModel:
         drift, wire geometry) perturbs every input cycle of a segment
         identically, element-wise per (row, column) — independent of the
         row count and of which cycle or chunk a block belongs to.
-        Declaring this lets the batched Monte Carlo kernel collapse its
+        Declaring this lets the fused crossbar kernel collapse its
         per-(segment, cycle) loop into **one** ``perturb_trials`` call per
         segment covering all input cycles at once.  Models that re-draw
         per read access (noise keyed by ``(chunk, segment, cycle)`` or
@@ -168,8 +168,8 @@ class BoundModel:
 
         ``siblings[t]`` is the same model bound under Monte Carlo trial
         ``t``'s derived seed; ``values[t]`` is that trial's raw block.  The
-        batched Monte Carlo kernel calls this once per (segment, cycle)
-        block instead of ``trials`` separate ``perturb`` calls.
+        fused crossbar kernel calls this once per (segment, cycle) block
+        instead of ``trials`` separate ``perturb`` calls.
 
         The contract is **bit-identity**: ``result[t]`` must equal
         ``siblings[t].perturb(values[t], ...)`` exactly.  This default

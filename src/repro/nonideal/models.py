@@ -94,11 +94,14 @@ class _BoundGaussianRead(BoundModel):
         # The draws stay per-trial (each replica owns an independent keyed
         # stream) but are applied in one fused element-wise pass — exact,
         # because addition and the clamp act element by element per trial.
-        noise = np.empty(
-            (len(siblings),) + tuple(values.shape[1:]), dtype=np.float64
-        )
-        for index, bound in enumerate(siblings):
-            noise[index] = bound._draw(values.shape[1:], segment, cycle, chunk)
+        # A single trial adds its draw as is, with no stacking copy.
+        shape = values.shape[1:]
+        if len(siblings) == 1:
+            noise = siblings[0]._draw(shape, segment, cycle, chunk)[None]
+        else:
+            noise = np.empty((len(siblings),) + tuple(shape), dtype=np.float64)
+            for index, bound in enumerate(siblings):
+                noise[index] = bound._draw(shape, segment, cycle, chunk)
         return np.maximum(np.asarray(values, dtype=np.float64) + noise, 0.0)
 
 

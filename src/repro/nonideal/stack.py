@@ -106,11 +106,11 @@ class LayerNoiseState:
 class TrialNoiseStates:
     """Lockstep view over the sibling :class:`LayerNoiseState` of N trials.
 
-    The batched Monte Carlo kernel perturbs a ``(trials, rows, columns)``
-    block in one pass; this wrapper holds one bound state per trial (all
-    bound from the *same models* under different derived seeds, so every
-    trial carries the same model classes in the same order) and chains the
-    models model-major through
+    The fused crossbar kernel perturbs a ``(trials, rows, columns)`` block
+    in one pass (a solo run is one trial); this wrapper holds one bound
+    state per trial (all bound from the *same models* under different
+    derived seeds, so every trial carries the same model classes in the
+    same order) and chains the models model-major through
     :meth:`~repro.nonideal.base.BoundModel.perturb_trials`.
 
     The chunk counters advance in lockstep (:meth:`next_chunk`), keeping

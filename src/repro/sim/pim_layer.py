@@ -18,7 +18,7 @@ Engines
 The backend executes the crossbar datapath with one of two engines (see the
 :mod:`repro.crossbar.mapping` module docstring for the full contract):
 
-* ``engine="fast"`` (default) — fused cycle/segment kernel with
+* ``engine="fast"`` (default) — the fused cycle/segment kernel with
   integer-domain LUT conversion.  Relies on the invariant that bit-line
   values are exact non-negative integers, so LUT-capable ADCs replace float
   round/clip/compare math with an integer gather plus ``np.bincount``.
@@ -32,6 +32,18 @@ streams (per layer / chunk / segment / cycle), so the engines reconstruct
 identical noise despite traversing blocks in different orders.  Only legacy
 ``apply``-protocol noise objects (wrapped with a deprecation warning) retain
 the old statistical-only agreement.
+
+Trials
+------
+Every execution is a group of Monte Carlo trials — one per noise stack, and
+a noise-free run is a single trial.  Each layer call receives the trials'
+inputs tiled trial-major and runs them through one
+:meth:`~repro.crossbar.mapping.MappedMVMLayer.matmul_trials` kernel call
+per chunk (per trial sub-group for large groups).  Every trial carries its
+own noise replica, ADC instances and statistics, so its outputs are
+bit-identical to a run of that trial alone.  A bit-line collector observes
+a single-trial run; the fast engine hands it blocks segment-major, with
+the input cycle innermost.
 """
 
 from __future__ import annotations
@@ -45,15 +57,9 @@ from repro.adc.trq import build_adc
 from repro.crossbar.mapping import DEFAULT_TOPOLOGY, CrossbarTopology, MappedMVMLayer
 from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Linear
-from repro.nonideal.stack import (
-    LayerNoiseState,
-    NonIdealityStack,
-    TrialNoiseStates,
-    as_stack,
-)
+from repro.nonideal.stack import NonIdealityStack, TrialNoiseStates
 from repro.quantization.ptq import QuantizedModel, find_mvm_layers
 from repro.sim.capture import DistributionCollector
-from repro.sim.fidelity import NoNoise
 from repro.sim.stats import LayerSimStats
 from repro.utils.validation import check_in_range, check_integer
 
@@ -69,18 +75,8 @@ MAX_CHUNK_SIZE = 16_384
 MIN_CHUNK_SIZE = 512
 _CHUNK_ELEMENT_BUDGET = 1 << 21
 
-#: Scratch allowance of one batched-trials kernel invocation, relative to the
-#: solo budget.  Trial sub-grouping exists to *bound* memory, not to keep the
-#: working set cache-resident: the batched kernel exists to amortize per-call
-#: overhead across trials, so it accepts a larger transient footprint
-#: (``8 · 2²¹`` elements ≈ 128 MB float64 worst case) before splitting the
-#: trial group across invocations.
-_TRIAL_SCRATCH_FACTOR = 1
 
-
-def throughput_chunk_size(
-    num_input_cycles: int, total_columns: int, trial_batch: int = 1
-) -> int:
+def throughput_chunk_size(num_input_cycles: int, total_columns: int) -> int:
     """The fast engine's throughput chunk for one mapped layer's geometry.
 
     Chosen so the fused kernel's per-chunk scratch (``cycles · chunk ×
@@ -88,18 +84,10 @@ def throughput_chunk_size(
     element budget; wide conv layers get smaller chunks, narrow FC layers the
     maximum.  Used wherever ``chunk_size=None`` is passed — in particular by
     the calibration search's accuracy oracle, whose wall-time is dominated by
-    these chunks.
-
-    ``trial_batch`` accounts for the batched Monte Carlo kernel, whose
-    scratch carries a leading ``trials`` axis: the budget divides by the
-    number of trials sharing one kernel invocation, so the physical working
-    set stays cache-resident regardless of how many trials ride along.
-    (The *logical* chunk grid of a Monte Carlo run always uses the solo
-    ``trial_batch=1`` value — chunk indices key the noise draws — while the
-    trials-mode backend uses the trial-adjusted value to pick how many
-    trials it groups per invocation; see ``PimBackend._execute_trials``.)
+    these chunks.  The chunk grid is per trial: chunk indices key the noise
+    draws, so every trial of a Monte Carlo group walks this same grid.
     """
-    per_row = max(1, int(num_input_cycles) * int(total_columns) * max(1, int(trial_batch)))
+    per_row = max(1, int(num_input_cycles) * int(total_columns))
     return max(MIN_CHUNK_SIZE, min(MAX_CHUNK_SIZE, _CHUNK_ELEMENT_BUDGET // per_row))
 
 
@@ -123,13 +111,15 @@ class PimBackend:
         adaptive per-layer throughput chunking
         (:func:`throughput_chunk_size`).
     collector:
-        Optional bit-line value collector (paper Fig. 3a / calibration).
-        Observers always see the ideal (pre-noise) values.
+        Optional bit-line value collector (paper Fig. 3a / calibration) for
+        a single-trial run.  Observers always see the ideal (pre-noise)
+        values.
     noise:
-        Optional device non-idealities applied to bit-line values before
-        conversion: a :class:`repro.nonideal.NonIdealityStack`, a single
-        model, a list of models/spec dicts, or a legacy ``apply``-protocol
-        object (deprecated).
+        One :class:`repro.nonideal.NonIdealityStack` per Monte Carlo trial,
+        applied to bit-line values before conversion, or ``None`` for a
+        noise-free single trial.  Inputs arrive tiled trial-major (``trials
+        × rows``) and per-trial statistics accumulate in
+        :attr:`trial_layer_stats`.
     engine:
         ``"fast"`` (fused kernel + LUT ADCs, default) or ``"reference"``
         (per-cycle/segment loop oracle).  Outputs and statistics are
@@ -146,56 +136,37 @@ class PimBackend:
         adc_configs: Optional[Dict[str, AdcConfig]] = None,
         chunk_size: Optional[int] = None,
         collector: Optional[DistributionCollector] = None,
-        noise=None,
+        noise: Optional[Sequence[NonIdealityStack]] = None,
         engine: str = "fast",
-        trial_stacks: Optional[Sequence[NonIdealityStack]] = None,
     ) -> None:
         if chunk_size is not None:
             check_in_range(check_integer(chunk_size, "chunk_size"), "chunk_size", low=1)
         if engine not in self._ENGINES:
             raise ValueError(f"unknown engine {engine!r} (expected one of {self._ENGINES})")
+        self._stacks: Optional[Tuple[NonIdealityStack, ...]] = None
+        if noise is not None:
+            self._stacks = tuple(noise)
+            if not self._stacks:
+                raise ValueError("noise must contain at least one stack")
+        self.trials = 1 if self._stacks is None else len(self._stacks)
+        if collector is not None and self.trials != 1:
+            raise ValueError("bit-line collection needs a single-trial run")
         self.engine = engine
         self.quantized = quantized
         self.topology = topology
         self.chunk_size = None if chunk_size is None else int(chunk_size)
         self.collector = collector
-        if isinstance(noise, NoNoise):
-            noise = None
-        self.noise: Optional[NonIdealityStack] = as_stack(noise)
         self._adc_configs = dict(adc_configs) if adc_configs else {}
-
-        # Batched Monte Carlo mode: one backend executes N sibling trials per
-        # kernel invocation.  Inputs arrive tiled trial-major (``trials ×
-        # rows``), every trial carries its own noise replica, ADC instance
-        # and statistics, and outputs stay bit-identical per trial to N solo
-        # runs (see ``_execute_trials``).
-        self._trial_stacks: Optional[Tuple[NonIdealityStack, ...]] = None
-        if trial_stacks is not None:
-            if noise is not None:
-                raise ValueError("pass either noise= or trial_stacks=, not both")
-            if collector is not None:
-                raise ValueError(
-                    "bit-line collection is not supported in batched-trials mode"
-                )
-            stacks = tuple(trial_stacks)
-            if not stacks:
-                raise ValueError("trial_stacks must contain at least one stack")
-            self._trial_stacks = stacks
 
         self._layer_names: Dict[int, str] = {
             id(layer): name for name, layer in find_mvm_layers(quantized.model)
         }
         self._mapped: Dict[str, MappedMVMLayer] = {}
-        self._adcs: Dict[str, object] = {}
-        self._layer_noise: Dict[str, LayerNoiseState] = {}
-        self.layer_stats: Dict[str, LayerSimStats] = {}
-        self._trial_noise: Dict[str, TrialNoiseStates] = {}
+        self._trial_noise: Dict[str, Optional[TrialNoiseStates]] = {}
         self._trial_adcs: Dict[str, Optional[List[object]]] = {}
-        self._group_noise: Dict[Tuple[str, int], List[TrialNoiseStates]] = {}
-        self.trial_layer_stats: List[Dict[str, LayerSimStats]] = (
-            [] if self._trial_stacks is None
-            else [{} for _ in self._trial_stacks]
-        )
+        self.trial_layer_stats: List[Dict[str, LayerSimStats]] = [
+            {} for _ in range(self.trials)
+        ]
 
     # ------------------------------------------------------------------ #
     # plumbing
@@ -221,48 +192,22 @@ class PimBackend:
             )
         return self._mapped[name]
 
-    def _adc_for(self, name: str):
-        if name not in self._adcs:
-            config = self._adc_configs.get(name)
-            self._adcs[name] = build_adc(config) if config is not None else None
-        return self._adcs[name]
-
-    def _noise_for(self, name: str, mapped: MappedMVMLayer) -> Optional[LayerNoiseState]:
-        """The layer's bound noise state (static device draws + chunk counter).
+    def _trial_noise_for(
+        self, name: str, mapped: MappedMVMLayer
+    ) -> Optional[TrialNoiseStates]:
+        """The layer's per-trial bound noise states (``None`` when noise-free).
 
         Bound once per layer per backend: static draws (variation factors,
         fault maps) model one physical device for the whole run, and the
-        chunk counter advances identically in both engines.
+        chunk counters advance identically in both engines.
         """
-        if self.noise is None:
+        if self._stacks is None:
             return None
-        state = self._layer_noise.get(name)
-        if state is None:
-            state = self.noise.bind_mapped(name, mapped)
-            self._layer_noise[name] = state
-        return state
-
-    def _stats_for(self, name: str, kind: str, mapped: MappedMVMLayer) -> LayerSimStats:
-        if name not in self.layer_stats:
-            footprint = mapped.footprint()
-            self.layer_stats[name] = LayerSimStats(
-                name=name,
-                kind=kind,
-                crossbar_pairs=footprint.num_crossbar_pairs,
-                conversions_per_mvm=footprint.conversions_per_mvm,
-            )
-        return self.layer_stats[name]
-
-    # ------------------------------------------------------------------ #
-    # batched-trials plumbing
-    # ------------------------------------------------------------------ #
-    def _trial_noise_for(self, name: str, mapped: MappedMVMLayer) -> TrialNoiseStates:
         states = self._trial_noise.get(name)
         if states is None:
-            states = TrialNoiseStates(
-                [stack.bind_mapped(name, mapped) for stack in self._trial_stacks]
+            states = self._trial_noise[name] = TrialNoiseStates(
+                [stack.bind_mapped(name, mapped) for stack in self._stacks]
             )
-            self._trial_noise[name] = states
         return states
 
     def _trial_adcs_for(self, name: str) -> Optional[List[object]]:
@@ -280,7 +225,7 @@ class PimBackend:
             else:
                 shared_cache: Dict[int, object] = {}
                 adcs = []
-                for _ in self._trial_stacks:
+                for _ in range(self.trials):
                     adc = build_adc(config)
                     if hasattr(adc, "transfer_lut"):
                         adc._lut_cache = shared_cache
@@ -302,19 +247,20 @@ class PimBackend:
             )
         return stats
 
-    def _execute_trials(self, name: str, kind: str, x_rows: np.ndarray) -> np.ndarray:
-        """Batched Monte Carlo execution of one layer.
+    # ------------------------------------------------------------------ #
+    # core execution
+    # ------------------------------------------------------------------ #
+    def _execute(self, name: str, kind: str, x_rows: np.ndarray) -> np.ndarray:
+        """Run ``x_rows`` (MVM input vectors, one per row) through the datapath.
 
-        ``x_rows`` is the trial-major tiling of the solo rows: rows
-        ``[t·R, (t+1)·R)`` are what a solo run of trial ``t`` would see.
-        The layer iterates the *solo* chunk grid — chunk indices key the
-        noise draws, so the grid must match the per-trial oracle exactly —
-        and advances every trial's chunk counter in lockstep.  Within a
-        logical chunk, trials are processed in sub-groups sized by the
-        trial-aware :func:`throughput_chunk_size` so the kernel's
-        ``(trials, cycles · chunk, columns)`` scratch stays within the solo
-        memory budget.  Per-trial outputs, operation counts and region
-        statistics are bit-identical to ``trials`` solo executions.
+        ``x_rows`` is the trial-major tiling of the per-trial rows: rows
+        ``[t·R, (t+1)·R)`` are what a run of trial ``t`` alone would see.
+        Every trial walks the same chunk grid — chunk indices key the noise
+        draws — with the trials' chunk counters advancing in lockstep.
+        Within a chunk, trials run in sub-groups sized so the kernel's
+        ``(trials, cycles · chunk, columns)`` scratch stays within the
+        element budget.  Per-trial outputs, operation counts and region
+        statistics are bit-identical to running each trial alone.
         """
         lq = self.quantized.layer(name)
         if lq.input_params.signed:
@@ -326,12 +272,13 @@ class PimBackend:
         mapped = self._mapped_layer(name, kind)
         adcs = self._trial_adcs_for(name)
         noise = self._trial_noise_for(name, mapped)
-        trials = noise.trials
+        if self.collector is not None:
+            self.collector.set_layer(name)
+        trials = self.trials
         rows = x_rows.shape[0]
         if rows % trials:
             raise ValueError(
-                f"trials-mode input rows ({rows}) are not divisible by the "
-                f"trial count ({trials})"
+                f"input rows ({rows}) are not divisible by the trial count ({trials})"
             )
         solo_rows = rows // trials
 
@@ -344,29 +291,16 @@ class PimBackend:
         chunk_size = self.chunk_size
         if chunk_size is None:
             chunk_size = throughput_chunk_size(mapped.num_input_cycles, total_columns)
-        # Trial sub-grouping: how many trials one kernel invocation carries
-        # so that ``group · rows_per_chunk · cycles · columns`` stays within
-        # the trials-mode scratch allowance (the solo element budget times
-        # ``_TRIAL_SCRATCH_FACTOR`` — same heuristic as the trial-aware
-        # :func:`throughput_chunk_size`, inverted for the group dimension and
-        # without the logical-chunk clamps).  Sized on the *actual* chunk
-        # rows (a small layer execution never fills ``chunk_size``), so small
-        # batches keep the whole trial group in one kernel call.
+        # Trial sub-groups: one kernel call carries ``group`` trials, so its
+        # ``group · rows × cycles · columns`` scratch stays within the same
+        # element budget as one throughput chunk (without the chunk clamps).
+        # Sized on the chunk's actual rows (a small layer execution never
+        # fills ``chunk_size``), so small batches keep the whole group in
+        # one kernel call.
         rows_per_chunk = min(chunk_size, solo_rows)
         per_row = max(1, mapped.num_input_cycles * total_columns)
-        budget_rows = max(1, (_TRIAL_SCRATCH_FACTOR * _CHUNK_ELEMENT_BUDGET) // per_row)
+        budget_rows = max(1, _CHUNK_ELEMENT_BUDGET // per_row)
         group = max(1, min(trials, budget_rows // max(1, rows_per_chunk)))
-        # The sliced group states are cached per (layer, group size): the
-        # kernel's per-run conversion setup (stacked noise state, combined
-        # trial LUTs) is identity-keyed on these objects, so they must stay
-        # stable across forward batches for the setup to amortize.
-        group_noise = self._group_noise.get((name, group))
-        if group_noise is None:
-            group_noise = [
-                TrialNoiseStates(noise.states[g : g + group])
-                for g in range(0, trials, group)
-            ]
-            self._group_noise[(name, group)] = group_noise
 
         stats = [self._trial_stats_for(t, name, kind, mapped) for t in range(trials)]
         prev_regions = [
@@ -376,15 +310,17 @@ class PimBackend:
         try:
             for start in range(0, solo_rows, chunk_size):
                 stop = min(start + chunk_size, solo_rows)
-                noise.next_chunk()
+                if noise is not None:
+                    noise.next_chunk()
                 chunk = codes[:, start:stop]
-                for index, g in enumerate(range(0, trials, group)):
+                for g in range(0, trials, group):
                     g_stop = min(g + group, trials)
                     merged, ops = mapped.matmul_trials(
                         chunk[g:g_stop],
                         None if adcs is None else adcs[g:g_stop],
-                        group_noise[index],
+                        None if noise is None else TrialNoiseStates(noise.states[g:g_stop]),
                         engine=self.engine,
+                        partial_observer=self.collector,
                     )
                     outputs[g:g_stop, start:stop] = merged
                     for offset, t in enumerate(range(g, g_stop)):
@@ -392,78 +328,15 @@ class PimBackend:
                         stats[t].conversions += (stop - start) * conversions_per_mvm
                         stats[t].operations += int(ops[offset])
         finally:
+            # Scratch buffers are reused across the chunks above; free them so
+            # peak memory is bounded by one layer's working set at a time.
             mapped.release_scratch()
-        for t in range(trials):
-            adc = None if adcs is None else adcs[t]
+        for t, adc in enumerate(adcs or [None] * trials):
             new_r1, new_r2 = self._region_counters(adc)
             stats[t].in_r1 += new_r1 - prev_regions[t][0]
             stats[t].in_r2 += new_r2 - prev_regions[t][1]
 
         return outputs.reshape(rows, mapped.out_features) * lq.output_scale
-
-    # ------------------------------------------------------------------ #
-    # core execution
-    # ------------------------------------------------------------------ #
-    def _execute(self, name: str, kind: str, x_rows: np.ndarray) -> np.ndarray:
-        """Run ``x_rows`` (MVM input vectors, one per row) through the datapath."""
-        if self._trial_stacks is not None:
-            return self._execute_trials(name, kind, x_rows)
-        lq = self.quantized.layer(name)
-        if lq.input_params.signed:
-            raise NotImplementedError(
-                f"layer '{name}' has signed inputs; the differential crossbar "
-                "mapping implemented here expects non-negative MVM inputs "
-                "(images or post-ReLU activations)"
-            )
-        mapped = self._mapped_layer(name, kind)
-        adc = self._adc_for(name)
-        noise_state = self._noise_for(name, mapped)
-        stats = self._stats_for(name, kind, mapped)
-        if self.collector is not None:
-            self.collector.set_layer(name)
-
-        input_codes = lq.input_params.quantize(x_rows)
-        rows = input_codes.shape[0]
-        outputs = np.empty((rows, mapped.out_features), dtype=np.float64)
-        chunk_size = self.chunk_size
-        if chunk_size is None:
-            chunk_size = throughput_chunk_size(
-                mapped.num_input_cycles,
-                2 * mapped.num_weight_planes * mapped.out_features,
-            )
-
-        # The collector records the ideal (noise-free) bit-line values the
-        # crossbar produces; noise, when enabled, perturbs the blocks after
-        # the observer so only the conversion sees it.
-        observer = self.collector
-
-        prev_r1, prev_r2 = self._region_counters(adc)
-        try:
-            for start in range(0, rows, chunk_size):
-                chunk = input_codes[start : start + chunk_size]
-                if noise_state is not None:
-                    noise_state.next_chunk()
-                merged, ops = mapped.matmul(
-                    chunk,
-                    adc=adc,
-                    partial_observer=observer,
-                    engine=self.engine,
-                    noise=noise_state,
-                )
-                outputs[start : start + chunk.shape[0]] = merged
-                conversions = chunk.shape[0] * mapped.footprint().conversions_per_mvm
-                stats.mvm_count += chunk.shape[0]
-                stats.conversions += conversions
-                stats.operations += int(ops)
-        finally:
-            # Scratch buffers are reused across the chunks above; free them so
-            # peak memory is bounded by one layer's working set at a time.
-            mapped.release_scratch()
-        new_r1, new_r2 = self._region_counters(adc)
-        stats.in_r1 += new_r1 - prev_r1
-        stats.in_r2 += new_r2 - prev_r2
-
-        return outputs * lq.output_scale
 
     @staticmethod
     def _region_counters(adc) -> Tuple[int, int]:
@@ -508,12 +381,8 @@ class PimBackend:
     # ------------------------------------------------------------------ #
     def reset_stats(self) -> None:
         """Clear all accumulated per-layer statistics."""
-        self.layer_stats.clear()
         for stats in self.trial_layer_stats:
             stats.clear()
-        for adc in self._adcs.values():
-            if adc is not None:
-                adc.reset_stats()
         for adcs in self._trial_adcs.values():
             for adc in adcs or ():
                 adc.reset_stats()

@@ -13,6 +13,13 @@ multi-seed robustness trials under a device non-ideality stack
 per-trial seed, runs the (fast-engine, chunked) evaluation, and the
 aggregate reports mean/std/confidence-interval accuracy plus per-layer
 degradation statistics.  Trials are exactly reproducible under a fixed seed.
+
+:meth:`PimSimulator.evaluate`, :meth:`~PimSimulator.collect_bitline_distributions`
+and :meth:`~PimSimulator.monte_carlo_trial_results` share one forward loop:
+every run is a group of trials through one backend and one fused kernel
+with a leading trials axis, and a single evaluation or capture is a group
+of one (the capture's collector receives blocks segment-major, with the
+input cycle innermost).
 """
 
 from __future__ import annotations
@@ -92,15 +99,24 @@ class PimSimulator:
         return [name for name, _ in find_mvm_layers(self.quantized.model)]
 
     # ------------------------------------------------------------------ #
-    def _run_backend(
+    def _forward(
         self,
         images: np.ndarray,
         labels: Optional[np.ndarray],
         adc_configs: Optional[Dict[str, AdcConfig]],
         batch_size: int,
-        collector: Optional[DistributionCollector],
-        noise,
-    ) -> SimulationResult:
+        stacks: Optional[Sequence[NonIdealityStack]] = None,
+        collector: Optional[DistributionCollector] = None,
+    ) -> List[SimulationResult]:
+        """The one forward loop: a group of trials through one backend.
+
+        ``stacks[t]`` is trial ``t``'s noise stack; ``stacks=None`` runs a
+        single noise-free trial.  Each forward batch is tiled trial-major
+        (``trials × batch``), so every trial's rows traverse exactly the
+        chunk grid of a run of that trial alone — each returned result is
+        **bit-identical** (logits, accuracy, per-layer statistics) to its
+        trial evaluated alone.
+        """
         check_in_range(check_integer(batch_size, "batch_size"), "batch_size", low=1)
         model = self.quantized.model
         backend = PimBackend(
@@ -109,84 +125,10 @@ class PimSimulator:
             adc_configs=adc_configs,
             chunk_size=self.chunk_size,
             collector=collector,
-            noise=noise,
+            noise=stacks,
             engine=self.engine,
         )
-        mvm_layers = find_mvm_layers(model)
-        model.eval()
-        for _, layer in mvm_layers:
-            layer.compute_backend = backend
-        try:
-            logits_batches = []
-            for start in range(0, images.shape[0], batch_size):
-                logits_batches.append(model(images[start : start + batch_size]))
-            logits = np.concatenate(logits_batches, axis=0)
-        finally:
-            for _, layer in mvm_layers:
-                layer.compute_backend = None
-
-        accuracy = top1_accuracy(logits, labels) if labels is not None else float("nan")
-        return SimulationResult(
-            accuracy=accuracy,
-            num_images=int(images.shape[0]),
-            layer_stats={k: copy.deepcopy(v) for k, v in backend.layer_stats.items()},
-            baseline_ops_per_conversion=self.baseline_ops_per_conversion,
-            logits=logits,
-            labels=None if labels is None else np.asarray(labels),
-        )
-
-    # ------------------------------------------------------------------ #
-    def evaluate(
-        self,
-        images: np.ndarray,
-        labels: np.ndarray,
-        adc_configs: Optional[Dict[str, AdcConfig]] = None,
-        batch_size: int = 16,
-        noise=None,
-    ) -> SimulationResult:
-        """Run inference with the given per-layer ADC configuration.
-
-        ``adc_configs=None`` gives the ideal-conversion reference (no ADC
-        quantization error, baseline operation counts).  ``noise`` accepts
-        anything :func:`repro.nonideal.as_stack` does: a stack, a model, a
-        list of models/spec dicts, or a legacy ``apply``-protocol object.
-        """
-        return self._run_backend(images, labels, adc_configs, batch_size, None, noise)
-
-    def monte_carlo_trial_results(
-        self,
-        images: np.ndarray,
-        labels: Optional[np.ndarray],
-        stacks: Sequence[NonIdealityStack],
-        adc_configs: Optional[Dict[str, AdcConfig]] = None,
-        batch_size: int = 16,
-    ) -> List[SimulationResult]:
-        """Evaluate several noise-stack replicas in one batched execution.
-
-        ``stacks[t]`` plays the role of one Monte Carlo trial's reseeded
-        stack; all trials run through a single trials-mode
-        :class:`~repro.sim.pim_layer.PimBackend`, which executes every
-        fused-kernel invocation once for the whole group instead of once per
-        trial.  Each forward batch is tiled trial-major (``trials ×
-        batch``), so the per-trial rows traverse exactly the solo chunk grid
-        — the returned results are **bit-identical** (logits, accuracies,
-        per-layer statistics) to ``len(stacks)`` separate
-        :meth:`evaluate` calls under the same stacks.
-        """
-        check_in_range(check_integer(batch_size, "batch_size"), "batch_size", low=1)
-        stacks = list(stacks)
-        if not stacks:
-            raise ValueError("monte_carlo_trial_results needs at least one stack")
-        trials = len(stacks)
-        model = self.quantized.model
-        backend = PimBackend(
-            self.quantized,
-            topology=self.topology,
-            adc_configs=adc_configs,
-            chunk_size=self.chunk_size,
-            engine=self.engine,
-            trial_stacks=stacks,
-        )
+        trials = backend.trials
         mvm_layers = find_mvm_layers(model)
         model.eval()
         for _, layer in mvm_layers:
@@ -195,8 +137,7 @@ class PimSimulator:
         try:
             for start in range(0, images.shape[0], batch_size):
                 batch = images[start : start + batch_size]
-                tiled = np.concatenate([batch] * trials, axis=0)
-                logits = model(tiled)
+                logits = model(np.concatenate([batch] * trials, axis=0))
                 rows = batch.shape[0]
                 for t in range(trials):
                     trial_logits[t].append(logits[t * rows : (t + 1) * rows])
@@ -225,6 +166,49 @@ class PimSimulator:
                 )
             )
         return results
+
+    # ------------------------------------------------------------------ #
+    def evaluate(
+        self,
+        images: np.ndarray,
+        labels: np.ndarray,
+        adc_configs: Optional[Dict[str, AdcConfig]] = None,
+        batch_size: int = 16,
+        noise=None,
+    ) -> SimulationResult:
+        """Run inference with the given per-layer ADC configuration.
+
+        ``adc_configs=None`` gives the ideal-conversion reference (no ADC
+        quantization error, baseline operation counts).  ``noise`` accepts
+        anything :func:`repro.nonideal.as_stack` does: a stack, a model, a
+        list of models/spec dicts, or a legacy ``apply``-protocol object.
+        """
+        stack = as_stack(None if isinstance(noise, NoNoise) else noise)
+        stacks = None if stack is None else [stack]
+        return self._forward(images, labels, adc_configs, batch_size, stacks)[0]
+
+    def monte_carlo_trial_results(
+        self,
+        images: np.ndarray,
+        labels: Optional[np.ndarray],
+        stacks: Sequence[NonIdealityStack],
+        adc_configs: Optional[Dict[str, AdcConfig]] = None,
+        batch_size: int = 16,
+    ) -> List[SimulationResult]:
+        """Evaluate several noise-stack replicas in one batched execution.
+
+        ``stacks[t]`` plays the role of one Monte Carlo trial's reseeded
+        stack; all trials run through one backend, which executes every
+        fused-kernel invocation once for the whole group instead of once per
+        trial.  The returned results are **bit-identical** (logits,
+        accuracies, per-layer statistics) to ``len(stacks)`` separate
+        :meth:`evaluate` calls under the same stacks; a single stack is a
+        group of one through the same kernel.
+        """
+        stacks = list(stacks)
+        if not stacks:
+            raise ValueError("monte_carlo_trial_results needs at least one stack")
+        return self._forward(images, labels, adc_configs, batch_size, stacks)
 
     def run_monte_carlo(
         self,
@@ -259,11 +243,11 @@ class PimSimulator:
         in-process reference exactly.
 
         ``trial_batch`` sets how many trials execute per kernel invocation:
-        ``1`` (default) runs the per-trial loop — the verification oracle —
-        while ``N > 1`` coalesces trials in groups of ``N`` through the
-        batched fused kernel (:meth:`monte_carlo_trial_results`).  Under the
-        numpy array backend every ``trial_batch`` produces bit-identical
-        results; it is purely a throughput knob.
+        trials run in groups of ``trial_batch`` through the fused kernel
+        (:meth:`monte_carlo_trial_results`), and ``1`` (default) is a group
+        of one through the same kernel.  Under the numpy array backend every
+        ``trial_batch`` produces bit-identical results; it is purely a
+        throughput knob.  The independent oracle is the reference engine.
 
         Returns a :class:`~repro.sim.stats.MonteCarloResult` with the trial
         accuracies, their mean/std and normal-approximation confidence
@@ -294,25 +278,15 @@ class PimSimulator:
         trial_results: List[SimulationResult] = []
         for group_start in range(0, trials, trial_batch):
             group = range(group_start, min(group_start + trial_batch, trials))
-            group_stacks = [stack.derive_trial(seed, trial) for trial in group]
-            if trial_batch == 1:
-                # The per-trial loop: the oracle the batched path is verified
-                # against, byte for byte.
-                trial_results.append(
-                    self.evaluate(
-                        images,
-                        labels,
-                        adc_configs,
-                        batch_size=batch_size,
-                        noise=group_stacks[0],
-                    )
+            trial_results.extend(
+                self.monte_carlo_trial_results(
+                    images,
+                    labels,
+                    [stack.derive_trial(seed, trial) for trial in group],
+                    adc_configs,
+                    batch_size,
                 )
-            else:
-                trial_results.extend(
-                    self.monte_carlo_trial_results(
-                        images, labels, group_stacks, adc_configs, batch_size
-                    )
-                )
+            )
         return self.assemble_monte_carlo(
             clean, trial_results, seed=seed, confidence=confidence, stack=stack
         )
@@ -413,7 +387,7 @@ class PimSimulator:
         This is the data behind paper Fig. 3a and the input to Algorithm 1.
         """
         collector = DistributionCollector(capacity_per_layer=capacity_per_layer, seed=seed)
-        self._run_backend(images, None, None, batch_size, collector, None)
+        self._forward(images, None, None, batch_size, collector=collector)
         return collector.all_samples()
 
     def accuracy_evaluator(

@@ -16,6 +16,8 @@ import pytest
 from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
 from repro.core import TRQParams
 from repro.crossbar import CrossbarTopology, MappedMVMLayer
+from repro.nonideal import GaussianReadNoise as KeyedReadNoise
+from repro.nonideal import NonIdealityStack
 from repro.quantization import QuantizationConfig
 from repro.sim import DistributionCollector, PimSimulator, ReservoirSampler
 from repro.sim.pim_layer import PimBackend
@@ -80,22 +82,45 @@ class TestEngineEquivalence:
         np.testing.assert_array_equal(whole, np.concatenate(parts, axis=0))
 
     def test_observer_sees_same_values_in_both_engines(self, rng):
-        """Block order differs (cycle-major vs segment-major) but the multiset
-        of observed bit-line values must be identical."""
-        layer = MappedMVMLayer(rng.integers(-127, 128, size=(150, 4)))
-        inputs = rng.integers(0, 256, size=(5, 150))
-        seen = {"reference": [], "fast": []}
-        for engine in seen:
-            layer.matmul(
-                inputs,
-                partial_observer=lambda block, e=engine: seen[e].append(
-                    np.asarray(block, dtype=np.float64).ravel().copy()
-                ),
-                engine=engine,
-            )
-        ref = np.sort(np.concatenate(seen["reference"]))
-        fast = np.sort(np.concatenate(seen["fast"]))
-        np.testing.assert_array_equal(ref, fast)
+        """The fast engine hands the observer the reference engine's blocks,
+        segment-major with the input cycle innermost: fast block ``s·C + c``
+        is reference block ``c·S + s``, value for value and dtype for dtype.
+        The reservoir sampler draws one uniform per value in arrival order,
+        so every stored capture depends on this exact sequence.  Holds for
+        the LUT path, the fallback path and ideal conversion, with and
+        without read noise (observers see pre-noise values)."""
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(300, 4)))
+        inputs = rng.integers(0, 256, size=(5, 300))
+        segments, cycles = layer.num_segments, layer.num_input_cycles
+        assert segments >= 2 and cycles == 8
+        grid = np.unique(rng.uniform(0.0, layer.max_bitline_value + 1.0, size=13))
+        converters = {
+            "ideal": lambda: None,
+            "twin_range": lambda: TwinRangeAdc(TRQParams(n_r1=2, n_r2=5, m=3)),
+            "nonuniform": lambda: NonUniformAdc(grid),
+        }
+        stack = NonIdealityStack([KeyedReadNoise(sigma=0.5)], seed=1)
+        for converter, make_adc in converters.items():
+            for noisy in (False, True):
+                seen = {}
+                for engine in ("reference", "fast"):
+                    blocks = seen[engine] = []
+                    noise = stack.bind_mapped("fc", layer).next_chunk() if noisy else None
+                    layer.matmul(
+                        inputs,
+                        adc=make_adc(),
+                        partial_observer=lambda block, kept=blocks: kept.append(np.array(block)),
+                        engine=engine,
+                        noise=noise,
+                    )
+                ref, fast = seen["reference"], seen["fast"]
+                case = f"{converter}, noisy={noisy}"
+                assert len(ref) == len(fast) == segments * cycles, case
+                for s in range(segments):
+                    for c in range(cycles):
+                        expected, got = ref[c * segments + s], fast[s * cycles + c]
+                        assert expected.dtype == got.dtype, case
+                        np.testing.assert_array_equal(expected, got, err_msg=case)
 
     def test_unknown_engine_rejected(self, rng):
         layer = MappedMVMLayer(rng.integers(-3, 4, size=(4, 2)),

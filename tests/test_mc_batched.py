@@ -97,7 +97,12 @@ class TestBatchedBitIdentity:
     @pytest.mark.parametrize("recipe", sorted(NOISE_RECIPES))
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_batched_matches_loop(self, harness, recipe, engine):
-        """trials=3 through groups of 2 (one full + one ragged group)."""
+        """trials=3 through groups of 2 (one full + one ragged group).
+
+        ``trial_batch=1`` runs the same fused kernel as a group of one, so
+        the independent oracle is the reference engine: the fast engine's
+        batched run must also match the reference engine's per-trial loop.
+        """
         quantized, configs, images, labels = harness
         clean = PimSimulator(quantized, engine=engine).evaluate(
             images, labels, configs, batch_size=4
@@ -107,6 +112,10 @@ class TestBatchedBitIdentity:
         batched = run_mc(quantized, configs, images, labels, recipe, engine,
                          trials=3, trial_batch=2, clean=clean)
         assert mc_fingerprint(loop) == mc_fingerprint(batched)
+        if engine == "reference":
+            fast_batched = run_mc(quantized, configs, images, labels, recipe, "fast",
+                                  trials=3, trial_batch=2, clean=clean)
+            assert mc_fingerprint(fast_batched) == mc_fingerprint(loop)
 
     @pytest.mark.parametrize("recipe", ["variation_quantized", "gaussian"])
     def test_full_width_group_sixteen_trials(self, harness, recipe):
