@@ -31,6 +31,16 @@ Two tabulations are kept side by side:
   semantics in the MVM datapath, so the difference never appears between
   engines.  Converters without a uniform level grid (e.g. the non-uniform
   baseline) publish ``levels=None`` and take the element-wise fallback path.
+
+The fused kernel gathers through :class:`TrialLutGather`, which
+concatenates the trials' tables at per-trial offsets.  On the kernel's pair
+layout it tabulates differences instead of levels: the table ``D[i·B + j]
+= L[i] − L[j]`` (:func:`difference_table`) turns the pair code ``B·v⁺ +
+v⁻`` of a positive/negative column pair into the signed level difference
+the merge consumes, so one ``bincount`` into ``B²`` joint bins and one
+``take`` replace the two conversions of the pair.  A trial's per-value
+counts are the row sums plus the column sums of its joint histogram, so
+every statistic is exactly that of converting each column on its own.
 """
 
 from __future__ import annotations
@@ -129,43 +139,33 @@ def compose_transfer_lut(lut: AdcTransferLut, value_map: np.ndarray) -> AdcTrans
 GATHER_TILE = 1 << 18
 
 
-def gather_levels(
-    lut: AdcTransferLut,
-    flat_values: np.ndarray,
-    counts: np.ndarray,
-    out_levels: np.ndarray,
-    tile: int = GATHER_TILE,
-) -> None:
-    """Tiled integer-LUT gather with an exact code histogram, in place.
+_SIGNED_DTYPES = [
+    (int(np.iinfo(dtype).max), np.dtype(dtype))
+    for dtype in (np.int8, np.int16, np.int32, np.int64)
+]
 
-    ``flat_values`` holds exact integer bit-line values (any float/int
-    dtype); the corresponding output *levels* are gathered into
-    ``out_levels`` and the per-value histogram is accumulated into
-    ``counts`` (shape ``(lut.max_value + 1,)``), from which
-    :meth:`LutConversionMixin.record_code_counts` later derives exact
-    operation/region totals.  This is the conversion core of the fused
-    crossbar kernel at one trial (:meth:`TrialLutGather.gather`).  Raises
-    ``ValueError`` when a value exceeds the LUT bound.
 
-    The array primitives route through the active :mod:`repro.backend`
-    array-ops shim; under the default numpy backend they are the exact
-    ``np.bincount``/``np.take`` calls this helper replaced.
+def signed_dtype_for(bound: int) -> np.dtype:
+    """The smallest signed integer dtype holding every value in ``±bound``.
+
+    Raises ``OverflowError`` beyond int64, so integer accumulators sized
+    with it can never wrap silently.
     """
-    from repro.backend import active_ops  # lazy: keep adc import-light
+    for limit, dtype in _SIGNED_DTYPES:
+        if bound <= limit:
+            return dtype
+    raise OverflowError(f"no integer dtype holds ±{bound}")
 
-    ops = active_ops()
-    size = flat_values.size
-    for start in range(0, size, tile):
-        stop = min(start + tile, size)
-        codes = flat_values[start:stop].astype(np.int64)
-        tile_counts = ops.bincount(codes, minlength=counts.size)
-        if tile_counts.size > counts.size:
-            raise ValueError(
-                f"bit-line value {int(codes.max())} exceeds the LUT bound "
-                f"{lut.max_value}"
-            )
-        counts += tile_counts
-        ops.take(lut.levels, codes, out=out_levels[start:stop])
+
+def difference_table(levels: np.ndarray, dtype) -> np.ndarray:
+    """``D[i·B + j] = levels[i] − levels[j]`` over ``0 … B−1`` (``B = levels.size``).
+
+    Indexed by the pair code ``B·v⁺ + v⁻`` of one positive/negative bit-line
+    pair, it yields the signed level difference the shift-and-add merge
+    consumes, in one gather for both columns.
+    """
+    levels = np.asarray(levels, dtype=dtype)
+    return (levels[:, None] - levels[None, :]).reshape(-1)
 
 
 class TrialLutGather:
@@ -173,36 +173,56 @@ class TrialLutGather:
 
     The batched Monte Carlo kernel carries ``trials`` sibling LUTs whose
     sizes differ (each trial's perturbed bit-line bound is seed-dependent).
-    Rather than gathering per trial, the level tables are concatenated into
-    one combined table and every trial's integer codes are shifted by its
-    table offset — so a *single* ``take`` and a *single* ``bincount`` cover
-    the whole trial batch, and slicing the combined histogram at the offsets
-    recovers each trial's exact per-value counts.  Results are bit-identical
-    to per-trial :func:`gather_levels` calls by construction: offsetting
-    indexes the very same table entries, and histogram slices partition the
-    same codes.
+    Rather than gathering per trial, the per-trial tables are concatenated
+    into one combined table and every trial's integer codes are shifted by
+    its table offset — so a *single* ``take`` and a *single* ``bincount``
+    cover the whole trial batch, and slicing the combined histogram at the
+    offsets recovers each trial's exact counts.  Results are bit-identical
+    to per-trial gathers by construction: offsetting indexes the very same
+    table entries, and histogram slices partition the same codes.
+
+    Two table layouts exist:
+
+    * **separate** (``pair_base=None``) — each trial's table is its LUT's
+      ``levels``; one code is one bit-line value.
+    * **pair** (``pair_base=B``) — each trial's table is its
+      :func:`difference_table` over the first ``B`` levels, and one code is
+      the pair code ``B·v⁺ + v⁻`` of a positive/negative column pair (the
+      fused kernel's pair GEMM produces it directly, see
+      :mod:`repro.crossbar.mapping`).  One gather converts both columns and
+      returns the signed difference ``L[v⁺] − L[v⁻]``; the histogram is
+      joint over ``B²`` bins, and :meth:`record_trials` folds it back into
+      per-value counts (row sums plus column sums), so every statistic is
+      exactly the separate layout's.  The pair code cannot alias because
+      ``B − 1`` bounds every bit-line value the kernel pairs.
     """
 
-    def __init__(self, luts) -> None:
+    def __init__(self, luts, pair_base: Optional[int] = None) -> None:
         self.luts = list(luts)
-        sizes = [lut.levels.size for lut in self.luts]
-        self.sizes = sizes
-        self.offsets = np.concatenate(
-            [[0], np.cumsum(sizes[:-1], dtype=np.int64)]
-        ).astype(np.int64)
-        self.total_size = int(sum(sizes))
-        common = np.result_type(*[lut.levels.dtype for lut in self.luts])
-        self.levels = np.concatenate(
-            [np.asarray(lut.levels, dtype=common) for lut in self.luts]
-        )
-        self._max_values = np.array(
-            [lut.max_value for lut in self.luts], dtype=np.int64
-        )
+        self.pair_base = pair_base
+        #: Upper bound on the magnitude of every gathered entry (levels are
+        #: non-negative, so it also bounds their differences).
+        self.level_bound = max(int(lut.levels.max(initial=0)) for lut in self.luts)
+        if pair_base is None:
+            common = np.result_type(*[lut.levels.dtype for lut in self.luts])
+            tables = [np.asarray(lut.levels, dtype=common) for lut in self.luts]
+        else:
+            if any(lut.levels.size < pair_base for lut in self.luts):
+                raise ValueError(f"every LUT must cover the pair base {pair_base}")
+            dtype = signed_dtype_for(self.level_bound)
+            tables = [difference_table(lut.levels[:pair_base], dtype) for lut in self.luts]
+        self.sizes = [table.size for table in tables]
+        self.offsets = _offsets(self.sizes)
+        self.total_size = int(sum(self.sizes))
+        self.levels = np.concatenate(tables)
+        self._max_values = np.array(self.sizes, dtype=np.int64) - 1
         # Combined per-value cost/region tables for the vectorised trials
         # statistics pass (:meth:`record_trials`): segment sums over the
-        # combined histogram replace one Python-level ``record_code_counts``
-        # call per trial.  Integer arithmetic throughout, so the totals are
-        # exactly the per-trial ones.
+        # combined per-value histogram replace one Python-level
+        # ``record_code_counts`` call per trial.  Integer arithmetic
+        # throughout, so the totals are exactly the per-trial ones.
+        self._value_sizes = [lut.levels.size for lut in self.luts]
+        self._value_offsets = _offsets(self._value_sizes)
         self._ops_per_value = np.concatenate(
             [lut.ops_per_value for lut in self.luts]
         ).astype(np.int64)
@@ -213,23 +233,43 @@ class TrialLutGather:
         else:
             self._in_r1 = None
 
+    def _value_counts(self, counts: np.ndarray) -> np.ndarray:
+        """The combined per-value histogram behind a gather histogram.
+
+        The identity for the separate layout.  For the pair layout, every
+        pair code counts one conversion of ``v⁺`` and one of ``v⁻``: a
+        trial's per-value counts are the row sums plus the column sums of
+        its ``B × B`` joint histogram (zero above ``B − 1``).
+        """
+        if self.pair_base is None:
+            return counts
+        base = self.pair_base
+        joint = counts.reshape(len(self.luts), base, base)
+        folded = joint.sum(axis=2) + joint.sum(axis=1)
+        values = np.zeros(sum(self._value_sizes), dtype=np.int64)
+        for t, start in enumerate(self._value_offsets):
+            values[start : start + base] = folded[t]
+        return values
+
     def record_trials(self, counts, adcs) -> list:
         """Record every trial's conversion statistics from the histogram.
 
         Equivalent to calling ``adcs[t].record_code_counts`` with each
-        trial's histogram slice, but the per-trial reductions run as three
-        ``np.add.reduceat`` segment sums over the combined histogram — all
-        integer, hence bit-exact — leaving only the constant-time counter
-        updates in Python.  Returns the per-trial A/D-operation totals.
+        trial's per-value histogram (:meth:`_value_counts`), but the
+        per-trial reductions run as three ``np.add.reduceat`` segment sums
+        over the combined histogram — all integer, hence bit-exact — leaving
+        only the constant-time counter updates in Python.  Returns the
+        per-trial A/D-operation totals.
         """
+        counts = self._value_counts(counts)
         if self._in_r1 is None:
             return [
                 adc.record_code_counts(self.trial_counts(counts, t), lut)
                 for t, (adc, lut) in enumerate(zip(adcs, self.luts))
             ]
-        conversions = np.add.reduceat(counts, self.offsets)
-        total_ops = np.add.reduceat(counts * self._ops_per_value, self.offsets)
-        num_r1 = np.add.reduceat(counts * self._in_r1, self.offsets)
+        conversions = np.add.reduceat(counts, self._value_offsets)
+        total_ops = np.add.reduceat(counts * self._ops_per_value, self._value_offsets)
+        num_r1 = np.add.reduceat(counts * self._in_r1, self._value_offsets)
         for t, (adc, lut) in enumerate(zip(adcs, self.luts)):
             adc.stats.record(
                 conversions=int(conversions[t]),
@@ -245,9 +285,9 @@ class TrialLutGather:
         return np.zeros(self.total_size, dtype=np.int64)
 
     def trial_counts(self, counts: np.ndarray, trial: int) -> np.ndarray:
-        """Trial ``trial``'s slice of a combined histogram."""
-        start = int(self.offsets[trial])
-        return counts[start : start + self.sizes[trial]]
+        """Trial ``trial``'s slice of a combined per-value histogram."""
+        start = int(self._value_offsets[trial])
+        return counts[start : start + self._value_sizes[trial]]
 
     def gather(
         self,
@@ -256,42 +296,57 @@ class TrialLutGather:
         out_levels: np.ndarray,
         tile: int = GATHER_TILE,
     ) -> None:
-        """Gather all trials' levels and accumulate the combined histogram.
+        """Gather all trials' table entries and accumulate the histogram.
 
-        ``values`` holds exact integer bit-line values with the trial axis
-        leading (``(trials, …)``); ``out_levels`` has the same shape (dtype
-        of the combined table) and ``counts`` is ``(total_size,)``.
+        ``values`` holds exact integer codes (bit-line values, or pair codes
+        in the pair layout) with the trial axis leading (``(trials, …)``);
+        ``out_levels`` has the same shape (dtype of the combined table) and
+        ``counts`` is ``(total_size,)``.  Raises ``ValueError`` when a code
+        exceeds its trial's table.
+
+        The array primitives route through the active :mod:`repro.backend`
+        array-ops shim; under the default numpy backend they are plain
+        ``np.bincount``/``np.take`` calls.
         """
-        trials = values.shape[0]
-        if trials == 1:
-            # One table: no offsets to add, and the histogram length is the
-            # bound check, so the values need no separate max scan.
-            gather_levels(
-                self.luts[0], values.reshape(-1), counts, out_levels.reshape(-1), tile
-            )
-            return
         from repro.backend import active_ops  # lazy: keep adc import-light
 
         ops = active_ops()
+        trials = values.shape[0]
         flat_per_trial = values.reshape(trials, -1)
-        if flat_per_trial.shape[1]:
-            maxes = flat_per_trial.max(axis=1).astype(np.int64)
-            bad = np.nonzero(maxes > self._max_values)[0]
-            if bad.size:
-                trial = int(bad[0])
-                raise ValueError(
-                    f"bit-line value {int(maxes[trial])} exceeds the LUT "
-                    f"bound {self.luts[trial].max_value}"
-                )
-        codes = flat_per_trial.astype(np.int64)
-        codes += self.offsets[:, None]
-        flat_codes = codes.reshape(-1)
+        if trials == 1:
+            # One table: no offsets to add, and the histogram length is the
+            # bound check, so the values need no separate max scan; each
+            # tile is cast on its own to stay cache-resident.
+            flat_codes = flat_per_trial[0]
+        else:
+            if flat_per_trial.shape[1]:
+                maxes = flat_per_trial.max(axis=1).astype(np.int64)
+                bad = np.nonzero(maxes > self._max_values)[0]
+                if bad.size:
+                    self._raise_bound(int(maxes[bad[0]]), int(bad[0]))
+            codes = flat_per_trial.astype(np.int64)
+            codes += self.offsets[:, None]
+            flat_codes = codes.reshape(-1)
         flat_levels = out_levels.reshape(-1)
         for start in range(0, flat_codes.size, tile):
             stop = min(start + tile, flat_codes.size)
-            tile_codes = flat_codes[start:stop]
-            counts += ops.bincount(tile_codes, minlength=self.total_size)
+            tile_codes = flat_codes[start:stop].astype(np.int64, copy=False)
+            tile_counts = ops.bincount(tile_codes, minlength=self.total_size)
+            if tile_counts.size > self.total_size:
+                self._raise_bound(int(tile_codes.max()), 0)
+            counts += tile_counts
             ops.take(self.levels, tile_codes, out=flat_levels[start:stop])
+
+    def _raise_bound(self, code: int, trial: int) -> None:
+        what = "bit-line value" if self.pair_base is None else "bit-line pair code"
+        raise ValueError(
+            f"{what} {code} exceeds the LUT bound {int(self._max_values[trial])}"
+        )
+
+
+def _offsets(sizes) -> np.ndarray:
+    """Start offset of each table in the concatenation of ``sizes``."""
+    return np.concatenate([[0], np.cumsum(sizes[:-1], dtype=np.int64)]).astype(np.int64)
 
 
 class LutConversionMixin:

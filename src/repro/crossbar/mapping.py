@@ -18,6 +18,18 @@ which keeps the Python overhead negligible while remaining exactly equivalent
 to simulating each 128×128 array separately (verified by unit tests against
 :func:`repro.crossbar.merge.shift_add_merge`).
 
+The fused kernel may instead use the half-width **pair matrix** ``B·W⁺ +
+W⁻`` of shape ``(in_features, planes · out_features)``, with ``B =
+max_bitline_value + 1``.  Its matmul output is the *pair code* ``B·v⁺ +
+v⁻`` of one positive/negative column pair: an exact integer below ``B²``,
+which cannot alias because ``B − 1`` bounds every bit-line value.  The pair
+layout is chosen when a LUT conversion sees its bit-line values unperturbed
+(no noise, or a pure value map folded into the LUTs), nobody observes them
+and ``B²`` fits a measured cache-sized bound
+(``MappedMVMLayer._PAIR_MAX_BINS``); the default 128-row, 1-bit topology
+has ``B ≤ 129`` and always qualifies.  Observed runs, per-block noise,
+ideal conversion and the element-wise fallback keep the plane matrix.
+
 Simulation engines
 ------------------
 ``matmul`` offers two engines behind the ``engine`` switch:
@@ -32,6 +44,12 @@ Simulation engines
   (2^RDA − 1) · (2^Rcell − 1)``, so LUT-capable ADCs (see
   :mod:`repro.adc.lut`) convert them with one integer gather and derive exact
   region/op totals from ``np.bincount`` instead of per-element float math.
+  On the pair layout one gather from a difference table ``L[i] − L[j]``
+  converts both columns of a pair, and the joint histogram folds back into
+  the exact per-value counts.  The merge is exact integer Horner
+  arithmetic over the signed level differences ``L⁺ − L⁻``: first over
+  input cycles, then over weight planes, with power-of-two factors and
+  accumulators sized from the layer's exact bounds.
 
 There is exactly one fused kernel, and it carries a leading Monte Carlo
 ``trials`` axis (:meth:`MappedMVMLayer.matmul_trials`): a solo
@@ -41,8 +59,9 @@ Bit-reproducibility rests on the **integer-domain invariant**: every quantity
 the datapath merges is an exact small integer.  ADCs with a uniform level
 grid expose integer *output levels* ``k`` (quantized value = ``scale · k``
 exactly), the shift-and-add factors and DAC cycle weights are signed powers
-of two, and every partial sum stays far below ``2^53`` — so float64
-accumulation is exact in *any* order.  Both engines therefore compute the
+of two, and every partial sum stays far below ``2^53`` — so the fast
+engine's integer merge and the reference loop's float64 accumulation both
+compute the exact result in *any* order.  Both engines therefore compute the
 same exact integers, scale them once per output, and produce bit-identical
 results with identical operation counts (asserted by the test suite and by
 ``benchmarks/bench_engine_fastpath.py``).  Converters without a level grid
@@ -72,11 +91,12 @@ reused scratch buffers — observers must copy what they keep.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.adc.lut import TrialLutGather, compose_transfer_lut
+from repro.adc.lut import TrialLutGather, compose_transfer_lut, signed_dtype_for
 from repro.backend import active_ops
 from repro.crossbar.slicing import (
     num_slices,
@@ -182,14 +202,14 @@ class MappedMVMLayer:
             dtype=np.float64,
         )
         self._merge_factors = np.stack([plane_shifts, -plane_shifts], axis=0)  # (2, planes)
-        # Fused (cycle, sign, plane) factors of the fast engine: every entry is
-        # an exact (signed) power of two, so multiplying integer levels by it
-        # and summing in float64 is exact arithmetic.
-        cycle_shifts = np.array(
+        # Power-of-two weights of the fast engine's integer merge, and
+        # their sums (the growth of the merge's exact bounds).
+        self._cycle_factors = np.array(
             [1 << (c * topology.dac_bits) for c in range(self.num_input_cycles)],
-            dtype=np.float64,
+            dtype=np.int64,
         )
-        self._fused_factors = cycle_shifts[:, None, None] * self._merge_factors[None, :, :]
+        self._plane_factors = plane_shifts.astype(np.int64)
+        self._factor_sums = (int(self._cycle_factors.sum()), int(self._plane_factors.sum()))
 
         size = topology.crossbar_size
         self._segments: List[slice] = [
@@ -347,10 +367,14 @@ class MappedMVMLayer:
         Writes the ``num_cycles`` DAC slices directly into one reused
         ``(cycles · batch, in_features)`` float32 operand (cycle-major), with
         the same range validation and slice values as
-        :func:`repro.crossbar.slicing.slice_inputs_temporal`.
+        :func:`repro.crossbar.slicing.slice_inputs_temporal`.  The codes are
+        sliced in the smallest unsigned dtype holding ``activation_bits``
+        (uint8 by default): one shift of every cycle into a reused buffer,
+        then one mask of the low DAC bits into the operand.
         """
         activation_bits = self.quant_config.activation_bits
         dac_bits = self.topology.dac_bits
+        num_cycles = self.num_input_cycles
         batch = input_codes.shape[0]
         codes = input_codes.astype(np.int64, copy=False)
         if codes.size:
@@ -360,17 +384,19 @@ class MappedMVMLayer:
                 raise ValueError(
                     f"values exceed {activation_bits} bits (max={codes.max()})"
                 )
+        narrow_dtype = np.min_scalar_type((1 << activation_bits) - 1)
+        narrow = self._fast_buffer("codes", codes.shape, narrow_dtype)
+        np.copyto(narrow, codes, casting="unsafe")  # exact: range checked above
+        shifts = np.arange(0, num_cycles * dac_bits, dac_bits, dtype=narrow_dtype)
+        slices = self._fast_buffer("slices", (num_cycles,) + codes.shape, narrow_dtype)
+        np.right_shift(narrow, shifts[:, None, None], out=slices)
         stacked = self._fast_buffer(
-            "stacked", (self.num_input_cycles * batch, self.in_features), np.float32
+            "stacked", (num_cycles * batch, self.in_features), np.float32
         )
-        view = stacked.reshape(self.num_input_cycles, batch, self.in_features)
-        mask = (1 << dac_bits) - 1
-        for cycle_index in range(self.num_input_cycles):
-            np.copyto(
-                view[cycle_index],
-                (codes >> (cycle_index * dac_bits)) & mask,
-                casting="unsafe",
-            )
+        np.bitwise_and(
+            slices, (1 << dac_bits) - 1, casting="unsafe",
+            out=stacked.reshape(num_cycles, batch, self.in_features),
+        )
         return stacked
 
     def _matmul_reference(
@@ -506,27 +532,81 @@ class MappedMVMLayer:
             )
         return self._matmul_fast_trials(input_codes, adcs, noise, partial_observer)
 
+    #: Largest joint histogram (``B²`` bins, ``B = max_bitline_value + 1``)
+    #: the pair layout may use: 2 MiB of int64 counts, one core's L2 cache.
+    #: Every gather tile allocates, clears and adds one histogram of that
+    #: length and indexes a ``B²``-entry difference table, a per-call cost
+    #: that small chunks cannot amortise.  Measured with one BLAS thread on
+    #: a 2-vCPU Xeon (2 MiB L2 per core, numpy 2.4), whole-kernel time of
+    #: the pair over the separate layout at 64-row chunks: 0.6–0.9× up to
+    #: ``B = 385``, 0.99× at ``B = 513`` (``B² ≈ 2^18``), 2.5× at
+    #: ``B = 725``; at 2048-row chunks the pair layout won throughout.  The
+    #: default 128-row, 1-bit topology has ``B ≤ 129`` (16 641 bins).  The
+    #: bound also keeps every pair code below ``2^24``, exact in float32.
+    _PAIR_MAX_BINS = 1 << 18
+
+    def _use_pair_layout(self, luts, perturbed: bool, observed: bool) -> bool:
+        """Whether a LUT conversion runs on the pair layout.
+
+        The pair GEMM never materialises ``v⁺`` and ``v⁻`` apart, so it
+        needs a conversion that sees each bit-line value unperturbed (no
+        noise, or a pure value map folded into the LUTs) and that nobody
+        observes; ``B²`` must fit :attr:`_PAIR_MAX_BINS`, and every LUT
+        must cover ``0 … B − 1``.
+        """
+        base = self._max_bitline + 1
+        return (
+            luts is not None
+            and not perturbed
+            and not observed
+            and base * base <= self._PAIR_MAX_BINS
+            and all(lut.levels.size >= base for lut in luts)
+        )
+
+    def _pair_matrix(self) -> np.ndarray:
+        """The half-width pair matrix ``B·W⁺ + W⁻``.
+
+        ``(in_features, planes · out_features)`` float32: one matmul output
+        is the pair code ``B·v⁺ + v⁻`` of one positive/negative column pair,
+        an integer below ``B² ≤ 2^24`` and therefore exact in float32.
+        Built on first use and kept for the layer's lifetime, which is one
+        backend run.
+        """
+        matrix = self.__dict__.get("_pair_matrix_cache")
+        if matrix is None:
+            width = self.num_weight_planes * self.out_features
+            base = np.float32(self._max_bitline + 1)
+            matrix = self._pair_matrix_cache = (
+                base * self._plane_matrix[:, :width] + self._plane_matrix[:, width:]
+            )
+        return matrix
+
     def _conversion_setup(
         self,
         adcs: Optional[List[object]],
         noise: Optional[TrialNoiseStates],
+        observed: bool = False,
     ) -> tuple:
-        """Per-trial transfer LUTs: ``(luts, value_mapped, gather)``.
+        """Per-trial conversion setup: ``(luts, value_mapped, gather)``.
 
         ``luts`` is ``None`` when a converter has no integer level grid or
-        the noise leaves the integer domain.  The setup — value maps,
-        per-trial transfer LUTs, the combined gather table — is a pure
-        function of the per-trial noise states and ADC instances, both
-        stable across the chunks of one run.  It is cached on exactly those
-        objects (never on a :class:`TrialNoiseStates` wrapper, which a solo
-        :meth:`matmul` builds afresh per call), making it a per-run cost
-        instead of a per-chunk one; in the overhead-bound small-row regime
-        this setup would otherwise rival the kernel work itself.
+        the noise leaves the integer domain.  ``gather`` is the
+        :class:`~repro.adc.lut.TrialLutGather` of the chosen layout: its
+        ``pair_base`` is set when the run takes the pair layout
+        (:meth:`_use_pair_layout`).  The setup — value maps,
+        per-trial transfer LUTs, the combined gather or difference tables —
+        is a pure function of the per-trial noise states and ADC instances,
+        both stable across the chunks of one run, and of whether the run is
+        observed.  It is cached on exactly those (never on a
+        :class:`TrialNoiseStates` wrapper, which a solo :meth:`matmul`
+        builds afresh per call), making it a per-run cost instead of a
+        per-chunk one; in the overhead-bound small-row regime this setup
+        would otherwise rival the kernel work itself.
         """
         if adcs is None:
             return None, False, None
         states = () if noise is None else noise.states
-        key = (tuple(map(id, states)), tuple(map(id, adcs)))
+        key = (tuple(map(id, states)), tuple(map(id, adcs)), observed)
         cache = self.__dict__.setdefault("_conversion_cache", {})
         entry = cache.get(key)
         if entry is not None:
@@ -549,7 +629,12 @@ class MappedMVMLayer:
                 luts = [adc.transfer_lut(bound) for adc, bound in zip(adcs, bounds)]
             if any(lut.levels is None for lut in luts):
                 luts = None
-        setup = (luts, value_mapped, None if luts is None else TrialLutGather(luts))
+        gather = None
+        if luts is not None:
+            perturbed = noise is not None and not value_mapped
+            pair = self._use_pair_layout(luts, perturbed, observed)
+            gather = TrialLutGather(luts, pair_base=self._max_bitline + 1 if pair else None)
+        setup = (luts, value_mapped, gather)
         if len(cache) >= 64:
             cache.clear()
         # The entry holds strong references to the keyed objects, so their
@@ -569,14 +654,33 @@ class MappedMVMLayer:
         All input cycles are stacked into a single ``(cycles · rows,
         in_features)`` operand, so the matmul count drops from ``cycles ×
         segments`` to ``segments``.  ADCs with an integer level grid (see
-        :mod:`repro.adc.lut`) are applied as a tiled integer gather of output
-        *levels*; the cycle/plane/sign merge then collapses into a single
-        contraction whose factors are exact powers of two, making every
-        partial sum exact integer arithmetic in float64 — bit-identical to
-        the reference loop regardless of summation order.  Exact operation
-        and region totals come from ``np.bincount`` on the same codes.
-        Converters without a level grid (e.g. the non-uniform baseline) and
-        continuous noise take :meth:`_matmul_fast_trials_fallback`.
+        :mod:`repro.adc.lut`) are applied as a tiled integer gather; exact
+        operation and region totals come from ``np.bincount`` on the same
+        codes.  Converters without a level grid (e.g. the non-uniform
+        baseline) and continuous noise take
+        :meth:`_matmul_fast_trials_fallback`.
+
+        Two layouts carry a column pair through conversion:
+
+        * **pair** — when :meth:`_use_pair_layout` holds (every noise-free
+          or value-mapped, unobserved LUT run with ``B²`` in bound, which
+          covers every figure and Algorithm 1 evaluation), each segment
+          multiplies by the half-width pair matrix ``B·W⁺ + W⁻``, whose
+          outputs are the exact pair codes ``B·v⁺ + v⁻``.  One ``astype``,
+          one ``bincount`` into ``B²`` joint bins and one ``take`` from each
+          trial's difference table ``L[i] − L[j]`` replace the two
+          conversions of a column pair, and the folded joint histogram
+          gives exactly the per-value statistics.
+        * **separate** — everything else (the observer needs ``v⁺`` and
+          ``v⁻`` apart, per-block noise perturbs them apart, ideal
+          conversion has no table) multiplies by the plane matrix, converts
+          each column on its own and takes one ``L⁺ − L⁻`` subtraction.
+
+        Both layouts then merge the signed level differences by exact
+        integer Horner arithmetic (:meth:`_merge_differences`): every
+        factor is a power of two and the accumulators are sized from the
+        layer's exact bounds, so the result is bit-identical to the
+        reference loop regardless of order.
 
         The leading trial axis rides through the same integer-exact
         datapath, which is why every trial is bit-identical to a solo run:
@@ -592,9 +696,9 @@ class MappedMVMLayer:
           each LUT sized to its trial's perturbed bound — pure per-value
           maps are folded into the transfer LUTs instead (zero per-element
           cost);
-        * the trials' (differently sized) LUTs gather through one combined
-          :class:`~repro.adc.lut.TrialLutGather` table and merge with the
-          same order-free exact power-of-two contraction.
+        * the trials' (differently sized) tables gather through one
+          combined :class:`~repro.adc.lut.TrialLutGather` table and merge
+          with the same order-free exact integer arithmetic.
 
         Blocks handed to ``partial_observer`` are transient views into a
         reused buffer — observers must copy what they keep (the
@@ -602,7 +706,6 @@ class MappedMVMLayer:
         """
         trials, batch = input_codes.shape[0], input_codes.shape[1]
         num_cycles = self.num_input_cycles
-        cols = 2 * self.num_weight_planes * self.out_features
         if trials == 1:
             shared_input = True
         elif not np.array_equal(input_codes[0], input_codes[1]):
@@ -613,7 +716,9 @@ class MappedMVMLayer:
             shared_input = trials == 2 or bool(
                 (input_codes[2:] == input_codes[:1]).all()
             )
-        luts, value_mapped, gather = self._conversion_setup(adcs, noise)
+        luts, value_mapped, gather = self._conversion_setup(
+            adcs, noise, partial_observer is not None
+        )
         integer_noise = noise is None or noise.integer_domain
         if luts is None and (adcs is not None or not integer_noise):
             # Ideal conversion under continuous noise merges floats, where
@@ -630,12 +735,20 @@ class MappedMVMLayer:
             if shared_input
             else input_codes.reshape(trials * batch, self.in_features)
         )
+        pair = gather is not None and gather.pair_base is not None
+        matrix = self._pair_matrix() if pair else self._plane_matrix
+        cols = matrix.shape[1]
+        width = self.num_weight_planes * self.out_features
         perturb_blocks = noise is not None and not value_mapped
         invariant_perturb = perturb_blocks and noise.cycle_invariant
-        # One unperturbed trial converts its contiguous segment buffer in a
-        # single gather; only the contraction is row-blocked.
+        # One unperturbed trial converts and merges its contiguous segment
+        # buffer in one pass each.
         whole_segment = trials == 1 and not perturb_blocks
-        fused_factors = self._fused_factors.reshape(num_cycles, -1)
+        if luts is not None:
+            level_bound = gather.level_bound
+        else:
+            level_bound = self._max_bitline if noise is None else max(noise.lut_bounds)
+        diff_dtype, sum_dtype, cycle_dtype, plane_dtype = self._merge_dtypes(level_bound)
         # Cache blocking: the per-trial loop incidentally works on small,
         # cache-resident blocks; a naive trial batch would drag every
         # element-wise pass to DRAM-sized arrays and *lose* to the loop.
@@ -645,7 +758,10 @@ class MappedMVMLayer:
         # for cycle-invariant (row-count-agnostic) noise; per-read draws
         # are shaped by the full chunk, so that path materializes the
         # whole chunk first and the blocking only covers gather + merge.
-        row_blk = max(1, self._FAST_TILE // max(1, trials * num_cycles * cols))
+        if whole_segment:
+            row_blk = batch
+        else:
+            row_blk = max(1, self._FAST_TILE // max(1, trials * num_cycles * cols))
         outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
         partials_buf = self._fast_buffer(
             "partials", (num_cycles * eff * batch, cols), np.float32
@@ -656,15 +772,20 @@ class MappedMVMLayer:
             )
         if luts is not None:
             counts = gather.new_counts()
-            level_rows = batch if whole_segment else min(row_blk, batch)
             levels_buf = self._fast_buffer(
-                "levels", (trials * num_cycles * level_rows, cols), gather.levels.dtype
+                "levels", (trials * num_cycles * min(row_blk, batch), cols), gather.levels.dtype
+            )
+        # Several segments first sum their differences (exact integers),
+        # so the shift-and-add merge runs once per row block, not once per
+        # segment and row block.
+        multi_segment = self.num_segments > 1
+        if multi_segment:
+            diff_sum = self._fast_buffer(
+                "diff_sum", (trials, num_cycles, batch, width), sum_dtype
             )
 
         for segment_index, segment in enumerate(self._segments):
-            ops_shim.matmul(
-                stacked[:, segment], self._plane_matrix[segment], out=partials_buf
-            )
+            ops_shim.matmul(stacked[:, segment], matrix[segment], out=partials_buf)
             raw = partials_buf.reshape(num_cycles, eff, batch, cols)
             if partial_observer is not None:
                 for cycle_index in range(num_cycles):
@@ -725,30 +846,121 @@ class MappedMVMLayer:
                     )
                     gather.gather(source, counts, levels)
                     source = levels
-                # Contract the (cycle, sign·plane) axes with the fused
-                # power-of-two factors — exact float64 accumulation, one
-                # cache-sized block at a time.
-                outputs[:, start:stop] += np.tensordot(
-                    source.reshape(
-                        trials,
-                        num_cycles,
-                        rows,
-                        2 * self.num_weight_planes,
-                        self.out_features,
-                    ),
-                    fused_factors,
-                    axes=([1, 3], [0, 1]),
+                if not pair:
+                    # Separate layout: one L⁺ − L⁻ subtraction per column
+                    # pair (exact: both operands are integers in bound).
+                    halves = source.reshape(trials, num_cycles, rows, 2, width)
+                    diff = self._fast_buffer(
+                        "diff", (trials, num_cycles, rows, width), diff_dtype
+                    )
+                    np.subtract(
+                        halves[:, :, :, 0], halves[:, :, :, 1],
+                        out=diff, dtype=diff.dtype, casting="unsafe",
+                    )
+                    source = diff
+                if not multi_segment:
+                    self._merge_differences(
+                        source, outputs[:, start:stop], cycle_dtype, plane_dtype
+                    )
+                elif segment_index == 0:
+                    np.copyto(diff_sum[:, :, start:stop], source)
+                else:
+                    diff_sum[:, :, start:stop] += source
+        if multi_segment:
+            for start in range(0, batch, row_blk):
+                stop = min(start + row_blk, batch)
+                self._merge_differences(
+                    diff_sum[:, :, start:stop], outputs[:, start:stop], cycle_dtype, plane_dtype
                 )
 
         if luts is None:
             # Ideal conversion charges the full-resolution baseline.
-            conversions = self.num_segments * num_cycles * batch * cols
+            conversions = self.num_segments * num_cycles * batch * 2 * width
             return outputs, [conversions * self.topology.ideal_adc_resolution] * trials
         total_ops = gather.record_trials(counts, adcs)
         for t, lut in enumerate(luts):
             if lut.scale != 1.0:
                 outputs[t] *= lut.scale
         return outputs, total_ops
+
+    def _merge_dtypes(self, level_bound: int) -> tuple:
+        """Exact dtypes of the merge: ``(difference, segment sum, cycle sum,
+        plane sum)``.
+
+        Sized from the exact bounds — ``level_bound`` on ``|L⁺ − L⁻|``,
+        times ``num_segments`` after the segment sum, times ``Σ_c
+        2^(c·RDA)`` after the cycle sum, times ``Σ_p 2^(p·Rcell)`` after the
+        plane sum — by :func:`~repro.adc.lut.signed_dtype_for`, which raises
+        rather than let an accumulator wrap.  A bound of at least 1 keeps
+        every cycle and plane factor representable too.
+        """
+        cache = self.__dict__.setdefault("_merge_dtype_cache", {})
+        dtypes = cache.get(level_bound)
+        if dtypes is None:
+            cycle_sum, plane_sum = self._factor_sums
+            sum_bound = max(1, level_bound) * self.num_segments
+            cycle_bound = sum_bound * cycle_sum
+            plane_bound = cycle_bound * plane_sum
+            dtypes = cache[level_bound] = tuple(
+                signed_dtype_for(bound)
+                for bound in (level_bound, sum_bound, cycle_bound, plane_bound)
+            )
+        return dtypes
+
+    #: Blocks of at most this many differences merge as two weighted
+    #: reductions instead of Horner steps: below it numpy's per-call
+    #: overhead dominates (a one-row block of 8 cycles × 14 columns took
+    #: 8 µs instead of 24 µs), above it Horner's in-place passes win
+    #: (a 1170-row block of 8 × 28: 111 µs instead of 234 µs).
+    _SMALL_MERGE = 1 << 16
+
+    def _merge_differences(
+        self, diff: np.ndarray, out: np.ndarray, cycle_dtype, plane_dtype
+    ) -> None:
+        """Shift-and-add merge of signed level differences, in place.
+
+        ``diff`` is ``(trials, cycles, rows, planes · out_features)`` with
+        entries ``L⁺ − L⁻``; adds ``Σ_c Σ_p 2^(c·RDA + p·Rcell) · diff[:, c,
+        :, p]`` to ``out`` (``(trials, rows, out_features)`` float64).
+        Horner's scheme runs over cycles, then over planes, in integers of
+        the exact dtypes of :meth:`_merge_dtypes`: every factor is a power
+        of two and nothing can wrap, so the result is the exact integer
+        whatever the order — the same number the reference loop sums in
+        float64.  Blocks up to :attr:`_SMALL_MERGE` differences take the
+        same sums as one weighted reduction per axis.
+        """
+        trials, num_cycles, rows, _ = diff.shape
+        planes = self.num_weight_planes
+        by_plane_shape = (trials, rows, planes, self.out_features)
+        if diff.size <= self._SMALL_MERGE:
+            by_cycle = np.multiply(
+                diff, self._cycle_factors[:, None, None], dtype=cycle_dtype
+            ).sum(axis=1, dtype=cycle_dtype)
+            out += np.multiply(
+                by_cycle.reshape(by_plane_shape), self._plane_factors[:, None],
+                dtype=plane_dtype,
+            ).sum(axis=2, dtype=plane_dtype)
+            return
+        # Multiplying by a 0-d power of two of the accumulator's dtype is an
+        # exact shift that numpy runs faster than ``<<=``.
+        by_cycle = self._fast_buffer(
+            "cycle_acc", diff.shape[:1] + diff.shape[2:], cycle_dtype
+        )
+        np.copyto(by_cycle, diff[:, num_cycles - 1])
+        if num_cycles > 1:
+            cycle_step = np.array(self._cycle_factors[1], dtype=cycle_dtype)
+        for cycle_index in range(num_cycles - 2, -1, -1):
+            by_cycle *= cycle_step
+            by_cycle += diff[:, cycle_index]
+        by_plane = by_cycle.reshape(by_plane_shape)
+        merged = self._fast_buffer("plane_acc", (trials, rows, self.out_features), plane_dtype)
+        np.copyto(merged, by_plane[:, :, planes - 1])
+        if planes > 1:
+            plane_step = np.array(self._plane_factors[1], dtype=plane_dtype)
+        for plane in range(planes - 2, -1, -1):
+            merged *= plane_step
+            merged += by_plane[:, :, plane]
+        out += merged
 
     def _matmul_fast_trials_fallback(
         self,
@@ -854,22 +1066,32 @@ class MappedMVMLayer:
             outputs *= scale
         return outputs, total_ops
 
-    def _fast_buffer(self, name: str, shape: Tuple[int, int], dtype) -> np.ndarray:
-        """A reusable scratch buffer (avoids large re-allocations per chunk)."""
+    def _fast_buffer(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """A reusable scratch buffer (avoids large re-allocations per chunk).
+
+        Returns a contiguous ``shape`` view of a flat buffer that is only
+        reallocated when it is too small or of another dtype, so a shorter
+        last chunk or row block reuses the same memory.
+        """
         cache = getattr(self, "_fast_buffers", None)
         if cache is None:
             cache = self._fast_buffers = {}
+        size = math.prod(shape)
         buffer = cache.get(name)
-        if buffer is None or buffer.shape != shape or buffer.dtype != np.dtype(dtype):
-            buffer = cache[name] = np.empty(shape, dtype=dtype)
-        return buffer
+        if buffer is None or buffer.size < size or buffer.dtype != dtype:
+            buffer = cache[name] = np.empty(size, dtype=dtype)
+        if buffer.size != size:
+            buffer = buffer[:size]
+        return buffer.reshape(shape)
 
     def release_scratch(self) -> None:
         """Free the fast engine's scratch buffers.
 
-        The buffers are sized ``num_input_cycles · batch × total_columns``
-        and are kept between ``matmul`` calls so consecutive chunks of one
-        execution reuse them; call this after a run to return the memory
-        (the backend does so after each layer execution).
+        The buffers (stacked cycles, bit-line or pair codes, gathered levels
+        or pair differences, and the merge accumulators) hold at most
+        ``num_input_cycles · batch × total_columns`` elements each and are
+        kept between ``matmul`` calls so consecutive chunks of one execution
+        reuse them; call this after a run to return the memory (the backend
+        does so after each layer execution).
         """
         self._fast_buffers = None

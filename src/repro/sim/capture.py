@@ -30,21 +30,26 @@ class ReservoirSampler:
         self.total_seen = 0
 
     def add(self, values: np.ndarray) -> None:
-        """Offer a block of values to the reservoir."""
-        values = np.asarray(values, dtype=np.float64).ravel()
+        """Offer a block of values to the reservoir.
+
+        Only what is kept is cast to float64 (one copy), and uniform
+        subsamples are selected with a boolean mask in stream order rather
+        than by sorting the drawn indices.
+        """
+        values = np.asarray(values).ravel()
         if values.size == 0:
             return
         self.total_seen += values.size
         remaining = self.capacity - self._stored
         if remaining >= values.size:
-            self._chunks.append(values.copy())
+            self._chunks.append(values.astype(np.float64))
             self._stored += values.size
             return
         # Keep the acceptance rate proportional to capacity / total_seen so
         # early and late blocks end up equally represented.
         rate = self.capacity / self.total_seen
         mask = self._rng.random(values.size) < rate
-        accepted = values[mask]
+        accepted = values[mask].astype(np.float64)
         if accepted.size == 0:
             return
         if accepted.size > self.capacity:
@@ -52,14 +57,14 @@ class ReservoirSampler:
             # almost wholesale; clamp it to the capacity bound by a uniform
             # subsample before it displaces the current reservoir.
             keep = self._rng.choice(accepted.size, size=self.capacity, replace=False)
-            accepted = accepted[np.sort(keep)]
+            accepted = accepted[_selection_mask(accepted.size, keep)]
         if self._stored + accepted.size > self.capacity:
             # Evict uniformly to make room.
             current = self.values
             keep = self._rng.choice(
                 current.size, size=self.capacity - accepted.size, replace=False
             )
-            self._chunks = [current[np.sort(keep)]]
+            self._chunks = [current[_selection_mask(current.size, keep)]]
             self._stored = self._chunks[0].size
         self._chunks.append(accepted)
         self._stored += accepted.size
@@ -76,6 +81,14 @@ class ReservoirSampler:
 
     def __len__(self) -> int:
         return self._stored
+
+
+def _selection_mask(size: int, indices: np.ndarray) -> np.ndarray:
+    """Boolean mask set at ``indices`` (distinct): indexing with it keeps the
+    same elements, in the same order, as indexing with ``np.sort(indices)``."""
+    mask = np.zeros(size, dtype=bool)
+    mask[indices] = True
+    return mask
 
 
 class DistributionCollector:

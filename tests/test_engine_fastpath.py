@@ -10,14 +10,19 @@ tests pin that contract at the mapped-layer level and end-to-end through
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
+from repro.adc.lut import TrialLutGather
 from repro.core import TRQParams
 from repro.crossbar import CrossbarTopology, MappedMVMLayer
+from repro.crossbar.slicing import slice_inputs_temporal
 from repro.nonideal import GaussianReadNoise as KeyedReadNoise
-from repro.nonideal import NonIdealityStack
+from repro.nonideal import NonIdealityStack, RetentionDrift
+from repro.nonideal.stack import TrialNoiseStates
 from repro.quantization import QuantizationConfig
 from repro.sim import DistributionCollector, PimSimulator, ReservoirSampler
 from repro.sim.pim_layer import PimBackend
@@ -137,6 +142,177 @@ class TestEngineEquivalence:
             layer.matmul(np.array([[0, 0, 0, 99]]), engine="fast")
 
 
+TOPOLOGIES = [(16, 1, 1), (64, 2, 1), (128, 1, 2), (32, 2, 2)]
+
+
+class TestCycleStacking:
+    @pytest.mark.parametrize("activation_bits,dac_bits", [
+        (8, 1), (8, 2), (4, 1), (12, 3), (16, 4),
+    ])
+    def test_stack_cycles_equals_temporal_slicing(self, activation_bits, dac_bits):
+        rng = np.random.default_rng(100 * activation_bits + dac_bits)
+        layer = MappedMVMLayer(
+            rng.integers(-7, 8, size=(20, 3)),
+            QuantizationConfig(weight_bits=4, activation_bits=activation_bits),
+            CrossbarTopology(dac_bits=dac_bits),
+        )
+        codes = rng.integers(0, 1 << activation_bits, size=(9, 20))
+        codes[0], codes[1] = (1 << activation_bits) - 1, 0
+        expected = slice_inputs_temporal(codes, activation_bits, dac_bits)
+        stacked = layer._stack_cycles(codes)
+        assert stacked.dtype == np.float32
+        np.testing.assert_array_equal(
+            stacked, expected.astype(np.float32).reshape(-1, codes.shape[1])
+        )
+
+    @pytest.mark.parametrize("activation_bits,dac_bits", [(8, 1), (12, 3)])
+    def test_stack_cycles_rejects_like_temporal_slicing(self, activation_bits, dac_bits):
+        layer = MappedMVMLayer(
+            np.ones((4, 2), dtype=np.int64),
+            QuantizationConfig(weight_bits=4, activation_bits=activation_bits),
+            CrossbarTopology(dac_bits=dac_bits),
+        )
+        for bad in (np.array([[3, -1, 0, 0]]), np.array([[0, 1 << activation_bits, 2, 0]])):
+            with pytest.raises(ValueError) as expected:
+                slice_inputs_temporal(bad, activation_bits, dac_bits)
+            with pytest.raises(ValueError) as got:
+                layer._stack_cycles(bad)
+            assert str(got.value) == str(expected.value)
+
+
+def _trq_window():
+    """A twin-range ADC with ``bias > 0``: R1 is then a window."""
+    return TwinRangeAdc(TRQParams(n_r1=3, n_r2=6, m=3, delta_r1=1.0, bias=2))
+
+
+class TestPairLayout:
+    """The pair layout converts a positive/negative column pair through one
+    pair code ``B·v⁺ + v⁻`` and one difference table; these tests pin its
+    tables, the layout choice and its bit-identity to the reference."""
+
+    def test_pair_matrix_and_difference_tables_are_exact(self):
+        rng = np.random.default_rng(5)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        adcs = [
+            TwinRangeAdc(TRQParams(n_r1=2, n_r2=5, m=3, bias=bias)) for bias in (0, 1, 3)
+        ]
+        luts, _, gather = layer._conversion_setup(adcs, None)
+        pair_matrix = layer._pair_matrix()
+        base = layer.max_bitline_value + 1
+        width = layer.num_weight_planes * layer.out_features
+        planes = layer._plane_matrix
+        assert pair_matrix.dtype == np.float32
+        np.testing.assert_array_equal(
+            pair_matrix, base * planes[:, :width] + planes[:, width:]
+        )
+        assert gather.pair_base == base
+        for t, lut in enumerate(luts):
+            levels = lut.levels.astype(np.int64)
+            expected = (levels[:base, None] - levels[None, :base]).reshape(-1)
+            start = int(gather.offsets[t])
+            table = gather.levels[start : start + base * base]
+            np.testing.assert_array_equal(table.astype(np.int64), expected)
+
+    @pytest.mark.parametrize("case", ["just_inside", "just_outside", "wide_cells"])
+    def test_layout_boundary_matches_reference(self, case):
+        side = math.isqrt(MappedMVMLayer._PAIR_MAX_BINS)
+        rng = np.random.default_rng(side)
+        if case == "wide_cells":
+            rows, topology, pair = 128, CrossbarTopology(128, 4, 4), False
+        else:
+            # One segment whose first column holds a 1 on every row: the
+            # plane-0 column sum, hence max_bitline_value, equals ``rows``.
+            rows = side - 1 if case == "just_inside" else side
+            topology, pair = CrossbarTopology(side, 1, 1), case == "just_inside"
+        weights = rng.integers(-127, 128, size=(rows, 4))
+        if case != "wide_cells":
+            weights[:, 0] = 1
+        layer = MappedMVMLayer(weights, QuantizationConfig(), topology)
+        base = layer.max_bitline_value + 1
+        if case != "wide_cells":
+            assert base == rows + 1
+        assert (base * base <= MappedMVMLayer._PAIR_MAX_BINS) is pair
+        inputs = rng.integers(0, 256, size=(6, rows))
+        for make_adc in (lambda: UniformAdc(bits=5, delta=7.0), _trq_window):
+            luts = layer._conversion_setup([make_adc()], None)[0]
+            assert layer._use_pair_layout(luts, perturbed=False, observed=False) is pair
+            _assert_engines_agree(layer, inputs, make_adc)
+
+    def test_observed_and_perturbed_runs_take_the_separate_layout(self):
+        rng = np.random.default_rng(8)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        luts = layer._conversion_setup([_trq_window()], None)[0]
+        assert layer._use_pair_layout(luts, perturbed=False, observed=False)
+        assert not layer._use_pair_layout(luts, perturbed=True, observed=False)
+        assert not layer._use_pair_layout(luts, perturbed=False, observed=True)
+        assert not layer._use_pair_layout(None, perturbed=False, observed=False)
+
+    @pytest.mark.parametrize("small_merge", [0, 1 << 30])
+    @pytest.mark.parametrize("topology", [
+        CrossbarTopology(), CrossbarTopology(64, 2, 2), CrossbarTopology(128, 1, 8),
+    ])
+    def test_horner_and_weighted_sum_merges_match_reference(self, small_merge, topology):
+        """Both merge forms, on both layouts, over several segments (the
+        segment sum) and with a single input cycle (8-bit DAC)."""
+        rng = np.random.default_rng(31)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 6)),
+                               QuantizationConfig(), topology)
+        layer._SMALL_MERGE = small_merge
+        inputs = rng.integers(0, 256, size=(40, 200))
+        for make_adc in (lambda: None, lambda: UniformAdc(bits=6, delta=5.0), _trq_window):
+            _assert_engines_agree(layer, inputs, make_adc)
+
+    @pytest.mark.parametrize("trials,shared", [(1, True), (3, True), (3, False)])
+    def test_folded_retention_drift_matches_reference_per_trial(self, trials, shared):
+        rng = np.random.default_rng(20 + trials + shared)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        stack = NonIdealityStack([RetentionDrift(time=50.0, nu=0.08)], seed=3)
+        first = rng.integers(0, 256, size=(7, 200))
+        inputs = np.stack([
+            first if shared or t == 0 else rng.integers(0, 256, size=(7, 200))
+            for t in range(trials)
+        ])
+        adcs = [_trq_window() for _ in range(trials)]
+        noise = TrialNoiseStates([
+            stack.reseeded(t).bind_mapped("fc", layer).next_chunk() for t in range(trials)
+        ])
+        _, value_mapped, gather = layer._conversion_setup(adcs, noise)
+        assert value_mapped and gather.pair_base == layer.max_bitline_value + 1
+        outputs, ops = layer.matmul_trials(inputs, adcs, noise)
+        for t in range(trials):
+            ref_adc = _trq_window()
+            state = stack.reseeded(t).bind_mapped("fc", layer).next_chunk()
+            ref, ref_ops = layer.matmul(
+                inputs[t], adc=ref_adc, engine="reference", noise=state
+            )
+            np.testing.assert_array_equal(outputs[t], ref)
+            assert ops[t] == ref_ops
+            assert adcs[t].stats == ref_adc.stats
+
+    @pytest.mark.parametrize("crossbar_size,bits_per_cell,dac_bits", TOPOLOGIES)
+    def test_max_bitline_value_is_tight(self, crossbar_size, bits_per_cell, dac_bits):
+        """The LUT size and the pair base both rest on this bound: all-max
+        input codes drive some bit line to exactly ``max_bitline_value``."""
+        rng = np.random.default_rng(crossbar_size + bits_per_cell + dac_bits)
+        topology = CrossbarTopology(crossbar_size, bits_per_cell, dac_bits)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(90, 6)),
+                               QuantizationConfig(), topology)
+        seen = []
+        layer.matmul(
+            np.full((3, 90), 255),
+            partial_observer=lambda block: seen.append(float(block.max())),
+            engine="fast",
+        )
+        assert max(seen) == layer.max_bitline_value
+
+    def test_codes_beyond_the_table_raise(self):
+        lut = UniformAdc(bits=4, delta=1.0).transfer_lut(9)
+        for gather, code in ((TrialLutGather([lut]), 10), (TrialLutGather([lut], pair_base=10), 100)):
+            values = np.array([[0.0, float(code)]])
+            with pytest.raises(ValueError, match="exceeds the LUT bound"):
+                gather.gather(values, gather.new_counts(), np.empty(values.shape, gather.levels.dtype))
+
+
 class TestSimulatorEngineEquivalence:
     def test_end_to_end_bit_identical(self, lenet_workload, lenet_eval_data):
         images, labels = lenet_eval_data
@@ -237,6 +413,70 @@ class TestReservoirCapacityRegression:
         assert 50 <= len(sampler) <= 100
         # A uniform subsample of [0, 100000) should span the range broadly.
         assert sampler.values.max() > 50_000
+
+
+def _frozen_reservoir_add(sampler, values, branches):
+    """``ReservoirSampler.add`` as it was before the sort-free eviction,
+    kept verbatim as the reference (``branches`` records the paths taken)."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    if values.size == 0:
+        branches.add("empty")
+        return
+    sampler.total_seen += values.size
+    remaining = sampler.capacity - sampler._stored
+    if remaining >= values.size:
+        branches.add("fill_exact" if remaining == values.size else "fill")
+        sampler._chunks.append(values.copy())
+        sampler._stored += values.size
+        return
+    rate = sampler.capacity / sampler.total_seen
+    mask = sampler._rng.random(values.size) < rate
+    accepted = values[mask]
+    if accepted.size == 0:
+        branches.add("none_accepted")
+        return
+    if accepted.size > sampler.capacity:
+        branches.add("clamp")
+        keep = sampler._rng.choice(accepted.size, size=sampler.capacity, replace=False)
+        accepted = accepted[np.sort(keep)]
+    if sampler._stored + accepted.size > sampler.capacity:
+        branches.add("evict")
+        current = sampler.values
+        keep = sampler._rng.choice(
+            current.size, size=sampler.capacity - accepted.size, replace=False
+        )
+        sampler._chunks = [current[np.sort(keep)]]
+        sampler._stored = sampler._chunks[0].size
+    sampler._chunks.append(accepted)
+    sampler._stored += accepted.size
+
+
+class TestReservoirSortFreeEviction:
+    def test_add_is_bit_identical_to_the_sorting_reference(self):
+        """Same values in the same order, same size, same ``total_seen`` and
+        the same generator state after every block of a float32 stream that
+        visits every branch: empty, partial fill, exact fill, a block larger
+        than the capacity (the clamp, at a seed-dependent rate) and many
+        evicting blocks after the reservoir is full."""
+        capacity, branches = 500, set()
+        for seed in range(12):
+            data = np.random.default_rng(seed)
+            sizes = [0, 120, capacity - 120, 3 * capacity, 0]
+            sizes += [int(n) for n in data.integers(1, 4 * capacity, size=25)]
+            if seed % 2:
+                sizes = [3 * capacity] + sizes  # oversized first block
+            frozen = ReservoirSampler(capacity, seed=seed)
+            current = ReservoirSampler(capacity, seed=seed)
+            for size in sizes:
+                block = data.normal(size=(size,)).astype(np.float32).reshape(-1, 1)
+                _frozen_reservoir_add(frozen, block, branches)
+                current.add(block)
+                assert current.values.dtype == np.float64
+                np.testing.assert_array_equal(current.values, frozen.values)
+                assert len(current) == len(frozen)
+                assert current.total_seen == frozen.total_seen
+                assert current._rng.bit_generator.state == frozen._rng.bit_generator.state
+        assert {"empty", "fill", "fill_exact", "clamp", "evict"} <= branches
 
 
 class TestCollectorSeedIndependence:
