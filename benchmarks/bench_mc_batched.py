@@ -8,7 +8,7 @@ invocations.  Under the numpy array backend the contract is **bit-identity**
 — ``results[t]`` equals the solo ``matmul`` of trial ``t`` exactly, per-trial
 A/D operation totals and region statistics included.
 
-Two measurements are reported:
+Three measurements are reported:
 
 * **datapath** — per-layer ``matmul_trials`` throughput against the
   per-trial ``matmul`` loop at the regime the batching targets: tiny
@@ -18,12 +18,19 @@ Two measurements are reported:
   assertion applies to the **narrow layers** (``cols <= NARROW_COLS``),
   where those fixed costs dominate; wide layers are compute-bound and
   reported without a gate.
+* **per-trial datapath at the throughput chunk** — for each stack of
+  ``KERNEL_STACKS`` (the perfbench static pair, which folds into the
+  column tables, and read noise, which converts in the kernel), one
+  trial's ``matmul`` over every layer at
+  :func:`~repro.sim.pim_layer.throughput_chunk_size` rows, with fresh
+  noise states as a Monte Carlo trial binds them.  Reported, not gated.
 * **end-to-end** — ``PimSimulator.run_monte_carlo`` with ``trial_batch=1``
   (the per-trial loop: groups of one through the same kernel) vs
   ``trial_batch=TRIALS``, asserting **byte
   identical** Monte Carlo artifacts (trial accuracies, flip rates, summary
-  statistics and per-layer robustness stats) plus a lenient wall-time
-  sanity bound — the full pipeline includes engine-independent overhead
+  statistics and per-layer robustness stats) for ``NOISE_SPEC`` and every
+  stack of ``KERNEL_STACKS``, plus a lenient wall-time sanity bound on
+  ``NOISE_SPEC`` — the full pipeline includes engine-independent overhead
   (im2col, forward plumbing), so its speedup is small and noisy and is
   reported, not gated.
 """
@@ -48,7 +55,7 @@ from repro.nonideal.stack import NonIdealityStack, TrialNoiseStates
 from repro.quantization import quantize_model
 from repro.quantization.ptq import find_mvm_layers
 from repro.sim import PimSimulator
-from repro.sim.pim_layer import PimBackend
+from repro.sim.pim_layer import PimBackend, throughput_chunk_size
 
 #: Required wall-clock advantage of the batched kernel on narrow layers.
 MIN_SPEEDUP = 5.0
@@ -71,6 +78,20 @@ TRQ_PARAMS = TRQParams(n_r1=2, n_r2=5, m=3, delta_r1=1.0, bias=0)
 #: keeps the fast engine on its integer-LUT path (the batched kernel's
 #: primary target) while still exercising per-trial static device state.
 NOISE_SPEC = [{"model": "conductance_variation", "sigma": 0.08, "quantize": True}]
+
+#: Stacks timed per trial at the throughput chunk and checked byte-identical
+#: end to end: the perfbench static pair (column tables) and read noise
+#: (drawn, clamped and converted inside the kernel).
+KERNEL_STACKS = {
+    "variation_0.08+stuck_on_1e-3": [
+        {"model": "conductance_variation", "sigma": 0.08, "quantize": True},
+        {"model": "stuck_at_faults", "rate_on": 1e-3},
+    ],
+    "read_noise_0.5": [{"model": "gaussian_read_noise", "sigma": 0.5}],
+}
+
+#: Trials per timed throughput-chunk loop (the reported time is per trial).
+THROUGHPUT_TRIALS = 2
 
 #: End-to-end wall-time sanity bound: the batched path must never be a
 #: regression beyond measurement noise (its end-to-end advantage is real
@@ -207,6 +228,34 @@ def test_mc_batched_speedup_and_byte_identity(benchmark, lenet_tiny_quantized, r
     speedup = narrow_total["loop"] / narrow_total["batched"]
 
     # ------------------------------------------------------------------ #
+    # per-trial datapath of each kernel stack at the throughput chunk
+    # ------------------------------------------------------------------ #
+    throughput: Dict[str, Dict[str, float]] = {}
+    for label, specs in KERNEL_STACKS.items():
+        stacks = [NonIdealityStack(specs, seed=5).derive_trial(3, t)
+                  for t in range(THROUGHPUT_TRIALS)]
+        per_layer_s: Dict[str, float] = {}
+        for name in names:
+            lq = quantized.layer(name)
+            kind = "conv" if lq.weight_codes.ndim == 4 else "linear"
+            mapped = backend._mapped_layer(name, kind)
+            cols = 2 * mapped.num_weight_planes * mapped.out_features
+            rows = throughput_chunk_size(mapped.num_input_cycles, cols)
+            max_code = (1 << mapped.num_input_cycles) - 1
+            codes = rng.integers(0, max_code + 1, size=(rows, mapped.in_features))
+
+            def run_trials() -> None:
+                for stack in stacks:
+                    # A fresh binding per trial, as each Monte Carlo trial
+                    # binds its own device: per-run setup is included.
+                    state = stack.bind_mapped(name, mapped).next_chunk()
+                    mapped.matmul(codes, adc=build_adc(config), engine="fast", noise=state)
+                mapped.release_scratch()
+
+            per_layer_s[name] = _best_of(run_trials, repeats=3) / THROUGHPUT_TRIALS
+        throughput[label] = {"per_trial_s": sum(per_layer_s.values()), "per_layer_s": per_layer_s}
+
+    # ------------------------------------------------------------------ #
     # end-to-end: run_monte_carlo trial_batch=1 (per-trial loop) vs TRIALS
     # ------------------------------------------------------------------ #
     images = dataset.test.images[:8]
@@ -233,6 +282,18 @@ def test_mc_batched_speedup_and_byte_identity(benchmark, lenet_tiny_quantized, r
         "batched Monte Carlo artifact is not byte-identical to the "
         "per-trial loop"
     )
+    for label, specs in KERNEL_STACKS.items():
+        loop, batched = (
+            simulator.run_monte_carlo(
+                images, labels, NonIdealityStack(specs, seed=5), configs,
+                trials=TRIALS, batch_size=8, seed=3, trial_batch=trial_batch,
+            )
+            for trial_batch in (1, TRIALS)
+        )
+        assert _mc_payload_fingerprint(loop) == _mc_payload_fingerprint(batched), (
+            f"{label}: batched Monte Carlo artifact is not byte-identical to "
+            "the per-trial loop"
+        )
     end_to_end_ratio = end_to_end["batched_s"] / end_to_end["loop_s"]
     assert end_to_end_ratio <= MAX_END_TO_END_RATIO, (
         f"batched end-to-end wall time is {end_to_end_ratio:.2f}x the "
@@ -255,11 +316,13 @@ def test_mc_batched_speedup_and_byte_identity(benchmark, lenet_tiny_quantized, r
             "batched_s": narrow_total["batched"],
             "speedup": speedup,
         },
+        "throughput_chunk": throughput,
         "end_to_end": {
             "loop_s": end_to_end["loop_s"],
             "batched_s": end_to_end["batched_s"],
             "speedup": end_to_end["loop_s"] / end_to_end["batched_s"],
             "byte_identical": True,
+            "byte_identical_stacks": sorted(KERNEL_STACKS),
         },
     }
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -274,6 +337,9 @@ def test_mc_batched_speedup_and_byte_identity(benchmark, lenet_tiny_quantized, r
               f"batched {row['batched_s']*1e3:8.2f} ms   {row['speedup']:5.2f}x")
     print(f"  {'narrow datapath':21s} loop {narrow_total['loop']*1e3:8.2f} ms   "
           f"batched {narrow_total['batched']*1e3:8.2f} ms   {speedup:5.2f}x")
+    print("  per-trial datapath at the throughput chunk (fresh noise states):")
+    for label, row in throughput.items():
+        print(f"    {label:30s} {row['per_trial_s']*1e3:9.2f} ms per trial")
     print(f"  end-to-end speedup {record['end_to_end']['speedup']:.2f}x "
           f"(includes engine-independent forward overhead; reported, not gated)")
 

@@ -41,6 +41,13 @@ the merge consumes, so one ``bincount`` into ``B²`` joint bins and one
 ``take`` replace the two conversions of the pair.  A trial's per-value
 counts are the row sums plus the column sums of its joint histogram, so
 every statistic is exactly that of converting each column on its own.
+
+On the column layout it folds static device noise into the tables: when
+every noise model maps each (segment, column) through a fixed integer map
+``g(c, v)`` of the ideal bit-line value, the table ``T[c·B + v] = L[g(c,
+v)]`` of each (trial, segment) converts the *unperturbed* value directly.
+The histogram is taken over the same index and folded back through ``g``,
+so the statistics are exactly those of converting every perturbed value.
 """
 
 from __future__ import annotations
@@ -181,9 +188,9 @@ class TrialLutGather:
     to per-trial gathers by construction: offsetting indexes the very same
     table entries, and histogram slices partition the same codes.
 
-    Two table layouts exist:
+    Three table layouts exist:
 
-    * **separate** (``pair_base=None``) — each trial's table is its LUT's
+    * **separate** (the default) — each trial's table is its LUT's
       ``levels``; one code is one bit-line value.
     * **pair** (``pair_base=B``) — each trial's table is its
       :func:`difference_table` over the first ``B`` levels, and one code is
@@ -195,15 +202,35 @@ class TrialLutGather:
       per-value counts (row sums plus column sums), so every statistic is
       exactly the separate layout's.  The pair code cannot alias because
       ``B − 1`` bounds every bit-line value the kernel pairs.
+    * **column** (``column_values``) — static device noise folded into the
+      tables.  ``column_values`` yields, per word-line segment, the
+      ``(trials, B, columns)`` perturbed values of a probe block whose row
+      ``v`` holds ``v`` in every column, so entry ``[t, v, c]`` is trial
+      ``t``'s perturbed value ``g(c, v)``.  Trial ``t``'s table for segment
+      ``s`` is ``T[c·B + v] = L[g(c, v)]``, and a code is the *ideal*
+      bit-line value ``v`` of column ``c``: one gather applies the noise and
+      converts.  :meth:`gather` histograms the codes ``c·B + v`` — once for
+      every trial when the trials share their input — and folds each trial's
+      histogram through its ``g`` into ``counts``, so ``counts`` is the
+      exact per-value histogram of the perturbed values and
+      :meth:`record_trials` records it as the separate layout's.  A code
+      cannot alias into the next column because ``B − 1`` bounds every
+      ideal value.
     """
 
-    def __init__(self, luts, pair_base: Optional[int] = None) -> None:
+    def __init__(
+        self, luts, pair_base: Optional[int] = None, column_values=None
+    ) -> None:
         self.luts = list(luts)
         self.pair_base = pair_base
+        #: ``(segments, columns, B)`` of the column layout, else ``None``.
+        self.column_shape: Optional[Tuple[int, int, int]] = None
         #: Upper bound on the magnitude of every gathered entry (levels are
         #: non-negative, so it also bounds their differences).
         self.level_bound = max(int(lut.levels.max(initial=0)) for lut in self.luts)
-        if pair_base is None:
+        if column_values is not None:
+            tables = self._column_tables(column_values)
+        elif pair_base is None:
             common = np.result_type(*[lut.levels.dtype for lut in self.luts])
             tables = [np.asarray(lut.levels, dtype=common) for lut in self.luts]
         else:
@@ -233,10 +260,54 @@ class TrialLutGather:
         else:
             self._in_r1 = None
 
+    def _column_tables(self, column_values) -> list:
+        """The column tables ``L[g(c, v)]``, segment-major.
+
+        Entry ``(s·trials + t)·C·B + c·B + v`` is trial ``t``'s level for
+        the ideal value ``v`` of column ``c`` in segment ``s``, so one
+        segment's tables are one contiguous slice indexed by ``t·C·B + c·B
+        + v``.  ``g`` is kept per (segment, trial) in the narrowest
+        unsigned dtype for :meth:`gather`'s fold; a perturbed value above
+        its trial's LUT bound raises the gather's ``ValueError``.
+        """
+        bounds = [lut.max_value for lut in self.luts]
+        narrow = np.min_scalar_type(max(bounds))
+        maps = []
+        for values in column_values:
+            if values.size and values.min() < 0:
+                raise ValueError(f"negative perturbed bit-line value {values.min()}")
+            tops = values.max(axis=(1, 2), initial=0)
+            for top, bound in zip(tops, bounds):
+                if top > bound:
+                    raise ValueError(_bound_message("bit-line value", int(top), bound))
+            maps.append(values.transpose(0, 2, 1).astype(narrow))
+        maps = np.stack(maps)  # (segments, trials, columns, B)
+        segments, trials, cols, base = maps.shape
+        bins = cols * base
+        if trials * bins >= 1 << 24:
+            raise ValueError(
+                f"{trials} × {cols} × {base} column codes are not exact in float32"
+            )
+        self.column_shape = (segments, cols, base)
+        self._column_maps = maps.reshape(segments, trials, bins)
+        # float32 offsets ``t·C·B + c·B``: adding them to float32 bit-line
+        # values and casting to int64 is one exact pass (codes < 2^24).
+        self._column_offsets = (
+            np.arange(trials, dtype=np.float32)[:, None, None, None] * bins
+            + np.arange(0, bins, base, dtype=np.float32)
+        )
+        common = np.result_type(*[lut.levels.dtype for lut in self.luts])
+        levels = [np.asarray(lut.levels, dtype=common) for lut in self.luts]
+        return [
+            np.concatenate([table[g] for table, g in zip(levels, segment_maps)]).reshape(-1)
+            for segment_maps in self._column_maps
+        ]
+
     def _value_counts(self, counts: np.ndarray) -> np.ndarray:
         """The combined per-value histogram behind a gather histogram.
 
-        The identity for the separate layout.  For the pair layout, every
+        The identity for the separate and column layouts (the column
+        layout folds in :meth:`gather`).  For the pair layout, every
         pair code counts one conversion of ``v⁺`` and one of ``v⁻``: a
         trial's per-value counts are the row sums plus the column sums of
         its ``B × B`` joint histogram (zero above ``B − 1``).
@@ -282,6 +353,8 @@ class TrialLutGather:
 
     def new_counts(self) -> np.ndarray:
         """A zeroed combined histogram to accumulate across gathers."""
+        if self.column_shape is not None:
+            return np.zeros(sum(self._value_sizes), dtype=np.int64)
         return np.zeros(self.total_size, dtype=np.int64)
 
     def trial_counts(self, counts: np.ndarray, trial: int) -> np.ndarray:
@@ -295,14 +368,18 @@ class TrialLutGather:
         counts: np.ndarray,
         out_levels: np.ndarray,
         tile: int = GATHER_TILE,
+        segment: int = 0,
     ) -> None:
         """Gather all trials' table entries and accumulate the histogram.
 
         ``values`` holds exact integer codes (bit-line values, or pair codes
         in the pair layout) with the trial axis leading (``(trials, …)``);
         ``out_levels`` has the same shape (dtype of the combined table) and
-        ``counts`` is ``(total_size,)``.  Raises ``ValueError`` when a code
-        exceeds its trial's table.
+        ``counts`` is :meth:`new_counts`.  Raises ``ValueError`` when a code
+        exceeds its trial's table.  On the column layout ``values`` is
+        ``(1 or trials, blocks, rows, columns)``: the ideal bit-line values
+        of word-line segment ``segment``, where a leading axis of 1 means
+        every trial shares them.
 
         The array primitives route through the active :mod:`repro.backend`
         array-ops shim; under the default numpy backend they are plain
@@ -311,6 +388,9 @@ class TrialLutGather:
         from repro.backend import active_ops  # lazy: keep adc import-light
 
         ops = active_ops()
+        if self.column_shape is not None:
+            self._gather_columns(ops, values, counts, out_levels, segment, tile)
+            return
         trials = values.shape[0]
         flat_per_trial = values.reshape(trials, -1)
         if trials == 1:
@@ -337,11 +417,57 @@ class TrialLutGather:
             counts += tile_counts
             ops.take(self.levels, tile_codes, out=flat_levels[start:stop])
 
+    def _gather_columns(self, ops, values, counts, out_levels, segment, tile) -> None:
+        """The column layout's gather over ``(1 or trials, blocks, rows, C)``.
+
+        Each row tile becomes ``int64`` codes ``t·C·B + c·B + v`` for every
+        trial in one exact add-and-cast pass, then one ``bincount`` and one
+        ``take`` from the segment's tables.  When the trials share their
+        input (a leading axis of 1) only trial 0's codes are histogrammed,
+        once for all.  The segment's ``c·B + v`` histograms are folded
+        through each trial's ``g`` into ``counts`` by one weighted
+        ``bincount`` (float64 sums of integer counts, exact far beyond any
+        chunk's size).
+        """
+        trials = len(self.luts)
+        _, cols, base = self.column_shape
+        bins = cols * base
+        if values.shape[0] == 1 and values.flags.c_contiguous and out_levels.flags.c_contiguous:
+            # Shared contiguous blocks tile as one run of rows, so each
+            # tile's output is contiguous too.
+            values = values.reshape(1, 1, -1, cols)
+            out_levels = out_levels.reshape(trials, 1, -1, cols)
+        sources, blocks, rows = values.shape[:3]
+        table = self.levels[segment * trials * bins : (segment + 1) * trials * bins]
+        tile_rows = max(1, tile // max(1, trials * blocks * cols))
+        codes_buf = np.empty(trials * blocks * min(tile_rows, rows) * cols, dtype=np.int64)
+        histogram = np.zeros(sources * bins, dtype=np.int64)
+        for start in range(0, rows, tile_rows):
+            stop = min(start + tile_rows, rows)
+            codes = codes_buf[: trials * blocks * (stop - start) * cols].reshape(
+                trials, blocks, stop - start, cols
+            )
+            np.add(values[:, :, start:stop], self._column_offsets, out=codes, casting="unsafe")
+            tile_counts = ops.bincount(codes[:sources].reshape(-1), minlength=histogram.size)
+            if tile_counts.size > histogram.size:
+                top = int(codes[:sources].max()) - (histogram.size - base)
+                raise ValueError(_bound_message("bit-line value", top, base - 1))
+            histogram += tile_counts
+            ops.take(table, codes, out=out_levels[:, :, start:stop])
+        index = self._column_maps[segment]
+        if trials > 1:
+            index = index + self._value_offsets[:, None]
+            histogram = np.tile(histogram, trials // sources)
+        folded = np.bincount(index.reshape(-1), weights=histogram, minlength=counts.size)
+        counts += folded.astype(np.int64)
+
     def _raise_bound(self, code: int, trial: int) -> None:
         what = "bit-line value" if self.pair_base is None else "bit-line pair code"
-        raise ValueError(
-            f"{what} {code} exceeds the LUT bound {int(self._max_values[trial])}"
-        )
+        raise ValueError(_bound_message(what, code, int(self._max_values[trial])))
+
+
+def _bound_message(what: str, code: int, bound: int) -> str:
+    return f"{what} {code} exceeds the LUT bound {bound}"
 
 
 def _offsets(sizes) -> np.ndarray:

@@ -58,6 +58,13 @@ class TwinRangeAdc(LutConversionMixin):
         """The integer-level step: quantized value = ``delta_r1 · level``."""
         return self.params.delta_r1
 
+    @property
+    def max_level(self) -> int:
+        """Largest output level of any input: the top R1 level
+        ``bias·2^NR1 + 2^NR1 − 1`` or the top R2 level ``(2^NR2 − 1)·2^M``."""
+        p = self.params
+        return max(((p.bias + 1) << p.n_r1) - 1, ((1 << p.n_r2) - 1) << p.m)
+
     def convert_levels(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
         """Convert to integer output levels; returns ``(levels, ops)``.
 

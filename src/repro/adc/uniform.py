@@ -76,6 +76,11 @@ class UniformAdc(LutConversionMixin):
         """The integer-level step: quantized value = ``delta · level``."""
         return self.delta
 
+    @property
+    def max_level(self) -> int:
+        """Largest output level of any input (the top code)."""
+        return self.max_code
+
     def convert_levels(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
         """Convert to integer output levels (codes); returns ``(levels, ops)``.
 

@@ -47,6 +47,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.utils.rng import new_rng
+
 #: Relative tolerance of the non-numpy backend contract (see module docstring).
 BACKEND_RTOL = 1e-6
 
@@ -85,16 +87,37 @@ class ArrayOps:
         raise NotImplementedError
 
     def keyed_normal(
-        self, seed: int, sigma: float, shape: Tuple[int, ...]
+        self,
+        seed: int,
+        sigma: float,
+        shape: Tuple[int, ...],
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """A keyed Gaussian draw — **numpy-canonical for every backend**.
 
         ``seed`` comes from :func:`repro.utils.rng.derive_seed`; the draw is
         ``new_rng(seed).normal(0, sigma, shape)`` bit for bit, regardless of
         backend, because the sampled values are part of the store's hash
-        contract (see the module docstring).
+        contract (see the module docstring).  ``out`` (C-contiguous float64
+        of ``shape``) receives the draw instead of a fresh array:
+        :func:`keyed_normal_into` fills it with the same values, signs of
+        zeros included.
         """
         raise NotImplementedError
+
+
+def keyed_normal_into(seed: int, sigma: float, out: np.ndarray) -> np.ndarray:
+    """``new_rng(seed).normal(0, sigma, out.shape)`` drawn into ``out``.
+
+    numpy computes each normal deviate as ``0.0 + sigma · z`` from the same
+    standard-normal stream ``standard_normal(out=...)`` fills, so scaling in
+    place and adding ``0.0`` (which turns ``−0.0`` into ``+0.0``) reproduces
+    it bit for bit without allocating.
+    """
+    new_rng(seed).standard_normal(out=out)
+    out *= sigma
+    out += 0.0
+    return out
 
 
 # --------------------------------------------------------------------- #
@@ -172,6 +195,7 @@ __all__ = [
     "active_backend_name",
     "active_ops",
     "available_backends",
+    "keyed_normal_into",
     "register_backend",
     "set_backend",
 ]

@@ -13,7 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import ArrayOps
+from repro.backend import ArrayOps, keyed_normal_into
 from repro.utils.numeric import round_half_up
 from repro.utils.rng import new_rng
 
@@ -42,6 +42,12 @@ class NumpyOps(ArrayOps):
         return np.maximum(values, low)
 
     def keyed_normal(
-        self, seed: int, sigma: float, shape: Tuple[int, ...]
+        self,
+        seed: int,
+        sigma: float,
+        shape: Tuple[int, ...],
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
+        if out is not None:
+            return keyed_normal_into(seed, sigma, out)
         return new_rng(seed).normal(0.0, sigma, size=shape)

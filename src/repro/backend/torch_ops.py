@@ -27,7 +27,7 @@ except ImportError as error:  # pragma: no cover
         "install torch or select REPRO_BACKEND=numpy"
     ) from error
 
-from repro.backend import ArrayOps
+from repro.backend import ArrayOps, keyed_normal_into
 from repro.utils.numeric import round_half_up
 from repro.utils.rng import new_rng
 
@@ -76,7 +76,13 @@ class TorchOps(ArrayOps):
         return torch.clamp(_tensor(np.asarray(values)), min=low).numpy()
 
     def keyed_normal(
-        self, seed: int, sigma: float, shape: Tuple[int, ...]
+        self,
+        seed: int,
+        sigma: float,
+        shape: Tuple[int, ...],
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         # Numpy-canonical by contract: sampled noise is hash-relevant.
+        if out is not None:
+            return keyed_normal_into(seed, sigma, out)
         return new_rng(seed).normal(0.0, sigma, size=shape)

@@ -27,8 +27,20 @@ layout is chosen when a LUT conversion sees its bit-line values unperturbed
 (no noise, or a pure value map folded into the LUTs), nobody observes them
 and ``B²`` fits a measured cache-sized bound
 (``MappedMVMLayer._PAIR_MAX_BINS``); the default 128-row, 1-bit topology
-has ``B ≤ 129`` and always qualifies.  Observed runs, per-block noise,
-ideal conversion and the element-wise fallback keep the plane matrix.
+has ``B ≤ 129`` and always qualifies.  Observed runs, device noise other
+than a pure value map, ideal conversion and the element-wise fallback keep
+the plane matrix.
+
+Static device noise (every model integer-domain and cycle-invariant:
+quantized variation, stuck-at faults, drift) maps each (segment, column)
+through a fixed integer map ``g(c, v)`` of the ideal bit-line value.  Its
+**column tables** ``L[g(c, v)]``, one ``columns × B`` table per (trial,
+segment) indexed ``c·B + v``, are tabulated once per run by passing a probe
+block (row ``v`` holds ``v`` in every column) through the noise models;
+one gather of the plane matrix's ideal values then applies the noise and
+converts.  They are used while ``trials × columns × B`` fits a measured
+bound (``MappedMVMLayer._COLUMN_MAX_BINS``); larger layers perturb every
+element instead.
 
 Simulation engines
 ------------------
@@ -66,7 +78,7 @@ same exact integers, scale them once per output, and produce bit-identical
 results with identical operation counts (asserted by the test suite and by
 ``benchmarks/bench_engine_fastpath.py``).  Converters without a level grid
 (e.g. the non-uniform baseline) take an element-wise fallback inside the
-fused kernel that replays the reference merge semantics.
+fused kernel that replays the reference merge semantics and order.
 
 Device non-idealities (the optional ``noise`` argument, a
 :class:`repro.nonideal.stack.LayerNoiseState`) perturb the raw bit-line
@@ -76,10 +88,16 @@ input cycle) rather than a shared RNG stream, both engines reconstruct the
 same noise sample for sample and remain bit-identical under noise.
 Integer-domain perturbations (stuck-at faults, quantized variation,
 retention drift) keep the fused LUT conversion path — pure per-value maps
-are even folded into the transfer LUT itself
-(:func:`repro.adc.lut.compose_transfer_lut`) — while continuous
-perturbations (read noise, analog variation, IR drop) route the fused
-kernel through the element-wise fallback.
+are folded into the transfer LUT itself
+(:func:`repro.adc.lut.compose_transfer_lut`), per-column maps into the
+column tables above.  Continuous perturbations (read noise, analog
+variation, IR drop) stay in the fused kernel too when the converters have
+an integer level grid: each (trial, cycle) block is drawn into a reused
+buffer with the reference loop's keys and shape, clamped, converted by the
+ADC's own ``convert_levels`` and merged as exact integer levels.  Only
+converters without a level grid and ideal conversion under such noise take
+the element-wise fallback, which replays the reference loop's float merge
+order.
 
 Observable differences are limited to the optional ``partial_observer``
 (one trial only): the reference engine emits blocks cycle-major, the fast
@@ -133,6 +151,12 @@ class CrossbarTopology:
 
 
 DEFAULT_TOPOLOGY = CrossbarTopology()
+
+
+def _static_noise(noise: Optional[TrialNoiseStates]) -> bool:
+    """No noise, or static noise: every model ``integer_domain`` and
+    ``cycle_invariant``, a fixed integer map per (segment, column)."""
+    return noise is None or (noise.integer_domain and noise.cycle_invariant)
 
 
 @dataclasses.dataclass
@@ -581,6 +605,44 @@ class MappedMVMLayer:
             )
         return matrix
 
+    #: Largest per-segment column table (``trials × columns × B`` entries,
+    #: ``B = max_bitline_value + 1``) the column layout may use: 2 MiB of
+    #: int64 counts when the segment's ``c·B + v`` histograms are folded,
+    #: one core's L2 cache, like :attr:`_PAIR_MAX_BINS`.  Every gather tile
+    #: allocates, clears and adds a ``columns × B`` histogram, and each
+    #: segment folds ``trials × columns × B`` bins.  Measured with one BLAS
+    #: thread on a 2-vCPU Xeon (2 MiB L2 per core, numpy 2.4), quantized
+    #: variation σ=0.08 plus stuck-at-ON 1e-3 on 128-row segments (``B =
+    #: 129``), whole-kernel time of the column over the per-element path
+    #: at 64–512 rows: one trial 0.36–0.79× with the tables built
+    #: (0.48–1.01× building them in the call) up to ``2^18`` bins, 0.82× at
+    #: ``2^18.5`` and 1.5× at ``2^18.8``; eight trials sharing their input
+    #: 0.19–0.26× at ``2^17.8``–``2^19.8``.  At 8 rows one call does not
+    #: repay the tables (1.25–1.55× built, 1.6–2.7× building them at one
+    #: trial); they are built once per run and pay off once it converts
+    #: more than ~1.3·B values per column.  The perfbench DNNs need at most
+    #: 20 160 bins per trial.
+    _COLUMN_MAX_BINS = 1 << 18
+
+    def _column_probes(self, noise: TrialNoiseStates):
+        """Each segment's perturbed probe block, ``(trials, B, columns)``.
+
+        Row ``v`` of the probe holds the ideal value ``v`` in every column,
+        so entry ``[t, v, c]`` is trial ``t``'s perturbed value ``g(c, v)``.
+        Exact for ``cycle_invariant`` stacks: they perturb element-wise per
+        (row, column), whatever the row count, cycle or chunk.  A generator,
+        so one segment's float64 probe is alive at a time.
+        """
+        base = self._max_bitline + 1
+        cols = 2 * self.num_weight_planes * self.out_features
+        probe = np.broadcast_to(
+            np.arange(base, dtype=np.float64)[:, None], (noise.trials, base, cols)
+        )
+        return (
+            noise.perturb_trials(probe, segment_index, 0)
+            for segment_index in range(self.num_segments)
+        )
+
     def _conversion_setup(
         self,
         adcs: Optional[List[object]],
@@ -590,18 +652,20 @@ class MappedMVMLayer:
         """Per-trial conversion setup: ``(luts, value_mapped, gather)``.
 
         ``luts`` is ``None`` when a converter has no integer level grid or
-        the noise leaves the integer domain.  ``gather`` is the
-        :class:`~repro.adc.lut.TrialLutGather` of the chosen layout: its
-        ``pair_base`` is set when the run takes the pair layout
-        (:meth:`_use_pair_layout`).  The setup — value maps,
-        per-trial transfer LUTs, the combined gather or difference tables —
-        is a pure function of the per-trial noise states and ADC instances,
-        both stable across the chunks of one run, and of whether the run is
-        observed.  It is cached on exactly those (never on a
-        :class:`TrialNoiseStates` wrapper, which a solo :meth:`matmul`
-        builds afresh per call), making it a per-run cost instead of a
-        per-chunk one; in the overhead-bound small-row regime this setup
-        would otherwise rival the kernel work itself.
+        the noise is not static integer-domain noise (every model
+        ``integer_domain`` and ``cycle_invariant``).  ``gather`` is the
+        :class:`~repro.adc.lut.TrialLutGather` of the chosen layout: pair
+        (:meth:`_use_pair_layout`), column (a static stack that is not a
+        pure value map, within :attr:`_COLUMN_MAX_BINS`) or separate.
+        The setup — value maps, per-trial transfer LUTs, the combined
+        gather, difference or column tables — is a pure function of the
+        per-trial noise states and ADC instances, both stable across the
+        chunks of one run, and of whether the run is observed.  It is
+        cached on exactly those (never on a :class:`TrialNoiseStates`
+        wrapper, which a solo :meth:`matmul` builds afresh per call),
+        making it a per-run cost instead of a per-chunk one; in the
+        overhead-bound small-row regime this setup would otherwise rival
+        the kernel work itself.
         """
         if adcs is None:
             return None, False, None
@@ -614,7 +678,7 @@ class MappedMVMLayer:
         luts = None
         value_mapped = False
         lut_capable = all(getattr(adc, "transfer_lut", None) is not None for adc in adcs)
-        if lut_capable and (noise is None or noise.integer_domain):
+        if lut_capable and _static_noise(noise):
             vmaps = None if noise is None else noise.pure_value_maps()
             if vmaps is not None:
                 luts = [
@@ -632,8 +696,12 @@ class MappedMVMLayer:
         gather = None
         if luts is not None:
             perturbed = noise is not None and not value_mapped
-            pair = self._use_pair_layout(luts, perturbed, observed)
-            gather = TrialLutGather(luts, pair_base=self._max_bitline + 1 if pair else None)
+            bins = len(luts) * self._plane_matrix.shape[1] * (self._max_bitline + 1)
+            if perturbed and bins <= self._COLUMN_MAX_BINS:
+                gather = TrialLutGather(luts, column_values=self._column_probes(noise))
+            else:
+                pair = self._use_pair_layout(luts, perturbed, observed)
+                gather = TrialLutGather(luts, pair_base=self._max_bitline + 1 if pair else None)
         setup = (luts, value_mapped, gather)
         if len(cache) >= 64:
             cache.clear()
@@ -641,6 +709,88 @@ class MappedMVMLayer:
         # ids cannot be recycled while the entry lives.
         cache[key] = ((states, tuple(adcs)), setup)
         return setup
+
+    def _kernel_path(
+        self,
+        adcs: Optional[List[object]],
+        noise: Optional[TrialNoiseStates],
+        observed: bool = False,
+    ) -> str:
+        """The datapath :meth:`_matmul_fast_trials` takes for a conversion.
+
+        * ``"pair"`` / ``"separate"`` — unperturbed bit lines (no noise, or
+          a pure value map folded into the LUTs) through the pair or the
+          plane matrix; ideal conversion without noise is ``"separate"``;
+        * ``"column"`` — a static stack folded into per-column tables;
+        * ``"perturbed"`` — a static stack applied per element, when the
+          column tables exceed :attr:`_COLUMN_MAX_BINS` or the conversion
+          is ideal;
+        * ``"continuous"`` — any other noise ahead of converters with an
+          integer level grid (``convert_levels``, ``level_scale`` and
+          ``max_level``), drawn, clamped and converted in the kernel;
+        * ``"fallback"`` — converters without a level grid, and ideal
+          conversion under non-static noise
+          (:meth:`_matmul_fast_trials_fallback`).
+        """
+        luts, value_mapped, gather = self._conversion_setup(adcs, noise, observed)
+        if gather is not None:
+            if gather.column_shape is not None:
+                return "column"
+            if gather.pair_base is not None:
+                return "pair"
+            return "separate" if noise is None or value_mapped else "perturbed"
+        if adcs is None:
+            if noise is None:
+                return "separate"
+            return "perturbed" if _static_noise(noise) else "fallback"
+        level_grid = all(hasattr(adc, "convert_levels") for adc in adcs)
+        return "continuous" if level_grid else "fallback"
+
+    #: Elements per ``convert_levels`` tile of the continuous path; sized so
+    #: the converter's float64 temporaries stay in one core's L2 cache.
+    _CONVERT_TILE = 1 << 14
+
+    def _continuous_differences(
+        self,
+        raw: np.ndarray,
+        adcs: List[object],
+        noise: Optional[TrialNoiseStates],
+        segment_index: int,
+        diff: np.ndarray,
+        total_ops: List[int],
+    ) -> None:
+        """Draw, clamp and convert one segment's blocks in the kernel.
+
+        ``raw`` is the segment's ``(cycles, eff, batch, columns)`` bit-line
+        block.  Each (cycle, trial) block runs its trial's whole stack
+        through one reused float64 buffer
+        (:meth:`~repro.nonideal.stack.LayerNoiseState.perturb_block` with
+        ``out``): the keys and the ``(batch, columns)`` shape of every
+        draw are the reference loop's, so the noisy values are its values
+        bit for bit.  The converter's own ``convert_levels`` then runs on
+        cache-sized row tiles, and ``L⁺ − L⁻`` goes into ``diff``
+        (``(trials, cycles, batch, width)``, exact integers) for the
+        integer merge.  The per-tile statistics sum to the reference's.
+        """
+        num_cycles, eff, batch, cols = raw.shape
+        width = cols // 2
+        noisy = self._fast_buffer("noisy", (batch, cols), np.float64)
+        tile_rows = max(1, self._CONVERT_TILE // max(1, cols))
+        for cycle_index in range(num_cycles):
+            for t, adc in enumerate(adcs):
+                block = raw[cycle_index, 0 if eff == 1 else t]
+                if noise is None:
+                    np.copyto(noisy, block)
+                else:
+                    noise.states[t].perturb_block(block, segment_index, cycle_index, out=noisy)
+                for start in range(0, batch, tile_rows):
+                    stop = min(start + tile_rows, batch)
+                    levels, ops = adc.convert_levels(noisy[start:stop])
+                    total_ops[t] += int(ops)
+                    np.subtract(
+                        levels[:, :width], levels[:, width:],
+                        out=diff[t, cycle_index, start:stop], casting="unsafe",
+                    )
 
     def _matmul_fast_trials(
         self,
@@ -653,14 +803,8 @@ class MappedMVMLayer:
 
         All input cycles are stacked into a single ``(cycles · rows,
         in_features)`` operand, so the matmul count drops from ``cycles ×
-        segments`` to ``segments``.  ADCs with an integer level grid (see
-        :mod:`repro.adc.lut`) are applied as a tiled integer gather; exact
-        operation and region totals come from ``np.bincount`` on the same
-        codes.  Converters without a level grid (e.g. the non-uniform
-        baseline) and continuous noise take
-        :meth:`_matmul_fast_trials_fallback`.
-
-        Two layouts carry a column pair through conversion:
+        segments`` to ``segments``.  :meth:`_kernel_path` picks how the
+        bit lines are converted:
 
         * **pair** — when :meth:`_use_pair_layout` holds (every noise-free
           or value-mapped, unobserved LUT run with ``B²`` in bound, which
@@ -671,16 +815,31 @@ class MappedMVMLayer:
           trial's difference table ``L[i] − L[j]`` replace the two
           conversions of a column pair, and the folded joint histogram
           gives exactly the per-value statistics.
-        * **separate** — everything else (the observer needs ``v⁺`` and
-          ``v⁻`` apart, per-block noise perturbs them apart, ideal
-          conversion has no table) multiplies by the plane matrix, converts
-          each column on its own and takes one ``L⁺ − L⁻`` subtraction.
+        * **separate** — the plane matrix, one LUT gather per column (or
+          ideal conversion) and one ``L⁺ − L⁻`` subtraction, for observed
+          runs and whatever the pair layout does not cover.
+        * **column** — static integer-domain noise (quantized variation,
+          stuck-at faults) folded into per-(trial, segment) column tables
+          ``L[g(c, v)]``: one gather of the ideal ``c·B + v`` applies the
+          noise and converts, and its histogram folds back through ``g``
+          into the exact per-value statistics.
+        * **perturbed** — the same static noise applied per element by
+          :meth:`~repro.nonideal.stack.TrialNoiseStates.perturb_trials`
+          (one batched pass covers a row block's whole cycle axis), then
+          the separate layout; for tables over :attr:`_COLUMN_MAX_BINS`
+          and for ideal conversion.
+        * **continuous** — read noise, analog variation, IR drop and mixed
+          stacks ahead of TRQ or uniform converters: each (trial, cycle)
+          block is drawn, clamped and converted in the kernel
+          (:meth:`_continuous_differences`).
 
-        Both layouts then merge the signed level differences by exact
-        integer Horner arithmetic (:meth:`_merge_differences`): every
-        factor is a power of two and the accumulators are sized from the
-        layer's exact bounds, so the result is bit-identical to the
-        reference loop regardless of order.
+        Every path merges the signed level differences by exact integer
+        Horner arithmetic (:meth:`_merge_differences`): every factor is a
+        power of two and the accumulators are sized from the layer's exact
+        bounds (the continuous path's from the converters' ``max_level``),
+        so the result is bit-identical to the reference loop regardless of
+        order.  Converters without a level grid and ideal conversion under
+        non-static noise take :meth:`_matmul_fast_trials_fallback`.
 
         The leading trial axis rides through the same integer-exact
         datapath, which is why every trial is bit-identical to a solo run:
@@ -689,13 +848,11 @@ class MappedMVMLayer:
           results do not depend on operand blocking (a ``(trials · batch)``
           row block equals the per-trial rows); when every trial receives
           the same input rows (always for one trial, and for the first MVM
-          layer) the matmul runs once and is broadcast;
-        * integer-domain noise is applied through
-          :meth:`~repro.nonideal.stack.TrialNoiseStates.perturb_trials`,
-          whose per-trial slices equal the solo keyed draws exactly, with
-          each LUT sized to its trial's perturbed bound — pure per-value
-          maps are folded into the transfer LUTs instead (zero per-element
-          cost);
+          layer) the matmul runs once and is broadcast — the column
+          layout then takes one histogram for all trials;
+        * noise is keyed per trial: column tables and per-element passes
+          slice per trial exactly, and continuous draws are each trial's
+          own solo draws;
         * the trials' (differently sized) tables gather through one
           combined :class:`~repro.adc.lut.TrialLutGather` table and merge
           with the same order-free exact integer arithmetic.
@@ -716,17 +873,13 @@ class MappedMVMLayer:
             shared_input = trials == 2 or bool(
                 (input_codes[2:] == input_codes[:1]).all()
             )
-        luts, value_mapped, gather = self._conversion_setup(
-            adcs, noise, partial_observer is not None
-        )
-        integer_noise = noise is None or noise.integer_domain
-        if luts is None and (adcs is not None or not integer_noise):
-            # Ideal conversion under continuous noise merges floats, where
-            # summation order matters; like non-LUT converters it replays
-            # the reference order.
+        observed = partial_observer is not None
+        path = self._kernel_path(adcs, noise, observed)
+        if path == "fallback":
             return self._matmul_fast_trials_fallback(
                 input_codes, adcs, noise, shared_input, partial_observer
             )
+        luts, _, gather = self._conversion_setup(adcs, noise, observed)
 
         ops_shim = active_ops()
         eff = 1 if shared_input else trials
@@ -735,16 +888,15 @@ class MappedMVMLayer:
             if shared_input
             else input_codes.reshape(trials * batch, self.in_features)
         )
-        pair = gather is not None and gather.pair_base is not None
+        pair = path == "pair"
+        continuous = path == "continuous"
+        perturbed = path == "perturbed"
         matrix = self._pair_matrix() if pair else self._plane_matrix
         cols = matrix.shape[1]
         width = self.num_weight_planes * self.out_features
-        perturb_blocks = noise is not None and not value_mapped
-        invariant_perturb = perturb_blocks and noise.cycle_invariant
-        # One unperturbed trial converts and merges its contiguous segment
-        # buffer in one pass each.
-        whole_segment = trials == 1 and not perturb_blocks
-        if luts is not None:
+        if continuous:
+            level_bound = max(int(adc.max_level) for adc in adcs)
+        elif luts is not None:
             level_bound = gather.level_bound
         else:
             level_bound = self._max_bitline if noise is None else max(noise.lut_bounds)
@@ -752,29 +904,27 @@ class MappedMVMLayer:
         # Cache blocking: the per-trial loop incidentally works on small,
         # cache-resident blocks; a naive trial batch would drag every
         # element-wise pass to DRAM-sized arrays and *lose* to the loop.
-        # Tile the batch (MVM-row) axis so one ``(trials, cycles, rows,
-        # cols)`` block of the perturb → gather → merge chain stays near
-        # ``_FAST_TILE`` elements.  Blocking the row axis is bit-safe only
-        # for cycle-invariant (row-count-agnostic) noise; per-read draws
-        # are shaped by the full chunk, so that path materializes the
-        # whole chunk first and the blocking only covers gather + merge.
-        if whole_segment:
-            row_blk = batch
-        else:
+        # The per-element path tiles the batch (MVM-row) axis so one
+        # ``(trials, cycles, rows, cols)`` block of the perturb → gather →
+        # merge chain stays near ``_FAST_TILE`` elements.  The other paths
+        # convert and merge a segment's contiguous buffers in one pass each,
+        # tiling inside the gather or conversion instead: one unperturbed
+        # trial, the column layout (one histogram fold per segment) and the
+        # continuous path (its per-read draws are shaped by the whole chunk).
+        if perturbed or (path in ("pair", "separate") and trials > 1):
             row_blk = max(1, self._FAST_TILE // max(1, trials * num_cycles * cols))
+        else:
+            row_blk = max(1, batch)
         outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
         partials_buf = self._fast_buffer(
             "partials", (num_cycles * eff * batch, cols), np.float32
         )
-        if perturb_blocks and not invariant_perturb:
-            noisy_buf = self._fast_buffer(
-                "noisy", (trials * num_cycles * batch, cols), np.float64
-            )
         if luts is not None:
             counts = gather.new_counts()
             levels_buf = self._fast_buffer(
                 "levels", (trials * num_cycles * min(row_blk, batch), cols), gather.levels.dtype
             )
+        total_ops = [0] * trials
         # Several segments first sum their differences (exact integers),
         # so the shift-and-add merge runs once per row block, not once per
         # segment and row block.
@@ -787,68 +937,49 @@ class MappedMVMLayer:
         for segment_index, segment in enumerate(self._segments):
             ops_shim.matmul(stacked[:, segment], matrix[segment], out=partials_buf)
             raw = partials_buf.reshape(num_cycles, eff, batch, cols)
-            if partial_observer is not None:
+            if observed:
                 for cycle_index in range(num_cycles):
                     partial_observer(raw[cycle_index, 0])
-            converted = None
-            if whole_segment:
-                converted = partials_buf.reshape(1, num_cycles, batch, cols)
-                if luts is not None:
-                    levels = levels_buf.reshape(1, num_cycles, batch, cols)
-                    gather.gather(converted, counts, levels)
-                    converted = levels
-            elif perturb_blocks and not invariant_perturb:
-                # Per-read draws are shaped by the whole chunk: one batched
-                # keyed-noise pass per (cycle, segment) block, materialized
-                # before the blocked gather/merge below.  The per-trial
-                # slices equal the solo perturb_block calls.
-                converted = noisy_buf.reshape(trials, num_cycles, batch, cols)
-                for cycle_index in range(num_cycles):
-                    values = raw[cycle_index]
-                    if eff == 1:
-                        values = np.broadcast_to(values[0], (trials, batch, cols))
-                    np.copyto(
-                        converted[:, cycle_index],
-                        noise.perturb_trials(values, segment_index, cycle_index),
-                    )
             for start in range(0, batch, row_blk):
                 stop = min(start + row_blk, batch)
                 rows = stop - start
-                if converted is not None:
-                    source = converted[:, :, start:stop]
-                elif invariant_perturb:
+                # The segment's ideal values with the trial axis leading
+                # (one shared entry when every trial has the same input).
+                source = raw[:, :, start:stop].transpose(1, 0, 2, 3)
+                if continuous:
+                    diff = self._fast_buffer(
+                        "diff", (trials, num_cycles, rows, width), diff_dtype
+                    )
+                    self._continuous_differences(
+                        raw, adcs, noise, segment_index, diff, total_ops
+                    )
+                    source = diff
+                elif perturbed:
                     # Static stacks perturb every input cycle identically,
                     # so one batched pass covers the block's whole cycle
                     # axis — the models are row-count-agnostic, making each
                     # row's result equal the per-cycle chain bit for bit.
-                    block = raw[:, :, start:stop]
                     if eff == 1:
                         values = np.broadcast_to(
-                            block.reshape(num_cycles * rows, cols),
+                            source.reshape(num_cycles * rows, cols),
                             (trials, num_cycles * rows, cols),
                         )
                     else:
-                        values = block.transpose(1, 0, 2, 3).reshape(
-                            trials, num_cycles * rows, cols
-                        )
+                        values = source.reshape(trials, num_cycles * rows, cols)
                     source = noise.perturb_trials(
                         values, segment_index, 0
                     ).reshape(trials, num_cycles, rows, cols)
-                elif eff == 1:
-                    source = np.broadcast_to(
-                        raw[:, 0, start:stop], (trials, num_cycles, rows, cols)
-                    )
-                else:
-                    source = raw[:, :, start:stop].transpose(1, 0, 2, 3)
-                if luts is not None and not whole_segment:
+                elif eff == 1 and path != "column":
+                    source = np.broadcast_to(source, (trials, num_cycles, rows, cols))
+                if luts is not None:
                     levels = levels_buf[: trials * num_cycles * rows].reshape(
                         trials, num_cycles, rows, cols
                     )
-                    gather.gather(source, counts, levels)
+                    gather.gather(source, counts, levels, segment=segment_index)
                     source = levels
-                if not pair:
-                    # Separate layout: one L⁺ − L⁻ subtraction per column
-                    # pair (exact: both operands are integers in bound).
+                if not pair and not continuous:
+                    # One L⁺ − L⁻ subtraction per column pair (exact: both
+                    # operands are integers in bound).
                     halves = source.reshape(trials, num_cycles, rows, 2, width)
                     diff = self._fast_buffer(
                         "diff", (trials, num_cycles, rows, width), diff_dtype
@@ -873,14 +1004,18 @@ class MappedMVMLayer:
                     diff_sum[:, :, start:stop], outputs[:, start:stop], cycle_dtype, plane_dtype
                 )
 
-        if luts is None:
+        if continuous:
+            scales = [float(adc.level_scale) for adc in adcs]
+        elif luts is not None:
+            total_ops = gather.record_trials(counts, adcs)
+            scales = [lut.scale for lut in luts]
+        else:
             # Ideal conversion charges the full-resolution baseline.
             conversions = self.num_segments * num_cycles * batch * 2 * width
             return outputs, [conversions * self.topology.ideal_adc_resolution] * trials
-        total_ops = gather.record_trials(counts, adcs)
-        for t, lut in enumerate(luts):
-            if lut.scale != 1.0:
-                outputs[t] *= lut.scale
+        for t, scale in enumerate(scales):
+            if scale != 1.0:
+                outputs[t] *= scale
         return outputs, total_ops
 
     def _merge_dtypes(self, level_bound: int) -> tuple:
@@ -970,7 +1105,8 @@ class MappedMVMLayer:
         shared_input: bool,
         partial_observer: Optional[Callable[[np.ndarray], None]] = None,
     ) -> Tuple[np.ndarray, List[int]]:
-        """Fused-GEMM path for element-wise (non-LUT) conversion.
+        """Fused-GEMM path for converters without a level grid (e.g. the
+        non-uniform baseline) and for ideal conversion under non-static noise.
 
         One matmul per segment is kept, shared across trials whenever the
         inputs are; conversion runs per (trial, cycle, segment) block — the
@@ -978,12 +1114,9 @@ class MappedMVMLayer:
         every trial matches the loop bit for bit whenever the converter is
         deterministic.  Keyed noise runs as one ``(trials, rows, cols)``
         batched pass per block (per segment for cycle-invariant stacks).
-        Converters with an integer level grid merge integer levels (scale
-        applied once per output), which is order-free exact arithmetic and
-        is accumulated directly.  Converters without one (and ideal
-        conversion of continuous-noise floats) merge floats, where order
-        matters: their ``cycles × segments`` contributions are replayed in
-        the reference (cycle-major) order, trading memory for bit-parity at
+        These conversions merge floats, where summation order matters, so
+        the ``cycles × segments`` contributions are replayed in the
+        reference (cycle-major) order, trading memory for bit-parity at
         large ``chunk_size`` — shrink the chunk if that matters.
         """
         trials, batch = input_codes.shape[0], input_codes.shape[1]
@@ -997,14 +1130,6 @@ class MappedMVMLayer:
             else input_codes.reshape(trials * batch, self.in_features)
         )
         baseline_ops = self.topology.ideal_adc_resolution
-        if adcs is None:
-            converters = [None] * trials
-        else:
-            converters = [getattr(adc, "convert_levels", None) for adc in adcs]
-        scale = (
-            float(adcs[0].level_scale) if converters[0] is not None else 1.0
-        )
-        preserve_order = converters[0] is None
         outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
         total_ops = [0] * trials
         contributions: List[List[List[np.ndarray]]] = [
@@ -1047,23 +1172,16 @@ class MappedMVMLayer:
                     if adcs is None:
                         quantized = block
                         total_ops[t] += block.size * baseline_ops
-                    elif converters[t] is not None:
-                        quantized, ops = converters[t](block)
-                        total_ops[t] += int(ops)
                     else:
                         quantized, ops = adcs[t].convert(block)
                         total_ops[t] += int(ops)
-                    contribution = cycle_factor * self.merge_partials(quantized)
-                    if preserve_order:
-                        contributions[t][cycle_index].append(contribution)
-                    else:
-                        outputs[t] += contribution
+                    contributions[t][cycle_index].append(
+                        cycle_factor * self.merge_partials(quantized)
+                    )
         for t in range(trials):
             for per_cycle in contributions[t]:
                 for contribution in per_cycle:
                     outputs[t] += contribution
-        if scale != 1.0:
-            outputs *= scale
         return outputs, total_ops
 
     def _fast_buffer(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:

@@ -75,6 +75,20 @@ def _check_at_least(value, name: str, low: int, high: Optional[int] = None) -> N
     check_in_range(check_integer(value, name), name, low=low, high=high)
 
 
+def _check_noise_models(models) -> None:
+    """Build every noise model once, so a spec the registry cannot build
+    (unknown model, misspelt or out-of-range parameter) fails here, naming
+    ``noise.models[j]``, instead of after training in a worker."""
+    from repro.nonideal import build_model
+
+    for index, model in enumerate(models):
+        try:
+            build_model(model)
+        except (KeyError, TypeError, ValueError) as error:
+            reason = error.args[0] if error.args else type(error).__name__
+            raise ValueError(f"noise.models[{index}]: {reason}") from error
+
+
 def _check_calibration_images(value: int, name: str, workload: "WorkloadSpec") -> None:
     """A capture or calibration cannot use more calibration images than the
     workload prepares (slicing would silently use fewer)."""
@@ -517,6 +531,12 @@ class JobSpec:
                 raise ValueError("monte_carlo jobs need a non-empty noise scenario")
             if self.trials < 1:
                 raise ValueError("monte_carlo jobs need trials >= 1")
+            _check_at_least(self.images, "images", 1)
+            _check_at_least(self.batch_size, "batch_size", 1)
+            check_in_range(
+                float(self.confidence), "confidence", low=0.0, high=1.0, inclusive=False
+            )
+            _check_noise_models(self.noise.models)
         if self.kind == "calibration" and self.calibration is None:
             raise ValueError("calibration jobs need calibration params")
         if self.kind == "distribution" and self.distribution is None:

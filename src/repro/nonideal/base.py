@@ -27,12 +27,19 @@ Two lifetimes of randomness are distinguished:
 A model is *bound* to a layer before use: :meth:`NonIdealityModel.bind`
 receives the layer's mapping geometry (:class:`LayerNoiseContext`) and
 returns a :class:`BoundModel` holding any pre-drawn static state.  Bound
-models expose three capabilities the engines exploit:
+models expose the capabilities the engines exploit:
 
-* ``perturb`` — perturb one raw bit-line block (works for every model);
+* ``perturb`` — perturb one raw bit-line block (works for every model), and
+  ``perturb_into``, the same values written into a reused buffer (the fast
+  engine's per-block path for continuous noise);
 * ``integer_domain`` — the perturbation maps exact integer bit-line values
   to exact integer values, so the fast engine can stay on its integer-LUT
   conversion path (with the LUT bound enlarged to ``output_bound``);
+* ``cycle_invariant`` — the perturbation is static, element-wise per
+  (row, column); with ``integer_domain`` on every model of a stack it is a
+  fixed integer map ``g(c, v)`` per (segment, column), which the fast
+  engine tabulates once per run into per-column conversion tables
+  (:class:`repro.adc.lut.TrialLutGather`);
 * ``value_map`` — the perturbation is a pure per-value integer map (no
   column or RNG dependence), so the fast engine can fold it into the ADC
   transfer LUT (:func:`repro.adc.lut.compose_transfer_lut`) and pay *zero*
@@ -126,11 +133,14 @@ class BoundModel:
         drift, wire geometry) perturbs every input cycle of a segment
         identically, element-wise per (row, column) — independent of the
         row count and of which cycle or chunk a block belongs to.
-        Declaring this lets the fused crossbar kernel collapse its
-        per-(segment, cycle) loop into **one** ``perturb_trials`` call per
-        segment covering all input cycles at once.  Models that re-draw
-        per read access (noise keyed by ``(chunk, segment, cycle)`` or
-        shaped by the row count) must leave this ``False``.
+        Declaring this lets the fused crossbar kernel tabulate an
+        integer-domain stack once per run, by passing a probe block
+        through ``perturb_trials`` (row ``v`` holds ``v`` in every column),
+        or else collapse its per-(segment, cycle) loop into **one**
+        ``perturb_trials`` call per segment covering all input cycles at
+        once.  Models that re-draw per read access (noise keyed by
+        ``(chunk, segment, cycle)`` or shaped by the row count) must leave
+        this ``False``.
         """
         return False
 
@@ -155,6 +165,23 @@ class BoundModel:
     ) -> np.ndarray:
         """Perturb one raw bit-line block of shape ``(rows, columns)``."""
         return values
+
+    def perturb_into(
+        self, values: np.ndarray, segment: int, cycle: int, chunk: int, out: np.ndarray
+    ) -> np.ndarray:
+        """``perturb`` with the result written into ``out`` and returned.
+
+        ``out`` is a float64 buffer of the block's shape and may be
+        ``values`` itself, so a stack chains through one reused buffer
+        (:meth:`~repro.nonideal.stack.LayerNoiseState.perturb_block`).  The
+        values must equal ``perturb``'s bit for bit; this default computes
+        ``perturb`` and copies, and models override it to skip the
+        temporaries.
+        """
+        result = self.perturb(np.asarray(values, dtype=np.float64), segment, cycle, chunk)
+        if result is not out:
+            np.copyto(out, result)
+        return out
 
     @staticmethod
     def perturb_trials(

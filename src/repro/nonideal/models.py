@@ -11,12 +11,16 @@ while keeping the fast engine's fused kernels intact.  See
 model bit-identical between the fast and reference engines.
 
 Integer-domain models (stuck-at faults, retention drift, quantized
-variation) keep bit-line values on the integer grid, so the fast engine
-converts them with its integer-LUT gather — retention drift is even folded
-*into* the LUT (a perturbed :class:`~repro.adc.lut.AdcTransferLut`) at zero
-per-element cost.  Continuous models (read noise, analog variation, IR
-drop) leave the integer domain; the engines then take the element-wise
-conversion path, still bit-identical between them.
+variation) keep bit-line values on the integer grid, and all three are
+static, so the fast engine folds them into its conversion tables:
+retention drift *into* the LUT (a perturbed
+:class:`~repro.adc.lut.AdcTransferLut`) at zero per-element cost, the
+per-column models into per-(segment, column) tables tabulated once per run
+from their own ``perturb_trials``.  Continuous models (read noise, analog
+variation, IR drop) leave the integer domain; the fast engine then runs the
+stack on each block in a reused buffer (``perturb_into``; read noise draws
+straight into it) and converts through the ADC's own level function, still
+bit-identical to the reference engine.
 """
 
 from __future__ import annotations
@@ -76,18 +80,28 @@ class _BoundGaussianRead(BoundModel):
         super().__init__(ctx)
         self.sigma = sigma
 
-    def _draw(self, shape, segment, cycle, chunk):
+    def _draw(self, shape, segment, cycle, chunk, out=None):
         from repro.backend import active_ops  # lazy: avoid an import cycle
 
         # Numpy-canonical on every backend (the draw is hash-relevant).
         return active_ops().keyed_normal(
-            self.ctx.draw_key("read", chunk, segment, cycle), self.sigma, shape
+            self.ctx.draw_key("read", chunk, segment, cycle), self.sigma, shape, out=out
         )
 
     def perturb(self, values, segment, cycle, chunk):
         noise = self._draw(values.shape, segment, cycle, chunk)
         # Bit-line currents are physically non-negative.
         return np.maximum(np.asarray(values, dtype=np.float64) + noise, 0.0)
+
+    def perturb_into(self, values, segment, cycle, chunk, out):
+        if np.shares_memory(values, out):
+            noise = self._draw(values.shape, segment, cycle, chunk)
+        else:
+            # Draw straight into ``out``: addition commutes bit for bit, so
+            # ``noise + values`` is ``perturb``'s ``values + noise``.
+            noise = self._draw(values.shape, segment, cycle, chunk, out=out)
+        np.add(noise, values, out=out)
+        return np.maximum(out, 0.0, out=out)
 
     @staticmethod
     def perturb_trials(siblings, values, segment, cycle, chunk):

@@ -8,7 +8,8 @@ the per-layer chunk counter, and the pre-computed facts the fast engine
 needs to pick its conversion path:
 
 * ``integer_domain`` — every model keeps bit-line values on the integer
-  grid, so the fused kernel can stay on the integer-LUT gather;
+  grid, so the fused kernel can stay on the integer-LUT gather (with
+  ``cycle_invariant``, through per-column tables built once per run);
 * ``lut_bound`` — upper bound of perturbed integer values (sizes the LUT);
 * ``pure_value_map()`` — when every model is a pure per-value map, the
   composed map to fold into the ADC transfer LUT
@@ -89,18 +90,32 @@ class LayerNoiseState:
         return self._pure_map
 
     def perturb_block(
-        self, values: np.ndarray, segment: int, cycle: int
+        self,
+        values: np.ndarray,
+        segment: int,
+        cycle: int,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Apply every model, in stack order, to one raw bit-line block.
 
         ``values`` is ``(rows, columns)`` and is never mutated; the result is
-        float64 (exact integers throughout for integer-domain stacks).
+        float64 (exact integers throughout for integer-domain stacks).  With
+        ``out`` (float64, ``values``' shape) the chain runs through that
+        reused buffer (:meth:`~repro.nonideal.base.BoundModel.perturb_into`)
+        and returns it, holding the same values.
         """
-        out = np.asarray(values, dtype=np.float64)
         chunk = self._chunk
+        if out is not None:
+            result = values
+            for model in self._bound:
+                result = model.perturb_into(result, segment, cycle, chunk, out)
+            if result is not out:  # an empty stack
+                np.copyto(out, result)
+            return out
+        result = np.asarray(values, dtype=np.float64)
         for model in self._bound:
-            out = model.perturb(out, segment, cycle, chunk)
-        return out
+            result = model.perturb(result, segment, cycle, chunk)
+        return result
 
 
 class TrialNoiseStates:

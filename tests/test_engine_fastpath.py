@@ -21,7 +21,7 @@ from repro.core import TRQParams
 from repro.crossbar import CrossbarTopology, MappedMVMLayer
 from repro.crossbar.slicing import slice_inputs_temporal
 from repro.nonideal import GaussianReadNoise as KeyedReadNoise
-from repro.nonideal import NonIdealityStack, RetentionDrift
+from repro.nonideal import NonIdealityModel, NonIdealityStack, RetentionDrift
 from repro.nonideal.stack import TrialNoiseStates
 from repro.quantization import QuantizationConfig
 from repro.sim import DistributionCollector, PimSimulator, ReservoirSampler
@@ -311,6 +311,248 @@ class TestPairLayout:
             values = np.array([[0.0, float(code)]])
             with pytest.raises(ValueError, match="exceeds the LUT bound"):
                 gather.gather(values, gather.new_counts(), np.empty(values.shape, gather.levels.dtype))
+
+
+#: A static stack (the perfbench pair) and a continuous one.
+STATIC_SPECS = [
+    {"model": "conductance_variation", "sigma": 0.08, "quantize": True},
+    {"model": "stuck_at_faults", "rate_on": 0.02, "rate_off": 0.01},
+]
+READ_SPECS = [{"model": "gaussian_read_noise", "sigma": 0.8}]
+
+#: Converters of the routed cases: TRQ with ``bias`` 0 and > 0, uniform.
+LEVEL_ADCS = {
+    "trq": lambda: TwinRangeAdc(TRQParams(n_r1=2, n_r2=5, m=3, bias=0)),
+    "trq_window": _trq_window,
+    "uniform": lambda: UniformAdc(bits=5, delta=3.0),
+}
+
+#: (expected kernel path, converter, noise) of each routed case.
+ROUTED_CASES = (
+    [("column", name, STATIC_SPECS) for name in LEVEL_ADCS]
+    + [("perturbed", name, STATIC_SPECS) for name in LEVEL_ADCS]
+    + [("continuous", name, READ_SPECS) for name in LEVEL_ADCS]
+    + [("fallback", "nonuniform", READ_SPECS)]
+)
+
+
+def _make_adc(name):
+    if name == "nonuniform":
+        return NonUniformAdc(np.array([0.0, 2.0, 5.0, 9.0, 14.0, 22.0, 35.0]))
+    return LEVEL_ADCS[name]()
+
+
+def _trial_inputs(rng, trials, shared, rows, in_features):
+    first = rng.integers(0, 256, size=(rows, in_features))
+    return np.stack([
+        first if shared or t == 0 else rng.integers(0, 256, size=(rows, in_features))
+        for t in range(trials)
+    ])
+
+
+class TestKernelPaths:
+    """Static stacks fold into column tables, continuous noise converts in
+    the kernel, and only converters without a level grid take the float
+    fallback; every path is bit-identical to the reference engine."""
+
+    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("trials,shared", [(1, True), (3, True), (3, False)])
+    @pytest.mark.parametrize("path,adc,specs", ROUTED_CASES)
+    def test_routed_paths_match_reference(self, path, adc, specs, trials, shared, segments):
+        rng = np.random.default_rng(100 * segments + 10 * trials + shared)
+        in_features = 128 * segments - 37
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(in_features, 5)))
+        assert layer.num_segments == segments
+        cols = 2 * layer.num_weight_planes * layer.out_features
+        bins = trials * cols * (layer.max_bitline_value + 1)
+        # The column layout holds exactly at the bound; one bin less sends
+        # the same stack to the per-element path.
+        layer._COLUMN_MAX_BINS = bins - 1 if path == "perturbed" else bins
+        stack = NonIdealityStack(specs, seed=7)
+
+        def bind(t):
+            return stack.reseeded(t).bind_mapped("fc", layer)
+
+        adcs = [_make_adc(adc) for _ in range(trials)]
+        ref_adcs = [_make_adc(adc) for _ in range(trials)]
+        noise = TrialNoiseStates([bind(t) for t in range(trials)])
+        ref_states = [bind(t) for t in range(trials)]
+        assert layer._kernel_path(adcs, noise) == path
+        # Two chunks: per-read draws are keyed by the chunk, and the second
+        # call reuses the cached column tables.
+        for chunk_rows in (9, 4):
+            noise.next_chunk()
+            inputs = _trial_inputs(rng, trials, shared, chunk_rows, in_features)
+            outputs, ops = layer.matmul_trials(inputs, adcs, noise)
+            for t in range(trials):
+                ref, ref_ops = layer.matmul(
+                    inputs[t], adc=ref_adcs[t], engine="reference",
+                    noise=ref_states[t].next_chunk(),
+                )
+                np.testing.assert_array_equal(outputs[t], ref)
+                assert ops[t] == ref_ops
+                assert adcs[t].stats == ref_adcs[t].stats
+
+    def test_ideal_conversion_routes(self):
+        rng = np.random.default_rng(3)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+
+        def noise(specs):
+            return TrialNoiseStates([NonIdealityStack(specs, seed=1).bind_mapped("fc", layer)])
+
+        assert layer._kernel_path(None, None) == "separate"
+        assert layer._kernel_path(None, noise(STATIC_SPECS)) == "perturbed"
+        assert layer._kernel_path(None, noise(READ_SPECS)) == "fallback"
+        drift = [{"model": "retention_drift", "time": 9.0, "nu": 0.1}]
+        assert layer._kernel_path([_trq_window()], noise(drift)) == "pair"
+        assert layer._kernel_path([_make_adc("nonuniform")], noise(STATIC_SPECS)) == "fallback"
+
+    def test_continuous_merge_dtypes_come_from_max_level(self):
+        rng = np.random.default_rng(4)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        adc = TwinRangeAdc(TRQParams(n_r1=3, n_r2=8, m=4, bias=0))
+        assert adc.max_level == 255 << 4 and UniformAdc(bits=6, delta=2.0).max_level == 63
+        state = NonIdealityStack([{"model": "gaussian_read_noise", "sigma": 400.0}], seed=2)
+        inputs = rng.integers(0, 256, size=(6, 200))
+        ref_adc, fast_adc = TwinRangeAdc(adc.params), TwinRangeAdc(adc.params)
+        ref, _ = layer.matmul(inputs, adc=ref_adc, engine="reference",
+                              noise=state.bind_mapped("fc", layer).next_chunk())
+        fast, _ = layer.matmul(inputs, adc=fast_adc, engine="fast",
+                               noise=state.bind_mapped("fc", layer).next_chunk())
+        np.testing.assert_array_equal(fast, ref)
+        assert fast_adc.stats.in_r2 > 0 and fast_adc.stats == ref_adc.stats
+
+    @pytest.mark.parametrize("over_bound", [False, True])
+    def test_perturbed_value_above_the_lut_bound_raises(self, over_bound):
+        from repro.nonideal.base import BoundModel
+
+        class Understated(NonIdealityModel):
+            """Adds 3 to every value but reports an unchanged bound."""
+
+            name = ""
+
+            def params(self):
+                return {}
+
+            def bind(self, ctx):
+                class _B(BoundModel):
+                    integer_domain = True
+                    cycle_invariant = True
+
+                    def perturb(self, values, segment, cycle, chunk):
+                        return np.asarray(values, dtype=np.float64) + 3.0
+
+                    @staticmethod
+                    def perturb_trials(siblings, values, segment, cycle, chunk):
+                        return np.asarray(values, dtype=np.float64) + 3.0
+
+                return _B(ctx)
+
+        rng = np.random.default_rng(6)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        if over_bound:
+            layer._COLUMN_MAX_BINS = 0
+        noise = TrialNoiseStates([NonIdealityStack([Understated()]).bind_mapped("fc", layer)])
+        with pytest.raises(ValueError, match="bit-line value [0-9]+ exceeds the LUT bound"):
+            layer.matmul_trials(
+                np.full((1, 4, 200), 255), [_trq_window()], noise.next_chunk()
+            )
+
+
+def _static_models():
+    """Hypothesis strategy: a static stack in any order."""
+    from hypothesis import strategies as st
+
+    model = st.one_of(
+        st.builds(
+            lambda sigma: {"model": "conductance_variation", "sigma": sigma, "quantize": True},
+            st.floats(0.0, 0.3),
+        ),
+        st.builds(
+            lambda on, off: {"model": "stuck_at_faults", "rate_on": on, "rate_off": off},
+            st.floats(0.0, 0.1), st.floats(0.0, 0.1),
+        ),
+        st.builds(
+            lambda time, nu: {"model": "retention_drift", "time": time, "nu": nu},
+            st.floats(0.0, 100.0), st.floats(0.0, 0.1),
+        ),
+    )
+    return st.lists(model, min_size=1, max_size=3)
+
+
+class TestColumnTables:
+    """Each (trial, segment) table is ``L[g(c, v)]`` with ``g`` the chained
+    per-model ``perturb`` of the ideal value ``v`` in column ``c``."""
+
+    def test_tables_equal_the_chained_per_model_perturb(self):
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        rng = np.random.default_rng(12)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(300, 3)))
+        base = layer.max_bitline_value + 1
+        cols = 2 * layer.num_weight_planes * layer.out_features
+        probe = np.repeat(np.arange(base, dtype=np.float32)[:, None], cols, axis=1)
+
+        @given(_static_models(), st.integers(0, 2**32), st.integers(1, 3))
+        @settings(max_examples=40, deadline=None)
+        def check(specs, seed, trials):
+            stack = NonIdealityStack(specs, seed=seed)
+            states = [stack.reseeded(seed + t).bind_mapped("fc", layer) for t in range(trials)]
+            noise = TrialNoiseStates(states)
+            luts = [_trq_window().transfer_lut(bound) for bound in noise.lut_bounds]
+            gather = TrialLutGather(luts, column_values=layer._column_probes(noise))
+            assert gather.column_shape == (layer.num_segments, cols, base)
+            bins = cols * base
+            for t, state in enumerate(states):
+                levels = luts[t].levels
+                for s in range(layer.num_segments):
+                    expected = state.perturb_block(probe, s, 0).T.astype(np.int64)
+                    np.testing.assert_array_equal(
+                        gather._column_maps[s, t], expected.reshape(-1)
+                    )
+                    start = (s * trials + t) * bins
+                    table = gather.levels[start : start + bins]
+                    np.testing.assert_array_equal(table, levels[expected].reshape(-1))
+
+        check()
+
+    def test_shared_input_histogram_folds_per_trial(self):
+        """One ``c·B + v`` histogram serves every trial sharing the input;
+        each trial's fold through its own ``g`` gives its own counts."""
+        rng = np.random.default_rng(9)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        stack = NonIdealityStack(STATIC_SPECS, seed=11)
+        noise = TrialNoiseStates([stack.reseeded(t).bind_mapped("fc", layer) for t in range(3)])
+        luts = [_trq_window().transfer_lut(bound) for bound in noise.lut_bounds]
+        gather = TrialLutGather(luts, column_values=layer._column_probes(noise))
+        cols = gather.column_shape[1]
+        values = rng.integers(0, layer.max_bitline_value + 1, size=(1, 2, 7, cols))
+        shared_counts = gather.new_counts()
+        shared_levels = np.empty((3, 2, 7, cols), gather.levels.dtype)
+        gather.gather(values.astype(np.float32), shared_counts, shared_levels, segment=1)
+        tiled_counts = gather.new_counts()
+        tiled_levels = np.empty_like(shared_levels)
+        gather.gather(np.repeat(values, 3, axis=0).astype(np.float32), tiled_counts,
+                      tiled_levels, segment=1)
+        np.testing.assert_array_equal(shared_counts, tiled_counts)
+        np.testing.assert_array_equal(shared_levels, tiled_levels)
+        for t, state in enumerate(noise.states):
+            perturbed = state.perturb_block(values[0].reshape(-1, cols), 1, 0).astype(np.int64)
+            np.testing.assert_array_equal(
+                gather.trial_counts(shared_counts, t),
+                np.bincount(perturbed.reshape(-1), minlength=luts[t].levels.size),
+            )
+            np.testing.assert_array_equal(
+                shared_levels[t].reshape(-1, cols), luts[t].levels[perturbed]
+            )
+
+    def test_codes_beyond_the_columns_raise(self):
+        lut = UniformAdc(bits=4, delta=1.0).transfer_lut(9)
+        gather = TrialLutGather([lut], column_values=[np.zeros((1, 6, 3))])
+        values = np.array([[[[0.0, 1.0, 6.0]]]], dtype=np.float32)
+        with pytest.raises(ValueError, match="bit-line value 6 exceeds the LUT bound 5"):
+            gather.gather(values, gather.new_counts(), np.empty(values.shape, gather.levels.dtype))
 
 
 class TestSimulatorEngineEquivalence:

@@ -27,8 +27,18 @@ from repro.sim import PimSimulator
 
 #: One recipe per registered noise model with batched ``perturb_trials``
 #: coverage: static integer-domain (variation, stuck-at, drift), static
-#: column-dependent (IR drop) and per-read chunk-shaped draws (gaussian).
+#: column-dependent (IR drop) and per-read chunk-shaped draws (gaussian);
+#: plus the perfbench static pair (the column tables) and read noise with
+#: stuck-at faults (the robustness presets' mix, converted in the kernel).
 NOISE_RECIPES = {
+    "perfbench_static": [
+        {"model": "conductance_variation", "sigma": 0.08, "quantize": True},
+        {"model": "stuck_at_faults", "rate_on": 1e-3},
+    ],
+    "read_noise_stuck_at": [
+        {"model": "gaussian_read_noise", "sigma": 0.5},
+        {"model": "stuck_at_faults", "rate_on": 1e-2},
+    ],
     "variation_quantized": [
         {"model": "conductance_variation", "sigma": 0.08, "quantize": True}
     ],

@@ -433,3 +433,85 @@ class TestBinding:
         stack = NonIdealityStack([Halver()])
         out = _state(stack).perturb_block(np.full((1, 32), 8.0), 0, 0)
         np.testing.assert_array_equal(out, np.full((1, 32), 4.0))
+
+
+# --------------------------------------------------------------------- #
+# in-place draws and chains
+# --------------------------------------------------------------------- #
+class TestInPlaceDraws:
+    """The continuous kernel path draws into reused buffers; every value,
+    sign of zero included, must equal the allocating draw."""
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (7,), (3, 11), (2, 3, 4)])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.7e-3])
+    def test_keyed_normal_out_equals_numpy_normal(self, shape, sigma):
+        from repro.backend import active_ops, keyed_normal_into
+        from repro.utils.rng import new_rng
+
+        for seed in (0, 1, 2**40 + 7):
+            expected = new_rng(seed).normal(0.0, sigma, size=shape)
+            out = np.full(shape, np.nan)
+            got = active_ops().keyed_normal(seed, sigma, shape, out=out)
+            assert got is out
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+            again = keyed_normal_into(seed, sigma, np.empty(shape))
+            np.testing.assert_array_equal(np.signbit(again), np.signbit(expected))
+
+    def test_negative_zero_deviates_become_positive_zero(self, monkeypatch):
+        """numpy's ``0.0 + σ·z`` turns a ``−0.0`` product into ``+0.0``."""
+        import repro.backend as backend
+
+        class NegativeZeros:
+            def standard_normal(self, out):
+                out[...] = -0.0
+
+        monkeypatch.setattr(backend, "new_rng", lambda seed: NegativeZeros())
+        assert not np.signbit(backend.keyed_normal_into(3, 0.5, np.empty(4))).any()
+
+    @pytest.mark.parametrize("specs", [
+        [{"model": "gaussian_read_noise", "sigma": 0.7}],
+        [{"model": "gaussian_read_noise", "sigma": 0.7},
+         {"model": "stuck_at_faults", "rate_on": 0.05, "rate_off": 0.05}],
+        [{"model": "stuck_at_faults", "rate_on": 0.05},
+         {"model": "gaussian_read_noise", "sigma": 0.3},
+         {"model": "ir_drop", "alpha": 0.1}],
+        [{"model": "conductance_variation", "sigma": 0.1},
+         {"model": "gaussian_read_noise", "sigma": 0.2, "relative": True}],
+        [{"model": "retention_drift", "time": 5.0, "nu": 0.1}],
+        [],
+    ])
+    def test_perturb_block_into_a_buffer_equals_the_allocating_chain(self, rng, specs):
+        stack = NonIdealityStack(specs, seed=4)
+        state = _state(stack, columns=24, segments=(16, 10), max_bitline=40).next_chunk()
+        values = rng.integers(0, 41, size=(13, 24)).astype(np.float32)
+        expected = state.perturb_block(values, 1, 3)
+        out = np.full((13, 24), np.nan)
+        got = state.perturb_block(values, 1, 3, out=out)
+        assert got is out
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_custom_model_without_perturb_into_chains_into_a_buffer(self):
+        class Halver(NonIdealityModel):
+            name = ""
+
+            def params(self):
+                return {}
+
+            def bind(self, ctx):
+                from repro.nonideal.base import BoundModel
+
+                class _B(BoundModel):
+                    def perturb(self, values, segment, cycle, chunk):
+                        assert values.dtype == np.float64
+                        return values / 2.0
+
+                return _B(ctx)
+
+        state = _state(NonIdealityStack([Halver(), GaussianReadNoise(sigma=0.5)], seed=2))
+        values = np.full((2, 32), 8.0, dtype=np.float32)
+        out = np.empty((2, 32))
+        np.testing.assert_array_equal(
+            state.perturb_block(values, 0, 1, out=out), state.perturb_block(values, 0, 1)
+        )

@@ -1,11 +1,13 @@
-"""Malformed capture/calibration specs fail at the JSON boundary.
+"""Malformed capture, calibration and Monte Carlo specs fail at the JSON boundary.
 
 A capture or Algorithm 1 field out of range used to be accepted and then
 either crash inside a worker (``images=0``) or silently run on different
 inputs than its content address claims (``images=-3`` sliced to 5 images, a
-``source="workload"`` calibration of 32 images on an 8-image split).
-``JobSpec.from_dict`` must reject every such field with a ``ValueError``
-that names it.
+``source="workload"`` calibration of 32 images on an 8-image split).  Monte
+Carlo jobs accepted ``images=0``, ``batch_size=0``, a confidence outside
+``(0, 1)`` and noise specs the registry cannot build, and failed only after
+training.  ``JobSpec.from_dict`` must reject every such field with a
+``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,12 @@ from repro.experiments import (
     CalibrationParams,
     DistributionParams,
     JobSpec,
+    NoiseScenario,
     SweepSpec,
     WorkloadSpec,
 )
+from repro.experiments.runner import run_sweep
+from repro.experiments.store import job_key
 
 TINY = WorkloadSpec(
     "lenet5", preset="tiny", train_size=48, test_size=16,
@@ -137,3 +142,103 @@ def test_unconsumed_capture_fields_are_not_checked():
     assert not reference.consumes_capture
     with pytest.raises(ValueError, match="adc.calib_images=16"):
         dataclasses.replace(reference, datapath="pim")
+
+
+# --------------------------------------------------------------------- #
+# Monte Carlo jobs
+# --------------------------------------------------------------------- #
+NOISE = NoiseScenario(
+    models=(
+        {"model": "gaussian_read_noise", "sigma": 0.5},
+        {"model": "stuck_at_faults", "rate_on": 1e-3},
+    ),
+    seed=2,
+)
+
+MONTE_CARLO = JobSpec(
+    kind="monte_carlo", workload=TINY, images=4, batch_size=1, trials=2,
+    mc_seed=3, confidence=0.5, noise=NOISE,
+)
+
+
+def with_top_field(field: str, value) -> dict:
+    data = copy.deepcopy(MONTE_CARLO.to_dict())
+    data[field] = value
+    return data
+
+
+@given(
+    st.sampled_from(["images", "batch_size"]),
+    st.integers(min_value=-(10**6), max_value=0),
+)
+@settings(max_examples=60, deadline=None)
+def test_monte_carlo_images_and_batch_size_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+        JobSpec.from_dict(with_top_field(field, value))
+
+
+@given(st.one_of(
+    st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(float("nan")),
+))
+@settings(max_examples=60, deadline=None)
+def test_monte_carlo_confidence_must_lie_in_the_open_unit_interval(confidence):
+    with pytest.raises(ValueError, match="^confidence must be"):
+        JobSpec.from_dict(with_top_field("confidence", confidence))
+
+
+GOOD_MODELS = [dict(model) for model in NOISE.models]
+
+
+@st.composite
+def unbuildable_model(draw):
+    """A model spec the registry rejects: unknown name, misspelt parameter
+    or out-of-range value."""
+    kind = draw(st.sampled_from(["unknown", "misspelt", "sigma", "rate"]))
+    if kind == "unknown":
+        name = draw(st.text(min_size=1, max_size=12).filter(
+            lambda text: text not in {m["model"] for m in GOOD_MODELS}
+            and text not in ("conductance_variation", "ir_drop", "retention_drift")
+        ))
+        return {"model": name}
+    if kind == "misspelt":
+        return {"model": "gaussian_read_noise", draw(st.sampled_from(["sigam", "Sigma", "s"])): 0.5}
+    if kind == "sigma":
+        return {"model": "gaussian_read_noise", "sigma": draw(st.floats(max_value=-1e-9))}
+    return {"model": "stuck_at_faults", "rate_on": draw(st.floats(min_value=1.000001, max_value=1e6))}
+
+
+@given(unbuildable_model(), st.integers(min_value=0, max_value=len(GOOD_MODELS)))
+@settings(max_examples=80, deadline=None)
+def test_unbuildable_noise_models_raise_naming_their_index(bad, index):
+    data = copy.deepcopy(MONTE_CARLO.to_dict())
+    models = list(GOOD_MODELS)
+    models.insert(index, bad)
+    data["noise"]["models"] = models
+    with pytest.raises(ValueError, match=re.escape(f"noise.models[{index}]")):
+        JobSpec.from_dict(data)
+
+
+def test_monte_carlo_boundaries_are_accepted_and_addresses_unchanged():
+    for field, value in (("images", 1), ("batch_size", 1), ("confidence", 1e-9),
+                         ("confidence", 1 - 1e-9)):
+        job = JobSpec.from_dict(with_top_field(field, value))
+        assert JobSpec.from_dict(job.to_dict()) == job
+    # Validation adds no hashed field: the address of a fixed job is the
+    # one the code gave it before these checks existed.
+    assert job_key(MONTE_CARLO, "fixed-salt") == (
+        "a4b991a59b45951ba159ff7bb3e6ca65317f256bb7368dce1b4f1e2176ff5e62"
+    )
+
+
+@pytest.mark.parametrize("trial_batch", [1, 4])
+def test_zero_confidence_sweep_is_rejected_before_any_job_runs(tmp_path, trial_batch):
+    """A two-seed ``confidence=0.0`` sweep used to fail per job at
+    ``trial_batch=1`` but store zero-width intervals when coalesced."""
+    sweep = SweepSpec(
+        name="zero-confidence", kind="monte_carlo", workloads=[TINY],
+        noises=[NOISE], mc_seeds=[0, 1], trials=2, images=4, confidence=0.0,
+    )
+    store = tmp_path / "store"
+    with pytest.raises(ValueError, match="^confidence must be > 0.0"):
+        run_sweep(sweep, store, trial_batch=trial_batch)
+    assert not list(store.glob("*.json"))
