@@ -4,9 +4,9 @@
 the fused cycle/segment kernel (see :mod:`repro.crossbar.mapping`): one
 noise-perturb, one integer-LUT gather and one blocked contraction cover a
 whole group of Monte Carlo trials instead of ``trials`` separate kernel
-invocations.  Under the numpy array backend the contract is **bit-identity**
-— ``results[t]`` equals the solo ``matmul`` of trial ``t`` exactly, per-trial
-A/D operation totals and region statistics included.
+invocations.  The contract is **bit-identity** — ``results[t]`` equals the
+solo ``matmul`` of trial ``t`` exactly, per-trial A/D operation totals and
+region statistics included.
 
 Three measurements are reported:
 

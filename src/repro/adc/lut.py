@@ -380,16 +380,9 @@ class TrialLutGather:
         ``(1 or trials, blocks, rows, columns)``: the ideal bit-line values
         of word-line segment ``segment``, where a leading axis of 1 means
         every trial shares them.
-
-        The array primitives route through the active :mod:`repro.backend`
-        array-ops shim; under the default numpy backend they are plain
-        ``np.bincount``/``np.take`` calls.
         """
-        from repro.backend import active_ops  # lazy: keep adc import-light
-
-        ops = active_ops()
         if self.column_shape is not None:
-            self._gather_columns(ops, values, counts, out_levels, segment, tile)
+            self._gather_columns(values, counts, out_levels, segment, tile)
             return
         trials = values.shape[0]
         flat_per_trial = values.reshape(trials, -1)
@@ -411,13 +404,13 @@ class TrialLutGather:
         for start in range(0, flat_codes.size, tile):
             stop = min(start + tile, flat_codes.size)
             tile_codes = flat_codes[start:stop].astype(np.int64, copy=False)
-            tile_counts = ops.bincount(tile_codes, minlength=self.total_size)
+            tile_counts = np.bincount(tile_codes, minlength=self.total_size)
             if tile_counts.size > self.total_size:
                 self._raise_bound(int(tile_codes.max()), 0)
             counts += tile_counts
-            ops.take(self.levels, tile_codes, out=flat_levels[start:stop])
+            np.take(self.levels, tile_codes, out=flat_levels[start:stop])
 
-    def _gather_columns(self, ops, values, counts, out_levels, segment, tile) -> None:
+    def _gather_columns(self, values, counts, out_levels, segment, tile) -> None:
         """The column layout's gather over ``(1 or trials, blocks, rows, C)``.
 
         Each row tile becomes ``int64`` codes ``t·C·B + c·B + v`` for every
@@ -448,12 +441,12 @@ class TrialLutGather:
                 trials, blocks, stop - start, cols
             )
             np.add(values[:, :, start:stop], self._column_offsets, out=codes, casting="unsafe")
-            tile_counts = ops.bincount(codes[:sources].reshape(-1), minlength=histogram.size)
+            tile_counts = np.bincount(codes[:sources].reshape(-1), minlength=histogram.size)
             if tile_counts.size > histogram.size:
                 top = int(codes[:sources].max()) - (histogram.size - base)
                 raise ValueError(_bound_message("bit-line value", top, base - 1))
             histogram += tile_counts
-            ops.take(table, codes, out=out_levels[:, :, start:stop])
+            np.take(table, codes, out=out_levels[:, :, start:stop])
         index = self._column_maps[segment]
         if trials > 1:
             index = index + self._value_offsets[:, None]

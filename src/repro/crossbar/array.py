@@ -50,10 +50,7 @@ class CrossbarArray:
         self.cell_config = cell_config
         self.dac_config = dac_config
         self.analog = bool(analog)
-        # Analog mode is the one place the cell model's stochastic knobs are
-        # still first-class, so its construction is exempt from the
-        # datapath-oriented deprecation warning.
-        self._cell_model = ReRAMCellModel(cell_config, rng=rng, warn_deprecated=False)
+        self._cell_model = ReRAMCellModel(cell_config, rng=rng)
         self._dac = DacModel(dac_config)
         self._codes: Optional[np.ndarray] = None
         self._conductance: Optional[np.ndarray] = None

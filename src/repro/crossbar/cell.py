@@ -13,13 +13,11 @@ attributes all error to ADC quantization.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_in_range, check_integer, check_positive
-from repro.utils.warnings import warn_once
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,34 +79,18 @@ DEFAULT_CELL_CONFIG = CellConfig()
 class ReRAMCellModel:
     """Maps cell codes to conductances and back, with optional non-idealities.
 
-    .. deprecated:: the stochastic knobs
-        The ``programming_sigma`` / ``read_noise_sigma`` code paths here are
-        superseded for datapath simulations by :mod:`repro.nonideal`
-        (``NonIdealityStack.from_cell_config(config)``), whose counter-based
-        keyed sampling keeps the fast and reference engines bit-identical.
-        This model's internal RNG remains only for the standalone
-        :class:`repro.crossbar.array.CrossbarArray` analog mode.
+    The ``programming_sigma`` / ``read_noise_sigma`` draws here serve only
+    the standalone :class:`repro.crossbar.array.CrossbarArray` analog mode.
+    Datapath simulations realise those knobs as keyed :mod:`repro.nonideal`
+    models (``NonIdealityStack.from_cell_config(config)``), which keep the
+    fast and reference engines bit-identical.
     """
 
     def __init__(
         self,
         config: CellConfig = DEFAULT_CELL_CONFIG,
         rng: SeedLike = None,
-        warn_deprecated: bool = True,
     ) -> None:
-        if warn_deprecated and not config.is_ideal:
-            # Once per process (parallel sweeps build one model per worker).
-            warn_once(
-                ("crossbar.cell", "nonideal-knobs"),
-                "for MVM-datapath simulations, ReRAMCellModel's "
-                "programming_sigma/read_noise_sigma never take effect; build "
-                "the equivalent keyed models with "
-                "repro.nonideal.NonIdealityStack.from_cell_config(config) and "
-                "pass them to the simulator's noise= argument. (The standalone "
-                "CrossbarArray analog mode still honours these knobs.)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.config = config
         self._rng = new_rng(rng)
 

@@ -115,7 +115,6 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.adc.lut import TrialLutGather, compose_transfer_lut, signed_dtype_for
-from repro.backend import active_ops
 from repro.crossbar.slicing import (
     num_slices,
     slice_inputs_temporal,
@@ -881,7 +880,6 @@ class MappedMVMLayer:
             )
         luts, _, gather = self._conversion_setup(adcs, noise, observed)
 
-        ops_shim = active_ops()
         eff = 1 if shared_input else trials
         stacked = self._stack_cycles(
             input_codes[0]
@@ -935,7 +933,7 @@ class MappedMVMLayer:
             )
 
         for segment_index, segment in enumerate(self._segments):
-            ops_shim.matmul(stacked[:, segment], matrix[segment], out=partials_buf)
+            np.matmul(stacked[:, segment], matrix[segment], out=partials_buf)
             raw = partials_buf.reshape(num_cycles, eff, batch, cols)
             if observed:
                 for cycle_index in range(num_cycles):
@@ -1122,7 +1120,6 @@ class MappedMVMLayer:
         trials, batch = input_codes.shape[0], input_codes.shape[1]
         num_cycles = self.num_input_cycles
         cols = 2 * self.num_weight_planes * self.out_features
-        ops_shim = active_ops()
         eff = 1 if shared_input else trials
         stacked = self._stack_cycles(
             input_codes[0]
@@ -1136,7 +1133,7 @@ class MappedMVMLayer:
             [[] for _ in range(num_cycles)] for _ in range(trials)
         ]
         for segment_index, segment in enumerate(self._segments):
-            partials = ops_shim.matmul(stacked[:, segment], self._plane_matrix[segment])
+            partials = np.matmul(stacked[:, segment], self._plane_matrix[segment])
             blocks = partials.reshape(num_cycles, eff, batch, cols)
             if partial_observer is not None:
                 for cycle_index in range(num_cycles):

@@ -284,17 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="dispatch fan-out of --executor remote (default 2)")
     run.add_argument("--trial-batch", type=int, default=1, metavar="N",
                      help="Monte Carlo trials per batched kernel invocation "
-                          "(default 1: the per-trial loop).  N > 1 also lets "
-                          "the serial executor coalesce sibling per-seed MC "
-                          "jobs of a wave into one batched execution.  "
-                          "Results are byte-identical for every N (numpy "
-                          "backend); this is purely a wall-clock knob")
-    run.add_argument("--backend", default=None, metavar="NAME",
-                     help="array backend for this run (default: numpy, or "
-                          "the REPRO_BACKEND environment variable).  The "
-                          "active backend is recorded in telemetry, meta "
-                          "sidecars and the perf history; 'trace regress' "
-                          "refuses to compare records across backends")
+                          "(default 1: the per-trial loop); every executor "
+                          "batches each job's trials.  N > 1 also coalesces "
+                          "sibling per-seed MC jobs into one batched "
+                          "execution on the serial, sharded and remote "
+                          "executors (per shard on the latter two), not on "
+                          "the process pool.  Results are byte-identical "
+                          "for every N; this is purely a wall-clock knob")
     run.add_argument("--force-redispatch", action="store_true",
                      help="--executor remote: dispatch a duplicate backup "
                           "attempt of every shard immediately (exercises "
@@ -730,7 +726,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             trace=trace_arg,
             history=history,
             trial_batch=args.trial_batch,
-            backend=args.backend,
         )
     except KeyboardInterrupt:
         print(
@@ -1204,10 +1199,6 @@ def _cmd_trace_regress(args: argparse.Namespace) -> int:
             f"baseline {args.baseline!r} resolves to the latest record "
             "itself; pick an earlier one"
         )
-    incomparable = trace_history.comparable_records(baseline, latest)
-    if incomparable is not None:
-        print(f"NOT COMPARABLE: {incomparable}", file=sys.stderr)
-        return 2
     regressions = trace_history.compare_records(
         baseline, latest,
         factor=args.factor, min_gap_s=args.min_gap,

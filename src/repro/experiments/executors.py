@@ -117,10 +117,11 @@ class ExecutionContext:
     shard: Optional[int] = None
     wave_override: Optional[int] = None
     #: Monte Carlo trials per batched kernel invocation.  ``1`` keeps the
-    #: per-trial loop; ``N > 1`` additionally lets the in-process serial
-    #: executor coalesce sibling per-seed MC jobs of one wave into a single
-    #: batched execution.  Purely an execution knob — job hashes and store
-    #: bytes are invariant under it.
+    #: per-trial loop; every executor hands it to each job it runs, and
+    #: ``N > 1`` additionally lets :class:`SerialExecutor` (which also runs
+    #: every shard manifest) coalesce sibling per-seed MC jobs of one wave
+    #: into a single batched execution.  Purely an execution knob — job
+    #: hashes and store bytes are invariant under it.
     trial_batch: int = 1
 
     def should_inject(self, node: ScheduledJob) -> bool:
@@ -381,6 +382,7 @@ class ProcessPoolExecutor(Executor):
                 context.salt,
                 context.should_inject(node),
                 context.worker_trace(node, submitted_mono=submitted),
+                context.trial_batch,
             ): node
             for node in wave
         }
@@ -426,6 +428,7 @@ def shard_manifest_dict(
     sweep: Optional[SweepSpec] = None,
     experiment: Optional[ExperimentSpec] = None,
     telemetry: Optional[Dict[str, object]] = None,
+    trial_batch: int = 1,
 ) -> Dict[str, object]:
     """The JSON manifest of one shard: a job-key list plus the specs.
 
@@ -437,7 +440,9 @@ def shard_manifest_dict(
     command line.  ``telemetry`` (``{"dir", "run_id", "wave"}``) tells the
     ``shard run`` subprocess to append its own event stream to the
     parent's trace run — ``wave`` pins the parent's wave number so the
-    shard's jobs attribute to the wave that scheduled them.
+    shard's jobs attribute to the wave that scheduled them.  A
+    ``trial_batch`` above 1 rides along as the shard's Monte Carlo batching
+    knob; the default leaves the manifest as ``shard emit`` writes it.
     """
     manifest: Dict[str, object] = {
         "format": SHARD_MANIFEST_FORMAT,
@@ -454,6 +459,8 @@ def shard_manifest_dict(
             for index, job, inject in entries
         ],
     }
+    if trial_batch > 1:
+        manifest["trial_batch"] = int(trial_batch)
     if telemetry is not None:
         manifest["telemetry"] = {
             key: value for key, value in telemetry.items() if value is not None
@@ -574,6 +581,9 @@ def run_shard_manifest(
     parent) or an explicit ``trace_dir`` (the standalone ``shard run
     --trace-dir`` flow) makes this process append its own event stream to
     that run directory.  Untraced manifests pay nothing.
+
+    The manifest's ``trial_batch`` (default 1) is the Monte Carlo batching
+    knob of every job it runs, seed-sibling coalescing included.
     """
     from repro.experiments.runner import execute_graph  # lazy: cycle
     from repro.experiments.scheduler import build_job_graph
@@ -582,6 +592,9 @@ def run_shard_manifest(
     salt = manifest.get("salt")
     entries = list(manifest.get("jobs", ()))
     shard_index = manifest.get("shard_index")
+    trial_batch = manifest.get("trial_batch", 1)
+    if isinstance(trial_batch, bool) or not isinstance(trial_batch, int) or trial_batch < 1:
+        raise ValueError(f"trial_batch must be an integer >= 1, got {trial_batch!r}")
     telemetry = dict(manifest.get("telemetry") or {})
     if trace_dir is not None:  # the explicit flag wins over the manifest
         telemetry["dir"] = str(trace_dir)
@@ -628,6 +641,7 @@ def run_shard_manifest(
         trace_run_id=telemetry.get("run_id"),
         shard=shard_index,
         wave_override=telemetry.get("wave"),
+        trial_batch=trial_batch,
     )
 
     def on_result(node: ScheduledJob, error: Optional[BaseException]) -> None:
@@ -748,6 +762,7 @@ class ShardedExecutor(Executor):
                     if context.trace_dir is not None
                     else None
                 ),
+                trial_batch=context.trial_batch,
             )
             path = Path(self._tmpdir.name) / (
                 f"wave{self._wave}-shard{shard_index}of{len(groups)}.json"
@@ -1179,6 +1194,7 @@ class RemoteExecutor(Executor):
                     if context.trace_dir is not None
                     else None
                 ),
+                trial_batch=context.trial_batch,
             )
             manifest_path = workspace / "manifest.json"
             manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))

@@ -7,7 +7,8 @@
    (:meth:`JobSpec.dependencies`) become a deduplicated, content-addressed
    job graph, scheduled as topological waves of arbitrary depth.
 2. **Executor layer** (:mod:`repro.experiments.executors`) — a pluggable
-   strategy (``serial`` / ``process`` / ``sharded``) runs each wave;
+   strategy (``serial`` / ``process`` / ``sharded`` / ``remote``) runs each
+   wave;
    cancellation on abort lives in the executor, not here.
 3. **Failure policy** (this module) — failed jobs are logged to the
    store's :class:`~repro.experiments.store.FailureLog`; transitive
@@ -64,7 +65,6 @@ from typing import Callable, Collection, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.backend import active_backend_name
 from repro.experiments.executors import (
     ExecutionContext,
     Executor,
@@ -564,7 +564,6 @@ def execute_mc_group_nodes(nodes, context, submitted_mono=None):
         }
     share = duration / len(remaining)
     execution = {
-        "backend": active_backend_name(),
         "trial_batch": int(context.trial_batch),
         "coalesced": len(remaining),
         "group_duration_s": duration,
@@ -772,8 +771,8 @@ def execute_job(
     Idempotent: if the store already holds the key, nothing is computed.
     Timing and resource usage are recorded out-of-band either way: a
     ``<store>/meta/<key>.json`` sidecar (``duration_s``, ``worker``, the
-    active array ``backend``, plus ``cpu_s``/``max_rss_kb`` where the
-    platform reports them) always, and
+    ``trial_batch`` of Monte Carlo jobs, plus ``cpu_s``/``max_rss_kb`` where
+    the platform reports them) always, and
     job lifecycle events on ``tracer`` when tracing.  ``trace_fields`` carries scheduling
     context (index/wave/shard/deps) onto the events; its ``submitted_mono``
     entry — the monotonic instant the job's wave was handed to the
@@ -782,8 +781,8 @@ def execute_job(
 
     ``trial_batch`` sets how many Monte Carlo trials ride through one
     batched kernel invocation (other job kinds ignore it).  It is an
-    execution knob, never part of the job's content address: under the
-    numpy backend every value writes byte-identical artifacts.
+    execution knob, never part of the job's content address: every value
+    writes byte-identical artifacts.
     """
     key = job_key(job, salt)
     fields = dict(trace_fields or {})
@@ -835,9 +834,7 @@ def execute_job(
         raise
     duration = time.perf_counter() - started
     resources = probe.finish()
-    execution = {"backend": active_backend_name()}
-    if job.kind == "monte_carlo":
-        execution["trial_batch"] = int(trial_batch)
+    execution = {"trial_batch": int(trial_batch)} if job.kind == "monte_carlo" else {}
     tracer.emit(
         telemetry_events.JOB_FINISH,
         key=key, kind=job.kind, duration_s=duration, outcome="computed",
@@ -863,13 +860,15 @@ def _worker_execute(
     salt: Optional[str],
     inject_failure: bool = False,
     trace: Optional[Dict[str, object]] = None,
+    trial_batch: int = 1,
 ) -> str:
     """Top-level (picklable) entry point for pool workers.
 
     ``trace`` (built by :meth:`ExecutionContext.worker_trace`) carries the
     run directory plus the job's scheduling context; the worker opens its
     own per-process stream there (one file per pool worker, reused across
-    jobs and waves).  ``None`` means the run is untraced.
+    jobs and waves).  ``None`` means the run is untraced.  ``trial_batch``
+    is the sweep's Monte Carlo batching knob (see :func:`execute_job`).
     """
     from repro.experiments.executors import _injected_error
 
@@ -887,7 +886,7 @@ def _worker_execute(
         raise _injected_error(job)
     return execute_job(
         job, ResultStore(store_root), weights_cache_dir, salt,
-        tracer=tracer, trace_fields=trace_fields,
+        tracer=tracer, trace_fields=trace_fields, trial_batch=trial_batch,
     )
 
 
@@ -1141,7 +1140,6 @@ def run_sweep(
     trace: Union[bool, str, Tracer, None] = None,
     history: Union[str, Path, None] = None,
     trial_batch: int = 1,
-    backend: Optional[str] = None,
 ) -> SweepRun:
     """Execute a sweep against a result store and aggregate its table.
 
@@ -1199,16 +1197,13 @@ def run_sweep(
         sweeps never do (there is nothing to summarise).
     trial_batch:
         Monte Carlo trials per batched kernel invocation (``1`` keeps the
-        per-trial loop).  With the serial executor, ``N > 1`` also
-        coalesces sibling per-seed MC jobs of a wave into one batched
-        execution.  Purely a wall-clock knob: job hashes, store artifacts
-        and rows are byte-identical for every value (numpy backend).
-    backend:
-        Array backend name (see :mod:`repro.backend`) activated for this
-        sweep; ``None`` keeps the process default (numpy, or
-        ``REPRO_BACKEND``).  The active backend is recorded on telemetry
-        events, meta sidecars and the history record so perf comparisons
-        never silently span backends.
+        per-trial loop); every executor batches each job's trials.
+        ``N > 1`` also coalesces sibling per-seed MC jobs into one batched
+        execution: of a whole wave on the ``serial`` executor, of each
+        shard's part of a wave on ``sharded`` and ``remote``; the
+        ``process`` pool runs every job on its own.  Purely a wall-clock
+        knob: job hashes, store artifacts and rows are byte-identical for
+        every value.
 
     The returned :class:`SweepRun` carries rows in expansion order; the
     aggregate is identical whether the sweep ran serially, in parallel,
@@ -1221,10 +1216,6 @@ def run_sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if trial_batch < 1:
         raise ValueError(f"trial_batch must be >= 1, got {trial_batch}")
-    if backend is not None:
-        from repro.backend import set_backend
-
-        set_backend(backend)
     # Writers killed mid-stage (SIGKILL, lost workers) leave dead temp
     # files behind; sweep them before scheduling so they never accumulate.
     store.sweep_stale_tmps()
@@ -1428,7 +1419,6 @@ def run_sweep(
             record = history_record(
                 summary_to_jsonable(summarize(load_run(telemetry_dir))),
                 executor=exec_instance.name,
-                backend=active_backend_name(),
                 trial_batch=trial_batch,
             )
             append_history(history, record)

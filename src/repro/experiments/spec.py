@@ -48,6 +48,8 @@ Five job kinds cover the repository's evaluation surface:
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adc.config import AdcConfig, twin_range_config, uniform_config
@@ -87,6 +89,24 @@ def _check_noise_models(models) -> None:
         except (KeyError, TypeError, ValueError) as error:
             reason = error.args[0] if error.args else type(error).__name__
             raise ValueError(f"noise.models[{index}]: {reason}") from error
+
+
+def _check_energy_constants(constants: Dict[str, object]) -> None:
+    """Each override must name an :class:`~repro.arch.EnergyConstants` field
+    and hold a finite number >= 0, so a bad one fails here, naming
+    ``power.constants.<name>``, instead of inside the job."""
+    from repro.arch.power import EnergyConstants  # lazy: heavy subpackage
+
+    known = [field.name for field in dataclasses.fields(EnergyConstants)]
+    for name, value in constants.items():
+        path = f"power.constants.{name}"
+        if name not in known:
+            raise ValueError(f"{path} is not an energy constant (expected one of {known})")
+        if (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0
+        ):
+            raise ValueError(f"{path} must be a finite number >= 0, got {value!r}")
 
 
 def _check_calibration_images(value: int, name: str, workload: "WorkloadSpec") -> None:
@@ -326,9 +346,15 @@ class PowerSpec:
     constants: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
+        try:
+            bits = check_integer(self.uniform_bits, "power.uniform_bits")
+        except TypeError as error:
+            raise ValueError(*error.args) from None
+        check_in_range(bits, "power.uniform_bits", low=1)
+        object.__setattr__(self, "uniform_bits", bits)
         if self.constants is not None:
             object.__setattr__(self, "constants", dict(self.constants))
-        self.resolved_constants()  # validate overrides eagerly
+            _check_energy_constants(self.constants)
 
     def resolved_constants(self) -> Dict[str, float]:
         from repro.arch.power import EnergyConstants  # lazy: heavy subpackage
@@ -362,7 +388,7 @@ class PowerSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PowerSpec":
         return cls(
-            uniform_bits=int(data.get("uniform_bits", 7)),
+            uniform_bits=data.get("uniform_bits", 7),
             trq_label=data.get("trq_label", "Ours/4b"),
             constants=data.get("constants"),
         )

@@ -92,9 +92,9 @@ class LayerNoiseContext:
         """The derived seed for ``labels`` under this context.
 
         This integer *is* the keyed-sampling counter: feeding it to
-        :func:`repro.utils.rng.new_rng` (as :meth:`rng` does) or to the
-        array backend's ``keyed_normal`` yields the same numpy-canonical
-        stream in every engine, batch layout and backend.
+        :func:`repro.utils.rng.new_rng` (as :meth:`rng` does) or to
+        :func:`repro.utils.rng.keyed_normal_into` yields the same stream in
+        every engine and batch layout.
         """
         return derive_seed(self.seed, "nonideal", self.model_index, self.layer, *labels)
 
@@ -266,37 +266,3 @@ class NonIdealityModel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         args = ", ".join(f"{k}={v!r}" for k, v in self.params().items())
         return f"{type(self).__name__}({args})"
-
-    # ------------------------------------------------------------------ #
-    # Legacy one-off API (the old ``NoiseModel.apply`` protocol).
-    # ------------------------------------------------------------------ #
-    _apply_calls: int = 0
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Perturb an arbitrary array outside the engine plumbing.
-
-        Retained for the deprecated :mod:`repro.sim.fidelity` interface and
-        for quick interactive use.  Successive calls advance an internal
-        counter that is folded into the binding key, so repeated
-        applications draw fresh (but reproducible) noise — for static
-        models too, since each call binds a fresh pseudo-device.  Inside
-        the simulator the engines call :meth:`bind` / ``perturb`` directly
-        — never this method.
-        """
-        raw = np.asarray(values, dtype=np.float64)
-        block = raw.reshape(1, -1) if raw.ndim < 2 else raw.reshape(-1, raw.shape[-1])
-        columns = block.shape[1] if block.size else 1
-        ctx = LayerNoiseContext(
-            layer=f"<apply:{self._apply_calls}>",
-            seed=int(getattr(self, "seed", None) or 0),
-            model_index=0,
-            crossbar_size=columns,
-            segment_sizes=(max(1, block.shape[0]),),
-            columns=columns,
-            max_bitline=max(1, int(np.ceil(block.max(initial=0.0)))),
-        )
-        out = self.bind(ctx).perturb(block, segment=0, cycle=0, chunk=self._apply_calls)
-        self._apply_calls += 1
-        if out is block:  # identity models hand the input back untouched
-            return values
-        return out.reshape(raw.shape)

@@ -25,7 +25,6 @@ bit-identical to the reference engine.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -38,6 +37,7 @@ from repro.nonideal.base import (
 )
 from repro.nonideal.registry import register_model
 from repro.utils.numeric import round_half_up
+from repro.utils.rng import keyed_normal_into, new_rng
 from repro.utils.validation import check_in_range
 
 
@@ -81,12 +81,10 @@ class _BoundGaussianRead(BoundModel):
         self.sigma = sigma
 
     def _draw(self, shape, segment, cycle, chunk, out=None):
-        from repro.backend import active_ops  # lazy: avoid an import cycle
-
-        # Numpy-canonical on every backend (the draw is hash-relevant).
-        return active_ops().keyed_normal(
-            self.ctx.draw_key("read", chunk, segment, cycle), self.sigma, shape, out=out
-        )
+        seed = self.ctx.draw_key("read", chunk, segment, cycle)
+        if out is not None:
+            return keyed_normal_into(seed, self.sigma, out)
+        return new_rng(seed).normal(0.0, self.sigma, size=shape)
 
     def perturb(self, values, segment, cycle, chunk):
         noise = self._draw(values.shape, segment, cycle, chunk)
@@ -418,49 +416,3 @@ class IRDropAttenuation(NonIdealityModel):
         if self.alpha == 0.0:
             return _IdentityBound(ctx)
         return _BoundIRDrop(ctx, self.alpha)
-
-
-# --------------------------------------------------------------------- #
-# adapter for pre-subsystem noise objects
-# --------------------------------------------------------------------- #
-class _BoundLegacy(BoundModel):
-    def __init__(self, ctx: LayerNoiseContext, legacy) -> None:
-        super().__init__(ctx)
-        self._legacy = legacy
-
-    def perturb(self, values, segment, cycle, chunk):
-        return np.asarray(self._legacy.apply(values), dtype=np.float64)
-
-
-class LegacyNoiseAdapter(NonIdealityModel):
-    """Wraps an old-protocol object (``apply(values)``) as a stack model.
-
-    The wrapped object owns a mutable RNG, so the two engines — which visit
-    blocks in different orders — consume its stream differently: noisy runs
-    agree only *statistically*, exactly the defect the keyed models above
-    eliminate.  The adapter exists so user code holding a custom legacy
-    model keeps running; everything in-tree uses the keyed models.
-    """
-
-    name = "legacy_adapter"
-
-    def __init__(self, legacy) -> None:
-        if not hasattr(legacy, "apply"):
-            raise TypeError(
-                f"{type(legacy).__name__} does not implement the legacy "
-                "NoiseModel protocol (no .apply method)"
-            )
-        warnings.warn(
-            "wrapping a legacy NoiseModel via its shared RNG stream; fast and "
-            "reference engines will agree only statistically under this model. "
-            "Port it to repro.nonideal.NonIdealityModel for bit-identical runs.",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self.legacy = legacy
-
-    def params(self) -> Dict[str, object]:  # pragma: no cover - not serializable
-        raise TypeError("LegacyNoiseAdapter wraps a live object and has no spec")
-
-    def bind(self, ctx: LayerNoiseContext) -> BoundModel:
-        return _BoundLegacy(ctx, self.legacy)

@@ -1,7 +1,6 @@
 """End-to-end PIM simulation (the reproduction's DNN+NeuroSim substitute)."""
 
 from repro.sim.capture import DistributionCollector, ReservoirSampler
-from repro.sim.fidelity import GaussianReadNoise, NoNoise, ProportionalConductanceNoise
 from repro.sim.pim_layer import (
     MAX_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
@@ -18,17 +17,14 @@ from repro.sim.stats import (
 
 __all__ = [
     "DistributionCollector",
-    "GaussianReadNoise",
     "LayerRobustnessStats",
     "LayerSimStats",
     "MAX_CHUNK_SIZE",
     "MIN_CHUNK_SIZE",
     "MonteCarloResult",
-    "NoNoise",
     "PimBackend",
     "throughput_chunk_size",
     "PimSimulator",
-    "ProportionalConductanceNoise",
     "ReservoirSampler",
     "SimulationResult",
 ]

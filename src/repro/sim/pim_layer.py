@@ -29,9 +29,7 @@ Both engines produce bit-identical outputs and identical A/D-operation and
 region statistics — including under device noise: non-ideality models from
 :mod:`repro.nonideal` draw every perturbation from counter-based keyed
 streams (per layer / chunk / segment / cycle), so the engines reconstruct
-identical noise despite traversing blocks in different orders.  Only legacy
-``apply``-protocol noise objects (wrapped with a deprecation warning) retain
-the old statistical-only agreement.
+identical noise despite traversing blocks in different orders.
 
 Trials
 ------
@@ -123,8 +121,7 @@ class PimBackend:
     engine:
         ``"fast"`` (fused kernel + LUT ADCs, default) or ``"reference"``
         (per-cycle/segment loop oracle).  Outputs and statistics are
-        bit-identical between the two, with or without noise (legacy noise
-        objects excepted; see the module docstring).
+        bit-identical between the two, with or without noise.
     """
 
     _ENGINES = ("fast", "reference")

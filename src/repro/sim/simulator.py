@@ -32,11 +32,9 @@ import numpy as np
 from repro.adc.config import AdcConfig
 from repro.crossbar.mapping import DEFAULT_TOPOLOGY, CrossbarTopology
 from repro.nn.metrics import top1_accuracy
-from repro.nonideal.models import LegacyNoiseAdapter
 from repro.nonideal.stack import NonIdealityStack, as_stack
 from repro.quantization.ptq import QuantizedModel, find_mvm_layers
 from repro.sim.capture import DistributionCollector
-from repro.sim.fidelity import NoNoise
 from repro.sim.pim_layer import PimBackend
 from repro.sim.stats import (
     LayerRobustnessStats,
@@ -68,8 +66,7 @@ class PimSimulator:
         integer-domain LUT ADCs, default) or ``"reference"`` (the
         per-(cycle, segment) loop kept as verification oracle).  The two are
         bit-identical in outputs and operation statistics, with or without a
-        :mod:`repro.nonideal` noise stack (legacy ``apply``-protocol noise
-        objects agree only statistically).
+        :mod:`repro.nonideal` noise stack.
     """
 
     def __init__(
@@ -180,10 +177,10 @@ class PimSimulator:
 
         ``adc_configs=None`` gives the ideal-conversion reference (no ADC
         quantization error, baseline operation counts).  ``noise`` accepts
-        anything :func:`repro.nonideal.as_stack` does: a stack, a model, a
-        list of models/spec dicts, or a legacy ``apply``-protocol object.
+        anything :func:`repro.nonideal.as_stack` does: a stack, a model or
+        a list of models/spec dicts.
         """
-        stack = as_stack(None if isinstance(noise, NoNoise) else noise)
+        stack = as_stack(noise)
         stacks = None if stack is None else [stack]
         return self._forward(images, labels, adc_configs, batch_size, stacks)[0]
 
@@ -245,9 +242,9 @@ class PimSimulator:
         ``trial_batch`` sets how many trials execute per kernel invocation:
         trials run in groups of ``trial_batch`` through the fused kernel
         (:meth:`monte_carlo_trial_results`), and ``1`` (default) is a group
-        of one through the same kernel.  Under the numpy array backend every
-        ``trial_batch`` produces bit-identical results; it is purely a
-        throughput knob.  The independent oracle is the reference engine.
+        of one through the same kernel.  Every ``trial_batch`` produces
+        bit-identical results; it is purely a throughput knob.  The
+        independent oracle is the reference engine.
 
         Returns a :class:`~repro.sim.stats.MonteCarloResult` with the trial
         accuracies, their mean/std and normal-approximation confidence
@@ -260,18 +257,9 @@ class PimSimulator:
             check_integer(trial_batch, "trial_batch"), "trial_batch", low=1
         )
         check_in_range(float(confidence), "confidence", low=0.0, high=1.0, inclusive=False)
-        if isinstance(noise, NoNoise):
-            noise = None
         stack = as_stack(noise)
         if stack is None or not stack.models:
             raise ValueError("run_monte_carlo requires a non-empty noise stack")
-        if any(isinstance(model, LegacyNoiseAdapter) for model in stack.models):
-            raise TypeError(
-                "run_monte_carlo requires keyed repro.nonideal models: a legacy "
-                "apply-protocol noise object owns one mutable RNG stream, so its "
-                "trials would be neither independent nor reproducible under the "
-                "derived per-trial seeds"
-            )
 
         clean = self._clean_reference(clean, images, labels, adc_configs, batch_size)
 

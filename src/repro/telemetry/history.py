@@ -46,7 +46,6 @@ def default_history_path(out_dir: Union[str, Path]) -> Path:
 def history_record(
     summary: Dict[str, object],
     executor: Optional[str] = None,
-    backend: Optional[str] = None,
     trial_batch: Optional[int] = None,
 ) -> Dict[str, object]:
     """One compact history record from a jsonable trace summary.
@@ -56,11 +55,9 @@ def history_record(
     detail stays in the telemetry run directory, addressed by the
     recorded ``run_id``.
 
-    ``backend`` names the array backend the sweep executed under and
-    ``trial_batch`` its Monte Carlo batching knob; both change wall time
-    without changing results, so recording them lets ``trace regress``
-    refuse to compare records produced under different backends (see
-    :func:`comparable_records`).
+    ``trial_batch`` is the sweep's Monte Carlo batching knob: it changes
+    wall time without changing results, so the record keeps it next to
+    the timings it explains.
     """
     waves = [
         {
@@ -78,7 +75,6 @@ def history_record(
         "run_id": summary.get("run_id"),
         "sweep": summary.get("sweep"),
         "executor": executor,
-        "backend": backend,
         "trial_batch": trial_batch,
         "elapsed_s": summary.get("elapsed_s"),
         "critical_path_s": summary.get("critical_path_s"),
@@ -162,28 +158,6 @@ def find_baseline(
     for record in reversed(records):
         if record.get("run_id") == baseline:
             return record
-    return None
-
-
-def comparable_records(
-    baseline: Dict[str, object], latest: Dict[str, object]
-) -> Optional[str]:
-    """Why two history records must not be perf-compared, or ``None``.
-
-    Records produced under different array backends measure different
-    compute substrates; comparing them silently would let a backend switch
-    masquerade as a regression (or mask a real one).  Records predating
-    the backend field are treated as the numpy default — the only backend
-    that existed when they were written.
-    """
-    base = str(baseline.get("backend") or "numpy")
-    new = str(latest.get("backend") or "numpy")
-    if base != new:
-        return (
-            f"baseline ran on array backend {base!r} but the latest run on "
-            f"{new!r}; perf records are not comparable across backends "
-            "(re-baseline on the new backend instead)"
-        )
     return None
 
 

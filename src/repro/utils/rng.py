@@ -55,6 +55,20 @@ def derive_seed(base_seed: int, *labels: Union[str, int]) -> int:
     return int.from_bytes(hasher.digest()[:8], "little")
 
 
+def keyed_normal_into(seed: int, sigma: float, out: np.ndarray) -> np.ndarray:
+    """``new_rng(seed).normal(0, sigma, out.shape)`` drawn into ``out``.
+
+    numpy computes each normal deviate as ``0.0 + sigma · z`` from the same
+    standard-normal stream ``standard_normal(out=...)`` fills, so scaling in
+    place and adding ``0.0`` (which turns ``−0.0`` into ``+0.0``) reproduces
+    it bit for bit without allocating.
+    """
+    new_rng(seed).standard_normal(out=out)
+    out *= sigma
+    out += 0.0
+    return out
+
+
 def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
     """Create ``count`` statistically independent generators from ``seed``."""
     if count < 0:

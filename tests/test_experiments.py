@@ -3,16 +3,14 @@
 Covers the PR's contracts: content addressing (identical spec → cache hit,
 any changed field → new hash, preset edits invalidate), crash-resume
 bit-identity, parallel-vs-serial byte-identity (derived-seed determinism
-across process boundaries), the shared clean reference, and the
-once-per-process deprecation warning dedup that keeps parallel sweeps'
-logs readable.
+across process boundaries), the shared clean reference, and the Monte Carlo
+``trial_batch`` knob on every executor.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +35,6 @@ from repro.experiments import (
 from repro.experiments import runner as runner_module
 from repro.experiments.presets import available_presets, build_preset
 from repro.experiments.store import code_version_salt
-from repro.utils.warnings import reset_warn_once_registry, warn_once
 from repro.workloads import _cache_path, workload_fingerprint
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -346,7 +343,7 @@ class TestMonteCarloCoalescing:
                 continue
             rel = path.relative_to(root)
             # meta sidecars and telemetry record *how* results were
-            # produced (durations, worker, backend, trial_batch) — by
+            # produced (durations, worker, trial_batch) — by
             # design outside the byte-identity contract.
             if rel.parts[0] in ("meta", "telemetry") or rel.name == ".lock":
                 continue
@@ -378,9 +375,65 @@ class TestMonteCarloCoalescing:
         assert len(mc_keys) == 2  # the sigma=0.5 scenario's two seeds
         for key in mc_keys:
             meta = json.loads(store.meta_path(key).read_text())
-            assert meta["backend"] == "numpy"
             assert meta["trial_batch"] == 3
             assert meta["coalesced"] == 2
+
+    def mc_metas(self, root) -> list:
+        store = ResultStore(root)
+        return [
+            json.loads(store.meta_path(job_key(job)).read_text())
+            for job in tiny_sweep().expand() if job.kind == "monte_carlo"
+        ]
+
+    def test_process_pool_batches_every_job_at_the_requested_size(
+        self, reference_run, weights_cache, tmp_path
+    ):
+        """Pool workers run each Monte Carlo job at the sweep's
+        ``trial_batch`` (they used to fall back to 1 while the history
+        record claimed the requested value); the pool does not coalesce."""
+        root = tmp_path / "store-pool"
+        run = run_sweep(
+            tiny_sweep(), ResultStore(root), jobs=2,
+            weights_cache_dir=weights_cache, trial_batch=3,
+        )
+        assert run.stats.computed == run.stats.total
+        assert record_bytes(run) == record_bytes(reference_run)
+        assert self.artifact_bytes(root) == self.artifact_bytes(
+            reference_run_store_root(reference_run)
+        )
+        metas = self.mc_metas(root)
+        assert len(metas) == 2
+        for meta in metas:
+            assert meta["trial_batch"] == 3
+            assert "coalesced" not in meta
+
+    def test_shard_manifest_carries_trial_batch(
+        self, reference_run, weights_cache, tmp_path
+    ):
+        """A manifest's ``trial_batch`` reaches every job of ``shard run``,
+        whose serial executor also coalesces the seed siblings."""
+        from repro.experiments.executors import run_shard_manifest, shard_manifest_dict
+
+        entries = [(index, job, False) for index, job in enumerate(tiny_sweep().expand())]
+        assert "trial_batch" not in shard_manifest_dict(entries, 0, 1)
+        manifest = json.loads(json.dumps(shard_manifest_dict(entries, 0, 1, trial_batch=3)))
+        assert manifest["trial_batch"] == 3
+        root = tmp_path / "store-shard"
+        statuses = run_shard_manifest(manifest, ResultStore(root), weights_cache)
+        assert {status["status"] for status in statuses} == {"done"}
+        assert self.artifact_bytes(root) == self.artifact_bytes(
+            reference_run_store_root(reference_run)
+        )
+        for meta in self.mc_metas(root):
+            assert meta["trial_batch"] == 3
+            assert meta["coalesced"] == 2
+
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, "3", True])
+    def test_shard_manifest_rejects_a_bad_trial_batch(self, tmp_path, bad):
+        from repro.experiments.executors import run_shard_manifest
+
+        with pytest.raises(ValueError, match="trial_batch must be"):
+            run_shard_manifest({"trial_batch": bad, "jobs": []}, ResultStore(tmp_path))
 
     def test_group_signature_selects_only_seed_siblings(self):
         from repro.experiments.runner import mc_group_signature
@@ -664,44 +717,3 @@ class TestSpecs:
             JobSpec(kind="banana", workload=TINY)
         with pytest.raises(ValueError, match="kind"):
             SweepSpec(name="x", kind="banana", workloads=[TINY])
-
-
-# --------------------------------------------------------------------- #
-# Once-per-process deprecation warnings (parallel-sweep log hygiene)
-# --------------------------------------------------------------------- #
-class TestWarnOnce:
-    def test_warn_once_dedupes_per_key(self):
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert warn_once("k1", "message one") is True
-            assert warn_once("k1", "message one") is False
-            assert warn_once("k2", "message two") is True
-        assert len(caught) == 2
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert warn_once("k1", "message one") is True
-        assert len(caught) == 1
-
-    def test_fidelity_shim_warns_once_per_process(self):
-        from repro.sim.fidelity import GaussianReadNoise
-
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            GaussianReadNoise(sigma_levels=0.5)
-            GaussianReadNoise(sigma_levels=1.0)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_cell_model_warns_once_per_process(self):
-        from repro.crossbar.cell import CellConfig, ReRAMCellModel
-
-        reset_warn_once_registry()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            ReRAMCellModel(CellConfig(programming_sigma=0.1))
-            ReRAMCellModel(CellConfig(programming_sigma=0.2))
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1

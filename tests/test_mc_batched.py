@@ -2,10 +2,10 @@
 
 ``PimSimulator.run_monte_carlo(trial_batch=N)`` pushes a leading ``trials``
 axis through the fused kernel (:meth:`MappedMVMLayer.matmul_trials`); the
-contract — under the numpy array backend — is **bit-identity** with the
-``trial_batch=1`` per-trial loop (the oracle): same accuracies, flip rates,
-per-layer operation/region statistics, for every noise model, both engines
-and any grouping of trials.  The experiments-runner coalescer builds on the
+contract is **bit-identity** with the ``trial_batch=1`` per-trial loop (the
+oracle): same accuracies, flip rates, per-layer operation/region
+statistics, for every noise model, both engines and any grouping of
+trials.  The experiments-runner coalescer builds on the
 same contract to write byte-identical store artifacts.
 """
 
@@ -160,32 +160,3 @@ class TestBatchedBitIdentity:
         with pytest.raises(ValueError):
             run_mc(quantized, configs, images, labels, "stuck_at",
                    "fast", trials=2, trial_batch=0)
-
-
-class TestTorchBackendTolerance:
-    def test_torch_backend_within_tolerance(self, harness):
-        """The optional torch backend honours the documented rtol contract.
-
-        Auto-skips where torch is not installed (the repo never requires
-        it); where present, a noisy evaluation under the torch backend must
-        match the numpy reference within ``BACKEND_RTOL``.
-        """
-        pytest.importorskip("torch")
-        from repro.backend import BACKEND_RTOL, set_backend
-
-        quantized, configs, images, labels = harness
-        stack = NonIdealityStack(NOISE_RECIPES["variation_quantized"], seed=5)
-        simulator = PimSimulator(quantized, engine="fast")
-        reference = simulator.evaluate(
-            images, labels, configs, batch_size=4, noise=stack
-        )
-        set_backend("torch")
-        try:
-            under_torch = simulator.evaluate(
-                images, labels, configs, batch_size=4, noise=stack
-            )
-        finally:
-            set_backend("numpy")
-        np.testing.assert_allclose(
-            under_torch.logits, reference.logits, rtol=BACKEND_RTOL, atol=0.0
-        )

@@ -212,29 +212,6 @@ class TestSimulatorNoiseEquivalence:
                 b.conversions, b.operations, b.in_r1, b.in_r2
             ), name
 
-    def test_legacy_fidelity_shim_is_now_bit_identical(
-        self, lenet_workload, lenet_eval_data
-    ):
-        """Satellite regression: the deprecated fidelity classes used to put
-        noisy runs on divergent RNG orderings between engines; routed through
-        the keyed subsystem they must now match exactly."""
-        from repro.sim import GaussianReadNoise as LegacyGaussian
-
-        from repro.utils.warnings import reset_warn_once_registry
-
-        images, labels = lenet_eval_data
-        images, labels = images[:6], labels[:6]
-        logits = {}
-        for engine in ("reference", "fast"):
-            reset_warn_once_registry()  # the shim warns once per process
-            with pytest.warns(DeprecationWarning):
-                noise = LegacyGaussian(sigma_levels=0.5, seed=0)
-            sim = PimSimulator(lenet_workload.quantized, engine=engine)
-            logits[engine] = sim.evaluate(
-                images, labels, None, batch_size=3, noise=noise
-            ).logits
-        np.testing.assert_array_equal(logits["reference"], logits["fast"])
-
     def test_noisy_run_is_reproducible_and_distinct(
         self, lenet_workload, lenet_eval_data, noisy_configs
     ):
@@ -285,24 +262,21 @@ class TestSimulatorNoiseEquivalence:
         sim = PimSimulator(lenet_workload.quantized)
         with pytest.raises(ValueError):
             sim.run_monte_carlo(images[:2], labels[:2], None, trials=1)
-        from repro.sim import NoNoise
-
         with pytest.raises(ValueError):
-            sim.run_monte_carlo(images[:2], labels[:2], NoNoise(), trials=1)
+            sim.run_monte_carlo(images[:2], labels[:2], [], trials=1)
 
-    def test_monte_carlo_rejects_legacy_noise_objects(
-        self, lenet_workload, lenet_eval_data
+    @pytest.mark.parametrize("run", ["evaluate", "run_monte_carlo"])
+    def test_apply_only_noise_objects_are_rejected(
+        self, lenet_workload, lenet_eval_data, run
     ):
-        """A legacy apply-protocol object owns one mutable RNG stream, so its
-        trials would be neither independent nor seed-reproducible — MC must
-        refuse it instead of silently breaking its contract."""
+        """Noise must be a keyed model, stack or spec list: an object with
+        only an ``apply(values)`` method fails before any layer runs."""
 
-        class OldStyle:
+        class ApplyOnly:
             def apply(self, values):
                 return values
 
         images, labels = lenet_eval_data
         sim = PimSimulator(lenet_workload.quantized)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="keyed repro.nonideal models"):
-                sim.run_monte_carlo(images[:2], labels[:2], OldStyle(), trials=1)
+        with pytest.raises(TypeError, match="ApplyOnly"):
+            getattr(sim, run)(images[:2], labels[:2], noise=ApplyOnly())

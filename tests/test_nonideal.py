@@ -9,6 +9,8 @@ pure value maps, the CellConfig migration, and the Monte Carlo statistics
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from repro.nonideal import (
 )
 from repro.nonideal.base import LayerNoiseContext
 from repro.sim.stats import MonteCarloResult
+from repro.utils import rng as rng_module
+from repro.utils.rng import keyed_normal_into, new_rng
 
 
 def _state(stack, columns=32, segments=(16, 16), max_bitline=64, layer="layer"):
@@ -106,6 +110,33 @@ class TestRegistry:
         with pytest.raises(TypeError):
             as_stack(3.14)
 
+    def test_as_stack_seeds_models_and_lists_at_zero(self):
+        """A bare model, a list and a spec list all become a stack whose
+        base seed is 0 unless ``seed=`` names one."""
+        block = _block(np.random.default_rng(20))
+        model = GaussianReadNoise(sigma=0.5)
+        expected = _state(NonIdealityStack([model], seed=0)).perturb_block(block, 0, 0)
+        for noise in (model, [model], [model.spec()]):
+            stack = as_stack(noise)
+            assert stack.seed == 0
+            np.testing.assert_array_equal(
+                _state(stack).perturb_block(block, 0, 0), expected
+            )
+            assert as_stack(noise, seed=7).seed == 7
+
+    def test_as_stack_rejects_apply_only_objects(self):
+        """An object with only the retired ``apply(values)`` method is not
+        noise the simulator can key, on its own or inside a list."""
+
+        class ApplyOnly:
+            def apply(self, values):
+                return values
+
+        with pytest.raises(TypeError, match="ApplyOnly"):
+            as_stack(ApplyOnly())
+        with pytest.raises(TypeError):
+            as_stack([GaussianReadNoise(sigma=0.5), ApplyOnly()])
+
 
 # --------------------------------------------------------------------- #
 # keyed sampling
@@ -126,14 +157,19 @@ class TestKeyedSampling:
         # ... while staying reproducible for a fixed (stack seed, run seed).
         assert a.seed == NonIdealityStack(models, seed=111).derive_trial(0, 3).seed
 
-    def test_legacy_apply_draws_fresh_noise_per_call(self, rng):
-        """The deprecated one-shot API must keep its old behaviour of fresh
-        draws on every call — including for statically-keyed models, which
-        bind a fresh pseudo-device per call."""
-        values = rng.uniform(1.0, 50.0, size=400)
+    def test_trials_draw_fresh_noise_for_every_model(self):
+        """Fresh noise comes from a new Monte Carlo trial: each trial
+        replica redraws per-read noise and binds a fresh pseudo-device for
+        static models, while a repeated trial reproduces exactly."""
+        block = _block(np.random.default_rng(21))
         for model in (GaussianReadNoise(0.5), ConductanceVariation(0.1)):
-            first, second = model.apply(values), model.apply(values)
+            stack = NonIdealityStack([model], seed=5)
+            first, second, again = (
+                _state(stack.derive_trial(0, trial)).perturb_block(block, 0, 0)
+                for trial in (0, 1, 0)
+            )
             assert not np.array_equal(first, second)
+            np.testing.assert_array_equal(first, again)
 
     def test_reseeding_changes_draws(self, rng):
         block = _block(rng)
@@ -202,10 +238,17 @@ class TestModelSemantics:
         np.testing.assert_array_equal(out, block)
 
     def test_gaussian_clamps_non_negative(self, rng):
+        """Bit-line currents stay non-negative on every draw path: the
+        allocating block, the reused buffer and the batched trials."""
         block = np.zeros((8, 32))
         state = _state(NonIdealityStack([GaussianReadNoise(5.0)]))
-        out = state.perturb_block(block, 0, 0)
-        assert out.min() >= 0.0 and out.max() > 0.0
+        bound = state._bound[0]
+        for out in (
+            state.perturb_block(block, 0, 0),
+            state.perturb_block(block, 0, 1, out=np.empty_like(block)),
+            bound.perturb_trials([bound, bound], np.stack([block, block]), 0, 2, 0),
+        ):
+            assert out.min() >= 0.0 and out.max() > 0.0
 
     def test_relative_gaussian_scales_with_max_bitline(self, rng):
         block = np.full((64, 32), 10.0)
@@ -343,15 +386,23 @@ class TestCellConfigMigration:
     def test_ideal_cell_config_gives_empty_stack(self):
         assert len(NonIdealityStack.from_cell_config(CellConfig())) == 0
 
-    def test_reram_cell_model_warns_on_nonideal_config(self):
-        with pytest.warns(DeprecationWarning, match="from_cell_config"):
-            ReRAMCellModel(CellConfig(programming_sigma=0.1))
+    def test_reram_cell_model_silent_when_ideal(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ReRAMCellModel(CellConfig())
+        assert caught == []
 
-    def test_reram_cell_model_silent_when_ideal(self, recwarn):
-        ReRAMCellModel(CellConfig())
-        assert not any(
-            isinstance(w.message, DeprecationWarning) for w in recwarn.list
-        )
+    def test_reram_cell_model_silent_on_nonideal_config(self):
+        """The analog-mode knobs construct without a warning and still
+        perturb the standalone cell model's conductances."""
+        config = CellConfig(programming_sigma=0.1, read_noise_sigma=0.02)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cell = ReRAMCellModel(config, rng=3)
+        assert caught == []
+        codes = np.arange(config.levels)
+        ideal = ReRAMCellModel(CellConfig()).code_to_conductance(codes)
+        assert not np.array_equal(cell.code_to_conductance(codes), ideal)
 
 
 # --------------------------------------------------------------------- #
@@ -445,29 +496,36 @@ class TestInPlaceDraws:
     @pytest.mark.parametrize("shape", [(0,), (0, 5), (7,), (3, 11), (2, 3, 4)])
     @pytest.mark.parametrize("sigma", [0.5, 1.0, 3.7e-3])
     def test_keyed_normal_out_equals_numpy_normal(self, shape, sigma):
-        from repro.backend import active_ops, keyed_normal_into
-        from repro.utils.rng import new_rng
-
         for seed in (0, 1, 2**40 + 7):
             expected = new_rng(seed).normal(0.0, sigma, size=shape)
             out = np.full(shape, np.nan)
-            got = active_ops().keyed_normal(seed, sigma, shape, out=out)
+            got = keyed_normal_into(seed, sigma, out)
             assert got is out
             np.testing.assert_array_equal(got, expected)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
-            again = keyed_normal_into(seed, sigma, np.empty(shape))
-            np.testing.assert_array_equal(np.signbit(again), np.signbit(expected))
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 11), (2, 3, 4)])
+    def test_read_noise_draws_are_new_rng_canonical(self, shape):
+        """The allocating and the in-place read-noise draw are both
+        ``new_rng(key).normal(0, σ, shape)`` for the model's derived key."""
+        state = _state(NonIdealityStack([GaussianReadNoise(sigma=0.7)], seed=6))
+        bound = state._bound[0]
+        key = bound.ctx.draw_key("read", 2, 1, 3)
+        expected = new_rng(key).normal(0.0, 0.7, size=shape)
+        np.testing.assert_array_equal(bound._draw(shape, 1, 3, 2), expected)
+        out = bound._draw(shape, 1, 3, 2, out=np.full(shape, np.nan))
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
 
     def test_negative_zero_deviates_become_positive_zero(self, monkeypatch):
         """numpy's ``0.0 + σ·z`` turns a ``−0.0`` product into ``+0.0``."""
-        import repro.backend as backend
 
         class NegativeZeros:
             def standard_normal(self, out):
                 out[...] = -0.0
 
-        monkeypatch.setattr(backend, "new_rng", lambda seed: NegativeZeros())
-        assert not np.signbit(backend.keyed_normal_into(3, 0.5, np.empty(4))).any()
+        monkeypatch.setattr(rng_module, "new_rng", lambda seed: NegativeZeros())
+        assert not np.signbit(rng_module.keyed_normal_into(3, 0.5, np.empty(4))).any()
 
     @pytest.mark.parametrize("specs", [
         [{"model": "gaussian_read_noise", "sigma": 0.7}],

@@ -97,13 +97,13 @@ def serial_flat(tmp_path_factory, weights_cache):
     return record_json(run), store_listing(store)
 
 
-def remote_mc(store, weights_cache, transport, **executor_kwargs):
+def remote_mc(store, weights_cache, transport, trial_batch=1, **executor_kwargs):
     executor = RemoteExecutor(
         workers=2, transport=transport, **{**CALM, **executor_kwargs},
     )
     return run_sweep(
         tiny_mc_sweep(), store, weights_cache_dir=weights_cache,
-        executor=executor,
+        executor=executor, trial_batch=trial_batch,
     )
 
 
@@ -121,6 +121,20 @@ class TestHappyPath:
         # Wave 1 (the shared clean reference) is one group; wave 2's two
         # Monte Carlo nodes round-robin into two groups of one.
         assert len(transport.submissions) == 3
+
+    def test_remote_batches_monte_carlo_trials(
+        self, tmp_path, weights_cache, serial_mc,
+    ):
+        """Remote manifests carry the sweep's ``trial_batch``: every Monte
+        Carlo job runs batched, byte-identical to the per-trial serial run."""
+        store = ResultStore(tmp_path / "store")
+        run = remote_mc(store, weights_cache, CountingTransport(), trial_batch=3)
+        assert (record_json(run), store_listing(store)) == serial_mc
+        mc_jobs = [job for job in tiny_mc_sweep().expand() if job.kind == "monte_carlo"]
+        assert mc_jobs
+        for job in mc_jobs:
+            meta = json.loads(store.meta_path(job_key(job)).read_text())
+            assert meta["trial_batch"] == 3
 
     def test_resolve_executor_knows_remote(self):
         executor = resolve_executor("remote", workers=3)

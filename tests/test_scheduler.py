@@ -525,6 +525,28 @@ class TestExecutorEquivalence:
         assert store_listing(ResultStore(tmp_path / "sharded")) == \
                store_listing(ResultStore(tmp_path / "serial"))
 
+    def test_sharded_executor_batches_monte_carlo_trials(
+        self, tmp_path, weights_cache
+    ):
+        """Each shard's manifest carries the sweep's ``trial_batch``, so
+        every Monte Carlo job runs batched and matches a per-trial serial
+        run byte for byte."""
+        serial_store = ResultStore(tmp_path / "serial")
+        serial = run_sweep(tiny_mc_sweep(), serial_store, weights_cache_dir=weights_cache)
+        runner_module.clear_runner_memos()
+        store = ResultStore(tmp_path / "sharded")
+        sharded = run_sweep(
+            tiny_mc_sweep(), store, weights_cache_dir=weights_cache,
+            executor="sharded", shards=2, trial_batch=3,
+        )
+        assert record_bytes(sharded) == record_bytes(serial)
+        assert store_listing(store) == store_listing(serial_store)
+        mc_jobs = [job for job in tiny_mc_sweep().expand() if job.kind == "monte_carlo"]
+        assert mc_jobs
+        for job in mc_jobs:
+            meta = json.loads(store.meta_path(job_key(job)).read_text())
+            assert meta["trial_batch"] == 3
+
 
 # --------------------------------------------------------------------- #
 # Failure-log age and expiry (the `show --expire-failures` plumbing)

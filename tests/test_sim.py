@@ -7,15 +7,9 @@ import pytest
 
 from repro.adc import uniform_config, twin_range_config
 from repro.core import TRQParams, uniform_adc_configs
+from repro.nonideal import ConductanceVariation, GaussianReadNoise, NonIdealityStack
 from repro.quantization import FakeQuantBackend, attach_backend, detach_backend, quantize_model
-from repro.sim import (
-    DistributionCollector,
-    GaussianReadNoise,
-    NoNoise,
-    PimSimulator,
-    ProportionalConductanceNoise,
-    ReservoirSampler,
-)
+from repro.sim import DistributionCollector, PimSimulator, ReservoirSampler
 from repro.sim.stats import LayerSimStats, SimulationResult
 
 
@@ -65,29 +59,43 @@ class TestCapture:
 
 
 # --------------------------------------------------------------------- #
-# noise models
+# noise models (keyed repro.nonideal models, as the simulator takes them)
 # --------------------------------------------------------------------- #
+def _perturb(model, values, seed=0):
+    state = NonIdealityStack([model], seed=seed).bind_layer(
+        "layer", crossbar_size=values.shape[0], segment_sizes=(values.shape[0],),
+        columns=values.shape[1], max_bitline=int(np.ceil(values.max())),
+    )
+    return state.perturb_block(values, segment=0, cycle=0)
+
+
 class TestNoise:
-    def test_no_noise_is_identity(self, rng):
-        values = rng.uniform(0, 10, size=50)
-        np.testing.assert_array_equal(NoNoise().apply(values), values)
+    def test_no_noise_is_identity(self, lenet_workload, lenet_eval_data):
+        """An empty stack runs the noise-free datapath bit for bit."""
+        images, labels = lenet_eval_data
+        sim = lenet_workload.simulator
+        params = TRQParams(n_r1=2, n_r2=5, m=3, delta_r1=1.0)
+        configs = {name: twin_range_config(params) for name in sim.layer_names()}
+        clean = sim.evaluate(images[:8], labels[:8], configs, batch_size=8)
+        empty = sim.evaluate(images[:8], labels[:8], configs, batch_size=8,
+                             noise=NonIdealityStack([]))
+        np.testing.assert_array_equal(empty.logits, clean.logits)
+        assert empty.layer_stats == clean.layer_stats
 
-    def test_gaussian_noise_perturbs_but_stays_non_negative(self, rng):
-        noise = GaussianReadNoise(sigma_levels=1.0, seed=0)
-        values = rng.uniform(0, 5, size=1000)
-        noisy = noise.apply(values)
+    def test_gaussian_noise_perturbs_but_stays_non_negative(self):
+        values = np.random.default_rng(22).uniform(0, 5, size=(40, 25))
+        noisy = _perturb(GaussianReadNoise(sigma=1.0), values)
         assert not np.array_equal(noisy, values)
-        assert noisy.min() >= 0.0
-        assert GaussianReadNoise(0.0).apply(values) is values
+        assert noisy.min() == 0.0  # clamped, not reflected
+        np.testing.assert_array_equal(_perturb(GaussianReadNoise(0.0), values), values)
 
-    def test_proportional_noise(self, rng):
-        noise = ProportionalConductanceNoise(sigma=0.05, seed=0)
-        values = rng.uniform(1, 100, size=500)
-        noisy = noise.apply(values)
+    def test_proportional_noise(self):
+        values = np.random.default_rng(23).uniform(1, 100, size=(20, 25))
+        noisy = _perturb(ConductanceVariation(sigma=0.05), values)
         rel = np.abs(noisy - values) / values
         assert 0.0 < rel.mean() < 0.2
         with pytest.raises(ValueError):
-            ProportionalConductanceNoise(-0.1)
+            ConductanceVariation(-0.1)
 
 
 # --------------------------------------------------------------------- #
@@ -155,7 +163,7 @@ class TestSimulator:
         images, labels = lenet_eval_data
         sim = lenet_workload.simulator
         result = sim.evaluate(images[:8], labels[:8], None, batch_size=8,
-                              noise=GaussianReadNoise(sigma_levels=0.5, seed=0))
+                              noise=NonIdealityStack([GaussianReadNoise(sigma=0.5)]))
         assert 0.0 <= result.accuracy <= 1.0
 
     def test_collect_bitline_distributions(self, lenet_workload, lenet_bitline_samples):

@@ -1,4 +1,4 @@
-"""Malformed capture, calibration and Monte Carlo specs fail at the JSON boundary.
+"""Malformed capture, calibration, Monte Carlo and power specs fail at the JSON boundary.
 
 A capture or Algorithm 1 field out of range used to be accepted and then
 either crash inside a worker (``images=0``) or silently run on different
@@ -6,7 +6,9 @@ inputs than its content address claims (``images=-3`` sliced to 5 images, a
 ``source="workload"`` calibration of 32 images on an 8-image split).  Monte
 Carlo jobs accepted ``images=0``, ``batch_size=0``, a confidence outside
 ``(0, 1)`` and noise specs the registry cannot build, and failed only after
-training.  ``JobSpec.from_dict`` must reject every such field with a
+training.  Power jobs accepted ``uniform_bits`` below 1 (failing only once
+the job ran) and raised ``TypeError`` for an unknown or non-numeric energy
+constant.  ``JobSpec.from_dict`` must reject every such field with a
 ``ValueError`` that names it.
 """
 
@@ -20,12 +22,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch import EnergyConstants
 from repro.experiments import (
     AdcSpec,
     CalibrationParams,
     DistributionParams,
     JobSpec,
     NoiseScenario,
+    PowerSpec,
     SweepSpec,
     WorkloadSpec,
 )
@@ -242,3 +246,69 @@ def test_zero_confidence_sweep_is_rejected_before_any_job_runs(tmp_path, trial_b
     with pytest.raises(ValueError, match="^confidence must be > 0.0"):
         run_sweep(sweep, store, trial_batch=trial_batch)
     assert not list(store.glob("*.json"))
+
+
+# --------------------------------------------------------------------- #
+# Power jobs
+# --------------------------------------------------------------------- #
+ENERGY_CONSTANTS = [field.name for field in dataclasses.fields(EnergyConstants)]
+
+
+def with_power(**fields) -> dict:
+    data = copy.deepcopy(BASES["power"])
+    data["power"].update(fields)
+    return data
+
+
+@given(st.one_of(
+    st.integers(max_value=0),
+    st.floats().filter(lambda value: not (value >= 1 and float(value).is_integer())),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+))
+@settings(max_examples=100, deadline=None)
+def test_uniform_bits_must_be_a_positive_integer(bits):
+    with pytest.raises(ValueError, match=r"^power\.uniform_bits must be"):
+        JobSpec.from_dict(with_power(uniform_bits=bits))
+
+
+@given(st.text(max_size=12).filter(lambda name: name not in ENERGY_CONSTANTS))
+@settings(max_examples=60, deadline=None)
+def test_unknown_energy_constants_raise_naming_them(name):
+    with pytest.raises(ValueError, match=re.escape(f"power.constants.{name} is not")):
+        JobSpec.from_dict(with_power(constants={name: 1e-12}))
+
+
+@given(
+    st.sampled_from(ENERGY_CONSTANTS),
+    st.one_of(
+        st.floats(max_value=0.0, exclude_max=True),
+        st.sampled_from([float("nan"), float("inf"), "x", True, None, [1.0]]),
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_bad_energy_constant_values_raise_naming_them(name, value):
+    with pytest.raises(ValueError, match=re.escape(f"power.constants.{name} must be")):
+        JobSpec.from_dict(with_power(constants={name: value}))
+
+
+def test_power_boundaries_are_accepted_and_addresses_unchanged():
+    for fields in (
+        {"uniform_bits": 1},
+        {"uniform_bits": 8.0},
+        {"constants": {name: 0.0 for name in ENERGY_CONSTANTS}},
+    ):
+        job = JobSpec.from_dict(with_power(**fields))
+        assert JobSpec.from_dict(job.to_dict()) == job
+    assert job.power.resolved_constants() == {name: 0.0 for name in ENERGY_CONSTANTS}
+    power = JobSpec(
+        kind="power", workload=TINY, images=4,
+        calibration=CalibrationParams(calibration_size=8, source="workload"),
+        power=PowerSpec(uniform_bits=6, constants={"e_adc_op": 0.3e-12}),
+    )
+    # Validation adds no hashed field: the address of a fixed job is the
+    # one the code gave it before these checks existed.
+    assert job_key(power, "fixed-salt") == (
+        "568139a03b9a08b31287abaf46d6066692b982a0d7518ada59c3ce2cb3361a13"
+    )

@@ -1068,6 +1068,21 @@ class TestCliHistoryRegress:
                          "--factor", "1.01", "--min-gap", "0.5"]) == 5
         capsys.readouterr()
 
+    def test_regress_compares_records_that_name_an_array_backend(
+        self, tmp_path, capsys
+    ):
+        """Older records carry a ``backend`` field; numpy is the only array
+        substrate, so such records compare like any others."""
+        path = tmp_path / "history.jsonl"
+        for run_id, backend in (("base", "torch"), ("latest", "numpy")):
+            append_history(path, {
+                "run_id": run_id, "sweep": "s", "backend": backend,
+                "elapsed_s": 10.0, "critical_path_s": 8.0,
+            })
+        assert cli_main(["trace", "regress", "--history", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "no regression" in out and "baseline: base" in out
+
     def test_regress_needs_two_records(self, tmp_path, capsys):
         path = tmp_path / "history.jsonl"
         append_history(path, {"run_id": "only", "sweep": "s", "elapsed_s": 1.0})
