@@ -22,11 +22,9 @@ from repro.experiments.executors import (
     Executor,
     LocalSubprocessTransport,
     ProcessPoolExecutor,
-    RemoteExecutor,
     SerialExecutor,
     ShardJobFailed,
     ShardedExecutor,
-    Transport,
     load_shard_manifest,
     manifest_result_path,
     plan_shards,
@@ -89,7 +87,6 @@ __all__ = [
     "NoiseScenario",
     "PowerSpec",
     "ProcessPoolExecutor",
-    "RemoteExecutor",
     "ResultStore",
     "ScheduledJob",
     "SerialExecutor",
@@ -99,7 +96,6 @@ __all__ = [
     "SweepRun",
     "SweepRunStats",
     "SweepSpec",
-    "Transport",
     "UpstreamFailed",
     "WorkloadSpec",
     "aggregate_sweep",

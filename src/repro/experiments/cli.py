@@ -32,14 +32,12 @@ default and spelled out only for scripts that want to be explicit.  Use
 ``--force`` to discard the sweep's cached artifacts and recompute.
 
 ``--executor`` selects how pending jobs run: ``serial`` (in-process),
-``process`` (a worker pool of ``--jobs`` processes), ``sharded``
-(``--shards`` independent subprocesses per scheduler wave, driving the same
-manifests as the ``shard`` subcommand) or ``remote`` (manifests dispatched
-to ``--workers`` workers over a transport, each against a private synced
-store merged back on return, with dropped-shard retry and straggler
-re-dispatch — ``--force-redispatch`` forces a duplicate backup attempt per
-shard).  Omitted, it keeps the historical default: a process pool iff
-``--jobs`` > 1.
+``process`` (a worker pool of ``--jobs`` processes) or ``sharded`` (up to
+``--shards`` ``shard run`` subprocesses per scheduler wave against the same
+store, driving the same manifests as the ``shard`` subcommand, with
+dropped-shard re-dispatch and straggler backups — ``--force-redispatch``
+forces a duplicate backup attempt per shard).  Omitted, it keeps the
+historical default: a process pool iff ``--jobs`` > 1.
 
 Failures: a job that raises is recorded (spec + traceback) in the store's
 failure log and surfaced by ``show`` together with each entry's age;
@@ -66,7 +64,7 @@ from typing import List, Optional, Union
 
 from repro.experiments.executors import (
     EXECUTOR_NAMES,
-    RemoteExecutor,
+    ShardedExecutor,
     load_shard_manifest,
     manifest_result_path,
     run_shard_manifest,
@@ -104,6 +102,17 @@ DEFAULT_CACHE = Path("benchmarks") / ".cache"
 DEFAULT_OUT_DIR = Path("benchmarks") / "results"
 DEFAULT_SHARD_DIR = Path("benchmarks") / "results" / "shards"
 DEFAULT_HISTORY = trace_history.default_history_path(DEFAULT_OUT_DIR)
+
+
+def _positive_int(text: str) -> int:
+    """The argparse type of count flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # rejected below, like any other value < 1
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def load_experiment(spec: str, smoke: bool = False) -> ExperimentSpec:
@@ -273,29 +282,29 @@ def build_parser() -> argparse.ArgumentParser:
                           "only written when tracing)")
     run.add_argument("--no-history", action="store_true",
                      help="skip the perf-history append even when tracing")
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=_positive_int, default=1,
                      help="parallel worker processes (default 1: in-process)")
     run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                      help="execution strategy (default: process pool iff "
                           "--jobs > 1, else serial)")
-    run.add_argument("--shards", type=int, default=2, metavar="N",
-                     help="shard count of --executor sharded (default 2)")
-    run.add_argument("--workers", type=int, default=2, metavar="N",
-                     help="dispatch fan-out of --executor remote (default 2)")
-    run.add_argument("--trial-batch", type=int, default=1, metavar="N",
+    run.add_argument("--shards", type=_positive_int, default=2, metavar="N",
+                     help="--executor sharded: at most N 'shard run' "
+                          "subprocesses per scheduler wave, all writing "
+                          "the --store (default 2)")
+    run.add_argument("--trial-batch", type=_positive_int, default=1, metavar="N",
                      help="Monte Carlo trials per batched kernel invocation "
                           "(default 1: the per-trial loop); every executor "
                           "batches each job's trials.  N > 1 also coalesces "
                           "sibling per-seed MC jobs into one batched "
-                          "execution on the serial, sharded and remote "
-                          "executors (per shard on the latter two), not on "
-                          "the process pool.  Results are byte-identical "
-                          "for every N; this is purely a wall-clock knob")
+                          "execution on the serial and sharded executors "
+                          "(per shard on the latter), not on the process "
+                          "pool.  Results are byte-identical for every N; "
+                          "this is purely a wall-clock knob")
     run.add_argument("--force-redispatch", action="store_true",
-                     help="--executor remote: dispatch a duplicate backup "
-                          "attempt of every shard immediately (exercises "
-                          "the straggler re-dispatch path; results are "
-                          "byte-identical by construction)")
+                     help="--executor sharded only: dispatch a duplicate "
+                          "backup attempt of every shard immediately "
+                          "(exercises the straggler re-dispatch path; "
+                          "results are byte-identical by construction)")
     run.add_argument("--resume", action="store_true", default=True,
                      help="skip jobs already in the store (default)")
     run.add_argument("--force", action="store_true",
@@ -339,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
         "emit", help="write N shard manifests for a sweep")
     _add_spec_arguments(emit)
     _add_verbosity_arguments(emit)
-    emit.add_argument("--shards", type=int, default=2, metavar="N",
+    emit.add_argument("--shards", type=_positive_int, default=2, metavar="N",
                       help="number of manifests to emit (default 2)")
     emit.add_argument("--dir", type=Path, default=DEFAULT_SHARD_DIR,
                       help=f"manifest directory (default {DEFAULT_SHARD_DIR})")
@@ -717,12 +726,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             max_failures=args.max_failures,
             inject_failures=args.inject_failure or (),
             executor=(
-                RemoteExecutor(workers=args.workers, force_redispatch=True)
-                if args.executor == "remote" and args.force_redispatch
+                ShardedExecutor(shards=args.shards, force_redispatch=True)
+                if args.force_redispatch
                 else args.executor
             ),
             shards=args.shards,
-            workers=args.workers,
             trace=trace_arg,
             history=history,
             trial_batch=args.trial_batch,
@@ -801,8 +809,17 @@ def _cmd_shard_emit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_manifest(path: Path) -> dict:
+    """``load_shard_manifest`` for the CLI: a bad manifest is a one-line
+    error and a non-zero exit, not a traceback."""
+    try:
+        return load_shard_manifest(path)
+    except (OSError, ValueError) as error:
+        raise SystemExit(f"error: {error}") from None
+
+
 def _cmd_shard_run(args: argparse.Namespace) -> int:
-    manifest = load_shard_manifest(args.manifest)
+    manifest = _load_manifest(args.manifest)
     store = ResultStore(args.store)
     print(f"shard {manifest['shard_index'] + 1}/{manifest['shard_count']}: "
           f"{len(manifest['jobs'])} job(s) against {store.root} "
@@ -848,7 +865,7 @@ def _collect_manifest_paths(arguments: List[Path]) -> List[Path]:
 
 def _cmd_shard_merge(args: argparse.Namespace) -> int:
     paths = _collect_manifest_paths(args.manifests)
-    manifests = [load_shard_manifest(path) for path in paths]
+    manifests = [_load_manifest(path) for path in paths]
     salts = {manifest["salt"] for manifest in manifests}
     if len(salts) > 1:
         raise SystemExit(
@@ -1245,7 +1262,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (
+        args.command == "run" and args.force_redispatch
+        and args.executor != "sharded"
+    ):
+        parser.error("--force-redispatch requires --executor sharded")
     set_verbosity(verbosity_to_level(
         getattr(args, "verbose", 0) or 0, getattr(args, "quiet", False)
     ))

@@ -1,7 +1,7 @@
 """The executor layer: pluggable strategies for running scheduled waves.
 
 The scheduler (:mod:`repro.experiments.scheduler`) decides *what* runs and
-in *which order*; an :class:`Executor` decides *where*.  Four built-ins:
+in *which order*; an :class:`Executor` decides *where*.  Three built-ins:
 
 * :class:`SerialExecutor` — in-process, one job at a time.  The per-process
   workload/artifact memos make consecutive jobs cheap; this is the
@@ -12,18 +12,12 @@ in *which order*; an :class:`Executor` decides *where*.  Four built-ins:
 * :class:`ShardedExecutor` — partitions each wave round-robin into N
   *shard manifests* (JSON job lists) and runs each as an independent
   ``python -m repro.experiments shard run`` subprocess against the same
-  content-addressed store.  The same manifest format drives the explicit
-  multi-machine flow (``shard emit`` → N × ``shard run`` → ``shard
-  merge``): because artifacts are content-addressed and writes are atomic,
-  shards never coordinate — at worst two shards compute the same shared
-  sibling and store identical bytes.
-* :class:`RemoteExecutor` — the cluster-shaped strategy: shard manifests
-  dispatched over a pluggable :class:`Transport`
-  (:class:`LocalSubprocessTransport` today, SSH later) to workers with
-  *private* per-task stores, synced before dispatch and merged on return
-  (:meth:`ResultStore.merge_from`), with dropped-shard retry and two-gate
-  straggler re-dispatch — duplicate execution is harmless by construction
-  (content addressing + the store's cross-process locking).
+  content-addressed store, re-dispatching dropped shards and backing up
+  stragglers.  The same manifest format drives the explicit multi-machine
+  flow (``shard emit`` → N × ``shard run`` → ``shard merge``): because
+  artifacts are content-addressed and writes are atomic, shards never
+  coordinate — at worst two shards (or two attempts of one shard) compute
+  the same artifact and store identical bytes.
 
 Executors are context managers, and **cancellation lives here**: leaving
 the ``with`` block on an exception (Ctrl-C, first-failure abort,
@@ -58,7 +52,6 @@ from repro.experiments.spec import ExperimentSpec, JobSpec, SweepSpec
 from repro.experiments.store import (
     FailureLog,
     ResultStore,
-    _stage_tmp,
     code_version_salt,
     job_key,
 )
@@ -69,7 +62,7 @@ from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.executors")
 
-EXECUTOR_NAMES = ("serial", "process", "sharded", "remote")
+EXECUTOR_NAMES = ("serial", "process", "sharded")
 
 #: Manifest schema marker (bump on incompatible manifest layout changes).
 SHARD_MANIFEST_FORMAT = "repro-shard-manifest/v1"
@@ -237,13 +230,11 @@ def resolve_executor(
     executor: Union[str, Executor, None] = None,
     jobs: int = 1,
     shards: int = 2,
-    workers: int = 2,
 ) -> Executor:
     """Resolve the ``run_sweep`` executor argument to an instance.
 
     ``None`` keeps the historical behaviour: a process pool when
-    ``jobs > 1``, in-process otherwise.  ``workers`` sizes the ``remote``
-    executor's dispatch fan-out (ignored otherwise).
+    ``jobs > 1``, in-process otherwise.
     """
     if isinstance(executor, Executor):
         return executor
@@ -255,8 +246,6 @@ def resolve_executor(
         return ProcessPoolExecutor(max_workers=jobs)
     if executor == "sharded":
         return ShardedExecutor(shards=shards)
-    if executor == "remote":
-        return RemoteExecutor(workers=workers)
     raise ValueError(
         f"unknown executor {executor!r} (expected one of {EXECUTOR_NAMES})"
     )
@@ -510,12 +499,41 @@ def write_shard_manifests(
 
 
 def load_shard_manifest(path: Union[str, Path]) -> Dict[str, object]:
+    """Read one shard manifest and check it before any store is touched.
+
+    A manifest emitted under another code-version salt is refused: running
+    it would store bytes made by this code under the old salt's addresses.
+    The fields ``shard run`` reads are checked too; each ``ValueError``
+    names the offending JSON path.
+    """
     manifest = json.loads(Path(path).read_text())
-    if manifest.get("format") != SHARD_MANIFEST_FORMAT:
+    form = manifest.get("format") if isinstance(manifest, dict) else None
+    if form != SHARD_MANIFEST_FORMAT:
         raise ValueError(
             f"{path} is not a shard manifest (format "
-            f"{manifest.get('format')!r}, expected {SHARD_MANIFEST_FORMAT!r})"
+            f"{form!r}, expected {SHARD_MANIFEST_FORMAT!r})"
         )
+    salt = code_version_salt()
+    if manifest.get("salt") != salt:
+        raise ValueError(
+            f"{path} was emitted under salt {manifest.get('salt')!r}, not this "
+            f"code's salt {salt!r}; re-emit it with 'shard emit'"
+        )
+    for field in ("shard_index", "shard_count"):
+        value = manifest.get(field)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{path}: {field} must be an integer, got {value!r}")
+    if not 0 <= manifest["shard_index"] < manifest["shard_count"]:
+        raise ValueError(
+            f"{path}: shard_index must satisfy 0 <= shard_index < shard_count, "
+            f"got {manifest['shard_index']} and {manifest['shard_count']}"
+        )
+    jobs = manifest.get("jobs")
+    if not isinstance(jobs, list):
+        raise ValueError(f"{path}: jobs must be a list, got {jobs!r}")
+    for position, entry in enumerate(jobs):
+        if not isinstance(entry, dict) or not isinstance(entry.get("spec"), dict):
+            raise ValueError(f"{path}: jobs[{position}].spec must be an object")
     return manifest
 
 
@@ -533,12 +551,11 @@ def shard_status_outcome(
 ) -> Optional[BaseException]:
     """Map one ``shard run`` status row to the runner-facing outcome.
 
-    The single translation both shard-dispatching executors
-    (:class:`ShardedExecutor` and :class:`RemoteExecutor`) apply, so a
-    status can never mean two different things depending on where the
-    shard ran.  ``None`` status means the shard produced no row for this
-    node (the subprocess died or the transport lost it): that is a
-    *not-logged* failure — the shard never got to persist a traceback.
+    The one translation :class:`ShardedExecutor` applies to the winning
+    attempt's result file.  ``None`` status means no attempt produced a
+    row for this node (every subprocess died or the transport lost it):
+    that is a *not-logged* failure — the shard never got to persist a
+    traceback.
     """
     if status is None:
         detail = (stderr or b"").decode("utf-8", "replace").strip()
@@ -587,7 +604,6 @@ def run_shard_manifest(
     """
     from repro.experiments.runner import execute_graph  # lazy: cycle
     from repro.experiments.scheduler import build_job_graph
-    from repro.experiments.store import FailureLog
 
     salt = manifest.get("salt")
     entries = list(manifest.get("jobs", ()))
@@ -674,7 +690,7 @@ def run_shard_manifest(
 
 
 # --------------------------------------------------------------------- #
-# Sharded executor
+# The sharded executor
 # --------------------------------------------------------------------- #
 def _shard_subprocess_env() -> Dict[str, str]:
     """The child environment: the running ``repro`` package on PYTHONPATH."""
@@ -687,174 +703,15 @@ def _shard_subprocess_env() -> Dict[str, str]:
     return env
 
 
-class ShardedExecutor(Executor):
-    """Run each wave as N independent ``shard run`` subprocesses.
+class LocalSubprocessTransport:
+    """Starts each dispatched ``shard run`` command as a local subprocess.
 
-    Every wave is partitioned round-robin into ``shards`` manifests; each
-    subprocess executes its manifest serially against the same store and
-    writes a result file of per-job statuses.  This is the in-process face
-    of the multi-machine flow — the manifests it writes are exactly what
-    ``shard emit`` produces, just one wave at a time.
-
-    Subprocess teardown on an exceptional exit (Ctrl-C, budget exceeded)
-    happens in ``__exit__`` — the same centralised cancellation contract as
-    the process pool.
-    """
-
-    name = "sharded"
-    needs_prewarm = True
-
-    def __init__(self, shards: int = 2) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
-        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        self._procs: List[subprocess.Popen] = []
-        self._wave = 0
-
-    def __enter__(self) -> "ShardedExecutor":
-        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-shards-")
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._emit_abort(exc_type, exc)
-        procs, self._procs = self._procs, []
-        if exc_type is not None:
-            for proc in procs:
-                if proc.poll() is None:
-                    proc.terminate()
-            for proc in procs:
-                try:
-                    proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                    proc.kill()
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
-            self._tmpdir = None
-        return False
-
-    def run_wave(
-        self, wave: Sequence[ScheduledJob], context: ExecutionContext
-    ) -> Iterator[WaveOutcome]:
-        if self._tmpdir is None:
-            raise RuntimeError("ShardedExecutor used outside its context")
-        self._wave += 1
-        groups = [group for group in _round_robin(list(wave), self.shards) if group]
-        launches: List[
-            Tuple[subprocess.Popen, Path, Path, List[ScheduledJob]]
-        ] = []
-        env = _shard_subprocess_env()
-        for shard_index, group in enumerate(groups):
-            manifest = shard_manifest_dict(
-                [
-                    (node.index, node.job, context.should_inject(node))
-                    for node in group
-                ],
-                shard_index,
-                len(groups),
-                salt=context.salt,
-                telemetry=(
-                    {
-                        "dir": context.trace_dir,
-                        "run_id": context.trace_run_id,
-                        "wave": context.wave,
-                    }
-                    if context.trace_dir is not None
-                    else None
-                ),
-                trial_batch=context.trial_batch,
-            )
-            path = Path(self._tmpdir.name) / (
-                f"wave{self._wave}-shard{shard_index}of{len(groups)}.json"
-            )
-            path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-            stderr_path = path.with_name(f"{path.stem}.stderr")
-            # Always pin --cache-dir: the child CLI's default is a path
-            # relative to its cwd (benchmarks/.cache), which a library
-            # caller with no cache configured must not inherit — a
-            # throwaway cache inside the executor's tempdir keeps the
-            # subprocesses hermetic (weights are deterministic either way).
-            cache_dir = context.weights_cache_dir or str(
-                Path(self._tmpdir.name) / "weights-cache"
-            )
-            command = [
-                sys.executable, "-m", "repro.experiments", "shard", "run",
-                str(path), "--store", str(context.store.root),
-                "--cache-dir", cache_dir,
-            ]
-            # stderr goes to a file, not a pipe: a verbose shard must never
-            # stall on pipe backpressure while the parent drains its
-            # siblings in launch order.
-            with open(stderr_path, "wb") as stderr_handle:
-                proc = subprocess.Popen(
-                    command, env=env,
-                    stdout=subprocess.DEVNULL, stderr=stderr_handle,
-                )
-            launches.append((proc, path, stderr_path, group))
-            # Registered as launched (not after the loop): an interrupt or a
-            # failed later Popen must let __exit__ terminate the live ones.
-            self._procs.append(proc)
-        for proc, path, stderr_path, group in launches:
-            proc.wait()
-            stderr = stderr_path.read_bytes() if stderr_path.exists() else b""
-            result_path = manifest_result_path(path)
-            statuses: Dict[str, Dict[str, object]] = {}
-            if result_path.exists():
-                for status in json.loads(result_path.read_text()).get("statuses", ()):
-                    statuses[status["key"]] = status
-            elif proc.returncode != 0:
-                logger.warning(
-                    "shard subprocess exited %d without results: %s",
-                    proc.returncode,
-                    (stderr or b"").decode("utf-8", "replace").strip()[-500:],
-                )
-            for node in group:
-                yield node, shard_status_outcome(
-                    node, statuses.get(node.key), proc.returncode, stderr
-                )
-        self._procs = []
-
-
-# --------------------------------------------------------------------- #
-# Transports + the remote executor
-# --------------------------------------------------------------------- #
-class Transport:
-    """Where a dispatched shard command actually runs.
-
-    The seam that keeps :class:`RemoteExecutor` host-agnostic:
-    :meth:`submit` launches one ``shard run`` command and returns a
-    *handle* exposing the small ``Popen``-shaped surface the executor
-    polls — ``poll() -> Optional[int]`` (the exit code once finished),
-    ``wait(timeout)``, ``terminate()`` and a ``returncode`` attribute.
-    :class:`LocalSubprocessTransport` returns the ``Popen`` itself; an
-    SSH transport would return a wrapper that also ships the workspace
-    both ways; the chaos transports in ``tests/harness`` return handles
-    that drop, kill or duplicate shards to prove the executor's retry
-    and merge paths.
-    """
-
-    name = "transport"
-
-    def submit(
-        self,
-        command: Sequence[str],
-        stderr_path: Path,
-        env: Dict[str, str],
-    ):
-        """Start ``command`` with stderr captured to ``stderr_path``."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport resources (connections, agents); idempotent."""
-
-
-class LocalSubprocessTransport(Transport):
-    """Workers are plain subprocesses of the coordinating host.
-
-    The degenerate — but fully honest — transport: every dispatch runs
-    the real ``shard run`` CLI in its own process against the task's
-    private worker store, exactly as a multi-host transport would on a
-    remote machine that happens to share the filesystem.
+    The executor's one seam: :meth:`submit` returns a handle exposing the
+    small ``Popen`` surface the executor polls — ``poll()`` (the exit code
+    once finished), ``wait(timeout)``, ``terminate()`` and a
+    ``returncode`` attribute.  The chaos transports in ``tests/harness``
+    subclass it to drop, kill, duplicate or delay shards, proving the
+    executor's re-dispatch and backup paths.
     """
 
     name = "local"
@@ -865,6 +722,7 @@ class LocalSubprocessTransport(Transport):
         stderr_path: Path,
         env: Dict[str, str],
     ) -> subprocess.Popen:
+        """Start ``command`` with stderr captured to ``stderr_path``."""
         # stderr to a file, not a pipe: a verbose shard must never stall
         # on pipe backpressure while the coordinator is polling siblings.
         with open(stderr_path, "wb") as stderr_handle:
@@ -872,6 +730,9 @@ class LocalSubprocessTransport(Transport):
                 list(command), env=env,
                 stdout=subprocess.DEVNULL, stderr=stderr_handle,
             )
+
+    def close(self) -> None:
+        """Release what :meth:`submit` started beyond its handles; idempotent."""
 
 
 @dataclasses.dataclass
@@ -887,13 +748,11 @@ class _ShardAttempt:
 
 @dataclasses.dataclass
 class _ShardTask:
-    """One shard of a wave: its manifest, worker store and attempts."""
+    """One shard of a wave: its manifest and dispatch attempts."""
 
     shard_index: int
     group: List[ScheduledJob]
-    workspace: Path
     manifest_path: Path
-    worker_store: ResultStore
     attempts: List[_ShardAttempt] = dataclasses.field(default_factory=list)
     statuses: Optional[Dict[str, Dict[str, object]]] = None
     returncode: Optional[int] = None
@@ -901,42 +760,15 @@ class _ShardTask:
     done: bool = False
 
 
-def _absorb_failures(
-    worker_store: ResultStore, main_store: ResultStore, keys: Sequence[str]
-) -> None:
-    """Copy a worker's failure-log entries (real tracebacks) into the main
-    store, so the runner's failure policy reads the worker's record instead
-    of re-wrapping a summary exception."""
-    src = FailureLog(worker_store)
-    dst = FailureLog(main_store)
-    for key in keys:
-        if not src.has(key):
-            continue
-        entry = src.path(key).read_bytes()
-        dst.root.mkdir(parents=True, exist_ok=True)
-        tmp = _stage_tmp(dst.path(key), lambda handle, _b=entry: handle.write(_b))
-        try:
-            with dst.lock.held():
-                os.replace(tmp, dst.path(key))
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+class ShardedExecutor(Executor):
+    """Run each wave as up to ``shards`` ``shard run`` subprocesses.
 
-
-class RemoteExecutor(Executor):
-    """Dispatch each wave's shard manifests to workers over a transport.
-
-    The cluster-shaped executor: every wave is partitioned round-robin
-    into at most ``workers`` shard manifests, and each manifest is
-    dispatched over the pluggable :class:`Transport` to run against a
-    *private per-task worker store* — never directly against the main
-    store.  Before dispatch, the coordinator syncs the task's stored
-    inputs (its nodes' satisfied and previously-computed dependencies)
-    into the worker store; when an attempt returns a result file, the
-    worker store is merged back (:meth:`ResultStore.merge_from`) and the
-    worker's failure-log entries are absorbed.  With the local transport
-    the sync is a file copy; the same two hooks are where an SSH
-    transport would rsync.
+    Every wave is partitioned round-robin into at most ``shards``
+    manifests — exactly what ``shard emit`` produces, one wave at a time —
+    and each manifest is dispatched over the transport as ``shard run
+    --store <store>``: every attempt executes its jobs serially against
+    the sweep's own store and reports per-job statuses in its own result
+    file.
 
     Fault tolerance, all proven by the chaos harness in ``tests/``:
 
@@ -953,34 +785,37 @@ class RemoteExecutor(Executor):
       dispatches the backup immediately for every shard — the CI smoke
       uses it to prove duplicate execution end to end.
     * **Duplicate execution is harmless** — two attempts of one manifest
-      run concurrently against one worker store; content addressing plus
-      the store's cross-process locking make their writes identical and
-      atomic, so the merge result is byte-identical to a serial run.
+      run concurrently against one store; content addressing plus the
+      store's cross-process locking make their writes identical and
+      atomic, so the store ends byte-identical to a serial run's.
 
-    Telemetry: dispatches emit ``shard_dispatch``/``shard_redispatch``
-    on the coordinator's stream, and (with the local transport) each
-    worker process appends its own event stream to the same
-    ``telemetry/<run-id>/`` directory, exactly like ``shard run``.
+    Subprocess teardown on an exceptional exit (Ctrl-C, budget exceeded)
+    happens in ``__exit__`` — the same centralised cancellation contract as
+    the process pool.
+
+    Telemetry: dispatches emit ``shard_dispatch``/``shard_redispatch`` on
+    the coordinator's stream, and each ``shard run`` process appends its
+    own event stream to the same ``telemetry/<run-id>/`` directory.
     """
 
-    name = "remote"
+    name = "sharded"
     needs_prewarm = True
 
     def __init__(
         self,
-        workers: int = 2,
-        transport: Optional[Transport] = None,
+        shards: int = 2,
+        transport: Optional[LocalSubprocessTransport] = None,
         max_dispatches: int = 3,
         straggler_factor: float = 2.0,
         straggler_min_gap_s: float = 30.0,
         poll_interval_s: float = 0.05,
         force_redispatch: bool = False,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
         if max_dispatches < 1:
             raise ValueError(f"max_dispatches must be >= 1, got {max_dispatches}")
-        self.workers = workers
+        self.shards = shards
         self.transport = transport if transport is not None else LocalSubprocessTransport()
         self.max_dispatches = max_dispatches
         self.straggler_factor = straggler_factor
@@ -991,8 +826,8 @@ class RemoteExecutor(Executor):
         self._handles: List[object] = []
         self._wave = 0
 
-    def __enter__(self) -> "RemoteExecutor":
-        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-remote-")
+    def __enter__(self) -> "ShardedExecutor":
+        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-shards-")
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
@@ -1025,14 +860,15 @@ class RemoteExecutor(Executor):
         """Launch one (re-)attempt of a shard over the transport."""
         attempt_index = len(task.attempts)
         # Per-attempt result/stderr paths: two live attempts of one shard
-        # must never race on their reporting files (the worker *store* is
-        # shared on purpose — that race is the one the store resolves).
-        result_path = task.workspace / f"attempt{attempt_index}.result.json"
-        stderr_path = task.workspace / f"attempt{attempt_index}.stderr"
+        # must never race on their reporting files (the *store* is shared
+        # on purpose — that race is the one the store resolves).
+        stem = task.manifest_path.with_suffix("")
+        result_path = Path(f"{stem}.attempt{attempt_index}.result.json")
+        stderr_path = Path(f"{stem}.attempt{attempt_index}.stderr")
         command = [
             sys.executable, "-m", "repro.experiments", "shard", "run",
             str(task.manifest_path),
-            "--store", str(task.worker_store.root),
+            "--store", str(context.store.root),
             "--cache-dir", cache_dir,
             "--result", str(result_path),
         ]
@@ -1062,7 +898,7 @@ class RemoteExecutor(Executor):
         """The attempt's status rows keyed by artifact, ``None`` if unusable.
 
         A missing or torn result file (the transport dropped the shard,
-        the worker died mid-write) is indistinguishable from "never ran"
+        its process died mid-write) is indistinguishable from "never ran"
         on purpose: both re-dispatch.
         """
         if not attempt.result_path.exists():
@@ -1149,34 +985,20 @@ class RemoteExecutor(Executor):
         self, wave: Sequence[ScheduledJob], context: ExecutionContext
     ) -> Iterator[WaveOutcome]:
         if self._tmpdir is None:
-            raise RuntimeError("RemoteExecutor used outside its context")
+            raise RuntimeError("ShardedExecutor used outside its context")
         self._wave += 1
-        groups = [group for group in _round_robin(list(wave), self.workers) if group]
+        groups = [group for group in _round_robin(list(wave), self.shards) if group]
         env = _shard_subprocess_env()
-        # Pin --cache-dir like ShardedExecutor: hermetic throwaway cache
-        # when the caller configured none (weights are deterministic).
+        # Always pin --cache-dir: the child CLI's default is a path
+        # relative to its cwd (benchmarks/.cache), which a library caller
+        # with no cache configured must not inherit — a throwaway cache
+        # inside the executor's tempdir keeps the subprocesses hermetic
+        # (weights are deterministic either way).
         cache_dir = context.weights_cache_dir or str(
             Path(self._tmpdir.name) / "weights-cache"
         )
         tasks: List[_ShardTask] = []
         for shard_index, group in enumerate(groups):
-            workspace = Path(self._tmpdir.name) / (
-                f"wave{self._wave}-shard{shard_index}"
-            )
-            workspace.mkdir(parents=True, exist_ok=True)
-            worker_store = ResultStore(workspace / "store")
-            # Per-shard store sync, main -> worker: every stored artifact
-            # the shard's jobs will read (store-satisfied dependencies and
-            # dependencies computed in earlier waves).  Anything missed is
-            # recomputed by the worker — identical bytes either way.
-            inputs = sorted({
-                key
-                for node in group
-                for key in (*node.dependencies, *node.satisfied)
-                if context.store.has(key)
-            })
-            if inputs:
-                worker_store.merge_from(context.store, keys=inputs)
             manifest = shard_manifest_dict(
                 [
                     (node.index, node.job, context.should_inject(node))
@@ -1196,11 +1018,13 @@ class RemoteExecutor(Executor):
                 ),
                 trial_batch=context.trial_batch,
             )
-            manifest_path = workspace / "manifest.json"
+            manifest_path = Path(self._tmpdir.name) / (
+                f"wave{self._wave}-shard{shard_index}of{len(groups)}.json"
+            )
             manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
             task = _ShardTask(
-                shard_index=shard_index, group=list(group), workspace=workspace,
-                manifest_path=manifest_path, worker_store=worker_store,
+                shard_index=shard_index, group=list(group),
+                manifest_path=manifest_path,
             )
             tasks.append(task)
             self._dispatch(task, context, cache_dir, env)
@@ -1209,19 +1033,7 @@ class RemoteExecutor(Executor):
         self._poll(tasks, context, cache_dir, env)
         self._handles = []
         for task in tasks:
-            # Merge-on-return: fold the worker's artifacts into the main
-            # store (keys already present are skipped — identical bytes by
-            # content addressing), then absorb failure entries so the
-            # runner's policy reads the worker's real tracebacks.
-            context.store.merge_from(task.worker_store)
             statuses = task.statuses or {}
-            _absorb_failures(
-                task.worker_store, context.store,
-                [
-                    key for key, row in statuses.items()
-                    if row.get("status") in ("failed", "upstream_failed")
-                ],
-            )
             for node in task.group:
                 yield node, shard_status_outcome(
                     node, statuses.get(node.key), task.returncode, task.stderr

@@ -7,8 +7,7 @@
    (:meth:`JobSpec.dependencies`) become a deduplicated, content-addressed
    job graph, scheduled as topological waves of arbitrary depth.
 2. **Executor layer** (:mod:`repro.experiments.executors`) — a pluggable
-   strategy (``serial`` / ``process`` / ``sharded`` / ``remote``) runs each
-   wave;
+   strategy (``serial`` / ``process`` / ``sharded``) runs each wave;
    cancellation on abort lives in the executor, not here.
 3. **Failure policy** (this module) — failed jobs are logged to the
    store's :class:`~repro.experiments.store.FailureLog`; transitive
@@ -1136,7 +1135,6 @@ def run_sweep(
     inject_failures: Collection[int] = (),
     executor: Union[str, Executor, None] = None,
     shards: int = 2,
-    workers: int = 2,
     trace: Union[bool, str, Tracer, None] = None,
     history: Union[str, Path, None] = None,
     trial_batch: int = 1,
@@ -1172,14 +1170,15 @@ def run_sweep(
         end to end.  Injected failures follow the same logging/tolerance
         rules as real ones.
     executor:
-        ``"serial"``, ``"process"``, ``"sharded"``, ``"remote"``, an
+        ``"serial"``, ``"process"``, ``"sharded"``, an
         :class:`~repro.experiments.executors.Executor` instance, or
         ``None`` for the historical default (process pool iff
-        ``jobs > 1``).
+        ``jobs > 1``).  Pass a
+        :class:`~repro.experiments.executors.ShardedExecutor` instance to
+        tune its re-dispatch (``max_dispatches``, straggler gates,
+        ``force_redispatch``).
     shards:
         Shard count of the ``sharded`` executor (ignored otherwise).
-    workers:
-        Dispatch fan-out of the ``remote`` executor (ignored otherwise).
     trace:
         Telemetry: ``True`` records the sweep to a fresh run directory
         under ``<store>/telemetry/``, a string names the run id, a
@@ -1200,8 +1199,8 @@ def run_sweep(
         per-trial loop); every executor batches each job's trials.
         ``N > 1`` also coalesces sibling per-seed MC jobs into one batched
         execution: of a whole wave on the ``serial`` executor, of each
-        shard's part of a wave on ``sharded`` and ``remote``; the
-        ``process`` pool runs every job on its own.  Purely a wall-clock
+        shard's part of a wave on ``sharded``; the ``process`` pool runs
+        every job on its own.  Purely a wall-clock
         knob: job hashes, store artifacts and rows are byte-identical for
         every value.
 
@@ -1219,7 +1218,7 @@ def run_sweep(
     # Writers killed mid-stage (SIGKILL, lost workers) leave dead temp
     # files behind; sweep them before scheduling so they never accumulate.
     store.sweep_stale_tmps()
-    exec_instance = resolve_executor(executor, jobs=jobs, shards=shards, workers=workers)
+    exec_instance = resolve_executor(executor, jobs=jobs, shards=shards)
     tracer = resolve_tracer(trace, store.root)
     telemetry_dir: Optional[str] = None
     if tracer.enabled and getattr(tracer, "directory", None) is not None:

@@ -65,17 +65,14 @@ class ScheduledJob:
     ``indices`` are the sweep-expansion indices addressing this artifact
     (usually one; empty for a pure shared dependency that is not itself a
     grid point).  ``dependencies`` lists the *scheduled* direct
-    dependencies by key — dependencies already satisfied by the store are
-    instead recorded in ``satisfied``, so executors that ship a node's
-    inputs elsewhere (the ``RemoteExecutor``'s per-worker store sync)
-    know every stored artifact the job will read.
+    dependencies by key; dependencies already in the store are loaded
+    from it when the job runs and are not listed.
     """
 
     key: str
     job: JobSpec
     indices: Tuple[int, ...] = ()
     dependencies: Tuple[str, ...] = ()
-    satisfied: Tuple[str, ...] = ()
 
     @property
     def index(self) -> Optional[int]:
@@ -175,25 +172,20 @@ def build_job_graph(
         if node is None:
             # Dependencies first (post-order), so `order` is topological.
             dep_keys: List[str] = []
-            satisfied_keys: List[str] = []
             for dep in job.dependencies():
                 dep_key = job_key(dep, salt)
                 if dep_key == key:  # defensive: a job can never need itself
                     continue
                 if dep_key in satisfied:
-                    satisfied_keys.append(dep_key)
                     continue
                 if dep_key not in nodes:
                     if store.has(dep_key):
                         satisfied.add(dep_key)
-                        satisfied_keys.append(dep_key)
                         continue
                     add(dep, None)
                 dep_keys.append(dep_key)
             node = ScheduledJob(
-                key=key, job=job,
-                dependencies=tuple(dict.fromkeys(dep_keys)),
-                satisfied=tuple(dict.fromkeys(satisfied_keys)),
+                key=key, job=job, dependencies=tuple(dict.fromkeys(dep_keys)),
             )
             nodes[key] = node
             order.append(key)

@@ -73,6 +73,16 @@ DATAPATHS = ("pim", "float", "fakequant")
 _MIN_N_MAX = 2
 
 
+def _integer(value, path: str) -> int:
+    """``value`` as an ``int`` when it is integral.  A non-integral number,
+    a bool or a string raises ``ValueError`` naming ``path`` — ``int()``
+    would truncate or coerce it into another content address."""
+    try:
+        return check_integer(value, path)
+    except TypeError as error:
+        raise ValueError(*error.args) from None
+
+
 def _check_at_least(value, name: str, low: int, high: Optional[int] = None) -> None:
     check_in_range(check_integer(value, name), name, low=low, high=high)
 
@@ -346,10 +356,7 @@ class PowerSpec:
     constants: Optional[Dict[str, float]] = None
 
     def __post_init__(self) -> None:
-        try:
-            bits = check_integer(self.uniform_bits, "power.uniform_bits")
-        except TypeError as error:
-            raise ValueError(*error.args) from None
+        bits = _integer(self.uniform_bits, "power.uniform_bits")
         check_in_range(bits, "power.uniform_bits", low=1)
         object.__setattr__(self, "uniform_bits", bits)
         if self.constants is not None:
@@ -799,16 +806,16 @@ class JobSpec:
             kind=data["kind"],
             workload=WorkloadSpec.from_dict(data["workload"]),
             adc=AdcSpec.from_dict(data.get("adc", {})),
-            images=int(data.get("images", 32)),
-            batch_size=int(data.get("batch_size", 16)),
+            images=_integer(data.get("images", 32), "images"),
+            batch_size=_integer(data.get("batch_size", 16), "batch_size"),
             engine=data.get("engine", "fast"),
             datapath=data.get("datapath", "pim"),
             noise=(
                 None if data.get("noise") is None
                 else NoiseScenario.from_dict(data["noise"])
             ),
-            trials=int(data.get("trials", 0)),
-            mc_seed=int(data.get("mc_seed", 0)),
+            trials=_integer(data.get("trials", 0), "trials"),
+            mc_seed=_integer(data.get("mc_seed", 0), "mc_seed"),
             confidence=float(data.get("confidence", 0.95)),
             calibration=(
                 None if data.get("calibration") is None
@@ -1001,7 +1008,10 @@ class SweepSpec:
             workloads=[WorkloadSpec.from_dict(w) for w in data.get("workloads", [])],
             adcs=[AdcSpec.from_dict(a) for a in data.get("adcs", [{}])],
             noises=[NoiseScenario.from_dict(n) for n in data.get("noises", [])],
-            mc_seeds=[int(s) for s in data.get("mc_seeds", [0])],
+            mc_seeds=[
+                _integer(seed, f"mc_seeds[{position}]")
+                for position, seed in enumerate(data.get("mc_seeds", [0]))
+            ],
             calibrations=[
                 CalibrationParams.from_dict(c) for c in data.get("calibrations", [])
             ],
@@ -1009,9 +1019,9 @@ class SweepSpec:
                 DistributionParams.from_dict(d) for d in data.get("distributions", [])
             ],
             powers=[PowerSpec.from_dict(p) for p in data.get("powers", [])],
-            trials=int(data.get("trials", 2)),
-            images=int(data.get("images", 32)),
-            batch_size=int(data.get("batch_size", 16)),
+            trials=_integer(data.get("trials", 2), "trials"),
+            images=_integer(data.get("images", 32), "images"),
+            batch_size=_integer(data.get("batch_size", 16), "batch_size"),
             engine=data.get("engine", "fast"),
             confidence=float(data.get("confidence", 0.95)),
             explicit_jobs=(

@@ -306,62 +306,6 @@ class ResultStore:
         except json.JSONDecodeError:
             return {}
 
-    # ------------------------------------------------------------------ #
-    def merge_from(
-        self,
-        other: "ResultStore",
-        keys: Optional[Iterable[str]] = None,
-        include_meta: bool = True,
-    ) -> List[str]:
-        """Copy artifacts from ``other`` into this store; returns new keys.
-
-        The remote-execution return path: a worker computes into its own
-        private store, then the coordinator folds the worker's artifacts
-        back into the main store.  Each key's NPZ+JSON pair commits under
-        one hold of *this* store's lock (same protocol as :meth:`save`),
-        and keys already present here are skipped — by content addressing
-        the bytes would be identical, so the skip is unobservable.  Meta
-        sidecars ride along by default (last-writer-wins; they are
-        reporting metadata, not addressed content).
-        """
-        merged: List[str] = []
-        for key in list(other.keys()) if keys is None else list(keys):
-            if not other.has(key) or self.has(key):
-                continue
-            staged: List[tuple] = []
-            try:
-                src_npz = other.npz_path(key)
-                if src_npz.exists():
-                    staged.append((
-                        _stage_tmp(
-                            self.npz_path(key),
-                            lambda handle, _p=src_npz: handle.write(_p.read_bytes()),
-                        ),
-                        self.npz_path(key),
-                    ))
-                src_json = other.json_path(key)
-                staged.append((
-                    _stage_tmp(
-                        self.json_path(key),
-                        lambda handle, _p=src_json: handle.write(_p.read_bytes()),
-                    ),
-                    self.json_path(key),
-                ))
-                with self.lock.held():
-                    if not self.has(key):  # re-check: racing merger/writer
-                        for tmp, target in staged:
-                            self._commit(tmp, target)
-                        staged = []
-                        merged.append(key)
-            finally:
-                for tmp, _ in staged:
-                    tmp.unlink(missing_ok=True)
-            if include_meta:
-                meta = other.load_meta(key)
-                if meta:
-                    self.save_meta(key, meta)
-        return merged
-
     def sweep_stale_tmps(self) -> List[Path]:
         """Remove staging files abandoned by dead writers; returns them.
 

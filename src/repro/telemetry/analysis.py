@@ -331,7 +331,7 @@ def exceeds_gates(
     to 0.6 s fails the absolute gate) while real regressions trip both.
     Used by :func:`find_stragglers`, ``trace regress``
     (:func:`repro.telemetry.history.compare_records`) and the
-    ``RemoteExecutor``'s straggler re-dispatch trigger, so the three
+    ``ShardedExecutor``'s straggler re-dispatch trigger, so the three
     consumers can never drift apart.
     """
     return value > factor * baseline and value - baseline > min_gap

@@ -85,7 +85,7 @@ JOB_FAILED = "job_failed"     # key, kind, ..., duration_s, error
 JOB_CACHED = "job_cached"     # key, kind, index — store hit, nothing executed
 JOB_UPSTREAM_FAILED = "job_upstream_failed"  # key, cause_key, wave — not run
 
-#: Remote-executor shard lifecycle (emitted by the coordinating process).
+#: Sharded-executor shard lifecycle (emitted by the coordinating process).
 #: ``shard_dispatch`` marks an attempt leaving over the transport:
 #: ``wave``, ``shard``, ``attempt`` (0-based), ``transport``, ``jobs``.
 #: ``shard_redispatch`` marks a *backup* attempt for a shard still

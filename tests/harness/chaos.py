@@ -4,8 +4,8 @@ Two halves:
 
 * **Importable** — :class:`ChaosStore` (a ``ResultStore`` whose writer
   SIGKILLs *itself* at chosen points inside the commit protocol) and the
-  chaos :class:`~repro.experiments.executors.Transport` subclasses
-  (drop, kill, duplicate or delay dispatched shards).  Tests import these
+  chaos :class:`~repro.experiments.executors.LocalSubprocessTransport`
+  subclasses (drop, kill, duplicate or delay dispatched shards).  Tests import these
   via ``from harness.chaos import ...``.
 * **Executable** — ``python tests/harness/chaos.py <command> ...`` runs
   the subprocess entry points the multi-process tests drive (with
@@ -182,7 +182,7 @@ class KillingTransport(CountingTransport):
 class DuplicatingTransport(CountingTransport):
     """Every submission also launches an unsupervised shadow duplicate of
     the same shard (with its own result/stderr paths) against the same
-    worker store — two uncoordinated writers per shard, always."""
+    store — two uncoordinated writers per shard, always."""
 
     name = "duplicating"
 

@@ -24,6 +24,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -42,6 +45,7 @@ from repro.experiments import (
     aggregate_sweep,
     build_job_graph,
     build_preset,
+    code_version_salt,
     execute_job,
     expanded_artifacts,
     job_key,
@@ -53,6 +57,7 @@ from repro.experiments import (
     write_shard_manifests,
 )
 from repro.experiments import runner as runner_module
+from repro.experiments.executors import _shard_subprocess_env
 from repro.experiments.presets import fig6, fig7
 from repro.experiments.scheduler import UpstreamFailed
 
@@ -422,6 +427,66 @@ class TestExecutorResolution:
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ValueError, match="not a shard manifest"):
             load_shard_manifest(path)
+
+
+# --------------------------------------------------------------------- #
+# Shard manifests are checked before any store access
+# --------------------------------------------------------------------- #
+def _drop_first_spec(manifest):
+    manifest["jobs"][0] = {"key": manifest["jobs"][0]["key"]}
+
+
+def _break_second_spec(manifest):
+    manifest["jobs"][1]["spec"] = "evaluate"
+
+
+#: (edit applied to an emitted manifest, the ValueError it must raise).
+MANIFEST_REJECTIONS = {
+    "stale-salt": (
+        lambda m: m.update(salt="0.9.0/schema-v1"),
+        re.escape(f"salt '0.9.0/schema-v1', not this code's salt '{code_version_salt()}'"),
+    ),
+    "index-string": (lambda m: m.update(shard_index="0"), "shard_index must be an integer"),
+    "index-bool": (lambda m: m.update(shard_index=False), "shard_index must be an integer"),
+    "count-float": (lambda m: m.update(shard_count=2.0), "shard_count must be an integer"),
+    "index-at-count": (lambda m: m.update(shard_index=2), "0 <= shard_index < shard_count"),
+    "index-negative": (lambda m: m.update(shard_index=-1), "0 <= shard_index < shard_count"),
+    "jobs-object": (lambda m: m.update(jobs={}), "jobs must be a list"),
+    "entry-without-spec": (_drop_first_spec, r"jobs\[0\]\.spec must be an object"),
+    "spec-not-object": (_break_second_spec, r"jobs\[1\]\.spec must be an object"),
+}
+
+
+def emitted_manifest(tmp_path, edit=None):
+    """Shard 0 of a two-shard emit of the tiny sweep, optionally edited."""
+    path = write_shard_manifests(tiny_mc_sweep(), 2, tmp_path / "manifests")[0]
+    if edit is not None:
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+    return path
+
+
+class TestManifestChecks:
+    @pytest.mark.parametrize("case", sorted(MANIFEST_REJECTIONS))
+    def test_bad_field_is_rejected_naming_it(self, tmp_path, case):
+        edit, message = MANIFEST_REJECTIONS[case]
+        with pytest.raises(ValueError, match=message):
+            load_shard_manifest(emitted_manifest(tmp_path, edit))
+
+    def test_shard_run_refuses_a_stale_salt_before_touching_the_store(self, tmp_path):
+        edit, _ = MANIFEST_REJECTIONS["stale-salt"]
+        path = emitted_manifest(tmp_path, edit)
+        store = tmp_path / "store"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "shard", "run", str(path),
+             "--store", str(store), "--cache-dir", str(tmp_path / "cache")],
+            env=_shard_subprocess_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode != 0
+        assert "Traceback" not in done.stderr
+        assert "0.9.0/schema-v1" in done.stderr and code_version_salt() in done.stderr
+        assert list(store.glob("*.json")) == []
 
 
 # --------------------------------------------------------------------- #

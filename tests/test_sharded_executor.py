@@ -1,8 +1,8 @@
-"""Chaos tests of :class:`RemoteExecutor` and its pluggable transports.
+"""Chaos tests of :class:`ShardedExecutor` and its pluggable transports.
 
 Every scenario asserts the one invariant that matters: whatever the
 transport does to the dispatched shards — drop them, SIGKILL them,
-duplicate them, delay them — the sweep's aggregate record and the main
+duplicate them, delay them — the sweep's aggregate record and the
 store's ``*.json`` listing end up byte-identical to an undisturbed
 serial run.  The chaos transports live in ``tests/harness/chaos.py``.
 
@@ -16,13 +16,13 @@ Pinned here:
 * A worker SIGKILLed mid-shard is re-dispatched and the final store is
   untouched by its partial writes.
 * Duplicate execution is harmless: an unsupervised shadow copy of every
-  shard races the supervised one against the same worker store.
+  shard races the supervised one against the same store.
 * A straggling shard gets a backup attempt (the shared
   ``exceeds_gates`` threshold), the first result wins, the loser is
   terminated.
-* An injected job failure inside a worker is absorbed into the main
-  store's failure log with the worker's real traceback, dependents are
-  marked failed-with-cause, and a rerun heals everything.
+* An injected job failure inside a shard is recorded in the store's
+  failure log with the shard's real traceback, dependents are marked
+  failed-with-cause, and a rerun heals everything.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ from harness.chaos import (
 )
 from repro.experiments import (
     FailureLog,
-    RemoteExecutor,
     ResultStore,
     ShardJobFailed,
+    ShardedExecutor,
     job_key,
     resolve_executor,
     run_sweep,
@@ -97,9 +97,9 @@ def serial_flat(tmp_path_factory, weights_cache):
     return record_json(run), store_listing(store)
 
 
-def remote_mc(store, weights_cache, transport, trial_batch=1, **executor_kwargs):
-    executor = RemoteExecutor(
-        workers=2, transport=transport, **{**CALM, **executor_kwargs},
+def sharded_mc(store, weights_cache, transport, trial_batch=1, **executor_kwargs):
+    executor = ShardedExecutor(
+        shards=2, transport=transport, **{**CALM, **executor_kwargs},
     )
     return run_sweep(
         tiny_mc_sweep(), store, weights_cache_dir=weights_cache,
@@ -111,24 +111,24 @@ def remote_mc(store, weights_cache, transport, trial_batch=1, **executor_kwargs)
 # Happy path
 # --------------------------------------------------------------------- #
 class TestHappyPath:
-    def test_remote_matches_serial_byte_for_byte(
+    def test_sharded_matches_serial_byte_for_byte(
         self, tmp_path, weights_cache, serial_mc,
     ):
         store = ResultStore(tmp_path / "store")
         transport = CountingTransport()
-        run = remote_mc(store, weights_cache, transport)
+        run = sharded_mc(store, weights_cache, transport)
         assert (record_json(run), store_listing(store)) == serial_mc
         # Wave 1 (the shared clean reference) is one group; wave 2's two
         # Monte Carlo nodes round-robin into two groups of one.
         assert len(transport.submissions) == 3
 
-    def test_remote_batches_monte_carlo_trials(
+    def test_sharded_batches_monte_carlo_trials(
         self, tmp_path, weights_cache, serial_mc,
     ):
-        """Remote manifests carry the sweep's ``trial_batch``: every Monte
+        """Shard manifests carry the sweep's ``trial_batch``: every Monte
         Carlo job runs batched, byte-identical to the per-trial serial run."""
         store = ResultStore(tmp_path / "store")
-        run = remote_mc(store, weights_cache, CountingTransport(), trial_batch=3)
+        run = sharded_mc(store, weights_cache, CountingTransport(), trial_batch=3)
         assert (record_json(run), store_listing(store)) == serial_mc
         mc_jobs = [job for job in tiny_mc_sweep().expand() if job.kind == "monte_carlo"]
         assert mc_jobs
@@ -136,14 +136,14 @@ class TestHappyPath:
             meta = json.loads(store.meta_path(job_key(job)).read_text())
             assert meta["trial_batch"] == 3
 
-    def test_resolve_executor_knows_remote(self):
-        executor = resolve_executor("remote", workers=3)
-        assert isinstance(executor, RemoteExecutor)
-        assert executor.workers == 3
+    def test_resolve_executor_knows_sharded(self):
+        executor = resolve_executor("sharded", shards=3)
+        assert isinstance(executor, ShardedExecutor)
+        assert executor.shards == 3
         with pytest.raises(ValueError):
-            RemoteExecutor(workers=0)
+            ShardedExecutor(shards=0)
         with pytest.raises(ValueError):
-            RemoteExecutor(max_dispatches=0)
+            ShardedExecutor(max_dispatches=0)
 
 
 # --------------------------------------------------------------------- #
@@ -155,7 +155,7 @@ class TestLostShards:
     ):
         store = ResultStore(tmp_path / "store")
         transport = DroppingTransport(drop=1)
-        run = remote_mc(store, weights_cache, transport)
+        run = sharded_mc(store, weights_cache, transport)
         assert (record_json(run), store_listing(store)) == serial_mc
         assert transport.dropped == 1
         assert len(transport.submissions) == 4  # 3 shards + 1 retry
@@ -167,7 +167,7 @@ class TestLostShards:
         # Kill the first worker process 50ms in — during interpreter
         # startup, long before it can produce a result file.
         transport = KillingTransport(kill=1, delay_s=0.05)
-        run = remote_mc(store, weights_cache, transport)
+        run = sharded_mc(store, weights_cache, transport)
         assert (record_json(run), store_listing(store)) == serial_mc
         assert transport.killed == 1
         assert len(transport.submissions) == 4
@@ -178,14 +178,14 @@ class TestLostShards:
         store = ResultStore(tmp_path / "store")
         transport = DroppingTransport(drop=10_000)  # the void: lose all
         with pytest.raises(ShardJobFailed):
-            remote_mc(store, weights_cache, transport, max_dispatches=2)
+            sharded_mc(store, weights_cache, transport, max_dispatches=2)
         assert transport.dropped == 2  # both attempts of wave 1's shard
         clean_key = job_key(tiny_mc_sweep().expand()[0])
         failures = FailureLog(store)
         assert failures.has(clean_key)
 
         # A healthy rerun recomputes the lost shard and clears the log.
-        run = remote_mc(store, weights_cache, CountingTransport())
+        run = sharded_mc(store, weights_cache, CountingTransport())
         assert (record_json(run), store_listing(store)) == serial_mc
         assert len(failures) == 0
 
@@ -199,7 +199,7 @@ class TestDuplicatesAndStragglers:
     ):
         store = ResultStore(tmp_path / "store")
         transport = DuplicatingTransport()
-        executor = RemoteExecutor(workers=2, transport=transport, **CALM)
+        executor = ShardedExecutor(shards=2, transport=transport, **CALM)
         run = run_sweep(
             tiny_flat_sweep(), store, weights_cache_dir=weights_cache,
             executor=executor,
@@ -214,8 +214,8 @@ class TestDuplicatesAndStragglers:
         # The second shard sleeps far longer than the sweep; only the
         # backup attempt can finish it.
         transport = DelayingTransport(delay_submission=1, delay_s=300.0)
-        executor = RemoteExecutor(
-            workers=2, transport=transport,
+        executor = ShardedExecutor(
+            shards=2, transport=transport,
             straggler_factor=1.5, straggler_min_gap_s=0.1,
             poll_interval_s=0.02,
         )
@@ -231,26 +231,26 @@ class TestDuplicatesAndStragglers:
     ):
         store = ResultStore(tmp_path / "store")
         transport = CountingTransport()
-        run = remote_mc(store, weights_cache, transport, force_redispatch=True)
+        run = sharded_mc(store, weights_cache, transport, force_redispatch=True)
         assert (record_json(run), store_listing(store)) == serial_mc
         assert len(transport.submissions) == 6  # every shard twice
 
 
 # --------------------------------------------------------------------- #
-# Worker-side failures are absorbed with their real tracebacks
+# Shard-side failures are logged with their real tracebacks
 # --------------------------------------------------------------------- #
 class TestFailureAbsorption:
     def test_injected_worker_failure_is_absorbed_then_healed(
         self, tmp_path, weights_cache, serial_mc,
     ):
         store = ResultStore(tmp_path / "store")
-        executor = RemoteExecutor(workers=2, **CALM)
+        executor = ShardedExecutor(shards=2, **CALM)
         run = run_sweep(
             tiny_mc_sweep(), store, weights_cache_dir=weights_cache,
             executor=executor, inject_failures=[0], max_failures=1,
         )
-        # The clean reference failed inside the worker; its dependents
-        # are failed-with-cause; the worker's traceback travelled home.
+        # The clean reference failed inside the shard; its dependents
+        # are failed-with-cause; the shard's traceback is in the log.
         failures = FailureLog(store)
         clean_key = job_key(tiny_mc_sweep().expand()[0])
         assert failures.has(clean_key)
@@ -261,7 +261,7 @@ class TestFailureAbsorption:
         assert {e["cause_key"] for e in dependents} == {clean_key}
         assert run.stats.failed == 3
 
-        executor = RemoteExecutor(workers=2, **CALM)
+        executor = ShardedExecutor(shards=2, **CALM)
         healed = run_sweep(
             tiny_mc_sweep(), store, weights_cache_dir=weights_cache,
             executor=executor,

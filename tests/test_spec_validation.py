@@ -8,8 +8,11 @@ Carlo jobs accepted ``images=0``, ``batch_size=0``, a confidence outside
 ``(0, 1)`` and noise specs the registry cannot build, and failed only after
 training.  Power jobs accepted ``uniform_bits`` below 1 (failing only once
 the job ran) and raised ``TypeError`` for an unknown or non-numeric energy
-constant.  ``JobSpec.from_dict`` must reject every such field with a
-``ValueError`` that names it.
+constant.  Integer job and sweep fields (``trials``, ``images``,
+``batch_size``, ``mc_seed``, ``mc_seeds``) went through ``int()``, which
+truncated ``2.7`` to ``2`` and coerced ``"3"`` and ``true``.
+``JobSpec.from_dict`` and ``SweepSpec.from_dict`` must reject every such
+field with a ``ValueError`` that names it.
 """
 
 from __future__ import annotations
@@ -232,6 +235,60 @@ def test_monte_carlo_boundaries_are_accepted_and_addresses_unchanged():
     assert job_key(MONTE_CARLO, "fixed-salt") == (
         "a4b991a59b45951ba159ff7bb3e6ca65317f256bb7368dce1b4f1e2176ff5e62"
     )
+
+
+def non_integers():
+    """JSON values ``int()`` used to truncate or coerce: non-integral
+    numbers, bools and strings (``"3"`` included)."""
+    return st.one_of(
+        st.floats().filter(lambda value: not value.is_integer()),
+        st.booleans(),
+        st.text(max_size=4),
+    )
+
+
+@given(st.sampled_from(["trials", "images", "batch_size", "mc_seed"]), non_integers())
+@settings(max_examples=120, deadline=None)
+def test_job_integer_fields_are_not_truncated(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        JobSpec.from_dict(with_top_field(field, value))
+
+
+MC_SWEEP = SweepSpec(
+    name="mc-integers", kind="monte_carlo", workloads=[TINY], noises=[NOISE],
+    mc_seeds=[0, 1], trials=2, images=4, batch_size=1,
+)
+
+
+@given(
+    st.sampled_from(["trials", "images", "batch_size", "mc_seeds[1]"]),
+    non_integers(),
+)
+@settings(max_examples=120, deadline=None)
+def test_sweep_integer_fields_are_not_truncated(path, value):
+    data = copy.deepcopy(MC_SWEEP.to_dict())
+    if path == "mc_seeds[1]":
+        data["mc_seeds"][1] = value
+    else:
+        data[path] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} must be an integer"):
+        SweepSpec.from_dict(data)
+
+
+def test_integral_values_parse_to_the_same_addresses():
+    """Integral floats still parse (as JSON writers may emit ``2.0``), and
+    the parsed job keeps the address it had before the stricter parse."""
+    data = with_top_field("trials", 2.0)
+    data.update(images=4.0, batch_size=1.0, mc_seed=3.0)
+    job = JobSpec.from_dict(data)
+    assert job == MONTE_CARLO
+    assert job_key(job, "fixed-salt") == (
+        "a4b991a59b45951ba159ff7bb3e6ca65317f256bb7368dce1b4f1e2176ff5e62"
+    )
+    sweep = SweepSpec.from_dict({**MC_SWEEP.to_dict(), "mc_seeds": [0.0, 1.0]})
+    assert [job_key(job) for job in sweep.expand()] == [
+        job_key(job) for job in MC_SWEEP.expand()
+    ]
 
 
 @pytest.mark.parametrize("trial_batch", [1, 4])

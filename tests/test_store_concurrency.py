@@ -263,39 +263,6 @@ class TestSweepStaleTmps:
 
 
 # --------------------------------------------------------------------- #
-# merge_from: the remote-execution return path
-# --------------------------------------------------------------------- #
-class TestMergeFrom:
-    def test_copies_pairs_and_meta_and_skips_present_keys(self, tmp_path):
-        source = ResultStore(tmp_path / "worker")
-        write_storm(source, 4, seed=0)
-        source.save_meta(storm_key(0), {"worker": "shard0", "duration_s": 1.5})
-
-        target = ResultStore(tmp_path / "main")
-        target.save(storm_key(1), storm_payload(1), storm_arrays(1))
-
-        merged = target.merge_from(source)
-        assert sorted(merged) == sorted(storm_key(i) for i in (0, 2, 3))
-        assert store_listing(target) == store_listing(source)
-        np.testing.assert_array_equal(
-            target.load_arrays(storm_key(2))["data"], storm_arrays(2)["data"],
-        )
-        assert target.load_meta(storm_key(0)) == {
-            "worker": "shard0", "duration_s": 1.5,
-        }
-        # Idempotent: a second merge (a duplicate shard's return) is a no-op.
-        assert target.merge_from(source) == []
-
-    def test_keys_argument_restricts_the_copy(self, tmp_path):
-        source = ResultStore(tmp_path / "worker")
-        write_storm(source, 4, seed=0)
-        target = ResultStore(tmp_path / "main")
-        merged = target.merge_from(source, keys=[storm_key(1), "absent"])
-        assert merged == [storm_key(1)]
-        assert list(target.keys()) == [storm_key(1)]
-
-
-# --------------------------------------------------------------------- #
 # Crash-resume of a real sweep (SIGKILL at the worst instant)
 # --------------------------------------------------------------------- #
 class TestCrashResume:

@@ -43,6 +43,7 @@ import pytest
 from repro.experiments import (
     NoiseScenario,
     ResultStore,
+    ShardedExecutor,
     SweepSpec,
     WorkloadSpec,
     build_preset,
@@ -831,6 +832,58 @@ class TestSweepState:
         plain = render(snapshot, ascii_only=True)
         assert all(ord(char) < 128 for char in plain)
         assert "sweep finished" in plain
+
+
+# --------------------------------------------------------------------- #
+# Shard dispatch events of the sharded executor
+# --------------------------------------------------------------------- #
+class TestShardDispatchEvents:
+    @staticmethod
+    def _wave_shards(trace, shards=2):
+        """Every (wave, shard) pair the executor must dispatch: each wave
+        round-robins its runnable jobs into at most ``shards`` groups."""
+        return sorted(
+            (event["wave"], shard)
+            for event in trace.select(ev.WAVE_START)
+            for shard in range(min(event["jobs"], shards))
+        )
+
+    def test_one_dispatch_per_wave_and_shard(self, tmp_path, weights_cache):
+        run = run_sweep(
+            tiny_mc_sweep("dispatch-sweep"), ResultStore(tmp_path / "store"),
+            weights_cache_dir=weights_cache, executor="sharded", shards=2,
+            trace=True,
+        )
+        trace = load_run(run.telemetry_dir)
+        dispatches = trace.select(ev.SHARD_DISPATCH)
+        expected = self._wave_shards(trace)
+        assert len(expected) == 3  # the clean reference, then two MC shards
+        assert sorted((e["wave"], e["shard"]) for e in dispatches) == expected
+        assert {e["transport"] for e in dispatches} == {"local"}
+        assert {e["attempt"] for e in dispatches} == {0}
+        assert trace.select(ev.SHARD_REDISPATCH) == []
+
+    def test_forced_redispatch_backs_up_every_shard(self, tmp_path, weights_cache):
+        sweep = tiny_mc_sweep("forced-dispatch-sweep")
+        serial_store = ResultStore(tmp_path / "serial")
+        serial = run_sweep(sweep, serial_store, weights_cache_dir=weights_cache)
+        runner_module.clear_runner_memos()
+        store = ResultStore(tmp_path / "store")
+        run = run_sweep(
+            sweep, store, weights_cache_dir=weights_cache, trace=True,
+            executor=ShardedExecutor(shards=2, force_redispatch=True),
+        )
+        assert record_bytes(run) == record_bytes(serial)
+        assert store_listing(store) == store_listing(serial_store)
+        trace = load_run(run.telemetry_dir)
+        expected = self._wave_shards(trace)
+        redispatches = trace.select(ev.SHARD_REDISPATCH)
+        assert sorted((e["wave"], e["shard"]) for e in redispatches) == expected
+        assert {e["reason"] for e in redispatches} == {"forced"}
+        assert {e["attempt"] for e in redispatches} == {1}
+        assert sorted(
+            (e["wave"], e["shard"]) for e in trace.select(ev.SHARD_DISPATCH)
+        ) == expected
 
 
 # --------------------------------------------------------------------- #
