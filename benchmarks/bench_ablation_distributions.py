@@ -15,6 +15,7 @@ from repro.core import (
     DistributionType,
     SearchSpaceConfig,
     TwinRangeCalibrator,
+    histogram_values,
     summarize_distribution,
 )
 from repro.report import ExperimentRecord, format_table
@@ -38,12 +39,13 @@ def test_ablation_distribution_types(benchmark, results_dir):
     def run():
         calibrator = TwinRangeCalibrator(
             search_space=SearchSpaceConfig(num_v_grid_candidates=20),
-            max_samples_per_layer=16_384,
         )
         rows = []
         for name, samples in _distributions().items():
-            summary = summarize_distribution(samples)
-            result = calibrator.calibrate({name: samples})
+            # Integer-valued, like bit-line values: one histogram per layer.
+            histogram = np.bincount(samples.astype(np.int64))
+            summary = summarize_distribution(*histogram_values(histogram))
+            result = calibrator.calibrate({name: histogram})
             layer = result.layers[name]
             setting = layer.setting
             rows.append({

@@ -53,7 +53,6 @@ def test_ablation_search_strategies(benchmark, workloads, results_dir):
         optimizer = CoDesignOptimizer(
             workload.model, workload.calibration.images, workload.calibration.labels,
             search_space=SearchSpaceConfig(num_v_grid_candidates=16),
-            max_samples_per_layer=8192,
         )
         base = optimizer.run(split.images, split.labels, batch_size=16,
                              use_accuracy_loop=False, initial_n_max=4)

@@ -8,27 +8,46 @@ This script walks through exactly what the paper proposes, end to end:
 4. calibrate the Twin-Range Quantization parameters per layer (Algorithm 1),
 5. compare accuracy and A/D-operation counts against the uniform-ADC baseline.
 
-Run with:  python examples/quickstart.py
+Run with:  python examples/quickstart.py           (full)
+           python examples/quickstart.py --smoke   (CI-fast)
 """
 
 from __future__ import annotations
 
-import numpy as np
+import argparse
+import sys
+from pathlib import Path
 
-from repro.core import CoDesignOptimizer, SearchSpaceConfig, uniform_adc_configs
-from repro.report import format_table
-from repro.workloads import prepare_workload
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.core import CoDesignOptimizer, SearchSpaceConfig, uniform_adc_configs  # noqa: E402
+from repro.report import format_table  # noqa: E402
+from repro.workloads import prepare_workload  # noqa: E402
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--smoke", action="store_true", help="tiny budgets for CI")
+    args = parser.parse_args()
+
     print("=== 1. Prepare workload (train LeNet-5 on synthetic MNIST) ===")
-    workload = prepare_workload(
-        "lenet5", preset="small", train_size=384, test_size=128,
-        calibration_images=32, seed=0,
-    )
+    if args.smoke:
+        workload = prepare_workload(
+            "lenet5", preset="tiny", train_size=128, test_size=32,
+            calibration_images=16, epochs=6, seed=0,
+            # Shared with benchmarks/ so CI's smoke steps train the workload once.
+            cache_dir=str(Path(__file__).resolve().parent.parent / "benchmarks" / ".cache"),
+        )
+        eval_images, v_grid_candidates = 16, 4
+    else:
+        workload = prepare_workload(
+            "lenet5", preset="small", train_size=384, test_size=128,
+            calibration_images=32, seed=0,
+        )
+        eval_images, v_grid_candidates = 96, 20
     print(f"float accuracy: {workload.float_accuracy:.3f}")
 
-    eval_split = workload.eval_split(96)
+    eval_split = workload.eval_split(eval_images)
     images, labels = eval_split.images, eval_split.labels
     simulator = workload.simulator
 
@@ -38,13 +57,13 @@ def main() -> None:
           f"A/D conversions per image: {baseline.total_conversions // baseline.num_images}")
 
     print("\n=== 3. Uniform low-resolution ADC baseline ===")
-    samples = simulator.collect_bitline_distributions(
-        workload.calibration.images[:16], batch_size=8
-    )
+    # One exact bit-line histogram per layer; its largest value sets each
+    # uniform ADC's full scale.
+    histograms = simulator.collect_bitline_distributions(workload.calibration.images[:16])
     rows = []
     for bits in (8, 6, 4):
         result = simulator.evaluate(
-            images, labels, uniform_adc_configs(samples, bits=bits), batch_size=16
+            images, labels, uniform_adc_configs(histograms, bits=bits), batch_size=16
         )
         rows.append({"config": f"uniform {bits}b", "accuracy": result.accuracy,
                      "remaining A/D ops": result.remaining_ops_fraction})
@@ -55,7 +74,7 @@ def main() -> None:
         workload.model,
         workload.calibration.images,
         workload.calibration.labels,
-        search_space=SearchSpaceConfig(num_v_grid_candidates=20),
+        search_space=SearchSpaceConfig(num_v_grid_candidates=v_grid_candidates),
         accuracy_threshold=0.02,
     )
     result = optimizer.run(images, labels, batch_size=16,
@@ -73,6 +92,7 @@ def main() -> None:
         layer_rows.append({
             "layer": name,
             "distribution": layer.summary.kind.value,
+            "bit-line values": layer.summary.count,
             "scheme": "TRQ" if setting.use_trq else f"uniform {setting.uniform_bits}b",
             "NR1": setting.trq.n_r1 if setting.use_trq else "-",
             "NR2": setting.trq.n_r2 if setting.use_trq else "-",

@@ -16,8 +16,11 @@ from repro.core.co_design import (
 from repro.core.distribution import (
     DistributionSummary,
     DistributionType,
+    add_histograms,
+    histogram_values,
     required_resolution,
     summarize_distribution,
+    weighted_quantile,
 )
 from repro.core.objectives import (
     CandidateEvaluation,
@@ -59,12 +62,14 @@ __all__ = [
     "SearchSpaceConfig",
     "TRQParams",
     "TwinRangeCalibrator",
+    "add_histograms",
     "candidate_params",
     "classify_regions",
     "decode",
     "encode",
     "evaluate_trq_candidate",
     "evaluate_uniform_candidate",
+    "histogram_values",
     "mean_ad_operations",
     "quantization_mse",
     "required_resolution",
@@ -80,4 +85,5 @@ __all__ = [
     "uniform_fallback_bits",
     "uniform_reference_quantize",
     "v_grid_candidates",
+    "weighted_quantile",
 ]

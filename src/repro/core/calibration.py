@@ -1,7 +1,7 @@
 """Layer-by-layer parameter search (paper Algorithm 1).
 
-Given per-layer samples of the bit-line values (collected by the simulator on
-a small calibration set), the calibrator
+Given per-layer histograms of the bit-line values (captured by the simulator
+on a small calibration set), the calibrator
 
 1. classifies each layer's distribution (Section IV-B),
 2. sweeps the grid-step candidates ``Vgrid`` and the legal twin-range
@@ -14,18 +14,26 @@ a small calibration set), the calibrator
    ``θ``, then keeps the last acceptable configuration.
 
 The module is deliberately independent of the simulator: it consumes plain
-arrays and an opaque accuracy callback, which keeps it unit-testable on
-synthetic distributions and avoids import cycles.
+count vectors (or, per layer, weighted ``(values, counts)`` distributions)
+and an opaque accuracy callback, which keeps it unit-testable on synthetic
+distributions and avoids import cycles.  A histogram holds every value the
+capture saw, so the search reads the whole calibration set, in a few dozen
+distinct values per layer, with no subsampling.
 """
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.distribution import DistributionSummary, summarize_distribution
+from repro.core.distribution import (
+    DistributionSummary,
+    histogram_values,
+    summarize_distribution,
+)
 from repro.core.objectives import (
     CandidateEvaluation,
     evaluate_trq_candidate,
@@ -37,11 +45,11 @@ from repro.core.search_space import (
     SearchSpaceConfig,
     candidate_params,
     uniform_fallback_bits,
+    uniform_step,
     v_grid_candidates,
 )
 from repro.core.trq import TRQParams
 from repro.utils.logging import get_logger
-from repro.utils.rng import SeedLike, new_rng
 from repro.utils.validation import check_in_range, check_integer
 
 logger = get_logger("core.calibration")
@@ -142,8 +150,6 @@ class TwinRangeCalibrator:
         Lowest bit budget the outer loop will try.
     mse_tolerance:
         Slack used when arbitrating between TRQ and the uniform fallback.
-    max_samples_per_layer:
-        Calibration samples are subsampled to this size for search speed.
     """
 
     def __init__(
@@ -152,93 +158,94 @@ class TwinRangeCalibrator:
         accuracy_threshold: float = 0.01,
         min_n_max: int = 2,
         mse_tolerance: float = 0.05,
-        max_samples_per_layer: int = 16384,
-        seed: SeedLike = 0,
     ) -> None:
         check_in_range(accuracy_threshold, "accuracy_threshold", low=0.0)
         check_in_range(check_integer(min_n_max, "min_n_max"), "min_n_max", low=1)
-        check_in_range(check_integer(max_samples_per_layer, "max_samples_per_layer"),
-                       "max_samples_per_layer", low=16)
         self.search_space = search_space
         self.accuracy_threshold = float(accuracy_threshold)
         self.min_n_max = int(min_n_max)
         self.mse_tolerance = float(mse_tolerance)
-        self.max_samples_per_layer = int(max_samples_per_layer)
-        self._rng = new_rng(seed)
 
     # ------------------------------------------------------------------ #
     # per-layer search
     # ------------------------------------------------------------------ #
-    def _subsample(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples, dtype=np.float64).ravel()
-        if samples.size <= self.max_samples_per_layer:
-            return samples
-        idx = self._rng.choice(samples.size, size=self.max_samples_per_layer, replace=False)
-        return samples[idx]
-
     @staticmethod
     def _energy_ops_sorted(
-        sorted_samples: np.ndarray, params: TRQParams
-    ) -> Tuple[float, int]:
-        """Eq. 9 evaluated with two binary searches on the sorted samples."""
-        n = sorted_samples.size
-        lo = np.searchsorted(sorted_samples, params.r1_low, side="left")
-        hi = np.searchsorted(sorted_samples, params.r1_high, side="left")
-        num_r1 = int(hi - lo)
+        values: List[float], cumulative: List[int], params: TRQParams
+    ) -> float:
+        """Eq. 9 evaluated with two binary searches on the ascending
+        ``values``; ``cumulative[i]`` counts the conversions of the values
+        before ``values[i]`` (``cumulative[-1]`` is their total).  Plain
+        lists: a histogram holds a few dozen values, so the search costs
+        less than a NumPy call."""
+        n = cumulative[-1]
+        lo = bisect.bisect_left(values, params.r1_low)
+        hi = bisect.bisect_left(values, params.r1_high)
+        num_r1 = cumulative[hi] - cumulative[lo]
         num_r2 = n - num_r1
-        energy = n * params.detection_ops + num_r1 * params.n_r1 + num_r2 * params.n_r2
-        return float(energy), num_r1
+        return float(n * params.detection_ops + num_r1 * params.n_r1 + num_r2 * params.n_r2)
 
     def calibrate_layer(
-        self, samples: np.ndarray, n_max: int
+        self, values: np.ndarray, counts: np.ndarray, n_max: int
     ) -> Tuple[DistributionSummary, Optional[CandidateEvaluation], CandidateEvaluation]:
         """Search the best twin-range and uniform settings for one layer.
 
-        Returns ``(summary, best_trq_evaluation, uniform_evaluation)``; the
-        TRQ evaluation is ``None`` only for degenerate (empty) samples.
+        ``values`` and ``counts`` are the layer's bit-line distribution: each
+        value and how often it occurs (positive counts;
+        :func:`~repro.core.distribution.histogram_values` of a captured
+        histogram, or ones for a plain sample).  Returns ``(summary,
+        best_trq_evaluation, uniform_evaluation)``; the TRQ evaluation is
+        ``None`` only for degenerate (empty) distributions.
         """
-        samples = self._subsample(samples)
-        if samples.size == 0:
+        values = np.asarray(values, dtype=np.float64).ravel()
+        counts = np.asarray(counts).ravel()
+        if counts.shape != values.shape:
+            raise ValueError(f"{counts.size} counts for {values.size} values")
+        if values.size == 0:
             raise ValueError("cannot calibrate a layer with no bit-line samples")
-        summary = summarize_distribution(samples)
-        sorted_samples = np.sort(samples)
-        y_max = float(sorted_samples[-1])
+        # The binary searches of Eq. 9 read the values in ascending order.
+        order = np.argsort(values, kind="stable")
+        values, counts = values[order], counts[order]
+        summary = summarize_distribution(values, counts)
+        sorted_values = values.tolist()
+        cumulative = [0] + np.cumsum(counts).tolist()
 
         best_overall: Optional[CandidateEvaluation] = None
-        for v_grid in v_grid_candidates(y_max, self.search_space):
+        for v_grid in v_grid_candidates(summary.maximum, self.search_space):
             # Inner minimisation (Eq. 9): pick the candidate with the fewest
             # A/D operations for this grid step; energy only needs the R1
             # population, so it is evaluated with binary searches.
             best_params: Optional[TRQParams] = None
             best_energy = np.inf
-            for params in candidate_params(summary, samples, float(v_grid), n_max,
+            for params in candidate_params(summary, values, float(v_grid), n_max,
                                            self.search_space):
-                energy, _ = self._energy_ops_sorted(sorted_samples, params)
+                energy = self._energy_ops_sorted(sorted_values, cumulative, params)
                 if energy < best_energy:
                     best_energy = energy
                     best_params = params
             if best_params is None:
                 continue
-            # Outer selection (Eq. 10): across grids, keep the minimum-MSE one.
-            evaluation = evaluate_trq_candidate(samples, best_params)
-            if (
-                best_overall is None
-                or evaluation.mse < best_overall.mse
-                or (
-                    np.isclose(evaluation.mse, best_overall.mse)
-                    and evaluation.energy_ops < best_overall.energy_ops
-                )
+            # Outer selection (Eq. 10): across grids, keep the minimum-MSE
+            # one.  MSEs that differ only by float rounding (relative 1e-12:
+            # a sum over distinct values and one over every sample round
+            # differently) tie, and the tie goes to fewer A/D operations,
+            # then to the earlier grid.
+            evaluation = evaluate_trq_candidate(values, counts, best_params)
+            if best_overall is None or (
+                evaluation.energy_ops < best_overall.energy_ops
+                if np.isclose(evaluation.mse, best_overall.mse, rtol=1e-12, atol=0.0)
+                else evaluation.mse < best_overall.mse
             ):
                 best_overall = evaluation
 
-        bits, delta = uniform_fallback_bits(samples, v_grid=1.0, n_max=n_max)
-        uniform_evaluation = evaluate_uniform_candidate(samples, bits, delta)
+        bits, delta = uniform_fallback_bits(values, v_grid=1.0, n_max=n_max)
+        uniform_evaluation = evaluate_uniform_candidate(values, counts, bits, delta)
         return summary, best_overall, uniform_evaluation
 
     def _layer_result(
-        self, name: str, samples: np.ndarray, n_max: int
+        self, name: str, values: np.ndarray, counts: np.ndarray, n_max: int
     ) -> LayerCalibrationResult:
-        summary, trq_eval, uniform_eval = self.calibrate_layer(samples, n_max)
+        summary, trq_eval, uniform_eval = self.calibrate_layer(values, counts, n_max)
         if trq_eval is None:
             selected = uniform_eval
         else:
@@ -253,7 +260,7 @@ class TwinRangeCalibrator:
             setting = LayerAdcSetting(
                 use_trq=False,
                 uniform_bits=selected.uniform_bits,
-                uniform_delta=_uniform_delta(samples, selected.uniform_bits),
+                uniform_delta=uniform_step(summary.maximum, selected.uniform_bits),
             )
         else:
             setting = LayerAdcSetting(use_trq=True, trq=selected.params)
@@ -271,7 +278,7 @@ class TwinRangeCalibrator:
     # ------------------------------------------------------------------ #
     def calibrate(
         self,
-        layer_samples: Dict[str, np.ndarray],
+        layer_histograms: Dict[str, np.ndarray],
         accuracy_fn: Optional[AccuracyFn] = None,
         baseline_accuracy: Optional[float] = None,
         initial_n_max: Optional[int] = None,
@@ -280,8 +287,11 @@ class TwinRangeCalibrator:
 
         Parameters
         ----------
-        layer_samples:
-            Mapping of layer name to bit-line value samples.
+        layer_histograms:
+            Mapping of layer name to its bit-line histogram: entry ``v``
+            counts the occurrences of the value ``v`` (the ``np.bincount``
+            vectors :meth:`repro.sim.PimSimulator.collect_bitline_distributions`
+            returns).
         accuracy_fn:
             End-to-end accuracy oracle taking the per-layer settings; when
             omitted the outer loop runs exactly one iteration at the initial
@@ -292,8 +302,8 @@ class TwinRangeCalibrator:
         initial_n_max:
             Starting bit budget; defaults to ``RADC − 1`` (Algorithm 1 line 1).
         """
-        if not layer_samples:
-            raise ValueError("layer_samples is empty")
+        if not layer_histograms:
+            raise ValueError("layer_histograms is empty")
         if accuracy_fn is not None and baseline_accuracy is None:
             raise ValueError("baseline_accuracy is required when accuracy_fn is given")
 
@@ -302,13 +312,16 @@ class TwinRangeCalibrator:
         check_in_range(check_integer(n_max, "initial_n_max"), "initial_n_max",
                        low=self.min_n_max, high=resolution)
 
+        distributions = {
+            name: histogram_values(histogram) for name, histogram in layer_histograms.items()
+        }
         accepted: Optional[Tuple[int, Dict[str, LayerCalibrationResult], Optional[float]]] = None
         history: List[Tuple[int, float]] = []
 
         while n_max >= self.min_n_max:
             layers = {
-                name: self._layer_result(name, samples, n_max)
-                for name, samples in layer_samples.items()
+                name: self._layer_result(name, values, counts, n_max)
+                for name, (values, counts) in distributions.items()
             }
             if accuracy_fn is None:
                 accepted = (n_max, layers, None)
@@ -336,12 +349,3 @@ class TwinRangeCalibrator:
             final_accuracy=final_accuracy,
             accuracy_history=history,
         )
-
-
-def _uniform_delta(samples: np.ndarray, bits: Optional[int]) -> float:
-    """Step of a range-calibrated uniform quantizer with ``bits`` bits."""
-    assert bits is not None
-    samples = np.asarray(samples, dtype=np.float64)
-    y_max = float(samples.max()) if samples.size else 1.0
-    max_code = (1 << bits) - 1
-    return y_max / max_code if y_max > 0 else 1.0

@@ -3,7 +3,7 @@
 This module glues the pieces together into the pipeline a user actually runs:
 
 1. post-training quantize a trained model on a few calibration images,
-2. collect bit-line value distributions with the PIM simulator,
+2. capture per-layer bit-line value histograms with the PIM simulator,
 3. run the Algorithm 1 parameter search under an accuracy constraint,
 4. translate the per-layer decisions into ADC configuration registers,
 5. evaluate the final configuration (accuracy, remaining A/D operations).
@@ -27,26 +27,11 @@ from repro.core.calibration import (
     LayerAdcSetting,
     TwinRangeCalibrator,
 )
-from repro.core.search_space import DEFAULT_SEARCH_SPACE, SearchSpaceConfig
+from repro.core.distribution import histogram_values
+from repro.core.search_space import DEFAULT_SEARCH_SPACE, SearchSpaceConfig, uniform_step
 from repro.utils.logging import get_logger
 
 logger = get_logger("core.co_design")
-
-#: The bit-line capture :meth:`CoDesignOptimizer.run` searches over: a
-#: per-layer reservoir of ``DISTRIBUTION_CAPACITY`` values, seeded with
-#: ``CODESIGN_SEED``, filled in batches of ``capture_batch_size(batch_size)``.
-#: The experiments layer schedules exactly this capture as a shared stored
-#: job (:meth:`repro.experiments.JobSpec.capture_job`), so these constants
-#: have this one definition.
-DISTRIBUTION_CAPACITY = 50_000
-CODESIGN_SEED = 0
-MAX_CAPTURE_BATCH = 8
-
-
-def capture_batch_size(batch_size: int) -> int:
-    """Batch size of the capture behind a co-design run at ``batch_size``."""
-    return min(int(batch_size), MAX_CAPTURE_BATCH)
-
 
 # --------------------------------------------------------------------- #
 # setting -> hardware configuration register
@@ -83,21 +68,22 @@ def settings_to_adc_configs(
 
 
 def uniform_adc_configs(
-    layer_samples: Dict[str, np.ndarray], bits: int, resolution: int = 8
+    layer_histograms: Dict[str, np.ndarray], bits: int, resolution: int = 8
 ) -> Dict[str, object]:
     """Range-calibrated uniform ADC configs (the Fig. 6a baseline).
 
-    Each layer gets a ``bits``-bit uniform quantizer whose full scale matches
-    the maximum bit-line value observed on the calibration set.
+    Each layer gets a ``bits``-bit uniform quantizer whose full scale is the
+    largest value in the layer's bit-line histogram (entry ``v`` counts the
+    value ``v``, the form a capture stores): the exact maximum over the
+    captured images.
     """
     from repro.adc.config import uniform_config  # local import, see module docstring
 
     configs = {}
-    for name, samples in layer_samples.items():
-        samples = np.asarray(samples, dtype=np.float64)
-        y_max = float(samples.max()) if samples.size else 1.0
-        delta = y_max / ((1 << bits) - 1) if y_max > 0 else 1.0
-        v_grid = delta / (1 << (resolution - bits))
+    for name, histogram in layer_histograms.items():
+        values, _ = histogram_values(histogram)
+        y_max = float(values[-1]) if values.size else 0.0
+        v_grid = uniform_step(y_max, bits) / (1 << (resolution - bits))
         configs[name] = uniform_config(resolution=resolution, bits=bits, v_grid=v_grid)
     return configs
 
@@ -162,10 +148,7 @@ class CoDesignOptimizer:
         search_space: SearchSpaceConfig = DEFAULT_SEARCH_SPACE,
         accuracy_threshold: float = 0.01,
         min_n_max: int = 2,
-        max_samples_per_layer: int = 16384,
         chunk_size: Optional[int] = None,
-        distribution_capacity: int = DISTRIBUTION_CAPACITY,
-        seed: int = CODESIGN_SEED,
         quantized=None,
     ) -> None:
         from repro.quantization.ptq import quantize_model  # local import
@@ -181,28 +164,17 @@ class CoDesignOptimizer:
             search_space=search_space,
             accuracy_threshold=accuracy_threshold,
             min_n_max=min_n_max,
-            max_samples_per_layer=max_samples_per_layer,
-            seed=seed,
         )
         self.quantized = (
             quantized if quantized is not None
             else quantize_model(model, self.calibration_images)
         )
         self.simulator = PimSimulator(self.quantized, chunk_size=chunk_size)
-        self.distribution_capacity = int(distribution_capacity)
-        self._seed = int(seed)
 
     # ------------------------------------------------------------------ #
-    def collect_distributions(
-        self, batch_size: int = MAX_CAPTURE_BATCH
-    ) -> Dict[str, np.ndarray]:
-        """Bit-line value samples per layer on the calibration images."""
-        return self.simulator.collect_bitline_distributions(
-            self.calibration_images,
-            batch_size=batch_size,
-            capacity_per_layer=self.distribution_capacity,
-            seed=self._seed,
-        )
+    def collect_distributions(self) -> Dict[str, np.ndarray]:
+        """Per-layer bit-line histograms on the calibration images."""
+        return self.simulator.collect_bitline_distributions(self.calibration_images)
 
     def run(
         self,
@@ -211,7 +183,7 @@ class CoDesignOptimizer:
         batch_size: int = 16,
         use_accuracy_loop: bool = True,
         initial_n_max: Optional[int] = None,
-        layer_samples: Optional[Dict[str, np.ndarray]] = None,
+        layer_histograms: Optional[Dict[str, np.ndarray]] = None,
         baseline_accuracy: Optional[float] = None,
     ) -> CoDesignResult:
         """Execute the full co-design flow.
@@ -226,16 +198,13 @@ class CoDesignOptimizer:
             When False the outer Nmax loop is skipped (single iteration),
             which is much faster and useful for sweeps that fix Nmax via
             ``initial_n_max``.
-        layer_samples, baseline_accuracy:
+        layer_histograms, baseline_accuracy:
             Precomputed inputs that replace the run's own bit-line capture
-            (:meth:`collect_distributions` at
-            ``capture_batch_size(batch_size)``) and ideal-ADC baseline
-            evaluation.  The result is bit-identical only if they come from
-            the same PTQ model, images, batch size, reservoir capacity and
-            seed as the computation they replace — and ``layer_samples``
-            must keep the capture's layer order, because the search draws
-            every layer's subsample from one RNG in that order.  ``None``
-            (default) computes them here.
+            (:meth:`collect_distributions`) and ideal-ADC baseline
+            evaluation.  The result is bit-identical if they come from the
+            same PTQ model and images as the computation they replace (the
+            baseline also from the same batch size).  ``None`` (default)
+            computes them here.
         """
         if eval_images is None:
             eval_images = self.calibration_images
@@ -252,10 +221,8 @@ class CoDesignOptimizer:
             ).accuracy
         logger.debug("baseline (ideal ADC) accuracy: %.4f", baseline_accuracy)
 
-        if layer_samples is None:
-            layer_samples = self.collect_distributions(
-                batch_size=capture_batch_size(batch_size)
-            )
+        if layer_histograms is None:
+            layer_histograms = self.collect_distributions()
 
         accuracy_fn = None
         if use_accuracy_loop:
@@ -267,7 +234,7 @@ class CoDesignOptimizer:
                 return evaluator(settings_to_adc_configs(settings, resolution))
 
         calibration = self.calibrator.calibrate(
-            layer_samples,
+            layer_histograms,
             accuracy_fn=accuracy_fn,
             baseline_accuracy=baseline_accuracy if use_accuracy_loop else None,
             initial_n_max=initial_n_max,

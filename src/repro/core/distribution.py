@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Optional
+from typing import Tuple
 
 import numpy as np
 
@@ -58,22 +58,55 @@ class DistributionSummary:
         return self.maximum - self.minimum
 
 
-def _skewness(values: np.ndarray) -> float:
-    std = values.std()
-    if std == 0:
-        return 0.0
-    return float(np.mean(((values - values.mean()) / std) ** 3))
+def histogram_values(histogram) -> Tuple[np.ndarray, np.ndarray]:
+    """The values a bit-line histogram counts, ascending, and how often each
+    occurs.
+
+    Entry ``v`` of ``histogram`` (an ``np.bincount`` vector: the form a
+    capture stores) counts the occurrences of the value ``v``; values that
+    do not occur are dropped.  Every distribution statistic of the co-design
+    search reads this weighted ``(values, counts)`` form, in which a plain
+    sample ``x`` is ``(x, np.ones(x.size))``.
+    """
+    histogram = np.asarray(histogram).ravel()
+    if not np.issubdtype(histogram.dtype, np.integer):
+        raise ValueError(f"histogram counts must be integers, got dtype {histogram.dtype}")
+    if histogram.size and histogram.min() < 0:
+        raise ValueError("histogram counts must be non-negative")
+    values = np.flatnonzero(histogram)
+    return values.astype(np.float64), histogram[values].astype(np.int64)
 
 
-def _count_modes(values: np.ndarray, num_bins: int = 32, rel_threshold: float = 0.15) -> int:
+def add_histograms(histograms) -> np.ndarray:
+    """The sum of bit-line histograms of any lengths: the histogram of all
+    the values they count (a capture's layers pooled, for example)."""
+    histograms = [np.asarray(histogram) for histogram in histograms]
+    total = np.zeros(max(histogram.size for histogram in histograms), dtype=np.int64)
+    for histogram in histograms:
+        total[: histogram.size] += histogram
+    return total
+
+
+def weighted_quantile(values: np.ndarray, counts: np.ndarray, q: float) -> float:
+    """``np.percentile(x, q)`` (linear interpolation) of the sample ``x``
+    whose histogram is ``(values, counts)`` (values ascending), read from
+    the cumulative counts instead of the expanded sample."""
+    cumulative = np.cumsum(counts)
+    position = (int(cumulative[-1]) - 1) * q / 100.0
+    below = int(np.floor(position))
+    ranks = np.searchsorted(cumulative, [below, below + 1], side="right")
+    low, high = values[np.minimum(ranks, values.size - 1)]
+    return float(low + (position - below) * (high - low))
+
+
+def _count_modes(histogram: np.ndarray, total: int, rel_threshold: float = 0.15) -> int:
     """Count local maxima of a smoothed histogram exceeding a fraction of the peak."""
-    if values.size < 4 or values.max() == values.min():
+    if total < 4:
         return 1
-    counts, _ = np.histogram(values, bins=num_bins)
     # Light smoothing suppresses single-bin noise.
     kernel = np.array([1.0, 2.0, 3.0, 2.0, 1.0])
     kernel /= kernel.sum()
-    smoothed = np.convolve(counts.astype(np.float64), kernel, mode="same")
+    smoothed = np.convolve(histogram.astype(np.float64), kernel, mode="same")
     peak = smoothed.max()
     if peak == 0:
         return 1
@@ -88,16 +121,19 @@ def _count_modes(values: np.ndarray, num_bins: int = 32, rel_threshold: float = 
 
 def summarize_distribution(
     values: np.ndarray,
+    counts: np.ndarray,
     skew_threshold: float = 1.0,
     low_mass_threshold: float = 0.6,
     concentration_threshold: float = 0.55,
 ) -> DistributionSummary:
-    """Classify a sample of bit-line values and return its summary statistics.
+    """Classify a distribution of bit-line values and return its summary statistics.
 
     Parameters
     ----------
-    values:
-        Non-negative bit-line samples of one layer.
+    values, counts:
+        Non-negative bit-line values of one layer and how often each occurs
+        (positive counts; :func:`histogram_values` of a captured histogram,
+        or ones for a plain sample).
     skew_threshold:
         Minimum skewness for the zero-concentrated "ideal" class.
     low_mass_threshold:
@@ -110,28 +146,32 @@ def summarize_distribution(
     check_in_range(low_mass_threshold, "low_mass_threshold", 0.0, 1.0)
     check_in_range(concentration_threshold, "concentration_threshold", 0.0, 1.0)
     values = np.asarray(values, dtype=np.float64).ravel()
+    counts = np.asarray(counts).ravel()
     if values.size == 0:
         raise ValueError("cannot summarise an empty sample")
+    total = int(counts.sum())
+
+    def fraction(mask: np.ndarray) -> float:
+        return int(counts[mask].sum()) / total
 
     minimum = float(values.min())
     maximum = float(values.max())
-    mean = float(values.mean())
-    std = float(values.std())
-    skewness = _skewness(values)
-    zero_fraction = float(np.mean(values <= 0))
+    mean = float(counts @ values) / total
+    centred = values - mean
+    std = float(np.sqrt(float(counts @ centred**2) / total))
+    skewness = float(counts @ (centred / std) ** 3) / total if std > 0 else 0.0
+    zero_fraction = fraction(values <= 0)
     value_range = maximum - minimum
     if value_range > 0:
-        mass_low = float(np.mean(values <= minimum + value_range / 8.0))
-    else:
-        mass_low = 1.0
-    num_modes = _count_modes(values)
-
-    # Mode position from the histogram peak.
-    if value_range > 0:
-        counts, edges = np.histogram(values, bins=32)
-        peak_bin = int(np.argmax(counts))
+        mass_low = fraction(values <= minimum + value_range / 8.0)
+        # Mode position from the peak of a 32-bin histogram.
+        histogram, edges = np.histogram(values, bins=32, weights=counts)
+        num_modes = _count_modes(histogram, total)
+        peak_bin = int(np.argmax(histogram))
         mode_position = float((edges[peak_bin] + edges[peak_bin + 1]) / 2.0)
     else:
+        mass_low = 1.0
+        num_modes = 1
         mode_position = minimum
 
     # Classification.
@@ -139,7 +179,7 @@ def summarize_distribution(
         kind = DistributionType.IDEAL
     else:
         concentration = (
-            float(np.mean(np.abs(values - mode_position) <= std)) if std > 0 else 1.0
+            fraction(np.abs(values - mode_position) <= std) if std > 0 else 1.0
         )
         if num_modes == 1 and concentration >= concentration_threshold:
             kind = DistributionType.NORMAL
@@ -148,7 +188,7 @@ def summarize_distribution(
 
     return DistributionSummary(
         kind=kind,
-        count=int(values.size),
+        count=total,
         minimum=minimum,
         maximum=maximum,
         mean=mean,

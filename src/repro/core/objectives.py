@@ -9,14 +9,18 @@ objectives:
 * **Quantization error** (Eq. 10) — the MSE between the raw bit-line values
   and their TRQ reconstruction, used to pick the grid step ``Vgrid``.
 
-These are pure functions over a sample array so that the search can evaluate
-hundreds of candidates cheaply and deterministically.
+These are pure functions over a weighted distribution — values and how
+often each occurs (:func:`repro.core.distribution.histogram_values` of a
+captured histogram; ones for a plain sample array) — so that the search can
+evaluate hundreds of candidates cheaply and deterministically.  A captured
+bit-line histogram holds a few dozen distinct values, however many were
+observed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,64 +44,72 @@ class CandidateEvaluation:
         return self.params is None
 
 
-def trq_energy_ops(values: np.ndarray, params: TRQParams) -> float:
+def _weighted(values, counts) -> Tuple[np.ndarray, np.ndarray]:
+    return np.asarray(values, dtype=np.float64), np.asarray(counts)
+
+
+def _trq_operations(
+    values: np.ndarray, counts: np.ndarray, params: TRQParams
+) -> Tuple[float, int, int]:
+    """Eq. 9 of a weighted distribution: ``(A/D operations, conversions,
+    conversions resolved by R1)``."""
+    n = int(counts.sum())
+    num_r1 = int(counts[classify_regions(values, params)].sum())
+    energy = n * params.detection_ops + num_r1 * params.n_r1 + (n - num_r1) * params.n_r2
+    return float(energy), n, num_r1
+
+
+def _mse(values: np.ndarray, counts: np.ndarray, reconstructed: np.ndarray) -> float:
+    total = int(counts.sum())
+    return float(counts @ (values - reconstructed) ** 2) / total if total else 0.0
+
+
+def trq_energy_ops(values: np.ndarray, counts: np.ndarray, params: TRQParams) -> float:
     """Paper Eq. 9 without the ``eop`` constant: total A/D operations.
 
     ``N · ν`` detection operations plus ``NR1`` per dense-range sample and
-    ``NR2`` per coarse-range sample.
+    ``NR2`` per coarse-range sample; ``counts[i]`` samples hold ``values[i]``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.size
-    if n == 0:
-        return 0.0
-    in_r1 = classify_regions(values, params)
-    num_r1 = int(np.count_nonzero(in_r1))
-    num_r2 = n - num_r1
-    return float(n * params.detection_ops + num_r1 * params.n_r1 + num_r2 * params.n_r2)
+    return _trq_operations(*_weighted(values, counts), params)[0]
 
 
-def trq_mse(values: np.ndarray, params: TRQParams) -> float:
-    """Paper Eq. 10: MSE of the TRQ reconstruction on ``values``."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return 0.0
-    quantized, _ = twin_range_quantize(values, params)
-    return float(np.mean((values - quantized) ** 2))
+def trq_mse(values: np.ndarray, counts: np.ndarray, params: TRQParams) -> float:
+    """Paper Eq. 10: MSE of the TRQ reconstruction of the distribution."""
+    values, counts = _weighted(values, counts)
+    return _mse(values, counts, twin_range_quantize(values, params)[0])
 
 
-def evaluate_trq_candidate(values: np.ndarray, params: TRQParams) -> CandidateEvaluation:
-    """Evaluate one twin-range candidate on the calibration samples."""
-    values = np.asarray(values, dtype=np.float64)
-    n = max(1, values.size)
-    in_r1 = classify_regions(values, params)
-    num_r1 = int(np.count_nonzero(in_r1))
-    energy = trq_energy_ops(values, params)
+def evaluate_trq_candidate(
+    values: np.ndarray, counts: np.ndarray, params: TRQParams
+) -> CandidateEvaluation:
+    """Evaluate one twin-range candidate on the calibration distribution."""
+    values, counts = _weighted(values, counts)
+    energy, n, num_r1 = _trq_operations(values, counts, params)
+    n = max(1, n)
     return CandidateEvaluation(
         params=params,
         uniform_bits=None,
         energy_ops=energy,
-        mse=trq_mse(values, params),
+        mse=trq_mse(values, counts, params),
         mean_ops_per_conversion=energy / n,
         r1_fraction=num_r1 / n,
     )
 
 
 def evaluate_uniform_candidate(
-    values: np.ndarray, num_bits: int, delta: float
+    values: np.ndarray, counts: np.ndarray, num_bits: int, delta: float
 ) -> CandidateEvaluation:
     """Evaluate the plain uniform quantizer Algorithm 1 compares against
     (line 23): ``num_bits`` operations per conversion, no detection phase."""
-    values = np.asarray(values, dtype=np.float64)
-    n = max(1, values.size)
-    reconstructed = uniform_reference_quantize(values, num_bits, delta)
-    mse = float(np.mean((values - reconstructed) ** 2)) if values.size else 0.0
-    energy = float(values.size * num_bits)
+    values, counts = _weighted(values, counts)
+    total = int(counts.sum())
+    energy = float(total * num_bits)
     return CandidateEvaluation(
         params=None,
         uniform_bits=int(num_bits),
         energy_ops=energy,
-        mse=mse,
-        mean_ops_per_conversion=energy / n,
+        mse=_mse(values, counts, uniform_reference_quantize(values, num_bits, delta)),
+        mean_ops_per_conversion=energy / max(1, total),
         r1_fraction=0.0,
     )
 

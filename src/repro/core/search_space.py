@@ -133,10 +133,11 @@ def candidate_params(
 def uniform_fallback_bits(values: np.ndarray, v_grid: float, n_max: int) -> Tuple[int, float]:
     """Bit-width and step of the uniform quantizer compared against TRQ
     (Algorithm 1 line 23): ``NR2`` bits spanning the observed value range."""
-    r_ideal = required_resolution(values, v_grid=v_grid)
-    bits = max(1, min(n_max, r_ideal))
-    values = np.asarray(values, dtype=np.float64)
-    y_max = float(values.max()) if values.size else 1.0
-    max_code = (1 << bits) - 1
-    delta = y_max / max_code if y_max > 0 else 1.0
-    return bits, delta
+    bits = max(1, min(n_max, required_resolution(values, v_grid=v_grid)))
+    return bits, uniform_step(float(np.max(values)), bits)
+
+
+def uniform_step(y_max: float, bits: int) -> float:
+    """Step of a ``bits``-bit uniform quantizer whose full scale is the
+    layer's largest bit-line value ``y_max`` (a unit step when it is 0)."""
+    return y_max / ((1 << bits) - 1) if y_max > 0 else 1.0

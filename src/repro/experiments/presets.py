@@ -281,7 +281,6 @@ def figure_calibration_params(workload: WorkloadSpec, bits: int) -> CalibrationP
         calibration_size=workload.calibration_images,
         source="workload",
         num_v_grid_candidates=16,
-        max_samples_per_layer=8192,
         use_accuracy_loop=False,
         initial_n_max=bits,
     )
@@ -308,8 +307,7 @@ def _uniform_sensing_jobs(
             kind="evaluate", workload=workload, images=images, batch_size=16,
             adc=AdcSpec(
                 mode="uniform_calibrated", uniform_bits=bits,
-                calib_images=_capture_images(workload), calib_batch_size=8,
-                calib_seed=0,
+                calib_images=_capture_images(workload),
             ),
             label={"workload": workload.name, "config": str(bits)},
         )
@@ -379,7 +377,6 @@ def fig3(
                 # One capture for every workload: no more images than the
                 # smallest calibration split holds.
                 images=min(_capture_images(workload) for workload in selected),
-                batch_size=8, capacity_per_layer=50_000, seed=0,
             )
         ],
     )

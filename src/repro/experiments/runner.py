@@ -93,7 +93,9 @@ from repro.experiments.scheduler import (
 )
 from repro.experiments.spec import ExperimentSpec, JobSpec, SweepSpec
 from repro.experiments.store import FailureLog, ResultStore, code_version_salt, job_key
+from repro.core.distribution import add_histograms
 from repro.report.experiments import ExperimentRecord
+from repro.report.figures import distribution_statistics
 from repro.sim.stats import SimulationResult
 from repro.utils.logging import get_logger
 
@@ -171,27 +173,27 @@ def _clean_reference(
     return result
 
 
-def _distribution_samples(
+def _distribution_histograms(
     dist_job: JobSpec,
     store: ResultStore,
     weights_cache_dir: Optional[str],
     salt: Optional[str],
 ) -> Dict[str, np.ndarray]:
-    """Load-or-compute a shared bit-line capture: the one behind every
-    sensing precision of a calibrated-uniform evaluation, or the one behind
-    every cap of a workload-split calibration.  Layers keep the capture's
-    order through the NPZ round trip."""
+    """Load-or-compute a shared bit-line capture: the per-layer histograms
+    behind Fig. 3a, every sensing precision of a calibrated-uniform
+    evaluation and every cap of a workload-split calibration over the same
+    images."""
     key = job_key(dist_job, salt)
     memo_key = f"{store.root.resolve()}|{key}"
     memo = _DISTRIBUTION_MEMO.get(memo_key)
     if memo is not None:
         return memo
     if store.has(key):
-        samples = store.load_arrays(key)
+        histograms = store.load_arrays(key)
     else:
-        samples = _execute_distribution(dist_job, store, weights_cache_dir, salt, key)
-    _DISTRIBUTION_MEMO[memo_key] = samples
-    return samples
+        histograms = _execute_distribution(dist_job, store, weights_cache_dir, salt, key)
+    _DISTRIBUTION_MEMO[memo_key] = histograms
+    return histograms
 
 
 def _execute_distribution(
@@ -202,51 +204,29 @@ def _execute_distribution(
     key: str,
 ) -> Dict[str, np.ndarray]:
     prepared = _prepared_workload(job, weights_cache_dir)
-    params = job.distribution
-    images = prepared.calibration.images[: params.images]
-    samples = prepared.simulator.collect_bitline_distributions(
-        images,
-        batch_size=params.batch_size,
-        capacity_per_layer=params.capacity_per_layer,
-        seed=params.seed,
+    histograms = prepared.simulator.collect_bitline_distributions(
+        prepared.calibration.images[: job.distribution.images]
     )
-    layers = {}
-    for name, values in samples.items():
-        values = np.asarray(values, dtype=np.float64)
-        maximum = float(values.max()) if values.size else 0.0
-        layers[name] = {
-            "count": int(values.size),
-            "median": float(np.median(values)) if values.size else 0.0,
-            "p95": float(np.percentile(values, 95)) if values.size else 0.0,
-            "max": maximum,
-            "frac_below_max_over_8": (
-                float(np.mean(values <= maximum / 8.0)) if maximum > 0 else 1.0
-            ),
-        }
-    pooled = (
-        np.concatenate([np.asarray(v, dtype=np.float64) for v in samples.values()])
-        if samples else np.empty(0)
-    )
-    pooled_max = float(pooled.max()) if pooled.size else 0.0
+    pooled_row = distribution_statistics(add_histograms(histograms.values()), low_share=4)
     row = {
-        "layers": len(samples),
-        "total_samples": int(pooled.size),
-        "pooled_median": float(np.median(pooled)) if pooled.size else 0.0,
-        "pooled_max": pooled_max,
-        "pooled_frac_below_max_over_4": (
-            float(np.mean(pooled <= pooled_max / 4.0)) if pooled_max > 0 else 1.0
-        ),
+        "layers": len(histograms),
+        "total_samples": pooled_row["count"],
+        "pooled_median": pooled_row["median"],
+        "pooled_max": pooled_row["max"],
+        "pooled_frac_below_max_over_4": pooled_row["frac_below_max_over_4"],
     }
     payload = {
         "key": key,
         "salt": salt if salt is not None else code_version_salt(),
         "spec": job.to_dict(),
         "row": row,
-        "layer_summaries": layers,
+        "layer_summaries": {
+            name: distribution_statistics(histogram)
+            for name, histogram in histograms.items()
+        },
     }
-    arrays = {name: np.asarray(values, dtype=np.float64) for name, values in samples.items()}
-    store.save(key, payload, arrays)
-    return arrays
+    store.save(key, payload, histograms)
+    return histograms
 
 
 def _execute_reference_evaluate(
@@ -293,10 +273,10 @@ def _execute_evaluate(
     simulator = prepared.simulator
     split = prepared.eval_split(job.images)
     if job.adc.needs_distributions:
-        samples = _distribution_samples(
+        histograms = _distribution_histograms(
             job.distribution_job(), store, weights_cache_dir, salt
         )
-        configs = job.adc.build_configs_from_samples(samples)
+        configs = job.adc.build_configs_from_histograms(histograms)
     else:
         configs = job.adc.build_configs(simulator.layer_names())
     result = simulator.evaluate(
@@ -361,10 +341,10 @@ def _monte_carlo_inputs(
     simulator = prepared.simulator
     split = prepared.eval_split(job.images)
     if job.adc.needs_distributions:
-        samples = _distribution_samples(
+        histograms = _distribution_histograms(
             job.distribution_job(), store, weights_cache_dir, salt
         )
-        configs = job.adc.build_configs_from_samples(samples)
+        configs = job.adc.build_configs_from_histograms(histograms)
     else:
         configs = job.adc.build_configs(simulator.layer_names())
     stack = job.noise.build_stack()
@@ -631,15 +611,14 @@ def _execute_calibration(
         search_space=SearchSpaceConfig(
             num_v_grid_candidates=params.num_v_grid_candidates
         ),
-        max_samples_per_layer=params.max_samples_per_layer,
         # PTQ on the whole prepared split is the prepared model itself.
         quantized=prepared.quantized if shared else None,
     )
-    layer_samples = baseline_accuracy = None
+    layer_histograms = baseline_accuracy = None
     if shared:
         # Every cap of the workload reads the same stored capture and
         # ideal-ADC baseline instead of recomputing them.
-        layer_samples = _distribution_samples(
+        layer_histograms = _distribution_histograms(
             job.capture_job(), store, weights_cache_dir, salt
         )
         baseline_accuracy = _clean_reference(
@@ -651,7 +630,7 @@ def _execute_calibration(
         batch_size=job.batch_size,
         use_accuracy_loop=params.use_accuracy_loop,
         initial_n_max=params.initial_n_max,
-        layer_samples=layer_samples,
+        layer_histograms=layer_histograms,
         baseline_accuracy=baseline_accuracy,
     )
     row = {

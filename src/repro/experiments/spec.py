@@ -37,8 +37,10 @@ Five job kinds cover the repository's evaluation surface:
   On the workload's whole calibration split, every cap shares one stored
   bit-line capture and one ideal-ADC baseline
   (:meth:`JobSpec.capture_job`, :meth:`JobSpec.baseline_job`).
-* ``distribution`` — bit-line value capture on the calibration images
-  (Fig. 3a); also the shared input of ``uniform_calibrated`` evaluations.
+* ``distribution`` — bit-line capture on the first ``images`` calibration
+  images: one exact histogram per layer (Fig. 3a), identified by the
+  workload and the image count alone, so ``uniform_calibrated`` evaluations
+  and Algorithm 1 over the same images share it.
 * ``power`` — the Fig. 7 accelerator energy breakdown (ISAAC baseline vs
   calibrated TRQ vs reduced-precision uniform), parameterized by a
   first-class :class:`PowerSpec` axis; shares its calibration sibling
@@ -53,11 +55,6 @@ import numbers
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.adc.config import AdcConfig, twin_range_config, uniform_config
-from repro.core.co_design import (
-    CODESIGN_SEED,
-    DISTRIBUTION_CAPACITY,
-    capture_batch_size,
-)
 from repro.core.search_space import DEFAULT_SEARCH_SPACE
 from repro.core.trq import TRQParams
 from repro.utils.config import canonical_json
@@ -72,7 +69,6 @@ DATAPATHS = ("pim", "float", "fakequant")
 #: ``min_n_max`` up to the ADC resolution.
 _MIN_N_MAX = 2
 
-
 def _integer(value, path: str) -> int:
     """``value`` as an ``int`` when it is integral.  A non-integral number,
     a bool or a string raises ``ValueError`` naming ``path`` — ``int()``
@@ -81,6 +77,18 @@ def _integer(value, path: str) -> int:
         return check_integer(value, path)
     except TypeError as error:
         raise ValueError(*error.args) from None
+
+
+def _fields(cls, data: Dict[str, object], path: str) -> Dict[str, object]:
+    """``data`` when every key names a field of the dataclass ``cls``.  An
+    unknown key — a misspelling, or a field this version removed — raises
+    ``ValueError`` naming its JSON path (``cls(**data)`` would raise a bare
+    ``TypeError``)."""
+    known = [field.name for field in dataclasses.fields(cls)]
+    for name in data:
+        if name not in known:
+            raise ValueError(f"{path}.{name} is not a field (expected one of {known})")
+    return data
 
 
 def _check_at_least(value, name: str, low: int, high: Optional[int] = None) -> None:
@@ -144,6 +152,12 @@ class WorkloadSpec:
     epochs: Optional[int] = None
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("train_size", "test_size", "calibration_images", "epochs", "seed"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integer(value, f"workload.{name}"))
+
     @property
     def resolved_epochs(self) -> int:
         return self.epochs if self.epochs is not None else default_epochs(self.preset)
@@ -168,7 +182,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "WorkloadSpec":
-        return cls(**data)
+        return cls(**_fields(cls, data, "workload"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,11 +194,11 @@ class AdcSpec:
 
     ``mode="uniform_calibrated"`` is the Fig. 6 sensing-precision axis: a
     ``uniform_bits``-bit uniform converter whose per-layer full scale is
-    calibrated to the maximum bit-line value observed on the workload's
-    calibration images (:func:`repro.core.uniform_adc_configs`).  The
-    capture parameters (``calib_*``/``calib_capacity``) identify the shared
-    bit-line distribution artifact the configs derive from — every
-    bit-width over the same capture shares one stored distribution job.
+    calibrated to the maximum bit-line value on the workload's first
+    ``calib_images`` calibration images (:func:`repro.core.uniform_adc_configs`).
+    ``calib_images`` identifies the shared bit-line histogram the configs
+    derive from — every bit-width over the same images shares one stored
+    distribution job.
     """
 
     mode: str = "twin_range"  # "ideal" | "uniform" | "twin_range" | "uniform_calibrated"
@@ -196,11 +210,8 @@ class AdcSpec:
     m: int = 3
     delta_r1: float = 1.0
     bias: int = 0
-    # uniform_calibrated only: the distribution-capture parameters.
+    # uniform_calibrated only: the images of the bit-line capture.
     calib_images: int = 16
-    calib_batch_size: int = 8
-    calib_seed: int = 0
-    calib_capacity: int = 100_000
 
     def __post_init__(self) -> None:
         if self.mode not in ("ideal", "uniform", "twin_range", "uniform_calibrated"):
@@ -211,8 +222,7 @@ class AdcSpec:
                 raise ValueError(
                     f"uniform_calibrated bits {bits} outside 1..{self.resolution}"
                 )
-            for name in ("calib_images", "calib_batch_size", "calib_capacity"):
-                _check_at_least(getattr(self, name), f"adc.{name}", 1)
+            _check_at_least(self.calib_images, "adc.calib_images", 1)
         else:
             self.build_config()  # validate eagerly
 
@@ -222,7 +232,7 @@ class AdcSpec:
 
     @property
     def needs_distributions(self) -> bool:
-        """True when building the configs requires bit-line samples."""
+        """True when building the configs requires a bit-line capture."""
         return self.mode == "uniform_calibrated"
 
     def build_config(self) -> Optional[AdcConfig]:
@@ -232,7 +242,7 @@ class AdcSpec:
         if self.mode == "uniform_calibrated":
             raise ValueError(
                 "uniform_calibrated configs derive from bit-line distributions; "
-                "use build_configs_from_samples()"
+                "use build_configs_from_histograms()"
             )
         if self.mode == "uniform":
             return uniform_config(
@@ -250,22 +260,17 @@ class AdcSpec:
             return None
         return {name: config for name in layer_names}
 
-    def build_configs_from_samples(self, layer_samples) -> Dict[str, AdcConfig]:
-        """Range-calibrated per-layer configs from collected bit-line samples."""
+    def build_configs_from_histograms(self, layer_histograms) -> Dict[str, AdcConfig]:
+        """Range-calibrated per-layer configs from captured bit-line histograms."""
         from repro.core.co_design import uniform_adc_configs  # lazy: avoids cycle
 
         return uniform_adc_configs(
-            layer_samples, bits=self.resolved_uniform_bits, resolution=self.resolution
+            layer_histograms, bits=self.resolved_uniform_bits, resolution=self.resolution
         )
 
     def distribution_params(self) -> "DistributionParams":
         """The capture that identifies the shared distribution artifact."""
-        return DistributionParams(
-            images=self.calib_images,
-            batch_size=self.calib_batch_size,
-            capacity_per_layer=self.calib_capacity,
-            seed=self.calib_seed,
-        )
+        return DistributionParams(images=self.calib_images)
 
     def resolved(self) -> Dict[str, object]:
         """Only the fields the mode actually consumes, so e.g. editing the
@@ -300,7 +305,7 @@ class AdcSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "AdcSpec":
-        return cls(**data)
+        return cls(**_fields(cls, data, "adc"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -308,35 +313,28 @@ class DistributionParams:
     """One bit-line distribution capture (``kind="distribution"``).
 
     ``images`` counts *workload calibration images* (the capture runs on
-    ``prepared.calibration.images[:images]``), so the sample arrays are a
-    deterministic function of the workload fingerprint plus these fields.
-    The reservoir ``capacity_per_layer`` is part of the identity because it
-    changes which samples are retained (and hence the observed maxima).
+    ``prepared.calibration.images[:images]``).  The capture is one exact
+    histogram per layer, which depends on nothing else — not the engine,
+    the batch size or the order blocks arrive in — so the workload
+    fingerprint plus ``images`` is its whole identity, and every consumer
+    of the same images (Fig. 3a, a calibrated-uniform evaluation, Algorithm
+    1) shares one stored job.
     """
 
     images: int = 16
-    batch_size: int = 8
-    capacity_per_layer: int = 100_000
-    seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("images", "batch_size", "capacity_per_layer"):
-            _check_at_least(getattr(self, name), f"distribution.{name}", 1)
+        _check_at_least(self.images, "distribution.images", 1)
 
     def resolved(self) -> Dict[str, object]:
-        return {
-            "images": int(self.images),
-            "batch_size": int(self.batch_size),
-            "capacity_per_layer": int(self.capacity_per_layer),
-            "seed": int(self.seed),
-        }
+        return {"images": int(self.images)}
 
     def to_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DistributionParams":
-        return cls(**data)
+        return cls(**_fields(cls, data, "distribution"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -417,6 +415,7 @@ class NoiseScenario:
     label: Tuple[Tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", _integer(self.seed, "noise.seed"))
         # Normalise mutable inputs (lists of dicts, dict labels) to the
         # hashable tuple forms the frozen dataclass stores.
         object.__setattr__(self, "models", tuple(dict(m) for m in self.models))
@@ -453,7 +452,7 @@ class NoiseScenario:
     def from_dict(cls, data: Dict[str, object]) -> "NoiseScenario":
         return cls(
             models=tuple(dict(m) for m in data.get("models", ())),
-            seed=int(data.get("seed", 0)),
+            seed=data.get("seed", 0),
             label=data.get("label", ()),
         )
 
@@ -475,7 +474,6 @@ class CalibrationParams:
     calibration_size: int = 32
     calib_seed: Optional[int] = None  # None: use calibration_size (legacy sweep)
     num_v_grid_candidates: int = 12
-    max_samples_per_layer: int = 8192
     use_accuracy_loop: bool = False
     initial_n_max: int = 4
     source: str = "resampled"  # "resampled" | "workload"
@@ -488,9 +486,6 @@ class CalibrationParams:
             self.num_v_grid_candidates, "calibration.num_v_grid_candidates", 1
         )
         # The bounds TwinRangeCalibrator enforces, checked before any worker.
-        _check_at_least(
-            self.max_samples_per_layer, "calibration.max_samples_per_layer", 16
-        )
         _check_at_least(
             self.initial_n_max, "calibration.initial_n_max",
             _MIN_N_MAX, DEFAULT_SEARCH_SPACE.adc_resolution,
@@ -515,7 +510,7 @@ class CalibrationParams:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CalibrationParams":
-        return cls(**data)
+        return cls(**_fields(cls, data, "calibration"))
 
 
 # --------------------------------------------------------------------- #
@@ -645,8 +640,8 @@ class JobSpec:
             "workload": self.workload.resolved(),
         }
         if self.kind == "distribution":
-            # The capture has its own image/batch parameters; the sweep-level
-            # eval images/batch size are never consumed.
+            # The capture has its own image count; the sweep-level eval
+            # images/batch size are never consumed.
             data["distribution"] = self.distribution.resolved()
             return data
         data["images"] = int(self.images)
@@ -737,19 +732,13 @@ class JobSpec:
         """The bit-line capture a workload-split calibration job searches.
 
         Exactly the capture :meth:`repro.core.CoDesignOptimizer.run` would
-        take itself — every calibration image, the optimizer's reservoir
-        capacity, seed and capture batch size — so all caps of a workload
-        (at one batch size) share one stored ``distribution`` job.
+        take itself — every calibration image — so all caps of a workload
+        share one stored ``distribution`` job.
         """
         return JobSpec(
             kind="distribution",
             workload=self.workload,
-            distribution=DistributionParams(
-                images=self.workload.calibration_images,
-                batch_size=capture_batch_size(self.batch_size),
-                capacity_per_layer=DISTRIBUTION_CAPACITY,
-                seed=CODESIGN_SEED,
-            ),
+            distribution=DistributionParams(images=self.workload.calibration_images),
         )
 
     def baseline_job(self) -> "JobSpec":

@@ -19,8 +19,9 @@ store on the same salt.
 
 Artifacts are a JSON document (``<key>.json``: the job spec, the salt, and
 the aggregate row) plus an optional NPZ sibling (``<key>.npz``) for exact
-float arrays — the clean reference's logits and the Fig. 3 bit-line samples
-travel this way so restored objects are bit-identical to the originals.
+arrays — the clean reference's logits and a capture's per-layer bit-line
+histograms travel this way so restored objects are bit-identical to the
+originals.
 Writes are atomic (temp file + ``os.replace``), so a sweep killed mid-write
 never leaves a truncated artifact for ``--resume`` to trip over.
 
@@ -77,7 +78,9 @@ from repro.utils.config import stable_digest
 #: Bump when the stored result schema (payload layout, row fields) changes.
 #: v2: figure-pipeline kinds (distribution/power, datapaths, calibrated
 #: uniform ADCs) and per-layer data in calibration payloads.
-RESULT_SCHEMA_VERSION = 2
+#: v3: a capture stores one exact bit-line histogram per layer (no
+#: reservoir), which calibrated-uniform ADCs and Algorithm 1 read.
+RESULT_SCHEMA_VERSION = 3
 
 
 def code_version_salt() -> str:

@@ -28,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.distribution import histogram_values, weighted_quantile
 from repro.report.experiments import ExperimentRecord
 from repro.report.tables import (
     ascii_bar_chart,
@@ -38,12 +39,31 @@ from repro.report.tables import (
 )
 
 
+def distribution_statistics(histogram, low_share: int = 8) -> Dict[str, float]:
+    """Fig. 3a's statistics of one bit-line histogram (entry ``v`` counts
+    the value ``v``), read from its cumulative counts: how many values it
+    holds, their median, 95th percentile and maximum, and the fraction at
+    most ``max / low_share``."""
+    values, counts = histogram_values(histogram)
+    total = int(counts.sum())
+    maximum = float(values[-1])
+    low = int(counts[values <= maximum / low_share].sum()) / total if maximum > 0 else 1.0
+    return {
+        "count": total,
+        "median": weighted_quantile(values, counts, 50),
+        "p95": weighted_quantile(values, counts, 95),
+        "max": maximum,
+        f"frac_below_max_over_{low_share}": low,
+    }
+
+
 def fig3a_distribution_record(
-    layer_samples: Mapping[str, np.ndarray],
+    layer_histograms: Mapping[str, np.ndarray],
     num_bins: int = 16,
     max_layers: Optional[int] = None,
 ) -> ExperimentRecord:
-    """Fig. 3a: the skewed distribution of crossbar bit-line outputs."""
+    """Fig. 3a: the skewed distribution of crossbar bit-line outputs, from
+    per-layer bit-line histograms (entry ``v`` counts the value ``v``)."""
     record = ExperimentRecord(
         experiment_id="fig3a",
         description="Distribution of crossbar bit-line outputs",
@@ -52,27 +72,14 @@ def fig3a_distribution_record(
             "in a small interval close to zero (Fig. 3a)"
         ),
     )
-    names = list(layer_samples)
+    names = [name for name in layer_histograms if np.any(layer_histograms[name])]
     if max_layers is not None:
         names = names[:max_layers]
     for name in names:
-        samples = np.asarray(layer_samples[name], dtype=np.float64)
-        if samples.size == 0:
-            continue
-        median = float(np.median(samples))
-        p95 = float(np.percentile(samples, 95))
-        maximum = float(samples.max())
-        low_eighth = float(np.mean(samples <= maximum / 8.0)) if maximum > 0 else 1.0
-        record.add_row(
-            layer=name,
-            count=int(samples.size),
-            median=median,
-            p95=p95,
-            max=maximum,
-            frac_below_max_over_8=low_eighth,
-        )
+        record.add_row(layer=name, **distribution_statistics(layer_histograms[name]))
     record.metadata["histograms"] = {
-        name: histogram_rows(layer_samples[name], num_bins=num_bins) for name in names
+        name: histogram_rows(*histogram_values(layer_histograms[name]), num_bins=num_bins)
+        for name in names
     }
     return record
 
@@ -169,13 +176,12 @@ def _eval_images(run) -> Optional[int]:
 
 
 def fig3a_records_from_run(run, store) -> Dict[str, ExperimentRecord]:
-    """Per-workload Fig. 3a records rebuilt from stored bit-line samples."""
+    """Per-workload Fig. 3a records rebuilt from stored bit-line histograms."""
     records: Dict[str, ExperimentRecord] = {}
     for job, key, _payload in _stored(run, store):
         if job.kind != "distribution":
             continue
-        samples = store.load_arrays(key)
-        record = fig3a_distribution_record(samples, num_bins=16)
+        record = fig3a_distribution_record(store.load_arrays(key), num_bins=16)
         record.metadata.update(
             {"workload": job.workload.name,
              "calibration_images": job.distribution.images}

@@ -72,15 +72,16 @@ def format_series(
 
 
 def histogram_rows(
-    values, num_bins: int = 16, precision: int = 3
+    values, counts, num_bins: int = 16, precision: int = 3
 ) -> List[Dict[str, Cell]]:
-    """Summarise a sample as histogram rows (used for the Fig. 3a text view)."""
+    """Summarise a distribution as histogram rows (used for the Fig. 3a text
+    view): ``values`` with how often each occurs."""
     import numpy as np
 
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         return []
-    counts, edges = np.histogram(values, bins=num_bins)
+    counts, edges = np.histogram(values, bins=num_bins, weights=counts)
     total = counts.sum()
     rows: List[Dict[str, Cell]] = []
     for i, count in enumerate(counts):

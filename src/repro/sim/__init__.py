@@ -1,6 +1,6 @@
 """End-to-end PIM simulation (the reproduction's DNN+NeuroSim substitute)."""
 
-from repro.sim.capture import DistributionCollector, ReservoirSampler
+from repro.sim.capture import DistributionCollector
 from repro.sim.pim_layer import (
     MAX_CHUNK_SIZE,
     MIN_CHUNK_SIZE,
@@ -25,6 +25,5 @@ __all__ = [
     "PimBackend",
     "throughput_chunk_size",
     "PimSimulator",
-    "ReservoirSampler",
     "SimulationResult",
 ]

@@ -47,6 +47,10 @@ from repro.utils.validation import check_in_range, check_integer
 
 logger = get_logger("sim.simulator")
 
+#: Images per forward batch of a bit-line capture.  A histogram is the same
+#: at every batch size, so this only sets the capture's working set.
+CAPTURE_BATCH_SIZE = 8
+
 
 class PimSimulator:
     """Simulate inference of a PTQ-quantized model on the ReRAM accelerator.
@@ -363,20 +367,18 @@ class PimSimulator:
             )
         return clean
 
-    def collect_bitline_distributions(
-        self,
-        images: np.ndarray,
-        batch_size: int = 8,
-        capacity_per_layer: int = 100_000,
-        seed: int = 0,
-    ) -> Dict[str, np.ndarray]:
-        """Gather per-layer bit-line value samples with ideal conversion.
+    def collect_bitline_distributions(self, images: np.ndarray) -> Dict[str, np.ndarray]:
+        """Per-layer histograms of the bit-line values under ideal conversion.
 
         This is the data behind paper Fig. 3a and the input to Algorithm 1.
+        Entry ``v`` of a layer's ``np.bincount`` vector counts every
+        occurrence of the value ``v`` on ``images`` (nothing is subsampled),
+        and the counts do not depend on the engine or the batch size, so the
+        capture runs at the fixed :data:`CAPTURE_BATCH_SIZE`.
         """
-        collector = DistributionCollector(capacity_per_layer=capacity_per_layer, seed=seed)
-        self._forward(images, None, None, batch_size, collector=collector)
-        return collector.all_samples()
+        collector = DistributionCollector()
+        self._forward(images, None, None, CAPTURE_BATCH_SIZE, collector=collector)
+        return collector.histograms()
 
     def accuracy_evaluator(
         self,

@@ -40,13 +40,10 @@ def lenet_eval_data(lenet_workload: PreparedWorkload):
 
 
 @pytest.fixture(scope="session")
-def lenet_bitline_samples(lenet_workload: PreparedWorkload):
-    """Per-layer bit-line value samples collected on the calibration images."""
+def lenet_bitline_histograms(lenet_workload: PreparedWorkload):
+    """Per-layer bit-line histograms captured on the calibration images."""
     return lenet_workload.simulator.collect_bitline_distributions(
-        lenet_workload.calibration.images[:8],
-        batch_size=8,
-        capacity_per_layer=20_000,
-        seed=3,
+        lenet_workload.calibration.images[:8]
     )
 
 

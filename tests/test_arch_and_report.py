@@ -162,10 +162,13 @@ class TestReport:
         assert ascii_bar_chart({}) == "(no data)"
 
     def test_histogram_rows(self, skewed_samples):
-        rows = histogram_rows(skewed_samples, num_bins=8)
+        rows = histogram_rows(skewed_samples, np.ones_like(skewed_samples), num_bins=8)
         assert len(rows) == 8
         assert sum(r["count"] for r in rows) == skewed_samples.size
-        assert histogram_rows(np.array([])) == []
+        assert histogram_rows(np.array([]), np.array([])) == []
+        # A weighted distribution bins exactly like the sample it counts.
+        values, counts = np.unique(skewed_samples, return_counts=True)
+        assert histogram_rows(values, counts, num_bins=8) == rows
 
     def test_experiment_record_round_trip(self, tmp_path):
         record = ExperimentRecord(
@@ -185,9 +188,19 @@ class TestReport:
         assert "fig6c" in index
 
     def test_figure_builders(self, skewed_samples):
-        fig3 = fig3a_distribution_record({"layer0": skewed_samples}, num_bins=8)
-        assert fig3.rows[0]["frac_below_max_over_8"] > 0.5
+        histogram = np.bincount(skewed_samples.astype(np.int64))
+        fig3 = fig3a_distribution_record({"layer0": histogram}, num_bins=8)
+        row = fig3.rows[0]
+        assert row["frac_below_max_over_8"] > 0.5
         assert "layer0" in fig3.metadata["histograms"]
+        # Read from cumulative counts, the statistics equal the sample's own.
+        assert row["count"] == skewed_samples.size
+        assert row["median"] == np.median(skewed_samples)
+        assert row["p95"] == pytest.approx(np.percentile(skewed_samples, 95), rel=1e-12)
+        assert row["max"] == skewed_samples.max()
+        assert row["frac_below_max_over_8"] == np.mean(
+            skewed_samples <= skewed_samples.max() / 8.0
+        )
 
         fig6 = fig6_accuracy_record(
             "fig6a", "Accuracy vs resolution", "ref",

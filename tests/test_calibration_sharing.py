@@ -7,23 +7,20 @@ jobs (``JobSpec.capture_job()`` / ``JobSpec.baseline_job()``) and the runner
 reuses the prepared workload's PTQ model.  These tests pin that each shared
 input is computed once, and that sharing changes no byte: every
 calibration artifact equals a standalone, self-capturing
-``CoDesignOptimizer`` run — also when the capture is read back from its NPZ,
-which must keep the layer order the calibrator's single RNG walks.
+``CoDesignOptimizer`` run — also when the capture is read back from its NPZ.
+A capture is one exact histogram per layer, identified by its images alone,
+so a calibrated-uniform evaluation over the same images shares it too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.core import CoDesignOptimizer, SearchSpaceConfig
-from repro.core.co_design import (
-    CODESIGN_SEED,
-    DISTRIBUTION_CAPACITY,
-    capture_batch_size,
-)
 from repro.experiments import (
     AdcSpec,
     CalibrationParams,
@@ -63,19 +60,16 @@ def _cold_runner():
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every bit-line capture (by reservoir capacity), every
-    noise-free ideal-ADC evaluation and every optimizer-side PTQ run."""
+    """Record every bit-line capture (by image count), every noise-free
+    ideal-ADC evaluation and every optimizer-side PTQ run."""
     calls = {"captures": [], "ideal_evaluations": 0, "ptq": 0}
     capture = PimSimulator.collect_bitline_distributions
     evaluate = PimSimulator.evaluate
     quantize = ptq.quantize_model
 
-    def counting_capture(self, images, batch_size=8, capacity_per_layer=100_000, seed=0):
-        calls["captures"].append(capacity_per_layer)
-        return capture(
-            self, images, batch_size=batch_size,
-            capacity_per_layer=capacity_per_layer, seed=seed,
-        )
+    def counting_capture(self, images):
+        calls["captures"].append(len(images))
+        return capture(self, images)
 
     def counting_evaluate(self, images, labels, adc_configs=None, batch_size=16,
                           noise=None):
@@ -119,9 +113,12 @@ class TestSharedCaptureAndBaseline:
         experiment, run = run_fig6b(store, weights_cache)
         assert run.stats.computed == run.stats.total
         (ucal,) = [job for job in experiment.sweep.expand() if job.kind == "evaluate"]
-        # One capture for the uniform 4-bit point, one for all caps.
-        assert sorted(counted["captures"]) == sorted(
-            [DISTRIBUTION_CAPACITY, ucal.adc.calib_capacity]
+        # The uniform 4-bit point and every cap read the same images, so one
+        # capture serves them all.
+        assert ucal.adc.calib_images == TINY.calibration_images
+        assert counted["captures"] == [TINY.calibration_images]
+        assert job_key(ucal.distribution_job()) == job_key(
+            calibration_jobs(experiment)[0].capture_job()
         )
         assert counted["ideal_evaluations"] == 1
         assert counted["ptq"] == 0  # the prepared workload's PTQ model
@@ -149,7 +146,6 @@ class TestSharedCaptureAndBaseline:
                 search_space=SearchSpaceConfig(
                     num_v_grid_candidates=params.num_v_grid_candidates
                 ),
-                max_samples_per_layer=params.max_samples_per_layer,
             ).run(
                 split.images, split.labels, batch_size=job.batch_size,
                 use_accuracy_loop=params.use_accuracy_loop,
@@ -178,8 +174,7 @@ class TestSharedCaptureAndBaseline:
     ):
         """A cap computed against the capture held in memory and the same
         cap computed against that capture read back from its NPZ store
-        identical bytes: the round trip keeps the layer order the
-        calibrator's single RNG walks."""
+        identical bytes."""
         experiment = fig6b(workloads=[TINY], images=EVAL_IMAGES, bits=CAPS)
         first, *_, sibling = calibration_jobs(experiment)
         # Outside a job graph, each job captures in process.
@@ -209,10 +204,10 @@ class TestCalibrationDependencies:
         assert job.shares_workload_calibration
         capture, baseline = job.dependencies()
         assert capture.kind == "distribution"
-        assert capture.distribution.images == TINY.calibration_images
-        assert capture.distribution.batch_size == capture_batch_size(16) == 8
-        assert capture.distribution.capacity_per_layer == DISTRIBUTION_CAPACITY
-        assert capture.distribution.seed == CODESIGN_SEED
+        assert capture.distribution.resolved() == {"images": TINY.calibration_images}
+        # The capture does not depend on the batch size of the jobs it serves.
+        other_batch = dataclasses.replace(job, batch_size=4)
+        assert job_key(other_batch.capture_job()) == job_key(capture)
         assert baseline.kind == "evaluate" and baseline.datapath == "pim"
         assert baseline.adc == AdcSpec(mode="ideal")
         assert (baseline.images, baseline.batch_size, baseline.engine) == (
@@ -250,19 +245,18 @@ class TestPrecomputedOptimizerInputs:
         def optimizer(**kwargs):
             return CoDesignOptimizer(
                 lenet_workload.model, calibration.images, calibration.labels,
-                search_space=SearchSpaceConfig(num_v_grid_candidates=4),
-                max_samples_per_layer=2048, **kwargs,
+                search_space=SearchSpaceConfig(num_v_grid_candidates=4), **kwargs,
             )
 
         standalone = optimizer().run(
             images, labels, batch_size=16, use_accuracy_loop=True, initial_n_max=5
         )
         shared = optimizer(quantized=lenet_workload.quantized)
-        samples = shared.collect_distributions(batch_size=capture_batch_size(16))
+        histograms = shared.collect_distributions()
         baseline = lenet_workload.simulator.evaluate(images, labels, batch_size=16)
         reused = shared.run(
             images, labels, batch_size=16, use_accuracy_loop=True, initial_n_max=5,
-            layer_samples=samples, baseline_accuracy=baseline.accuracy,
+            layer_histograms=histograms, baseline_accuracy=baseline.accuracy,
         )
         assert reused.baseline_accuracy == standalone.baseline_accuracy
         assert reused.final_accuracy == standalone.final_accuracy

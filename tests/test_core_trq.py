@@ -165,33 +165,33 @@ class TestCoding:
 # --------------------------------------------------------------------- #
 class TestDistributionAnalysis:
     def test_skewed_is_ideal(self, skewed_samples):
-        summary = summarize_distribution(skewed_samples)
+        summary = summarize_distribution(skewed_samples, np.ones_like(skewed_samples))
         assert summary.kind is DistributionType.IDEAL
         assert summary.mass_in_low_eighth > 0.5
         assert summary.skewness > 1.0
 
     def test_gaussian_is_normal(self, normal_samples):
-        summary = summarize_distribution(normal_samples)
+        summary = summarize_distribution(normal_samples, np.ones_like(normal_samples))
         assert summary.kind is DistributionType.NORMAL
         assert summary.num_modes == 1
 
     def test_bimodal_is_other(self, multimodal_samples):
-        summary = summarize_distribution(multimodal_samples)
+        summary = summarize_distribution(multimodal_samples, np.ones_like(multimodal_samples))
         assert summary.kind is DistributionType.OTHER
         assert summary.num_modes >= 2
 
     def test_flat_is_other(self, rng):
         flat = rng.uniform(0, 128, size=4000)
-        assert summarize_distribution(flat).kind is DistributionType.OTHER
+        assert summarize_distribution(flat, np.ones_like(flat)).kind is DistributionType.OTHER
 
     def test_constant_sample(self):
-        summary = summarize_distribution(np.full(100, 7.0))
+        summary = summarize_distribution(np.full(100, 7.0), np.ones(100))
         assert summary.value_range == 0.0
         assert summary.num_modes == 1
 
     def test_empty_sample_raises(self):
         with pytest.raises(ValueError):
-            summarize_distribution(np.array([]))
+            summarize_distribution(np.array([]), np.array([]))
 
     def test_required_resolution(self):
         assert required_resolution(np.array([0.0, 127.0])) == 7

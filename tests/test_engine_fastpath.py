@@ -1,4 +1,4 @@
-"""Fast-engine equivalence and sampler bugfix regression tests.
+"""Fast-engine equivalence tests.
 
 The fused cycle/segment kernel with integer-domain LUT conversion
 (``engine="fast"``) must be *bit-identical* to the per-(cycle, segment)
@@ -24,7 +24,7 @@ from repro.nonideal import GaussianReadNoise as KeyedReadNoise
 from repro.nonideal import NonIdealityModel, NonIdealityStack, RetentionDrift
 from repro.nonideal.stack import TrialNoiseStates
 from repro.quantization import QuantizationConfig
-from repro.sim import DistributionCollector, PimSimulator, ReservoirSampler
+from repro.sim import PimSimulator
 from repro.sim.pim_layer import PimBackend
 
 
@@ -623,123 +623,3 @@ class TestAdcLut:
             adc.convert_codes(np.array([200]), 128)
         with pytest.raises(ValueError):
             adc.transfer_lut(-1)
-
-
-# --------------------------------------------------------------------- #
-# satellite bugfixes (reservoir capacity + per-layer seeds)
-# --------------------------------------------------------------------- #
-class TestReservoirCapacityRegression:
-    def test_one_huge_block_cannot_exceed_capacity(self):
-        """Regression: a block much larger than ``total_seen`` used to be
-        accepted almost wholesale and appended after eviction without
-        clamping, overshooting the documented capacity bound."""
-        for seed in range(20):
-            sampler = ReservoirSampler(capacity=100, seed=seed)
-            sampler.add(np.arange(10.0))          # small history ...
-            sampler.add(np.arange(50_000.0))      # ... then one huge block
-            assert len(sampler) <= 100, f"seed {seed}: {len(sampler)} > 100"
-            assert sampler.values.size == len(sampler)
-
-    def test_capacity_bound_holds_under_any_block_sequence(self, rng):
-        sampler = ReservoirSampler(capacity=64, seed=1)
-        for _ in range(50):
-            sampler.add(rng.normal(size=int(rng.integers(1, 5000))))
-            assert len(sampler) <= 64
-        assert sampler.total_seen > 64
-
-    def test_huge_first_block_is_uniformly_clamped(self):
-        sampler = ReservoirSampler(capacity=100, seed=0)
-        sampler.add(np.arange(100_000.0))
-        # Acceptance is stochastic at rate capacity/total_seen, so the fill is
-        # approximate — but the capacity bound is hard.
-        assert 50 <= len(sampler) <= 100
-        # A uniform subsample of [0, 100000) should span the range broadly.
-        assert sampler.values.max() > 50_000
-
-
-def _frozen_reservoir_add(sampler, values, branches):
-    """``ReservoirSampler.add`` as it was before the sort-free eviction,
-    kept verbatim as the reference (``branches`` records the paths taken)."""
-    values = np.asarray(values, dtype=np.float64).ravel()
-    if values.size == 0:
-        branches.add("empty")
-        return
-    sampler.total_seen += values.size
-    remaining = sampler.capacity - sampler._stored
-    if remaining >= values.size:
-        branches.add("fill_exact" if remaining == values.size else "fill")
-        sampler._chunks.append(values.copy())
-        sampler._stored += values.size
-        return
-    rate = sampler.capacity / sampler.total_seen
-    mask = sampler._rng.random(values.size) < rate
-    accepted = values[mask]
-    if accepted.size == 0:
-        branches.add("none_accepted")
-        return
-    if accepted.size > sampler.capacity:
-        branches.add("clamp")
-        keep = sampler._rng.choice(accepted.size, size=sampler.capacity, replace=False)
-        accepted = accepted[np.sort(keep)]
-    if sampler._stored + accepted.size > sampler.capacity:
-        branches.add("evict")
-        current = sampler.values
-        keep = sampler._rng.choice(
-            current.size, size=sampler.capacity - accepted.size, replace=False
-        )
-        sampler._chunks = [current[np.sort(keep)]]
-        sampler._stored = sampler._chunks[0].size
-    sampler._chunks.append(accepted)
-    sampler._stored += accepted.size
-
-
-class TestReservoirSortFreeEviction:
-    def test_add_is_bit_identical_to_the_sorting_reference(self):
-        """Same values in the same order, same size, same ``total_seen`` and
-        the same generator state after every block of a float32 stream that
-        visits every branch: empty, partial fill, exact fill, a block larger
-        than the capacity (the clamp, at a seed-dependent rate) and many
-        evicting blocks after the reservoir is full."""
-        capacity, branches = 500, set()
-        for seed in range(12):
-            data = np.random.default_rng(seed)
-            sizes = [0, 120, capacity - 120, 3 * capacity, 0]
-            sizes += [int(n) for n in data.integers(1, 4 * capacity, size=25)]
-            if seed % 2:
-                sizes = [3 * capacity] + sizes  # oversized first block
-            frozen = ReservoirSampler(capacity, seed=seed)
-            current = ReservoirSampler(capacity, seed=seed)
-            for size in sizes:
-                block = data.normal(size=(size,)).astype(np.float32).reshape(-1, 1)
-                _frozen_reservoir_add(frozen, block, branches)
-                current.add(block)
-                assert current.values.dtype == np.float64
-                np.testing.assert_array_equal(current.values, frozen.values)
-                assert len(current) == len(frozen)
-                assert current.total_seen == frozen.total_seen
-                assert current._rng.bit_generator.state == frozen._rng.bit_generator.state
-        assert {"empty", "fill", "fill_exact", "clamp", "evict"} <= branches
-
-
-class TestCollectorSeedIndependence:
-    def test_layers_draw_independent_acceptance_streams(self):
-        """Regression: every layer used to receive the *same* seed, so all
-        reservoirs accepted identical index streams (correlated subsampling)."""
-        collector = DistributionCollector(capacity_per_layer=200, seed=123)
-        data = np.arange(20_000.0)
-        for layer in ("a", "b"):
-            collector.set_layer(layer)
-            collector(data)
-            collector(data)
-        kept_a = set(collector.samples("a").tolist())
-        kept_b = set(collector.samples("b").tolist())
-        assert kept_a != kept_b  # identical streams would retain identical sets
-
-    def test_collection_is_reproducible_for_fixed_seed(self):
-        def collect():
-            collector = DistributionCollector(capacity_per_layer=100, seed=7)
-            collector.set_layer("x")
-            collector(np.arange(5_000.0))
-            return collector.samples("x")
-
-        np.testing.assert_array_equal(collect(), collect())

@@ -504,12 +504,6 @@ class TestFigureJobKinds:
         assert job_key(dist) != job_key(
             dataclasses.replace(dist, distribution=DistributionParams(images=4))
         )
-        assert job_key(dist) != job_key(
-            dataclasses.replace(
-                dist,
-                distribution=DistributionParams(images=8, capacity_per_layer=1000),
-            )
-        )
         power = JobSpec(kind="power", workload=TINY, calibration=CalibrationParams())
         assert job_key(power) != job_key(
             dataclasses.replace(power, power=PowerSpec(uniform_bits=8))

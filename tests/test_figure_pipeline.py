@@ -92,7 +92,6 @@ class TestFig6cShimEquivalence:
             search_space=SearchSpaceConfig(
                 num_v_grid_candidates=params.num_v_grid_candidates
             ),
-            max_samples_per_layer=params.max_samples_per_layer,
         )
         result = optimizer.run(
             split.images, split.labels, batch_size=16,
@@ -143,13 +142,13 @@ class TestFig6aEquivalence:
         by_config = {row["config"]: row for row in run.rows}
 
         split = prepared.eval_split(EVAL_IMAGES)
-        samples = prepared.simulator.collect_bitline_distributions(
-            prepared.calibration.images[:16], batch_size=8, seed=0
+        histograms = prepared.simulator.collect_bitline_distributions(
+            prepared.calibration.images[:16]
         )
         for bits in (8, 4):
             legacy = prepared.simulator.evaluate(
                 split.images, split.labels,
-                uniform_adc_configs(samples, bits=bits), batch_size=16,
+                uniform_adc_configs(histograms, bits=bits), batch_size=16,
             )
             assert by_config[str(bits)]["accuracy"] == legacy.accuracy
             assert by_config[str(bits)]["remaining_ops_fraction"] == \
@@ -169,10 +168,10 @@ class TestFig6aEquivalence:
 
 
 # --------------------------------------------------------------------- #
-# Fig. 3 sample arrays round-trip bit-exactly through the store
+# Fig. 3 histograms round-trip bit-exactly through the store
 # --------------------------------------------------------------------- #
 class TestFig3Pipeline:
-    def test_stored_samples_rebuild_the_legacy_record(
+    def test_stored_histograms_rebuild_the_legacy_record(
         self, prepared, weights_cache, tmp_path
     ):
         experiment = fig3(workloads=[TINY])
@@ -180,20 +179,18 @@ class TestFig3Pipeline:
         run = run_sweep(experiment.sweep, store,
                         weights_cache_dir=weights_cache, experiment=experiment)
         capture = experiment.sweep.expand()[0].distribution
-        legacy_samples = prepared.simulator.collect_bitline_distributions(
-            prepared.calibration.images[: capture.images],
-            batch_size=capture.batch_size,
-            capacity_per_layer=capture.capacity_per_layer,
-            seed=capture.seed,
+        legacy_histograms = prepared.simulator.collect_bitline_distributions(
+            prepared.calibration.images[: capture.images]
         )
         stored = store.load_arrays(run.keys[0])
-        assert set(stored) == set(legacy_samples)
+        assert list(stored) == list(legacy_histograms)
         for name in stored:
-            np.testing.assert_array_equal(stored[name], legacy_samples[name])
+            assert stored[name].dtype == legacy_histograms[name].dtype
+            np.testing.assert_array_equal(stored[name], legacy_histograms[name])
 
         records = figure_records_from_run("fig3", run, store)
         rebuilt = records[f"fig3a_{TINY.name}"]
-        legacy = fig3a_distribution_record(legacy_samples, num_bins=16)
+        legacy = fig3a_distribution_record(legacy_histograms, num_bins=16)
         legacy.metadata.update(
             {"workload": TINY.name, "calibration_images": capture.images}
         )

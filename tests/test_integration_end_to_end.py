@@ -15,9 +15,12 @@ from repro.core import (
     CoDesignOptimizer,
     DistributionType,
     SearchSpaceConfig,
+    add_histograms,
+    histogram_values,
     settings_to_adc_configs,
     summarize_distribution,
     uniform_adc_configs,
+    weighted_quantile,
 )
 from repro.workloads import prepare_workload
 
@@ -31,9 +34,6 @@ def codesign_result(lenet_workload, lenet_eval_data):
         lenet_workload.calibration.images,
         lenet_workload.calibration.labels,
         search_space=SearchSpaceConfig(num_v_grid_candidates=12),
-        max_samples_per_layer=6000,
-        distribution_capacity=20_000,
-        seed=0,
     )
     result = optimizer.run(images, labels, batch_size=16,
                            use_accuracy_loop=False, initial_n_max=4)
@@ -41,25 +41,24 @@ def codesign_result(lenet_workload, lenet_eval_data):
 
 
 class TestBitlineDistribution:
-    def test_majority_of_layers_are_skewed_toward_zero(self, lenet_bitline_samples):
+    def test_majority_of_layers_are_skewed_toward_zero(self, lenet_bitline_histograms):
         """Paper Fig. 3a / Section III-A: BL outputs concentrate near zero."""
         low_mass = []
-        pooled = []
-        for samples in lenet_bitline_samples.values():
-            maximum = samples.max()
-            low_mass.append(np.mean(samples <= maximum / 4.0) if maximum > 0 else 1.0)
-            pooled.append(samples)
-        # In the large majority of layers, more than half the samples sit in
+        for histogram in lenet_bitline_histograms.values():
+            maximum = histogram.size - 1
+            low_mass.append(histogram[: maximum // 4 + 1].sum() / histogram.sum())
+        pooled = add_histograms(lenet_bitline_histograms.values())
+        # In the large majority of layers, more than half the values sit in
         # the bottom quarter of the observed range, and the pooled
         # distribution is strongly bottom-heavy.
         assert np.mean(np.array(low_mass) > 0.5) >= 0.6
-        pooled_values = np.concatenate(pooled)
-        assert np.median(pooled_values) <= pooled_values.max() / 4.0
+        values, counts = histogram_values(pooled)
+        assert weighted_quantile(values, counts, 50) <= values[-1] / 4.0
 
-    def test_distribution_classifier_finds_structure(self, lenet_bitline_samples):
+    def test_distribution_classifier_finds_structure(self, lenet_bitline_histograms):
         kinds = {
-            name: summarize_distribution(samples).kind
-            for name, samples in lenet_bitline_samples.items()
+            name: summarize_distribution(*histogram_values(histogram)).kind
+            for name, histogram in lenet_bitline_histograms.items()
         }
         assert all(isinstance(kind, DistributionType) for kind in kinds.values())
 
@@ -78,14 +77,14 @@ class TestCoDesignHeadline:
         assert result.ops_reduction_factor > 1.2
 
     def test_trq_beats_uniform_quantization_at_equal_bit_budget(
-        self, codesign_result, lenet_workload, lenet_eval_data, lenet_bitline_samples
+        self, codesign_result, lenet_workload, lenet_eval_data, lenet_bitline_histograms
     ):
         """The paper's central comparison (Fig. 6a vs 6b): at the same sensing
         bit budget, TRQ preserves more accuracy than uniform quantization."""
         optimizer, result = codesign_result
         images, labels = lenet_eval_data
         uniform = lenet_workload.simulator.evaluate(
-            images, labels, uniform_adc_configs(lenet_bitline_samples, bits=3), batch_size=16
+            images, labels, uniform_adc_configs(lenet_bitline_histograms, bits=3), batch_size=16
         )
         assert result.final_accuracy >= uniform.accuracy - 1e-9
         # And TRQ uses no more A/D operations than a 5-bit uniform ADC would.
@@ -123,8 +122,6 @@ class TestAccuracyLoop:
             search_space=SearchSpaceConfig(num_v_grid_candidates=6),
             accuracy_threshold=0.05,
             min_n_max=3,
-            max_samples_per_layer=4000,
-            distribution_capacity=10_000,
         )
         result = optimizer.run(images[:32], labels[:32], batch_size=16,
                                use_accuracy_loop=True, initial_n_max=5)

@@ -228,35 +228,27 @@ class TestJobGraph:
         graph = build_job_graph(
             list(enumerate(jobs)), ResultStore(tmp_path / "s")
         )
-        captures = [n for n in graph if n.job.kind == "distribution"]
-        # Both sensing precisions share one capture and both TRQ caps share
-        # another; their reservoir capacities differ, so the two cannot merge.
-        assert len(captures) == 2
-        assert all(c.indices == () for c in captures)  # not grid points
+        # A capture is identified by its images alone, and the workload's
+        # whole (8-image) split serves both sensing precisions and both TRQ
+        # caps: one capture for all four.
+        (capture,) = [n for n in graph if n.job.kind == "distribution"]
+        assert capture.indices == ()  # not a grid point
         ucal = [
             n for n in graph
             if n.job.kind == "evaluate" and n.job.adc.needs_distributions
         ]
         calibrations = [n for n in graph if n.job.kind == "calibration"]
         assert len(ucal) == len(calibrations) == 2
-        ucal_capture = next(
-            c for c in captures if c.key == job_key(ucal[0].job.distribution_job())
-        )
-        cal_capture = next(c for c in captures if c is not ucal_capture)
-        assert (
-            ucal_capture.job.distribution.capacity_per_layer
-            != cal_capture.job.distribution.capacity_per_layer
-        )
-        assert all(n.dependencies == (ucal_capture.key,) for n in ucal)
+        assert all(n.dependencies == (capture.key,) for n in ucal)
         baselines = [
             n for n in graph if n.job.kind == "evaluate" and n.job.adc.mode == "ideal"
         ]
         assert len(baselines) == 1 and baselines[0].indices == ()
         assert all(
-            n.dependencies == (cal_capture.key, baselines[0].key)
+            n.dependencies == (capture.key, baselines[0].key)
             for n in calibrations
         )
-        assert len(graph) == len(jobs) + 3
+        assert len(graph) == len(jobs) + 2
 
     def test_transitive_dependents(self, tmp_path):
         mc = JobSpec(

@@ -9,7 +9,7 @@ from repro.adc import uniform_config, twin_range_config
 from repro.core import TRQParams, uniform_adc_configs
 from repro.nonideal import ConductanceVariation, GaussianReadNoise, NonIdealityStack
 from repro.quantization import FakeQuantBackend, attach_backend, detach_backend, quantize_model
-from repro.sim import DistributionCollector, PimSimulator, ReservoirSampler
+from repro.sim import DistributionCollector, PimSimulator
 from repro.sim.stats import LayerSimStats, SimulationResult
 
 
@@ -17,30 +17,34 @@ from repro.sim.stats import LayerSimStats, SimulationResult
 # capture
 # --------------------------------------------------------------------- #
 class TestCapture:
-    def test_reservoir_keeps_everything_below_capacity(self, rng):
-        sampler = ReservoirSampler(capacity=1000, seed=0)
-        data = rng.normal(size=500)
-        sampler.add(data)
-        np.testing.assert_array_equal(np.sort(sampler.values), np.sort(data))
-        assert len(sampler) == 500 and sampler.total_seen == 500
+    def test_histogram_counts_every_value(self, rng):
+        collector = DistributionCollector()
+        collector.set_layer("a")
+        blocks = [rng.integers(0, 20, size=(7, 5)).astype(np.float32) for _ in range(6)]
+        for block in blocks:
+            collector(block)
+        expected = np.bincount(np.concatenate([b.ravel() for b in blocks]).astype(np.int64))
+        np.testing.assert_array_equal(collector.histogram("a"), expected)
+        assert collector.histogram("a").sum() == sum(b.size for b in blocks)
 
-    def test_reservoir_bounds_memory_and_subsamples(self, rng):
-        sampler = ReservoirSampler(capacity=500, seed=0)
-        for _ in range(20):
-            sampler.add(rng.normal(size=400))
-        assert len(sampler) <= 500
-        assert sampler.total_seen == 8000
-        assert sampler.values.size == len(sampler)
+    def test_histogram_grows_to_the_largest_value(self):
+        collector = DistributionCollector()
+        collector.set_layer("a")
+        collector(np.array([0.0, 1.0, 1.0]))
+        collector(np.array([5.0]))
+        collector(np.array([2.0]))
+        np.testing.assert_array_equal(collector.histogram("a"), [1, 2, 1, 0, 0, 1])
 
-    def test_reservoir_validation(self):
+    def test_negative_values_raise_and_empty_blocks_count_nothing(self):
+        collector = DistributionCollector()
+        collector.set_layer("a")
+        collector(np.array([]))
+        assert collector.histogram("a").sum() == 0
         with pytest.raises(ValueError):
-            ReservoirSampler(capacity=0)
-        sampler = ReservoirSampler(capacity=10)
-        sampler.add(np.array([]))
-        assert sampler.values.size == 0
+            collector(np.array([3.0, -1.0]))
 
     def test_collector_routes_by_layer(self, rng):
-        collector = DistributionCollector(capacity_per_layer=100, seed=0)
+        collector = DistributionCollector()
         with pytest.raises(RuntimeError):
             collector(np.ones(3))
         collector.set_layer("a")
@@ -49,13 +53,12 @@ class TestCapture:
         collector(np.zeros(3))
         collector.set_layer("a")
         collector(2 * np.ones(2))
-        assert set(collector.layer_names) == {"a", "b"}
-        assert collector.samples("a").size == 7
-        assert collector.total_seen("a") == 7
-        assert collector.total_seen("missing") == 0
+        assert collector.layer_names == ["a", "b"]
+        np.testing.assert_array_equal(collector.histogram("a"), [0, 5, 2])
+        np.testing.assert_array_equal(collector.histogram("b"), [3])
         with pytest.raises(KeyError):
-            collector.samples("missing")
-        assert set(collector.all_samples()) == {"a", "b"}
+            collector.histogram("missing")
+        assert list(collector.histograms()) == ["a", "b"]
 
 
 # --------------------------------------------------------------------- #
@@ -135,12 +138,12 @@ class TestSimulator:
 
     def test_uniform_adc_configs_change_ops_and_accuracy(self, lenet_workload,
                                                          lenet_eval_data,
-                                                         lenet_bitline_samples):
+                                                         lenet_bitline_histograms):
         images, labels = lenet_eval_data
         sim = lenet_workload.simulator
         low_bit = sim.evaluate(
             images[:16], labels[:16],
-            uniform_adc_configs(lenet_bitline_samples, bits=3),
+            uniform_adc_configs(lenet_bitline_histograms, bits=3),
             batch_size=8,
         )
         assert low_bit.remaining_ops_fraction == pytest.approx(3 / 8)
@@ -166,13 +169,19 @@ class TestSimulator:
                               noise=NonIdealityStack([GaussianReadNoise(sigma=0.5)]))
         assert 0.0 <= result.accuracy <= 1.0
 
-    def test_collect_bitline_distributions(self, lenet_workload, lenet_bitline_samples):
-        assert set(lenet_bitline_samples) == set(lenet_workload.simulator.layer_names())
-        for samples in lenet_bitline_samples.values():
-            assert samples.size > 0
-            assert samples.min() >= 0.0
-            # Integer partial sums (1-bit operands): all values are integers.
-            np.testing.assert_allclose(samples, np.round(samples))
+    def test_collect_bitline_distributions(self, lenet_workload, lenet_bitline_histograms):
+        """One count vector per layer, in forward order, holding one count
+        per ideal conversion of the captured images."""
+        sim = lenet_workload.simulator
+        assert list(lenet_bitline_histograms) == sim.layer_names()
+        ideal = sim.evaluate(
+            lenet_workload.calibration.images[:8],
+            lenet_workload.calibration.labels[:8], None, batch_size=8,
+        )
+        for name, histogram in lenet_bitline_histograms.items():
+            assert histogram.dtype == np.int64 and histogram.min() >= 0
+            assert histogram[-1] > 0  # trimmed to the largest observed value
+            assert histogram.sum() == ideal.layer_stats[name].conversions
 
     def test_accuracy_evaluator_closure(self, lenet_workload, lenet_eval_data):
         images, labels = lenet_eval_data

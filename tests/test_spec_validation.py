@@ -10,7 +10,12 @@ training.  Power jobs accepted ``uniform_bits`` below 1 (failing only once
 the job ran) and raised ``TypeError`` for an unknown or non-numeric energy
 constant.  Integer job and sweep fields (``trials``, ``images``,
 ``batch_size``, ``mc_seed``, ``mc_seeds``) went through ``int()``, which
-truncated ``2.7`` to ``2`` and coerced ``"3"`` and ``true``.
+truncated ``2.7`` to ``2`` and coerced ``"3"`` and ``true``; so did a noise
+scenario's ``seed`` and the workload's integer fields (a ``train_size`` of
+``48.5`` was addressed as ``48``).  An unknown field — a misspelling, or a
+capture knob the histogram capture removed (``capacity_per_layer``,
+``seed``, ``calib_capacity``, ``calib_seed``, ``calib_batch_size``,
+``max_samples_per_layer``) — raised a bare ``TypeError``.
 ``JobSpec.from_dict`` and ``SweepSpec.from_dict`` must reject every such
 field with a ``ValueError`` that names it.
 """
@@ -67,16 +72,11 @@ BASES = {
 #: (base spec, section, field, lowest legal value, highest legal value).
 FIELDS = [
     ("distribution", "distribution", "images", 1, TINY.calibration_images),
-    ("distribution", "distribution", "batch_size", 1, None),
-    ("distribution", "distribution", "capacity_per_layer", 1, None),
     ("calibration", "calibration", "calibration_size", 1, TINY.calibration_images),
     ("power", "calibration", "calibration_size", 1, TINY.calibration_images),
     ("calibration", "calibration", "num_v_grid_candidates", 1, None),
-    ("calibration", "calibration", "max_samples_per_layer", 16, None),
     ("calibration", "calibration", "initial_n_max", 2, 8),
     ("evaluate", "adc", "calib_images", 1, TINY.calibration_images),
-    ("evaluate", "adc", "calib_batch_size", 1, None),
-    ("evaluate", "adc", "calib_capacity", 1, None),
 ]
 
 
@@ -108,6 +108,42 @@ def test_range_boundaries_are_accepted(base, section, field, low, high):
     for value in (low, high) if high is not None else (low,):
         job = JobSpec.from_dict(with_field(base, section, field, value))
         assert JobSpec.from_dict(job.to_dict()) == job
+
+
+#: (base spec, section, field) of every capture knob the exact bit-line
+#: histogram made obsolete: a spec that still sets one is stale.
+REMOVED_FIELDS = [
+    ("distribution", "distribution", "capacity_per_layer"),
+    ("distribution", "distribution", "seed"),
+    ("distribution", "distribution", "batch_size"),
+    ("evaluate", "adc", "calib_capacity"),
+    ("evaluate", "adc", "calib_seed"),
+    ("evaluate", "adc", "calib_batch_size"),
+    ("calibration", "calibration", "max_samples_per_layer"),
+    ("power", "calibration", "max_samples_per_layer"),
+]
+
+
+@pytest.mark.parametrize("base,section,field", REMOVED_FIELDS)
+def test_removed_capture_fields_raise_naming_their_path(base, section, field):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{section}.{field}')} is not a field"):
+        JobSpec.from_dict(with_field(base, section, field, 1))
+
+
+@given(
+    st.sampled_from(["workload", "adc", "distribution", "calibration"]),
+    st.text(min_size=1, max_size=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_unknown_section_fields_raise_naming_their_path(section, field):
+    base = {"workload": "distribution", "distribution": "distribution",
+            "adc": "evaluate", "calibration": "calibration"}[section]
+    data = copy.deepcopy(BASES[base])
+    if field in data[section]:
+        return
+    data[section][field] = 1
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{section}.{field}')} is not a field"):
+        JobSpec.from_dict(data)
 
 
 def test_negative_and_zero_capture_images_fail_at_construction():
@@ -254,6 +290,32 @@ def test_job_integer_fields_are_not_truncated(field, value):
         JobSpec.from_dict(with_top_field(field, value))
 
 
+@given(
+    st.sampled_from([
+        ("noise", "seed"), ("workload", "train_size"), ("workload", "test_size"),
+        ("workload", "calibration_images"), ("workload", "epochs"),
+        ("workload", "seed"),
+    ]),
+    non_integers(),
+)
+@settings(max_examples=150, deadline=None)
+def test_noise_seed_and_workload_integer_fields_are_not_truncated(path, value):
+    section, field = path
+    data = copy.deepcopy(MONTE_CARLO.to_dict())
+    data[section][field] = value
+    with pytest.raises(ValueError, match=f"^{section}.{field} must be an integer"):
+        JobSpec.from_dict(data)
+
+
+def test_integral_noise_seed_and_train_size_keep_their_addresses():
+    data = copy.deepcopy(MONTE_CARLO.to_dict())
+    data["noise"]["seed"] = 2.0
+    data["workload"]["train_size"] = 48.0
+    job = JobSpec.from_dict(data)
+    assert job == MONTE_CARLO
+    assert job_key(job, "fixed-salt") == job_key(MONTE_CARLO, "fixed-salt")
+
+
 MC_SWEEP = SweepSpec(
     name="mc-integers", kind="monte_carlo", workloads=[TINY], noises=[NOISE],
     mc_seeds=[0, 1], trials=2, images=4, batch_size=1,
@@ -365,7 +427,8 @@ def test_power_boundaries_are_accepted_and_addresses_unchanged():
         power=PowerSpec(uniform_bits=6, constants={"e_adc_op": 0.3e-12}),
     )
     # Validation adds no hashed field: the address of a fixed job is the
-    # one the code gave it before these checks existed.
+    # one the code gave it before these checks existed, less the removed
+    # ``calibration.max_samples_per_layer``.
     assert job_key(power, "fixed-salt") == (
-        "568139a03b9a08b31287abaf46d6066692b982a0d7518ada59c3ce2cb3361a13"
+        "cb692673c90c0eca5158359ebe0faae6a5ae41a6399dae9924872e124c5c07ee"
     )
