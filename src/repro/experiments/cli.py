@@ -104,22 +104,40 @@ DEFAULT_SHARD_DIR = Path("benchmarks") / "results" / "shards"
 DEFAULT_HISTORY = trace_history.default_history_path(DEFAULT_OUT_DIR)
 
 
-def _positive_int(text: str) -> int:
-    """The argparse type of count flags: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0  # rejected below, like any other value < 1
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of count flags: an integer >= ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1  # rejected below, like any other value < low
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def load_experiment(spec: str, smoke: bool = False) -> ExperimentSpec:
-    """Resolve a CLI spec argument: preset name or JSON file path."""
+    """Resolve a CLI spec argument: preset name or JSON file path.
+
+    A JSON spec that cannot be read or parsed (malformed JSON, an unknown
+    or missing field, a bad value) is a one-line error and a non-zero exit,
+    not a traceback.
+    """
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
-        experiment = ExperimentSpec.from_dict(json.loads(path.read_text()))
+        try:
+            experiment = ExperimentSpec.from_dict(json.loads(path.read_text()))
+        except (OSError, TypeError, ValueError) as error:
+            raise SystemExit(f"error: {path}: {error}") from None
         if smoke:
             raise SystemExit(
                 "--smoke only applies to built-in presets; shrink the JSON "
@@ -294,12 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trial-batch", type=_positive_int, default=1, metavar="N",
                      help="Monte Carlo trials per batched kernel invocation "
                           "(default 1: the per-trial loop); every executor "
-                          "batches each job's trials.  N > 1 also coalesces "
-                          "sibling per-seed MC jobs into one batched "
-                          "execution on the serial and sharded executors "
-                          "(per shard on the latter), not on the process "
-                          "pool.  Results are byte-identical for every N; "
-                          "this is purely a wall-clock knob")
+                          "batches each job's own trials.  Results are "
+                          "byte-identical for every N; this is purely a "
+                          "wall-clock knob")
     run.add_argument("--force-redispatch", action="store_true",
                      help="--executor sharded only: dispatch a duplicate "
                           "backup attempt of every shard immediately "
@@ -310,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--force", action="store_true",
                      help="drop the sweep's cached artifacts (shared "
                           "siblings included) and recompute")
-    run.add_argument("--max-failures", type=int, default=None, metavar="N",
+    run.add_argument("--max-failures", type=_non_negative_int, default=None,
+                     metavar="N",
                      help="tolerate up to N failed jobs (logged to the "
                           "store's failure log; a failure's dependents are "
                           "marked failed-with-cause and count once) instead "

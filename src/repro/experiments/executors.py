@@ -110,10 +110,8 @@ class ExecutionContext:
     shard: Optional[int] = None
     wave_override: Optional[int] = None
     #: Monte Carlo trials per batched kernel invocation.  ``1`` keeps the
-    #: per-trial loop; every executor hands it to each job it runs, and
-    #: ``N > 1`` additionally lets :class:`SerialExecutor` (which also runs
-    #: every shard manifest) coalesce sibling per-seed MC jobs of one wave
-    #: into a single batched execution.  Purely an execution knob — job
+    #: per-trial loop; every executor hands it to each job it runs, and the
+    #: job batches its own trials by it.  Purely an execution knob — job
     #: hashes and store bytes are invariant under it.
     trial_batch: int = 1
 
@@ -257,12 +255,8 @@ def resolve_executor(
 class SerialExecutor(Executor):
     """In-process execution, one job at a time, in scheduler order.
 
-    With ``context.trial_batch > 1``, sibling per-seed Monte Carlo jobs of
-    one wave (same :func:`~repro.experiments.runner.mc_group_signature` —
-    they differ only in ``mc_seed``) are coalesced into a single batched
-    execution: one clean reference, one prepared workload, and all trials
-    flattened through the batched trials kernel.  Store artifacts stay
-    byte-identical to per-job execution; grouping only changes wall time.
+    Each Monte Carlo job runs on its own and batches its trials by
+    ``context.trial_batch``, like on every other executor.
     """
 
     name = "serial"
@@ -270,30 +264,12 @@ class SerialExecutor(Executor):
     def run_wave(
         self, wave: Sequence[ScheduledJob], context: ExecutionContext
     ) -> Iterator[WaveOutcome]:
-        from repro.experiments.runner import (  # lazy: cycle
-            execute_job,
-            execute_mc_group_nodes,
-            mc_group_signature,
-        )
+        from repro.experiments.runner import execute_job  # lazy: cycle
 
         # The whole wave is "submitted" when it is handed over, so a serial
         # job's queue wait honestly includes its predecessors' run time.
         submitted = time.monotonic()
-        groups: Dict[str, List[ScheduledJob]] = {}
-        if context.trial_batch > 1:
-            for node in wave:
-                signature = mc_group_signature(node.job)
-                if signature is not None:
-                    groups.setdefault(signature, []).append(node)
-            groups = {
-                signature: nodes
-                for signature, nodes in groups.items()
-                if len(nodes) > 1
-            }
-        grouped = {id(node) for nodes in groups.values() for node in nodes}
         for node in wave:
-            if id(node) in grouped:
-                continue
             try:
                 if context.should_inject(node):
                     raise _injected_error(node.job)
@@ -309,8 +285,6 @@ class SerialExecutor(Executor):
                 yield node, error
             else:
                 yield node, None
-        for nodes in groups.values():
-            yield from execute_mc_group_nodes(nodes, context, submitted_mono=submitted)
 
 
 # --------------------------------------------------------------------- #
@@ -503,8 +477,9 @@ def load_shard_manifest(path: Union[str, Path]) -> Dict[str, object]:
 
     A manifest emitted under another code-version salt is refused: running
     it would store bytes made by this code under the old salt's addresses.
-    The fields ``shard run`` reads are checked too; each ``ValueError``
-    names the offending JSON path.
+    The fields ``shard run`` reads are checked too, every job spec (and
+    the embedded sweep spec) is parsed, and each ``ValueError`` names the
+    offending JSON path.
     """
     manifest = json.loads(Path(path).read_text())
     form = manifest.get("format") if isinstance(manifest, dict) else None
@@ -534,6 +509,15 @@ def load_shard_manifest(path: Union[str, Path]) -> Dict[str, object]:
     for position, entry in enumerate(jobs):
         if not isinstance(entry, dict) or not isinstance(entry.get("spec"), dict):
             raise ValueError(f"{path}: jobs[{position}].spec must be an object")
+        try:
+            JobSpec.from_dict(entry["spec"])
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"{path}: jobs[{position}].spec: {error}") from error
+    if "sweep" in manifest:  # the spec ``shard merge`` aggregates
+        try:
+            SweepSpec.from_dict(manifest["sweep"])
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"{path}: sweep: {error}") from error
     return manifest
 
 
@@ -600,7 +584,7 @@ def run_shard_manifest(
     that run directory.  Untraced manifests pay nothing.
 
     The manifest's ``trial_batch`` (default 1) is the Monte Carlo batching
-    knob of every job it runs, seed-sibling coalescing included.
+    knob of every job it runs: each batches its own trials.
     """
     from repro.experiments.runner import execute_graph  # lazy: cycle
     from repro.experiments.scheduler import build_job_graph

@@ -56,7 +56,6 @@ Algorithm 1 search behind ``power`` jobs (:meth:`JobSpec.calibration_job`).
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from pathlib import Path
@@ -301,19 +300,37 @@ def _execute_evaluate(
     return result
 
 
-def _save_monte_carlo(
+def _execute_monte_carlo(
     job: JobSpec,
     store: ResultStore,
+    weights_cache_dir: Optional[str],
     salt: Optional[str],
     key: str,
-    result,
+    trial_batch: int = 1,
 ) -> None:
-    """Persist one Monte Carlo artifact.
-
-    Shared by the per-job path and the cross-job trial coalescer so both
-    construct the payload through the same code — the store bytes of a
-    coalesced job are identical to its solo execution by construction.
-    """
+    clean = _clean_reference(job.clean_job(), store, weights_cache_dir, salt)
+    prepared = _prepared_workload(job, weights_cache_dir)
+    simulator = prepared.simulator
+    split = prepared.eval_split(job.images)
+    if job.adc.needs_distributions:
+        histograms = _distribution_histograms(
+            job.distribution_job(), store, weights_cache_dir, salt
+        )
+        configs = job.adc.build_configs_from_histograms(histograms)
+    else:
+        configs = job.adc.build_configs(simulator.layer_names())
+    result = simulator.run_monte_carlo(
+        split.images,
+        split.labels,
+        job.noise.build_stack(),
+        adc_configs=configs,
+        trials=job.trials,
+        batch_size=job.batch_size,
+        seed=job.mc_seed,
+        confidence=job.confidence,
+        clean=clean,
+        trial_batch=trial_batch,
+    )
     payload = {
         "key": key,
         "salt": salt if salt is not None else code_version_salt(),
@@ -327,254 +344,6 @@ def _save_monte_carlo(
     }
     arrays = {"accuracies": result.accuracies, "flip_rates": result.flip_rates}
     store.save(key, payload, arrays)
-
-
-def _monte_carlo_inputs(
-    job: JobSpec,
-    store: ResultStore,
-    weights_cache_dir: Optional[str],
-    salt: Optional[str],
-):
-    """The shared execution inputs of one MC job (or one sibling group)."""
-    clean = _clean_reference(job.clean_job(), store, weights_cache_dir, salt)
-    prepared = _prepared_workload(job, weights_cache_dir)
-    simulator = prepared.simulator
-    split = prepared.eval_split(job.images)
-    if job.adc.needs_distributions:
-        histograms = _distribution_histograms(
-            job.distribution_job(), store, weights_cache_dir, salt
-        )
-        configs = job.adc.build_configs_from_histograms(histograms)
-    else:
-        configs = job.adc.build_configs(simulator.layer_names())
-    stack = job.noise.build_stack()
-    return clean, simulator, split, configs, stack
-
-
-def _execute_monte_carlo(
-    job: JobSpec,
-    store: ResultStore,
-    weights_cache_dir: Optional[str],
-    salt: Optional[str],
-    key: str,
-    trial_batch: int = 1,
-) -> None:
-    clean, simulator, split, configs, stack = _monte_carlo_inputs(
-        job, store, weights_cache_dir, salt
-    )
-    result = simulator.run_monte_carlo(
-        split.images,
-        split.labels,
-        stack,
-        adc_configs=configs,
-        trials=job.trials,
-        batch_size=job.batch_size,
-        seed=job.mc_seed,
-        confidence=job.confidence,
-        clean=clean,
-        trial_batch=trial_batch,
-    )
-    _save_monte_carlo(job, store, salt, key, result)
-
-
-def mc_group_signature(job: JobSpec) -> Optional[str]:
-    """Coalescing signature of a Monte Carlo job, or ``None``.
-
-    Jobs sharing a signature differ **only** in ``mc_seed`` — same
-    workload, images, ADC, engine, noise stack, trial count and confidence
-    — so their per-trial noise stacks are siblings of one base stack and
-    their trials can ride through one batched execution
-    (:meth:`~repro.sim.simulator.PimSimulator.monte_carlo_trial_results`).
-    ``trial_batch`` itself never enters the signature (or any job hash):
-    it is purely an execution knob, invisible to content addressing.
-    """
-    if job.kind != "monte_carlo":
-        return None
-    resolved = dict(job.resolved())
-    resolved.pop("mc_seed", None)
-    return json.dumps(resolved, sort_keys=True)
-
-
-def execute_mc_group(
-    jobs: List[JobSpec],
-    store: ResultStore,
-    weights_cache_dir: Optional[str] = None,
-    salt: Optional[str] = None,
-    trial_batch: int = 1,
-) -> List[str]:
-    """Execute sibling per-seed Monte Carlo jobs as one batched run.
-
-    ``jobs`` must share one :func:`mc_group_signature`.  All their trials
-    are flattened into one ``(job, trial)`` sequence and executed through
-    the batched trials kernel in groups of ``trial_batch`` — clean
-    reference, prepared workload, ADC configs and the base noise stack are
-    resolved once for the whole group.  Each job's artifact is then
-    assembled and persisted exactly as its solo execution would: per-trial
-    results are **bit-identical** regardless of grouping (each trial's
-    stack is derived from ``(job.mc_seed, trial)`` alone), so the stored
-    payload and array bytes match the per-job path byte for byte.
-
-    Returns the jobs' store keys in input order.
-    """
-    if not jobs:
-        return []
-    signatures = {mc_group_signature(job) for job in jobs}
-    if len(signatures) != 1 or None in signatures:
-        raise ValueError(
-            "execute_mc_group needs sibling monte_carlo jobs differing only "
-            "in mc_seed"
-        )
-    job0 = jobs[0]
-    keys = [job_key(job, salt) for job in jobs]
-    clean, simulator, split, configs, stack = _monte_carlo_inputs(
-        job0, store, weights_cache_dir, salt
-    )
-    pairs = [(job, trial) for job in jobs for trial in range(job.trials)]
-    trial_results: List[SimulationResult] = []
-    for start in range(0, len(pairs), max(1, trial_batch)):
-        chunk = pairs[start : start + max(1, trial_batch)]
-        chunk_stacks = [stack.derive_trial(job.mc_seed, trial) for job, trial in chunk]
-        trial_results.extend(
-            simulator.monte_carlo_trial_results(
-                split.images, split.labels, chunk_stacks, configs, job0.batch_size
-            )
-        )
-    offset = 0
-    for job, key in zip(jobs, keys):
-        result = simulator.assemble_monte_carlo(
-            clean,
-            trial_results[offset : offset + job.trials],
-            seed=job.mc_seed,
-            confidence=job.confidence,
-            stack=stack,
-        )
-        offset += job.trials
-        _save_monte_carlo(job, store, salt, key, result)
-    return keys
-
-
-def execute_mc_group_nodes(nodes, context, submitted_mono=None):
-    """Run one wave's group of sibling MC nodes coalesced; yield outcomes.
-
-    The executor-facing wrapper around :func:`execute_mc_group`: store
-    cache hits short-circuit per node (``job_cached``), a single remaining
-    node runs the ordinary per-job path, and a genuine group computes once
-    for everyone.  Lifecycle telemetry is emitted per node **after** the
-    group completes (a failed group emits one ``group_fallback`` event and
-    falls back to per-job execution, which owns its own full lifecycle — so
-    no node ever records two attempts):
-    each node's ``job_finish`` carries the amortised ``duration_s``
-    (group wall time / group size) plus the whole-group ``group_duration_s``
-    and ``coalesced`` count, so per-kind timing aggregates stay meaningful.
-
-    Yields ``(node, error-or-None)`` per node, like ``Executor.run_wave``.
-    """
-    store, salt, tracer = context.store, context.salt, context.tracer
-
-    def run_solo(node):
-        try:
-            if context.should_inject(node):
-                from repro.experiments.executors import _injected_error
-
-                raise _injected_error(node.job)
-            execute_job(
-                node.job, store, context.weights_cache_dir, salt,
-                tracer=tracer,
-                trace_fields=context.job_trace_fields(
-                    node, submitted_mono=submitted_mono
-                ),
-                trial_batch=context.trial_batch,
-            )
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:  # noqa: BLE001 - the policy decides
-            return node, error
-        return node, None
-
-    remaining = []
-    for node in nodes:
-        if store.has(node.key):
-            tracer.emit(
-                telemetry_events.JOB_CACHED,
-                key=node.key, kind=node.job.kind, index=node.index,
-                wave=context.wave, shard=context.shard,
-            )
-            yield node, None
-        elif context.should_inject(node):
-            yield run_solo(node)
-        else:
-            remaining.append(node)
-    if not remaining:
-        return
-    if len(remaining) == 1:
-        yield run_solo(remaining[0])
-        return
-
-    probe = JobResourceProbe()
-    started = time.perf_counter()
-    try:
-        execute_mc_group(
-            [node.job for node in remaining], store,
-            context.weights_cache_dir, salt,
-            trial_batch=context.trial_batch,
-        )
-    except KeyboardInterrupt:
-        raise
-    except Exception as error:  # noqa: BLE001 - fall back to solo execution
-        logger.warning(
-            "coalesced Monte Carlo group failed (%s: %s); retrying jobs "
-            "individually", type(error).__name__, error,
-        )
-        tracer.emit(
-            telemetry_events.GROUP_FALLBACK,
-            error=f"{type(error).__name__}: {error}",
-            keys=[node.key for node in remaining],
-            wave=context.wave, shard=context.shard,
-        )
-        for node in remaining:
-            yield run_solo(node)
-        return
-    duration = time.perf_counter() - started
-    resources = probe.finish()
-    if "cpu_s" in resources:
-        resources = {
-            **resources,
-            "cpu_s": round(resources["cpu_s"] / len(remaining), 6),
-        }
-    share = duration / len(remaining)
-    execution = {
-        "trial_batch": int(context.trial_batch),
-        "coalesced": len(remaining),
-        "group_duration_s": duration,
-    }
-    for node in remaining:
-        fields = context.job_trace_fields(node, submitted_mono=submitted_mono)
-        submitted = fields.pop("submitted_mono", None)
-        tracer.emit(
-            telemetry_events.JOB_START,
-            key=node.key, kind=node.job.kind,
-            queue_wait_s=(
-                max(time.monotonic() - submitted - duration, 0.0)
-                if submitted is not None else None
-            ),
-            **fields,
-        )
-        tracer.emit(
-            telemetry_events.JOB_FINISH,
-            key=node.key, kind=node.job.kind, duration_s=share,
-            outcome="computed",
-            **execution,
-            **resources,
-            **fields,
-        )
-        store.save_meta(
-            node.key,
-            {
-                "kind": node.job.kind, "duration_s": share,
-                "worker": worker_name(tracer), **execution, **resources,
-            },
-        )
-        yield node, None
 
 
 def _execute_calibration(
@@ -1137,7 +906,7 @@ def run_sweep(
         Reporting identity; defaults to one derived from the sweep name.
     max_failures:
         ``None`` (default): the first failing job aborts the sweep (after
-        logging it).  ``N``: tolerate up to ``N`` failed jobs — each is
+        logging it).  ``N >= 0``: tolerate up to ``N`` failed jobs — each is
         recorded in the store's failure log and its row is absent from the
         aggregate; failure ``N+1`` aborts with :class:`MaxFailuresExceeded`.
         A failed job's transitive dependents are marked failed-with-cause
@@ -1146,8 +915,8 @@ def run_sweep(
     inject_failures:
         Job indices forced to raise instead of executing — a testing aid
         (the CLI's ``--inject-failure``) for exercising the failure path
-        end to end.  Injected failures follow the same logging/tolerance
-        rules as real ones.
+        end to end.  Each must index the expanded sweep.  Injected failures
+        follow the same logging/tolerance rules as real ones.
     executor:
         ``"serial"``, ``"process"``, ``"sharded"``, an
         :class:`~repro.experiments.executors.Executor` instance, or
@@ -1175,25 +944,32 @@ def run_sweep(
         sweeps never do (there is nothing to summarise).
     trial_batch:
         Monte Carlo trials per batched kernel invocation (``1`` keeps the
-        per-trial loop); every executor batches each job's trials.
-        ``N > 1`` also coalesces sibling per-seed MC jobs into one batched
-        execution: of a whole wave on the ``serial`` executor, of each
-        shard's part of a wave on ``sharded``; the ``process`` pool runs
-        every job on its own.  Purely a wall-clock
-        knob: job hashes, store artifacts and rows are byte-identical for
-        every value.
+        per-trial loop).  Every executor runs each Monte Carlo job on its
+        own and batches that job's trials.  Purely a wall-clock knob: job
+        hashes, store artifacts and rows are byte-identical for every
+        value.
 
     The returned :class:`SweepRun` carries rows in expansion order; the
     aggregate is identical whether the sweep ran serially, in parallel,
     sharded, or across several interrupted+resumed invocations, because
     rows are read back from the content-addressed artifacts.
     """
-    if not isinstance(store, ResultStore):
-        store = ResultStore(store)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if trial_batch < 1:
         raise ValueError(f"trial_batch must be >= 1, got {trial_batch}")
+    if max_failures is not None and max_failures < 0:
+        raise ValueError(f"max_failures must be None or >= 0, got {max_failures}")
+    expanded = sweep.expand()
+    inject = frozenset(int(index) for index in inject_failures)
+    outside = sorted(index for index in inject if not 0 <= index < len(expanded))
+    if outside:
+        raise ValueError(
+            f"inject_failures {outside} lie outside the sweep's job indices "
+            f"[0, {len(expanded)})"
+        )
+    if not isinstance(store, ResultStore):
+        store = ResultStore(store)
     # Writers killed mid-stage (SIGKILL, lost workers) leave dead temp
     # files behind; sweep them before scheduling so they never accumulate.
     store.sweep_stale_tmps()
@@ -1203,11 +979,9 @@ def run_sweep(
     if tracer.enabled and getattr(tracer, "directory", None) is not None:
         telemetry_dir = str(tracer.directory)
     started = time.perf_counter()
-    expanded = sweep.expand()
     keys = [job_key(job, salt) for job in expanded]
     failure_log = FailureLog(store)
     failures: List[Dict[str, object]] = []
-    inject = frozenset(int(index) for index in inject_failures)
 
     if force:
         # Everything the sweep could recompute, shared siblings included.

@@ -79,15 +79,29 @@ def _integer(value, path: str) -> int:
         raise ValueError(*error.args) from None
 
 
-def _fields(cls, data: Dict[str, object], path: str) -> Dict[str, object]:
-    """``data`` when every key names a field of the dataclass ``cls``.  An
-    unknown key — a misspelling, or a field this version removed — raises
-    ``ValueError`` naming its JSON path (``cls(**data)`` would raise a bare
-    ``TypeError``)."""
-    known = [field.name for field in dataclasses.fields(cls)]
+def _fields(cls, data: Dict[str, object], path: str = "") -> Dict[str, object]:
+    """``data`` when it is an object whose keys name fields of the dataclass
+    ``cls``, including every field without a default.  An unknown key — a
+    misspelling, or a field this version removed — or a missing required one
+    raises ``ValueError`` naming its JSON path (``cls(**data)`` would raise a
+    bare ``TypeError``, and a top-level lookup a bare ``KeyError``)."""
+    prefix = f"{path}." if path else ""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{path or 'a spec'} must be a JSON object, got {type(data).__name__}"
+        )
+    fields = dataclasses.fields(cls)
+    known = [field.name for field in fields]
     for name in data:
         if name not in known:
-            raise ValueError(f"{path}.{name} is not a field (expected one of {known})")
+            raise ValueError(f"{prefix}{name} is not a field (expected one of {known})")
+    for field in fields:
+        required = (
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING
+        )
+        if required and field.name not in data:
+            raise ValueError(f"{prefix}{field.name} is required")
     return data
 
 
@@ -392,11 +406,7 @@ class PowerSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "PowerSpec":
-        return cls(
-            uniform_bits=data.get("uniform_bits", 7),
-            trq_label=data.get("trq_label", "Ours/4b"),
-            constants=data.get("constants"),
-        )
+        return cls(**_fields(cls, data, "power"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -450,11 +460,7 @@ class NoiseScenario:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NoiseScenario":
-        return cls(
-            models=tuple(dict(m) for m in data.get("models", ())),
-            seed=data.get("seed", 0),
-            label=data.get("label", ()),
-        )
+        return cls(**_fields(cls, data, "noise"))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -791,6 +797,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
+        _fields(cls, data)
         return cls(
             kind=data["kind"],
             workload=WorkloadSpec.from_dict(data["workload"]),
@@ -990,6 +997,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SweepSpec":
+        _fields(cls, data)
         explicit = data.get("explicit_jobs")
         return cls(
             name=data["name"],
@@ -1039,9 +1047,11 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExperimentSpec":
-        if "sweep" not in data:  # a bare sweep dict is accepted too
+        if isinstance(data, dict) and "sweep" not in data:
+            # A bare sweep dict is accepted too.
             sweep = SweepSpec.from_dict(data)
             return cls(experiment_id=sweep.name, sweep=sweep)
+        _fields(cls, data)
         return cls(
             experiment_id=data["experiment_id"],
             sweep=SweepSpec.from_dict(data["sweep"]),

@@ -279,26 +279,7 @@ class PimSimulator:
                     batch_size,
                 )
             )
-        return self.assemble_monte_carlo(
-            clean, trial_results, seed=seed, confidence=confidence, stack=stack
-        )
 
-    def assemble_monte_carlo(
-        self,
-        clean: SimulationResult,
-        trial_results: Sequence[SimulationResult],
-        seed: int,
-        confidence: float,
-        stack,
-    ) -> MonteCarloResult:
-        """Aggregate per-trial results into a :class:`MonteCarloResult`.
-
-        Factored out of :meth:`run_monte_carlo` so callers that obtain the
-        per-trial :class:`SimulationResult` list elsewhere — in particular
-        the experiment runner's cross-job trial coalescer — assemble exactly
-        the same payload as an in-process Monte Carlo run.
-        """
-        trials = len(trial_results)
         clean_predictions = np.argmax(clean.logits, axis=1)
         accuracies = np.empty(trials, dtype=np.float64)
         flip_rates = np.empty(trials, dtype=np.float64)

@@ -5,8 +5,11 @@ emit --shards``) take integers >= 1 and exit 2 naming the flag, instead
 of raising a ``ValueError`` traceback from inside the run.
 ``--force-redispatch`` only means something to the sharded executor, so
 any other executor is a parser error rather than a silently ignored flag.
-A shard manifest that ``shard merge`` refuses ends the command with the
-checker's message, not a traceback.
+A shard manifest that ``shard merge`` or ``shard run`` refuses, and a JSON
+spec that ``run`` or ``show`` cannot parse, end the command with the
+checker's message, not a traceback.  ``--max-failures`` takes an integer
+>= 0, and an ``--inject-failure`` index outside the sweep is refused before
+any job runs.
 """
 
 from __future__ import annotations
@@ -59,3 +62,68 @@ def test_shard_merge_reports_a_stale_manifest_without_a_traceback(tmp_path):
         main(["shard", "merge", str(tmp_path), "--store", str(tmp_path / "store")])
     message = str(exit_info.value.code)
     assert message.startswith("error: ") and "0.9.0/schema-v1" in message
+
+
+def test_shard_merge_reports_a_malformed_sweep_without_a_traceback(tmp_path):
+    experiment = build_preset("fig6", smoke=True)
+    paths = write_shard_manifests(experiment.sweep, 2, tmp_path, experiment=experiment)
+    manifest = json.loads(paths[0].read_text())
+    manifest["sweep"]["mc_seed"] = [3]
+    paths[0].write_text(json.dumps(manifest))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["shard", "merge", str(tmp_path), "--store", str(tmp_path / "store")])
+    assert str(exit_info.value.code).startswith(
+        f"error: {paths[0]}: sweep: mc_seed is not a field"
+    )
+
+
+def test_max_failures_must_be_a_non_negative_integer(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(RUN + ["--max-failures", "-1"])
+    assert exit_info.value.code == 2
+    assert "argument --max-failures: must be an integer >= 0" in capsys.readouterr().err
+
+
+def test_an_injected_index_outside_the_sweep_is_refused_before_any_job(tmp_path):
+    """``--inject-failure 99`` on the 6-job fig6 smoke used to inject
+    nothing, so the failure-path run passed without exercising it."""
+    store = tmp_path / "store"
+    with pytest.raises(ValueError, match=r"inject_failures \[99\] lie outside .*\[0, 6\)"):
+        main(RUN + ["--inject-failure", "99", "--store", str(store)])
+    assert not list(store.rglob("*.json"))  # no artifact, no failure entry
+
+
+def bad_spec_file(tmp_path):
+    """A sweep JSON whose workload misspells ``train_size``."""
+    sweep = build_preset("robustness-noise", smoke=True).sweep.to_dict()
+    sweep["workloads"][0]["train_sise"] = sweep["workloads"][0].pop("train_size")
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep))
+    return path
+
+
+@pytest.mark.parametrize("command", ["run", "show"])
+def test_a_bad_json_spec_is_a_one_line_error(command, tmp_path):
+    path = bad_spec_file(tmp_path)
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(path), "--store", str(store)])
+    message = str(exit_info.value.code)
+    assert message.startswith(f"error: {path}: workload.train_sise is not a field")
+    assert not store.exists()
+
+
+def test_shard_run_parses_every_job_spec_before_touching_the_store(tmp_path):
+    experiment = build_preset("robustness-noise", smoke=True)
+    paths = write_shard_manifests(experiment.sweep, 1, tmp_path, experiment=experiment)
+    manifest = json.loads(paths[0].read_text())
+    manifest["jobs"][-1]["spec"]["noise"]["sed"] = 4
+    paths[0].write_text(json.dumps(manifest))
+    store = tmp_path / "store"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["shard", "run", str(paths[0]), "--store", str(store)])
+    last = len(manifest["jobs"]) - 1
+    assert str(exit_info.value.code).startswith(
+        f"error: {paths[0]}: jobs[{last}].spec: noise.sed is not a field"
+    )
+    assert not store.exists()

@@ -331,7 +331,8 @@ def reference_run_store_root(reference_run) -> str:
 
 
 class TestMonteCarloCoalescing:
-    """The serial executor's cross-job trial coalescer (trial_batch > 1)."""
+    """Trial batching (trial_batch > 1) on every executor: each Monte Carlo
+    job batches its own trials and writes the per-trial loop's bytes."""
 
     def artifact_bytes(self, root) -> dict:
         import hashlib
@@ -350,13 +351,13 @@ class TestMonteCarloCoalescing:
             digests[str(rel)] = hashlib.sha256(path.read_bytes()).hexdigest()
         return digests
 
-    def test_coalesced_store_is_byte_identical(
+    def test_trial_batched_store_is_byte_identical(
         self, reference_run, weights_cache, tmp_path
     ):
-        """Sibling per-seed MC jobs coalesced through one batched execution
-        write byte-identical artifacts to the per-job reference run."""
+        """Serial Monte Carlo jobs batching their trials write byte-identical
+        artifacts to the per-trial reference run."""
         runner_module.clear_runner_memos()
-        root = tmp_path / "store-coalesced"
+        root = tmp_path / "store-batched"
         run = run_sweep(
             tiny_sweep(), ResultStore(root), weights_cache_dir=weights_cache,
             trial_batch=3,
@@ -366,7 +367,7 @@ class TestMonteCarloCoalescing:
         assert self.artifact_bytes(root) == self.artifact_bytes(
             reference_run_store_root(reference_run)
         )
-        # Execution metadata records the coalescing out-of-band.
+        # Execution metadata records the batching out-of-band.
         store = ResultStore(root)
         mc_keys = [
             job_key(job) for job in tiny_sweep().expand()
@@ -376,7 +377,6 @@ class TestMonteCarloCoalescing:
         for key in mc_keys:
             meta = json.loads(store.meta_path(key).read_text())
             assert meta["trial_batch"] == 3
-            assert meta["coalesced"] == 2
 
     def mc_metas(self, root) -> list:
         store = ResultStore(root)
@@ -390,7 +390,7 @@ class TestMonteCarloCoalescing:
     ):
         """Pool workers run each Monte Carlo job at the sweep's
         ``trial_batch`` (they used to fall back to 1 while the history
-        record claimed the requested value); the pool does not coalesce."""
+        record claimed the requested value)."""
         root = tmp_path / "store-pool"
         run = run_sweep(
             tiny_sweep(), ResultStore(root), jobs=2,
@@ -410,8 +410,7 @@ class TestMonteCarloCoalescing:
     def test_shard_manifest_carries_trial_batch(
         self, reference_run, weights_cache, tmp_path
     ):
-        """A manifest's ``trial_batch`` reaches every job of ``shard run``,
-        whose serial executor also coalesces the seed siblings."""
+        """A manifest's ``trial_batch`` reaches every job of ``shard run``."""
         from repro.experiments.executors import run_shard_manifest, shard_manifest_dict
 
         entries = [(index, job, False) for index, job in enumerate(tiny_sweep().expand())]
@@ -426,7 +425,6 @@ class TestMonteCarloCoalescing:
         )
         for meta in self.mc_metas(root):
             assert meta["trial_batch"] == 3
-            assert meta["coalesced"] == 2
 
     @pytest.mark.parametrize("bad", [0, -2, 1.5, "3", True])
     def test_shard_manifest_rejects_a_bad_trial_batch(self, tmp_path, bad):
@@ -434,62 +432,6 @@ class TestMonteCarloCoalescing:
 
         with pytest.raises(ValueError, match="trial_batch must be"):
             run_shard_manifest({"trial_batch": bad, "jobs": []}, ResultStore(tmp_path))
-
-    def test_group_signature_selects_only_seed_siblings(self):
-        from repro.experiments.runner import mc_group_signature
-
-        jobs = [j for j in tiny_sweep().expand() if j.kind == "monte_carlo"]
-        assert len({mc_group_signature(j) for j in jobs}) == 1
-        different_trials = dataclasses.replace(jobs[0], trials=jobs[0].trials + 1)
-        assert mc_group_signature(different_trials) != mc_group_signature(jobs[0])
-        assert mc_group_signature(jobs[0].clean_job()) is None
-
-    def test_execute_mc_group_rejects_mixed_jobs(self, tmp_path):
-        from repro.experiments.runner import execute_mc_group
-
-        jobs = [j for j in tiny_sweep().expand() if j.kind == "monte_carlo"]
-        mixed = [jobs[0], dataclasses.replace(jobs[1], trials=jobs[1].trials + 1)]
-        with pytest.raises(ValueError, match="differing only"):
-            execute_mc_group(mixed, ResultStore(tmp_path / "s"), trial_batch=2)
-
-    def test_failed_group_retries_per_job_and_records_the_fallback(
-        self, reference_run, weights_cache, tmp_path, monkeypatch
-    ):
-        """A coalesced group that raises is retried job by job: every job
-        still computes, artifacts stay byte-identical to the uncoalesced
-        run, and exactly one ``group_fallback`` event names the members."""
-        from repro.telemetry import events as telemetry_events
-        from repro.telemetry.tracer import load_events
-
-        def broken_group(*args, **kwargs):
-            raise RuntimeError("batched kernel unavailable")
-
-        monkeypatch.setattr(runner_module, "execute_mc_group", broken_group)
-        root = tmp_path / "store-fallback"
-        run = run_sweep(
-            tiny_sweep(), ResultStore(root), weights_cache_dir=weights_cache,
-            trial_batch=3, trace=True,
-        )
-        assert run.stats.computed == run.stats.total
-        assert run.stats.failed == 0
-        assert record_bytes(run) == record_bytes(reference_run)
-        assert self.artifact_bytes(root) == self.artifact_bytes(
-            reference_run_store_root(reference_run)
-        )
-        fallbacks = [
-            event for event in load_events(run.telemetry_dir)
-            if event["event"] == telemetry_events.GROUP_FALLBACK
-        ]
-        mc_keys = [
-            job_key(job) for job in tiny_sweep().expand()
-            if job.kind == "monte_carlo"
-        ]
-        assert len(fallbacks) == 1
-        assert fallbacks[0]["keys"] == mc_keys
-        assert fallbacks[0]["error"] == "RuntimeError: batched kernel unavailable"
-        for key in mc_keys:  # each member ran (and is recorded) solo
-            meta = json.loads(ResultStore(root).meta_path(key).read_text())
-            assert "coalesced" not in meta
 
 
 # --------------------------------------------------------------------- #
@@ -660,6 +602,25 @@ class TestFailurePolicy:
             run_sweep(reference_sweep(), store, weights_cache_dir=weights_cache,
                       inject_failures={0, 1}, max_failures=0)
         assert len(FailureLog(store)) == 1  # aborted on the first failure
+
+    @pytest.mark.parametrize(
+        "policy,message",
+        [
+            ({"max_failures": -1}, r"^max_failures must be None or >= 0, got -1"),
+            ({"inject_failures": {2}}, r"^inject_failures \[2\] lie outside .*\[0, 2\)"),
+            ({"inject_failures": {-1, 0}}, r"^inject_failures \[-1\] lie outside"),
+        ],
+        ids=["negative-budget", "index-past-the-end", "negative-index"],
+    )
+    def test_bad_failure_policy_inputs_are_refused_before_any_job(
+        self, tmp_path, policy, message
+    ):
+        """A negative budget used to act as 0, and an index outside the
+        sweep injected nothing."""
+        store = tmp_path / "store"
+        with pytest.raises(ValueError, match=message):
+            run_sweep(reference_sweep(), store, **policy)
+        assert not store.exists()
 
     def test_parallel_failures_follow_the_same_policy(
         self, weights_cache, tmp_path

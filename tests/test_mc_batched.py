@@ -5,8 +5,9 @@ axis through the fused kernel (:meth:`MappedMVMLayer.matmul_trials`); the
 contract is **bit-identity** with the ``trial_batch=1`` per-trial loop (the
 oracle): same accuracies, flip rates, per-layer operation/region
 statistics, for every noise model, both engines and any grouping of
-trials.  The experiments-runner coalescer builds on the
-same contract to write byte-identical store artifacts.
+trials.  The experiment runner relies on the same contract: every executor
+hands ``trial_batch`` to each Monte Carlo job, and the stored artifacts are
+byte-identical for every value.
 """
 
 from __future__ import annotations

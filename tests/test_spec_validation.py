@@ -15,7 +15,10 @@ scenario's ``seed`` and the workload's integer fields (a ``train_size`` of
 ``48.5`` was addressed as ``48``).  An unknown field — a misspelling, or a
 capture knob the histogram capture removed (``capacity_per_layer``,
 ``seed``, ``calib_capacity``, ``calib_seed``, ``calib_batch_size``,
-``max_samples_per_layer``) — raised a bare ``TypeError``.
+``max_samples_per_layer``) — raised a bare ``TypeError``, and an unknown
+top-level key of a job, sweep, experiment, noise scenario or power point
+was silently dropped.  A missing required key (``kind``, ``workload``,
+``name``, ``experiment_id``) raised a bare ``KeyError``.
 ``JobSpec.from_dict`` and ``SweepSpec.from_dict`` must reject every such
 field with a ``ValueError`` that names it.
 """
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import re
 
 import pytest
@@ -35,12 +39,14 @@ from repro.experiments import (
     AdcSpec,
     CalibrationParams,
     DistributionParams,
+    ExperimentSpec,
     JobSpec,
     NoiseScenario,
     PowerSpec,
     SweepSpec,
     WorkloadSpec,
 )
+from repro.experiments.presets import available_presets, build_preset
 from repro.experiments.runner import run_sweep
 from repro.experiments.store import job_key
 
@@ -355,8 +361,8 @@ def test_integral_values_parse_to_the_same_addresses():
 
 @pytest.mark.parametrize("trial_batch", [1, 4])
 def test_zero_confidence_sweep_is_rejected_before_any_job_runs(tmp_path, trial_batch):
-    """A two-seed ``confidence=0.0`` sweep used to fail per job at
-    ``trial_batch=1`` but store zero-width intervals when coalesced."""
+    """A two-seed ``confidence=0.0`` sweep is refused when its spec is
+    built, before any job runs, at every ``trial_batch``."""
     sweep = SweepSpec(
         name="zero-confidence", kind="monte_carlo", workloads=[TINY],
         noises=[NOISE], mc_seeds=[0, 1], trials=2, images=4, confidence=0.0,
@@ -432,3 +438,66 @@ def test_power_boundaries_are_accepted_and_addresses_unchanged():
     assert job_key(power, "fixed-salt") == (
         "cb692673c90c0eca5158359ebe0faae6a5ae41a6399dae9924872e124c5c07ee"
     )
+
+
+# --------------------------------------------------------------------- #
+# Top-level keys
+# --------------------------------------------------------------------- #
+EXPERIMENT = ExperimentSpec(experiment_id="mc-experiment", sweep=MC_SWEEP)
+
+
+@pytest.mark.parametrize(
+    "parse,data,path",
+    [
+        (JobSpec.from_dict, {**MONTE_CARLO.to_dict(), "mc_seeds": [3, 4]}, "mc_seeds"),
+        (SweepSpec.from_dict, {**MC_SWEEP.to_dict(), "mc_seed": [3, 4]}, "mc_seed"),
+        (ExperimentSpec.from_dict, {**EXPERIMENT.to_dict(), "paper": "x"}, "paper"),
+        (NoiseScenario.from_dict, {**NOISE.to_dict(), "sed": 4}, "noise.sed"),
+        (PowerSpec.from_dict, {"uniform_bit": 5}, "power.uniform_bit"),
+    ],
+    ids=["job", "sweep", "experiment", "noise", "power"],
+)
+def test_unknown_keys_raise_naming_their_path(parse, data, path):
+    """A misspelt key used to be dropped: ``mc_seed`` for ``mc_seeds`` ran
+    one job at seed 0, ``sed`` left the noise seed at 0 and ``uniform_bit``
+    kept 7 bits."""
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} is not a field"):
+        parse(data)
+
+
+@pytest.mark.parametrize(
+    "parse,data,path",
+    [
+        (JobSpec.from_dict, MONTE_CARLO.to_dict(), "kind"),
+        (JobSpec.from_dict, MONTE_CARLO.to_dict(), "workload"),
+        (SweepSpec.from_dict, MC_SWEEP.to_dict(), "name"),
+        (ExperimentSpec.from_dict, EXPERIMENT.to_dict(), "experiment_id"),
+        (WorkloadSpec.from_dict, TINY.to_dict(), "workload.name"),
+    ],
+    ids=["job.kind", "job.workload", "sweep.name", "experiment_id", "workload.name"],
+)
+def test_missing_required_keys_raise_naming_them(parse, data, path):
+    """A missing key used to raise a bare ``KeyError`` (a ``TypeError`` for
+    the workload's ``name``)."""
+    missing = path.rsplit(".", 1)[-1]
+    data = {key: value for key, value in data.items() if key != missing}
+    with pytest.raises(ValueError, match=f"^{re.escape(path)} is required"):
+        parse(data)
+
+
+def test_a_spec_must_be_a_json_object():
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        ExperimentSpec.from_dict([MC_SWEEP.to_dict()])
+    with pytest.raises(ValueError, match=r"^noise must be a JSON object"):
+        JobSpec.from_dict({**MONTE_CARLO.to_dict(), "noise": [1]})
+
+
+@pytest.mark.parametrize("smoke", [False, True])
+@pytest.mark.parametrize("name", available_presets())
+def test_every_preset_round_trips_through_from_dict(name, smoke):
+    experiment = build_preset(name, smoke=smoke)
+    clone = ExperimentSpec.from_dict(json.loads(json.dumps(experiment.to_dict())))
+    assert clone == experiment
+    assert [job_key(job) for job in clone.sweep.expand()] == [
+        job_key(job) for job in experiment.sweep.expand()
+    ]

@@ -6,7 +6,8 @@ The contracts pinned here:
   resumed runs with ``trace`` on produce aggregate records and store
   contents byte-identical to an untraced serial run.
 * The merged event stream accounts for every executed job exactly once
-  (one start + one finish pair per content address), and cache-hit
+  (one start + one finish pair per content address, bracketing that job's
+  own work — trial-batched Monte Carlo jobs included), and cache-hit
   counters match the store's skip count.
 * ``critical_path`` returns a dependency-consistent chain (each job
   waited on its predecessor) whose summed duration never exceeds the
@@ -465,6 +466,37 @@ class TestCacheCounters:
         summary = summarize(trace)
         assert summary["cache"]["hits"] == second.stats.total
         assert summary["cache"]["hit_rate"] == pytest.approx(1.0)
+
+
+class TestMonteCarloLifecycle:
+    def test_trial_batched_jobs_each_time_their_own_lifecycle(
+        self, tmp_path, weights_cache
+    ):
+        """Seed-sibling Monte Carlo jobs at ``trial_batch=3`` on the serial
+        executor: each key opens and closes exactly once, around its own
+        work, so the gap between its events is its ``duration_s``."""
+        sweep = SweepSpec(
+            name="mc-lifecycle", kind="monte_carlo", workloads=[TINY],
+            noises=[NOISE], mc_seeds=[0, 1], trials=3, images=8, batch_size=4,
+        )
+        run = run_sweep(
+            sweep, ResultStore(tmp_path), weights_cache_dir=weights_cache,
+            trial_batch=3, trace=True,
+        )
+        events = load_events(run.telemetry_dir)
+        mc_keys = [job_key(job) for job in sweep.expand() if job.kind == "monte_carlo"]
+        assert len(mc_keys) == 2
+        for key in mc_keys:
+            starts = [e for e in events if e["event"] == ev.JOB_START and e["key"] == key]
+            finishes = [e for e in events if e["event"] == ev.JOB_FINISH and e["key"] == key]
+            assert len(starts) == len(finishes) == 1, key
+            finish = finishes[0]
+            assert finish["trial_batch"] == 3
+            gap = finish["t_mono"] - starts[0]["t_mono"]
+            assert abs(gap - finish["duration_s"]) <= 0.01 + 0.1 * finish["duration_s"], (
+                key, gap, finish["duration_s"],
+            )
+        assert not [e for e in events if "coalesced" in e]
 
 
 class TestFailureEvents:
