@@ -20,17 +20,13 @@ Quickstart::
 from repro.experiments.executors import (
     ExecutionContext,
     Executor,
-    LocalSubprocessTransport,
     ProcessPoolExecutor,
     SerialExecutor,
-    ShardJobFailed,
-    ShardedExecutor,
     load_shard_manifest,
     manifest_result_path,
     plan_shards,
     resolve_executor,
     run_shard_manifest,
-    shard_status_outcome,
     write_shard_manifests,
 )
 from repro.experiments.presets import available_presets, build_preset
@@ -82,7 +78,6 @@ __all__ = [
     "FailureLog",
     "JobGraph",
     "JobSpec",
-    "LocalSubprocessTransport",
     "MaxFailuresExceeded",
     "NoiseScenario",
     "PowerSpec",
@@ -90,8 +85,6 @@ __all__ = [
     "ResultStore",
     "ScheduledJob",
     "SerialExecutor",
-    "ShardJobFailed",
-    "ShardedExecutor",
     "StoreLock",
     "SweepRun",
     "SweepRunStats",
@@ -115,7 +108,6 @@ __all__ = [
     "resolve_executor",
     "run_shard_manifest",
     "run_sweep",
-    "shard_status_outcome",
     "worker_name",
     "write_shard_manifests",
 ]

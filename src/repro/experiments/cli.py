@@ -6,7 +6,6 @@
     python -m repro.experiments show robustness-noise --smoke
     python -m repro.experiments run robustness-noise --smoke --jobs 2
     python -m repro.experiments run --preset fig6 --smoke --max-failures 1
-    python -m repro.experiments run --preset fig6 --executor sharded --shards 4
     python -m repro.experiments run path/to/sweep.json --force
 
     # Multi-machine sharding: partition once, run anywhere, merge at the end.
@@ -31,13 +30,12 @@ crash, CI timeout) therefore resumes where it left off — ``--resume`` is the
 default and spelled out only for scripts that want to be explicit.  Use
 ``--force`` to discard the sweep's cached artifacts and recompute.
 
-``--executor`` selects how pending jobs run: ``serial`` (in-process),
-``process`` (a worker pool of ``--jobs`` processes) or ``sharded`` (up to
-``--shards`` ``shard run`` subprocesses per scheduler wave against the same
-store, driving the same manifests as the ``shard`` subcommand, with
-dropped-shard re-dispatch and straggler backups — ``--force-redispatch``
-forces a duplicate backup attempt per shard).  Omitted, it keeps the
-historical default: a process pool iff ``--jobs`` > 1.
+``--executor`` selects how pending jobs run: ``serial`` (in-process) or
+``process`` (a worker pool of ``--jobs`` processes).  Omitted, it keeps the
+historical default: a process pool iff ``--jobs`` > 1.  Runs across
+machines use the ``shard`` subcommand: ``emit`` writes the manifests, each
+``run`` executes one against a shared store, ``merge`` assembles the
+aggregate.
 
 Failures: a job that raises is recorded (spec + traceback) in the store's
 failure log and surfaced by ``show`` together with each entry's age;
@@ -64,7 +62,6 @@ from typing import List, Optional, Union
 
 from repro.experiments.executors import (
     EXECUTOR_NAMES,
-    ShardedExecutor,
     load_shard_manifest,
     manifest_result_path,
     run_shard_manifest,
@@ -74,6 +71,7 @@ from repro.experiments.presets import FIGURE_PRESETS, available_presets, build_p
 from repro.experiments.runner import (
     MaxFailuresExceeded,
     aggregate_sweep,
+    check_inject_failures,
     run_sweep,
 )
 from repro.experiments.scheduler import expanded_artifacts
@@ -305,21 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
                      help="execution strategy (default: process pool iff "
                           "--jobs > 1, else serial)")
-    run.add_argument("--shards", type=_positive_int, default=2, metavar="N",
-                     help="--executor sharded: at most N 'shard run' "
-                          "subprocesses per scheduler wave, all writing "
-                          "the --store (default 2)")
     run.add_argument("--trial-batch", type=_positive_int, default=1, metavar="N",
                      help="Monte Carlo trials per batched kernel invocation "
                           "(default 1: the per-trial loop); every executor "
                           "batches each job's own trials.  Results are "
                           "byte-identical for every N; this is purely a "
                           "wall-clock knob")
-    run.add_argument("--force-redispatch", action="store_true",
-                     help="--executor sharded only: dispatch a duplicate "
-                          "backup attempt of every shard immediately "
-                          "(exercises the straggler re-dispatch path; "
-                          "results are byte-identical by construction)")
     run.add_argument("--resume", action="store_true", default=True,
                      help="skip jobs already in the store (default)")
     run.add_argument("--force", action="store_true",
@@ -705,6 +694,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{' --smoke' if args.smoke else ''} --store {args.store}"
     )
     sweep = experiment.sweep
+    if args.inject_failure:
+        try:
+            check_inject_failures(args.inject_failure, len(sweep.expand()))
+        except ValueError as error:
+            raise SystemExit(f"error: {error}") from None
     store = ResultStore(args.store)
     out = args.out
     if out is None:
@@ -741,12 +735,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             progress=None if args.progress else print,
             max_failures=args.max_failures,
             inject_failures=args.inject_failure or (),
-            executor=(
-                ShardedExecutor(shards=args.shards, force_redispatch=True)
-                if args.force_redispatch
-                else args.executor
-            ),
-            shards=args.shards,
+            executor=args.executor,
             trace=trace_arg,
             history=history,
             trial_batch=args.trial_batch,
@@ -1280,11 +1269,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if (
-        args.command == "run" and args.force_redispatch
-        and args.executor != "sharded"
-    ):
-        parser.error("--force-redispatch requires --executor sharded")
     set_verbosity(verbosity_to_level(
         getattr(args, "verbose", 0) or 0, getattr(args, "quiet", False)
     ))

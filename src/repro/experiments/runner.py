@@ -7,8 +7,8 @@
    (:meth:`JobSpec.dependencies`) become a deduplicated, content-addressed
    job graph, scheduled as topological waves of arbitrary depth.
 2. **Executor layer** (:mod:`repro.experiments.executors`) — a pluggable
-   strategy (``serial`` / ``process`` / ``sharded``) runs each wave;
-   cancellation on abort lives in the executor, not here.
+   strategy (``serial`` / ``process``) runs each wave; cancellation on
+   abort lives in the executor, not here.
 3. **Failure policy** (this module) — failed jobs are logged to the
    store's :class:`~repro.experiments.store.FailureLog`; transitive
    dependents of a failed job are marked *failed-with-cause* instead of
@@ -682,7 +682,7 @@ def prewarm_workloads(
 ) -> None:
     """Train (and disk-cache) every unique workload of the jobs, serially.
 
-    Called before a parallel/sharded run so worker processes load the
+    Called before a process-pool run so worker processes load the
     trained weights from the cache instead of each re-training them.
     Weights are deterministic either way; this is purely a wall-clock
     optimisation.  ``run_sweep`` passes only the scheduled graph's jobs
@@ -735,12 +735,7 @@ def execute_graph(
     executor.bind(context)
     with executor:
         for number, wave in enumerate(waves, start=1):
-            # A sharded child runs one wave of its *parent's* graph: keep
-            # the parent's wave number on every event and leave the wave
-            # lifecycle events to the parent.
-            context.wave = (
-                context.wave_override if context.wave_override is not None else number
-            )
+            context.wave = number
             runnable: List[ScheduledJob] = []
             for node in wave:
                 cause = next(
@@ -753,7 +748,7 @@ def execute_graph(
                     tracer.emit(
                         telemetry_events.JOB_UPSTREAM_FAILED,
                         key=node.key, kind=node.job.kind, index=node.index,
-                        wave=context.wave, cause_key=cause,
+                        wave=context.wave, shard=context.shard, cause_key=cause,
                     )
                     on_result(
                         node,
@@ -772,12 +767,10 @@ def execute_graph(
                     f"  wave {number}/{len(waves)}: {len(runnable)} job(s)"
                     + (f" ({shared} shared artifact(s))" if shared else "")
                 )
-            emit_wave = context.wave_override is None
-            if emit_wave:
-                tracer.emit(
-                    telemetry_events.WAVE_START,
-                    wave=context.wave, jobs=len(runnable),
-                )
+            tracer.emit(
+                telemetry_events.WAVE_START,
+                wave=context.wave, jobs=len(runnable),
+            )
             wave_started = time.monotonic()
             for node, error in executor.run_wave(runnable, context):
                 if error is not None:
@@ -785,12 +778,11 @@ def execute_graph(
                         getattr(error, "cause_key", None) or node.key
                     )
                 on_result(node, error)
-            if emit_wave:
-                tracer.emit(
-                    telemetry_events.WAVE_FINISH,
-                    wave=context.wave, jobs=len(runnable),
-                    duration_s=time.monotonic() - wave_started,
-                )
+            tracer.emit(
+                telemetry_events.WAVE_FINISH,
+                wave=context.wave, jobs=len(runnable),
+                duration_s=time.monotonic() - wave_started,
+            )
 
 
 def aggregate_sweep(
@@ -869,6 +861,23 @@ def aggregate_sweep(
     )
 
 
+def check_inject_failures(
+    inject_failures: Collection[int], job_count: int
+) -> frozenset:
+    """The injected-failure indices as a set, each checked to index a sweep
+    of ``job_count`` jobs.  An index outside it would inject nothing, so a
+    failure-path run would pass without exercising the failure path; it
+    raises ``ValueError`` naming the indices and the range instead."""
+    inject = frozenset(int(index) for index in inject_failures)
+    outside = sorted(index for index in inject if not 0 <= index < job_count)
+    if outside:
+        raise ValueError(
+            f"inject_failures {outside} lie outside the sweep's job indices "
+            f"[0, {job_count})"
+        )
+    return inject
+
+
 def run_sweep(
     sweep: SweepSpec,
     store: Union[ResultStore, str, Path],
@@ -882,7 +891,6 @@ def run_sweep(
     max_failures: Optional[int] = None,
     inject_failures: Collection[int] = (),
     executor: Union[str, Executor, None] = None,
-    shards: int = 2,
     trace: Union[bool, str, Tracer, None] = None,
     history: Union[str, Path, None] = None,
     trial_batch: int = 1,
@@ -915,18 +923,15 @@ def run_sweep(
     inject_failures:
         Job indices forced to raise instead of executing — a testing aid
         (the CLI's ``--inject-failure``) for exercising the failure path
-        end to end.  Each must index the expanded sweep.  Injected failures
-        follow the same logging/tolerance rules as real ones.
+        end to end.  Each must index the expanded sweep
+        (:func:`check_inject_failures`).  Injected failures follow the same
+        logging/tolerance rules as real ones.
     executor:
-        ``"serial"``, ``"process"``, ``"sharded"``, an
+        ``"serial"``, ``"process"``, an
         :class:`~repro.experiments.executors.Executor` instance, or
         ``None`` for the historical default (process pool iff
-        ``jobs > 1``).  Pass a
-        :class:`~repro.experiments.executors.ShardedExecutor` instance to
-        tune its re-dispatch (``max_dispatches``, straggler gates,
-        ``force_redispatch``).
-    shards:
-        Shard count of the ``sharded`` executor (ignored otherwise).
+        ``jobs > 1``).  Runs across machines use shard manifests instead
+        (``shard emit`` / ``run`` / ``merge``).
     trace:
         Telemetry: ``True`` records the sweep to a fresh run directory
         under ``<store>/telemetry/``, a string names the run id, a
@@ -951,8 +956,9 @@ def run_sweep(
 
     The returned :class:`SweepRun` carries rows in expansion order; the
     aggregate is identical whether the sweep ran serially, in parallel,
-    sharded, or across several interrupted+resumed invocations, because
-    rows are read back from the content-addressed artifacts.
+    merged from shards, or across several interrupted+resumed
+    invocations, because rows are read back from the content-addressed
+    artifacts.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -961,19 +967,13 @@ def run_sweep(
     if max_failures is not None and max_failures < 0:
         raise ValueError(f"max_failures must be None or >= 0, got {max_failures}")
     expanded = sweep.expand()
-    inject = frozenset(int(index) for index in inject_failures)
-    outside = sorted(index for index in inject if not 0 <= index < len(expanded))
-    if outside:
-        raise ValueError(
-            f"inject_failures {outside} lie outside the sweep's job indices "
-            f"[0, {len(expanded)})"
-        )
+    inject = check_inject_failures(inject_failures, len(expanded))
     if not isinstance(store, ResultStore):
         store = ResultStore(store)
     # Writers killed mid-stage (SIGKILL, lost workers) leave dead temp
     # files behind; sweep them before scheduling so they never accumulate.
     store.sweep_stale_tmps()
-    exec_instance = resolve_executor(executor, jobs=jobs, shards=shards)
+    exec_instance = resolve_executor(executor, jobs=jobs)
     tracer = resolve_tracer(trace, store.root)
     telemetry_dir: Optional[str] = None
     if tracer.enabled and getattr(tracer, "directory", None) is not None:
@@ -1008,7 +1008,6 @@ def run_sweep(
                 sweep=sweep.name,
                 executor=exec_instance.name,
                 jobs=jobs,
-                shards=shards if exec_instance.name == "sharded" else None,
                 salt=salt if salt is not None else code_version_salt(),
                 total=stats.total,
             )
@@ -1045,8 +1044,7 @@ def run_sweep(
         tracer.counter(telemetry_events.COUNTER_JOBS_TOTAL, stats.total)
 
     # Periodic resource samples from the orchestrating process; pool
-    # workers and shard subprocesses start their own (see _worker_execute
-    # and run_shard_manifest).
+    # workers start their own (see _worker_execute).
     sampler = ResourceSampler(tracer).start() if tracer.enabled else None
 
     if progress is not None:
@@ -1079,16 +1077,9 @@ def run_sweep(
             return
         propagated = isinstance(error, UpstreamFailed)
         cause_key = getattr(error, "cause_key", None)
-        # Shard subprocesses persist their own entries (with the real
-        # traceback); re-use those instead of overwriting them with a
-        # summary exception.
-        already_logged = bool(getattr(error, "logged", False))
-        if already_logged and failure_log.has(node.key):
-            entry = failure_log.load(node.key)
-        else:
-            entry = failure_log.record(
-                node.key, node.job, error, index=node.index, cause_key=cause_key
-            )
+        entry = failure_log.record(
+            node.key, node.job, error, index=node.index, cause_key=cause_key
+        )
         failures.append(entry)
         stats.failed += 1
         if progress is not None:

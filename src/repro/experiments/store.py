@@ -289,7 +289,8 @@ class ResultStore:
         Meta sidecars live under ``<store>/meta/`` — outside the artifact
         namespace — so they never participate in content addressing and
         never perturb the byte-identity of the ``<key>.json`` payloads
-        (serial/process/sharded runs compare store roots byte-for-byte).
+        (serial, process-pool and shard-merged runs compare store roots
+        byte-for-byte).
         Recording how a result was produced (``duration_s``, ``worker``)
         must not change what was produced.
         """

@@ -15,8 +15,8 @@ manifests).  The central object is :class:`TraceRun`:
   beat it without changing the jobs.
 * :func:`wave_stats` computes per-wave spans and utilization
   (``busy time / (streams × span)``) from the job intervals themselves, so
-  it works identically for serial, process-pool, sharded and bare
-  ``shard run`` traces.
+  it works identically for serial, process-pool and ``shard run``
+  traces.
 * :func:`find_stragglers` flags workers/shards whose busy time within a
   wave is far above their wave's median — the "which shard straggled"
   question.  Thresholds are relative *and* absolute (``factor`` ×  median
@@ -329,9 +329,8 @@ def exceeds_gates(
     *relative* ``factor`` **and** by the *absolute* ``min_gap`` — so
     seconds-fast smoke runs never flag noise (a 3× slowdown from 0.2 s
     to 0.6 s fails the absolute gate) while real regressions trip both.
-    Used by :func:`find_stragglers`, ``trace regress``
-    (:func:`repro.telemetry.history.compare_records`) and the
-    ``ShardedExecutor``'s straggler re-dispatch trigger, so the three
+    Used by :func:`find_stragglers` and ``trace regress``
+    (:func:`repro.telemetry.history.compare_records`), so the two
     consumers can never drift apart.
     """
     return value > factor * baseline and value - baseline > min_gap

@@ -54,7 +54,7 @@ TELEMETRY_FORMAT = "repro-telemetry/v1"
 TELEMETRY_DIRNAME = "telemetry"
 
 # Sweep lifecycle (emitted once per traced run_sweep, parent process).
-SWEEP_START = "sweep_start"   # sweep, executor, jobs, shards, total, cached, pending, scheduled, salt
+SWEEP_START = "sweep_start"   # sweep, executor, jobs, total, cached, pending, scheduled, salt
 SWEEP_FINISH = "sweep_finish"  # elapsed_s, computed, failed, cached
 
 #: Terminal abort marker, emitted by the *executor's* ``__exit__`` when the
@@ -83,17 +83,7 @@ JOB_START = "job_start"       # key, kind, index, wave, shard, deps, queue_wait_
 JOB_FINISH = "job_finish"     # key, kind, ..., duration_s, outcome="computed", cpu_s, max_rss_kb
 JOB_FAILED = "job_failed"     # key, kind, ..., duration_s, error
 JOB_CACHED = "job_cached"     # key, kind, index — store hit, nothing executed
-JOB_UPSTREAM_FAILED = "job_upstream_failed"  # key, cause_key, wave — not run
-
-#: Sharded-executor shard lifecycle (emitted by the coordinating process).
-#: ``shard_dispatch`` marks an attempt leaving over the transport:
-#: ``wave``, ``shard``, ``attempt`` (0-based), ``transport``, ``jobs``.
-#: ``shard_redispatch`` marks a *backup* attempt for a shard still
-#: running — either the two-gate straggler trigger fired (``reason`` =
-#: ``"straggler"``), a finished attempt produced no result
-#: (``"no_result"``), or the caller forced one (``"forced"``).
-SHARD_DISPATCH = "shard_dispatch"
-SHARD_REDISPATCH = "shard_redispatch"  # ..., reason
+JOB_UPSTREAM_FAILED = "job_upstream_failed"  # key, cause_key, wave, shard — not run
 
 #: A named monotonic counter sample: ``name``, ``value``.
 COUNTER = "counter"
@@ -117,7 +107,6 @@ ALL_EVENTS = (
     PREWARM_START, PREWARM_FINISH,
     WAVE_START, WAVE_FINISH,
     JOB_START, JOB_FINISH, JOB_FAILED, JOB_CACHED, JOB_UPSTREAM_FAILED,
-    SHARD_DISPATCH, SHARD_REDISPATCH,
     COUNTER, RESOURCE_SAMPLE,
 )
 

@@ -1,12 +1,11 @@
-"""Reusable fault-injection harness for store/executor concurrency tests.
+"""Reusable fault-injection harness for store concurrency tests.
 
 Two halves:
 
 * **Importable** — :class:`ChaosStore` (a ``ResultStore`` whose writer
-  SIGKILLs *itself* at chosen points inside the commit protocol) and the
-  chaos :class:`~repro.experiments.executors.LocalSubprocessTransport`
-  subclasses (drop, kill, duplicate or delay dispatched shards).  Tests import these
-  via ``from harness.chaos import ...``.
+  SIGKILLs *itself* at chosen points inside the commit protocol), the
+  deterministic write-storm workload and two tiny real sweeps.  Tests
+  import these via ``from harness.chaos import ...``.
 * **Executable** — ``python tests/harness/chaos.py <command> ...`` runs
   the subprocess entry points the multi-process tests drive (with
   ``PYTHONPATH=src``): ``storm`` hammers one store from an uncoordinated
@@ -39,15 +38,12 @@ import json
 import os
 import random
 import signal
-import subprocess
 import sys
-import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.executors import LocalSubprocessTransport
 from repro.experiments.spec import JobSpec, NoiseScenario, SweepSpec, WorkloadSpec
 from repro.experiments.store import ResultStore, _stage_tmp, job_key
 
@@ -114,129 +110,6 @@ class ChaosStore(ResultStore):
             # The NPZ sibling just published; its JSON completion marker
             # has not — die holding the store lock.
             os.kill(os.getpid(), signal.SIGKILL)
-
-
-# --------------------------------------------------------------------- #
-# Chaos transports: drop / kill / duplicate / delay dispatched shards
-# --------------------------------------------------------------------- #
-class CountingTransport(LocalSubprocessTransport):
-    """A local transport that records every submitted command."""
-
-    name = "counting"
-
-    def __init__(self) -> None:
-        self.submissions: List[List[str]] = []
-
-    def submit(self, command, stderr_path, env):
-        self.submissions.append(list(command))
-        return super().submit(command, stderr_path, env)
-
-
-class DroppingTransport(CountingTransport):
-    """Loses the first ``drop`` submissions: the dispatched command is
-    replaced by an immediate non-zero exit that produces no result file —
-    a shard that simply never came back."""
-
-    name = "dropping"
-
-    def __init__(self, drop: int = 1) -> None:
-        super().__init__()
-        self.drop = drop
-        self.dropped = 0
-
-    def submit(self, command, stderr_path, env):
-        if self.dropped < self.drop:
-            self.dropped += 1
-            self.submissions.append(list(command))
-            with open(stderr_path, "wb") as stderr_handle:
-                return subprocess.Popen(
-                    [sys.executable, "-c", "import sys; sys.exit(13)"],
-                    stdout=subprocess.DEVNULL, stderr=stderr_handle,
-                )
-        return super().submit(command, stderr_path, env)
-
-
-class KillingTransport(CountingTransport):
-    """Runs the real command but SIGKILLs the first ``kill`` submissions
-    after ``delay_s`` — a worker host dying mid-shard, staged writes and
-    all."""
-
-    name = "killing"
-
-    def __init__(self, kill: int = 1, delay_s: float = 0.5) -> None:
-        super().__init__()
-        self.kill = kill
-        self.delay_s = delay_s
-        self.killed = 0
-
-    def submit(self, command, stderr_path, env):
-        proc = super().submit(command, stderr_path, env)
-        if self.killed < self.kill:
-            self.killed += 1
-            timer = threading.Timer(self.delay_s, proc.kill)
-            timer.daemon = True
-            timer.start()
-        return proc
-
-
-class DuplicatingTransport(CountingTransport):
-    """Every submission also launches an unsupervised shadow duplicate of
-    the same shard (with its own result/stderr paths) against the same
-    store — two uncoordinated writers per shard, always."""
-
-    name = "duplicating"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.duplicates: List[subprocess.Popen] = []
-
-    def submit(self, command, stderr_path, env):
-        shadow = list(command)
-        result_index = shadow.index("--result") + 1
-        shadow[result_index] = shadow[result_index] + ".shadow"
-        shadow_stderr = Path(str(stderr_path) + ".shadow")
-        with open(shadow_stderr, "wb") as handle:
-            self.duplicates.append(
-                subprocess.Popen(
-                    shadow, env=env,
-                    stdout=subprocess.DEVNULL, stderr=handle,
-                )
-            )
-        return super().submit(command, stderr_path, env)
-
-    def close(self) -> None:
-        for proc in self.duplicates:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in self.duplicates:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-        self.duplicates = []
-
-
-class DelayingTransport(CountingTransport):
-    """Turns chosen submissions into stragglers: submission number
-    ``delay_submission`` (0-based, in submit order) sleeps ``delay_s``
-    before running the real command."""
-
-    name = "delaying"
-
-    def __init__(self, delay_submission: int, delay_s: float) -> None:
-        super().__init__()
-        self.delay_submission = delay_submission
-        self.delay_s = delay_s
-
-    def submit(self, command, stderr_path, env):
-        if len(self.submissions) == self.delay_submission:
-            command = [
-                sys.executable, "-c",
-                "import subprocess, sys, time; time.sleep(float(sys.argv[1])); "
-                "sys.exit(subprocess.call(sys.argv[2:]))",
-                str(self.delay_s), *command,
-            ]
-        return super().submit(command, stderr_path, env)
 
 
 # --------------------------------------------------------------------- #

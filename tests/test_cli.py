@@ -1,15 +1,14 @@
 """Bad command-line input fails at the parser or as a one-line error.
 
-Count flags (``run --jobs``, ``--shards``, ``--trial-batch`` and ``shard
-emit --shards``) take integers >= 1 and exit 2 naming the flag, instead
-of raising a ``ValueError`` traceback from inside the run.
-``--force-redispatch`` only means something to the sharded executor, so
-any other executor is a parser error rather than a silently ignored flag.
-A shard manifest that ``shard merge`` or ``shard run`` refuses, and a JSON
-spec that ``run`` or ``show`` cannot parse, end the command with the
-checker's message, not a traceback.  ``--max-failures`` takes an integer
->= 0, and an ``--inject-failure`` index outside the sweep is refused before
-any job runs.
+Count flags (``run --jobs``, ``--trial-batch`` and ``shard emit
+--shards``) take integers >= 1 and exit 2 naming the flag, instead of
+raising a ``ValueError`` traceback from inside the run.  A shard manifest
+that ``shard merge`` or ``shard run`` refuses, a JSON spec that ``run`` or
+``show`` cannot parse, and an ``--inject-failure`` index outside the sweep
+end the command with the checker's message, not a traceback, before any
+job runs.  ``shard merge`` refuses manifests of two sweeps the same way.
+``--max-failures`` takes an integer >= 0, and ``run`` has no flag of the
+deleted shard dispatcher.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ RUN = ["run", "--preset", "fig6", "--smoke"]
         (RUN + ["--trial-batch", "0"], "--trial-batch"),
         (RUN + ["--jobs", "0"], "--jobs"),
         (RUN + ["--jobs", "two"], "--jobs"),
-        (RUN + ["--executor", "sharded", "--shards", "0"], "--shards"),
         (["shard", "emit", "--preset", "fig6", "--smoke", "--shards", "0"], "--shards"),
     ],
 )
@@ -43,13 +41,83 @@ def test_count_flags_must_be_positive_integers(argv, flag, capsys):
 
 
 @pytest.mark.parametrize(
-    "executor", [[], ["--executor", "serial"], ["--executor", "process"]]
+    "argv,message",
+    [
+        (RUN + ["--executor", "sharded"], "argument --executor: invalid choice: 'sharded'"),
+        (RUN + ["--shards", "2"], "unrecognized arguments: --shards"),
+    ],
+    ids=["executor-sharded", "run-shards"],
 )
-def test_force_redispatch_needs_the_sharded_executor(executor, capsys):
+def test_run_has_no_sharding_flags(argv, message, capsys):
+    """``run`` parallelises through ``--jobs`` only; sharding is the
+    ``shard`` subcommands' job, so these are parser errors, not aliases."""
     with pytest.raises(SystemExit) as exit_info:
-        main(RUN + ["--force-redispatch", *executor])
+        main(argv)
     assert exit_info.value.code == 2
-    assert "--force-redispatch requires --executor sharded" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def emit(tmp_path, preset, directory):
+    """Two-shard manifests of a preset's smoke sweep under ``directory``."""
+    experiment = build_preset(preset, smoke=True)
+    paths = write_shard_manifests(
+        experiment.sweep, 2, tmp_path / directory, experiment=experiment
+    )
+    return experiment, paths
+
+
+def merge_error(paths, store):
+    """The one-line error ``shard merge`` exits with."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["shard", "merge", *map(str, paths), "--store", str(store)])
+    return str(exit_info.value.code)
+
+
+def test_shard_merge_refuses_manifests_of_two_sweeps(tmp_path):
+    emit(tmp_path, "fig6", "manifests")
+    emit(tmp_path, "robustness-noise", "manifests")
+    store = tmp_path / "store"
+    assert merge_error([tmp_path / "manifests"], store).startswith(
+        "refusing to merge manifests of different sweeps"
+    )
+    assert not store.exists()
+
+
+def test_shard_merge_refuses_a_job_of_another_sweep(tmp_path):
+    """Only one manifest embeds its sweep; the other's jobs belong to a
+    different sweep and are caught by their keys."""
+    experiment, _ = emit(tmp_path, "fig6", "fig6")
+    _, (foreign, _) = emit(tmp_path, "robustness-noise", "other")
+    manifest = json.loads(foreign.read_text())
+    del manifest["sweep"]
+    foreign.write_text(json.dumps(manifest))
+    store = tmp_path / "store"
+    assert merge_error([tmp_path / "fig6", foreign], store) == (
+        f"{foreign} holds {len(manifest['jobs'])} job(s) that are not part of the "
+        f"merged sweep '{experiment.sweep.name}' (mixed sweeps in one directory?); "
+        "pass one sweep's manifests explicitly"
+    )
+    assert not store.exists()
+
+
+def test_shard_merge_needs_a_manifest_that_embeds_the_sweep(tmp_path):
+    _, paths = emit(tmp_path, "fig6", "manifests")
+    for path in paths:
+        manifest = json.loads(path.read_text())
+        del manifest["sweep"]
+        path.write_text(json.dumps(manifest))
+    assert merge_error(paths, tmp_path / "store").startswith(
+        "none of the manifests embeds the sweep spec"
+    )
+
+
+def test_shard_merge_of_a_directory_without_manifests_is_refused(tmp_path):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "fig6-shard0of1.result.json").write_text("{}")  # results are skipped
+    assert merge_error([empty], tmp_path / "store").startswith(
+        "no shard manifests found under"
+    )
 
 
 def test_shard_merge_reports_a_stale_manifest_without_a_traceback(tmp_path):
@@ -85,12 +153,16 @@ def test_max_failures_must_be_a_non_negative_integer(capsys):
 
 
 def test_an_injected_index_outside_the_sweep_is_refused_before_any_job(tmp_path):
-    """``--inject-failure 99`` on the 6-job fig6 smoke used to inject
-    nothing, so the failure-path run passed without exercising it."""
+    """``--inject-failure 99`` on the 6-job fig6 smoke would inject
+    nothing, so the failure-path run would pass without exercising it."""
     store = tmp_path / "store"
-    with pytest.raises(ValueError, match=r"inject_failures \[99\] lie outside .*\[0, 6\)"):
-        main(RUN + ["--inject-failure", "99", "--store", str(store)])
-    assert not list(store.rglob("*.json"))  # no artifact, no failure entry
+    with pytest.raises(SystemExit) as exit_info:
+        main(RUN + ["--inject-failure", "0", "--inject-failure", "99",
+                    "--store", str(store)])
+    assert str(exit_info.value.code) == (
+        "error: inject_failures [99] lie outside the sweep's job indices [0, 6)"
+    )
+    assert not store.exists()  # no artifact, no failure entry
 
 
 def bad_spec_file(tmp_path):

@@ -407,32 +407,6 @@ class TestMonteCarloCoalescing:
             assert meta["trial_batch"] == 3
             assert "coalesced" not in meta
 
-    def test_shard_manifest_carries_trial_batch(
-        self, reference_run, weights_cache, tmp_path
-    ):
-        """A manifest's ``trial_batch`` reaches every job of ``shard run``."""
-        from repro.experiments.executors import run_shard_manifest, shard_manifest_dict
-
-        entries = [(index, job, False) for index, job in enumerate(tiny_sweep().expand())]
-        assert "trial_batch" not in shard_manifest_dict(entries, 0, 1)
-        manifest = json.loads(json.dumps(shard_manifest_dict(entries, 0, 1, trial_batch=3)))
-        assert manifest["trial_batch"] == 3
-        root = tmp_path / "store-shard"
-        statuses = run_shard_manifest(manifest, ResultStore(root), weights_cache)
-        assert {status["status"] for status in statuses} == {"done"}
-        assert self.artifact_bytes(root) == self.artifact_bytes(
-            reference_run_store_root(reference_run)
-        )
-        for meta in self.mc_metas(root):
-            assert meta["trial_batch"] == 3
-
-    @pytest.mark.parametrize("bad", [0, -2, 1.5, "3", True])
-    def test_shard_manifest_rejects_a_bad_trial_batch(self, tmp_path, bad):
-        from repro.experiments.executors import run_shard_manifest
-
-        with pytest.raises(ValueError, match="trial_batch must be"):
-            run_shard_manifest({"trial_batch": bad, "jobs": []}, ResultStore(tmp_path))
-
 
 # --------------------------------------------------------------------- #
 # Figure-pipeline job kinds: hashing and sibling sharing
@@ -621,6 +595,18 @@ class TestFailurePolicy:
         with pytest.raises(ValueError, match=message):
             run_sweep(reference_sweep(), store, **policy)
         assert not store.exists()
+
+    def test_inject_failure_check_keeps_each_index_once_and_names_every_outsider(self):
+        """The one range check ``run_sweep`` and ``run`` share: indices
+        inside the sweep come back as a set; every outsider is named once,
+        in order."""
+        assert runner_module.check_inject_failures([1, 0, 1], 2) == frozenset({0, 1})
+        assert runner_module.check_inject_failures((), 0) == frozenset()
+        with pytest.raises(ValueError) as error:
+            runner_module.check_inject_failures([9, 0, -2, 2, 9], 2)
+        assert str(error.value) == (
+            "inject_failures [-2, 2, 9] lie outside the sweep's job indices [0, 2)"
+        )
 
     def test_parallel_failures_follow_the_same_policy(
         self, weights_cache, tmp_path

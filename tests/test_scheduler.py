@@ -18,28 +18,33 @@ The contracts pinned here:
 * Executors are interchangeable: serial, process-pool, resumed and
   2-shard-merged runs of the ``fig6`` and ``multi_workload_robustness``
   presets produce byte-identical aggregate records and store contents.
+* Shard manifests are checked before any store access; a ``shard run``
+  that failed, finished or stopped part-way ends, when rerun, in a serial
+  run's bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.experiments import (
     AdcSpec,
     DistributionParams,
+    ExecutionContext,
     FailureLog,
     JobSpec,
     NoiseScenario,
     ProcessPoolExecutor,
     ResultStore,
     SerialExecutor,
-    ShardedExecutor,
     SweepSpec,
     WorkloadSpec,
     aggregate_sweep,
@@ -57,9 +62,16 @@ from repro.experiments import (
     write_shard_manifests,
 )
 from repro.experiments import runner as runner_module
-from repro.experiments.executors import _shard_subprocess_env
+from repro.experiments.cli import main as cli_main
+from repro.experiments.executors import (
+    EXECUTOR_NAMES,
+    SHARD_MANIFEST_FIELDS,
+    manifest_result_path,
+)
 from repro.experiments.presets import fig6, fig7
 from repro.experiments.scheduler import UpstreamFailed
+from repro.telemetry import events as ev
+from repro.telemetry import load_run
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -381,12 +393,25 @@ class TestExecutorResolution:
     def test_names_and_instances(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor("process"), ProcessPoolExecutor)
-        sharded = resolve_executor("sharded", shards=4)
-        assert isinstance(sharded, ShardedExecutor) and sharded.shards == 4
         instance = SerialExecutor()
         assert resolve_executor(instance) is instance
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("banana")
+
+    def test_serial_and_process_are_the_only_executor_names(self):
+        assert EXECUTOR_NAMES == ("serial", "process")
+        with pytest.raises(
+            ValueError,
+            match=re.escape("unknown executor 'sharded' (expected one of ('serial', 'process'))"),
+        ):
+            resolve_executor("sharded")
+
+    def test_process_pool_needs_a_worker_and_its_context(self, tmp_path):
+        with pytest.raises(ValueError, match="max_workers must be >= 1, got 0"):
+            ProcessPoolExecutor(max_workers=0)
+        context = ExecutionContext(store=ResultStore(tmp_path / "store"))
+        with pytest.raises(RuntimeError, match="used outside its context"):
+            next(ProcessPoolExecutor().run_wave([], context))
 
     def test_plan_shards_round_robin(self):
         jobs = tiny_mc_sweep().expand()
@@ -394,6 +419,36 @@ class TestExecutorResolution:
         assert [[i for i, _ in g] for g in groups] == [[0, 2], [1]]
         with pytest.raises(ValueError, match="shards"):
             plan_shards(jobs, 0)
+
+    @pytest.mark.parametrize("shards", [1, 3, 5])
+    def test_plan_shards_deals_every_job_to_one_shard(self, shards):
+        """Shard ``s`` of ``n`` holds indices ``s, s + n, ...``; with more
+        shards than jobs the extra shards are empty."""
+        jobs = tiny_mc_sweep().expand()
+        groups = plan_shards(jobs, shards)
+        assert len(groups) == shards
+        for shard, group in enumerate(groups):
+            assert [index for index, _ in group] == list(range(shard, len(jobs), shards))
+            assert all(job is jobs[index] for index, job in group)
+
+    def test_emitted_manifests_hold_only_the_fields_shard_run_reads(self, tmp_path):
+        experiment = fig6(workloads=[TINY], images=4, bits=[5])
+        named = write_shard_manifests(experiment.sweep, 2, tmp_path / "named", experiment=experiment)
+        bare = write_shard_manifests(experiment.sweep, 2, tmp_path / "bare")
+        assert [path.name for path in named] == [
+            f"{experiment.experiment_id}-shard{i}of2.json" for i in range(2)
+        ]
+        assert [path.name for path in bare] == [
+            f"{experiment.sweep.name}-shard{i}of2.json" for i in range(2)
+        ]
+        for path in named:
+            manifest = json.loads(path.read_text())
+            assert set(manifest) == SHARD_MANIFEST_FIELDS
+            for entry in manifest["jobs"]:
+                assert set(entry) == {"index", "key", "spec", "inject_failure"}
+                assert entry["inject_failure"] is False
+        for path in bare:
+            assert set(json.loads(path.read_text())) == SHARD_MANIFEST_FIELDS - {"experiment"}
 
     def test_manifest_roundtrip(self, tmp_path):
         experiment = build_preset("robustness-noise", smoke=True)
@@ -432,6 +487,10 @@ def _break_second_spec(manifest):
     manifest["jobs"][1]["spec"] = "evaluate"
 
 
+def _drop_first_index(manifest):
+    del manifest["jobs"][0]["index"]
+
+
 #: (edit applied to an emitted manifest, the ValueError it must raise).
 MANIFEST_REJECTIONS = {
     "stale-salt": (
@@ -446,6 +505,30 @@ MANIFEST_REJECTIONS = {
     "jobs-object": (lambda m: m.update(jobs={}), "jobs must be a list"),
     "entry-without-spec": (_drop_first_spec, r"jobs\[0\]\.spec must be an object"),
     "spec-not-object": (_break_second_spec, r"jobs\[1\]\.spec must be an object"),
+    "job-index-string": (
+        lambda m: m["jobs"][0].update(index="0"),
+        r"jobs\[0\]\.index must be an integer >= 0, got '0'",
+    ),
+    "job-index-missing": (_drop_first_index, r"jobs\[0\]\.index must be an integer >= 0, got None"),
+    "job-index-negative": (
+        lambda m: m["jobs"][0].update(index=-1),
+        r"jobs\[0\]\.index must be an integer >= 0, got -1",
+    ),
+    "job-index-bool": (
+        lambda m: m["jobs"][0].update(index=True),
+        r"jobs\[0\]\.index must be an integer >= 0, got True",
+    ),
+    "job-index-float": (
+        lambda m: m["jobs"][1].update(index=2.0),
+        r"jobs\[1\]\.index must be an integer >= 0, got 2\.0",
+    ),
+    "job-spec-unknown-field": (
+        lambda m: m["jobs"][1]["spec"].update(imagez=4),
+        r"jobs\[1\]\.spec: imagez is not a field",
+    ),
+    "trial-batch-key": (lambda m: m.update(trial_batch=4), "trial_batch is not a field"),
+    "telemetry-key": (lambda m: m.update(telemetry={"dir": "runs"}), "telemetry is not a field"),
+    "misspelt-key": (lambda m: m.update(experimnt={}), "experimnt is not a field"),
 }
 
 
@@ -470,14 +553,149 @@ class TestManifestChecks:
         edit, _ = MANIFEST_REJECTIONS["stale-salt"]
         path = emitted_manifest(tmp_path, edit)
         store = tmp_path / "store"
+        # The child imports the tested src tree, whatever is installed.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
         done = subprocess.run(
             [sys.executable, "-m", "repro.experiments", "shard", "run", str(path),
              "--store", str(store), "--cache-dir", str(tmp_path / "cache")],
-            env=_shard_subprocess_env(), capture_output=True, text=True, timeout=120,
+            env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode != 0
         assert "Traceback" not in done.stderr
         assert "0.9.0/schema-v1" in done.stderr and code_version_salt() in done.stderr
+        assert list(store.glob("*.json")) == []
+
+
+# --------------------------------------------------------------------- #
+# The manual shard flow's failure path: logged, reported, healed
+# --------------------------------------------------------------------- #
+class TestShardRunFailure:
+    def test_injected_failure_is_logged_reported_by_merge_then_healed(
+        self, tmp_path, weights_cache, capsys
+    ):
+        """Shard 0 holds the clean reference (job 0) and a Monte Carlo job
+        that needs it (job 2).  Failing the reference fails its dependent
+        with the reference as cause; ``shard merge`` refuses the
+        incomplete sweep; rerunning both unedited manifests heals the store
+        to a serial run's bytes."""
+        sweep = tiny_mc_sweep()
+        jobs = sweep.expand()
+        clean_key = job_key(jobs[0])
+        assert [job.kind for job in jobs] == ["evaluate", "monte_carlo", "monte_carlo"]
+        assert job_key(jobs[2].clean_job()) == clean_key
+        manifests = tmp_path / "manifests"
+        paths = write_shard_manifests(sweep, 2, manifests)
+        injected = json.loads(paths[0].read_text())
+        assert [entry["index"] for entry in injected["jobs"]] == [0, 2]
+        injected["jobs"][0]["inject_failure"] = True
+        injected_path = tmp_path / "injected" / paths[0].name
+        injected_path.parent.mkdir()
+        injected_path.write_text(json.dumps(injected))
+        store = ResultStore(tmp_path / "store")
+        shard_args = ["--store", str(store.root), "--cache-dir", weights_cache]
+
+        trace_dir = tmp_path / "trace"
+        assert cli_main([
+            "shard", "run", str(injected_path), *shard_args, "--trace-dir", str(trace_dir),
+        ]) == 4
+        (skipped,) = load_run(trace_dir).select(ev.JOB_UPSTREAM_FAILED)
+        assert (skipped["index"], skipped["shard"], skipped["cause_key"]) == (2, 0, clean_key)
+        failures = FailureLog(store)
+        entry = failures.load(clean_key)
+        assert "injected failure" in entry["error"]
+        assert "injected failure" in entry["traceback"]
+        statuses = json.loads(manifest_result_path(injected_path).read_text())["statuses"]
+        (dependent,) = [status for status in statuses if status["index"] == 2]
+        assert dependent["status"] == "upstream_failed"
+        assert dependent["cause_key"] == clean_key
+        assert failures.load(job_key(jobs[2]))["cause_key"] == clean_key
+
+        capsys.readouterr()
+        merge = ["shard", "merge", str(manifests), "--store", str(store.root)]
+        assert cli_main(merge) == 2
+        missing = capsys.readouterr().err
+        assert f"  0 {clean_key[:16]} FAILED " in missing
+        assert f"  2 {job_key(jobs[2])[:16]} FAILED " in missing
+        assert f"  1 {job_key(jobs[1])[:16]} missing " in missing
+
+        for path in paths:
+            runner_module.clear_runner_memos()  # each shard is a fresh process
+            assert cli_main(["shard", "run", str(path), *shard_args]) == 0
+        merged = tmp_path / "merged.json"
+        assert cli_main([*merge, "--out", str(merged)]) == 0
+        assert len(failures) == 0
+
+        runner_module.clear_runner_memos()
+        serial_store = ResultStore(tmp_path / "serial")
+        serial = run_sweep(sweep, serial_store, weights_cache_dir=weights_cache)
+        assert merged.read_bytes() == serial.record.save(tmp_path / "serial.json").read_bytes()
+        assert store_listing(store) == store_listing(serial_store)
+
+
+# --------------------------------------------------------------------- #
+# The manual shard flow: shards never coordinate
+# --------------------------------------------------------------------- #
+class TestShardFlow:
+    """Each ``shard run`` resolves its dependencies against the shared
+    store when it runs, so a rerun of a finished shard and the rerun of a
+    shard that stopped part-way both end in a serial run's bytes."""
+
+    @staticmethod
+    def run_shard(path, store, weights_cache):
+        runner_module.clear_runner_memos()  # each shard is a fresh process
+        return run_shard_manifest(
+            load_shard_manifest(path), store, weights_cache_dir=weights_cache
+        )
+
+    @staticmethod
+    def serial_listing(tmp_path, weights_cache):
+        runner_module.clear_runner_memos()
+        store = ResultStore(tmp_path / "serial")
+        run_sweep(tiny_mc_sweep(), store, weights_cache_dir=weights_cache)
+        return store_listing(store)
+
+    @staticmethod
+    def outcomes(statuses):
+        return [(status["index"], status["status"]) for status in statuses]
+
+    def test_rerunning_finished_shards_is_all_cached_and_keeps_the_bytes(
+        self, tmp_path, weights_cache
+    ):
+        paths = write_shard_manifests(tiny_mc_sweep(), 2, tmp_path / "manifests")
+        store = ResultStore(tmp_path / "store")
+        for path in paths:
+            self.run_shard(path, store, weights_cache)
+        finished = store_listing(store)
+        for path in paths:
+            statuses = self.run_shard(path, store, weights_cache)
+            assert {status["status"] for status in statuses} == {"cached"}
+        assert store_listing(store) == finished == self.serial_listing(tmp_path, weights_cache)
+
+    def test_a_shard_that_stopped_part_way_finishes_on_rerun(
+        self, tmp_path, weights_cache
+    ):
+        """The stopped run had stored only shard 0's first job; the rerun
+        loads it and computes the rest."""
+        jobs = tiny_mc_sweep().expand()
+        paths = write_shard_manifests(tiny_mc_sweep(), 2, tmp_path / "manifests")
+        store = ResultStore(tmp_path / "store")
+        execute_job(jobs[0], store, weights_cache)
+        assert self.outcomes(self.run_shard(paths[0], store, weights_cache)) == [
+            (0, "cached"), (2, "done"),
+        ]
+        assert self.outcomes(self.run_shard(paths[1], store, weights_cache)) == [(1, "done")]
+        assert store_listing(store) == self.serial_listing(tmp_path, weights_cache)
+
+    def test_a_shard_without_jobs_runs_nothing(self, tmp_path, capsys):
+        """Four shards of a three-job sweep leave the last one empty."""
+        path = write_shard_manifests(tiny_mc_sweep(), 4, tmp_path / "manifests")[3]
+        assert json.loads(path.read_text())["jobs"] == []
+        store = tmp_path / "store"
+        assert cli_main(["shard", "run", str(path), "--store", str(store)]) == 0
+        assert "shard complete: no jobs" in capsys.readouterr().out
+        assert json.loads(manifest_result_path(path).read_text())["statuses"] == []
         assert list(store.glob("*.json")) == []
 
 
@@ -557,52 +775,6 @@ class TestExecutorEquivalence:
         for mode, (record, store) in results.items():
             assert record == reference_record, f"{mode} aggregate differs"
             assert store == reference_store, f"{mode} store contents differ"
-
-    def test_sharded_executor_subprocesses_match_serial(
-        self, tmp_path, weights_cache
-    ):
-        """--executor sharded end to end (real subprocesses) on a cheap
-        reference-evaluate sweep."""
-        jobs = [
-            JobSpec(kind="evaluate", workload=TINY, images=4, datapath=datapath,
-                    label={"config": config})
-            for datapath, config in (("float", "f/f"), ("fakequant", "8/f"))
-        ]
-        sweep = SweepSpec(name="sharded-refs", kind="mixed", explicit_jobs=jobs)
-        serial = run_sweep(
-            sweep, ResultStore(tmp_path / "serial"),
-            weights_cache_dir=weights_cache,
-        )
-        sharded = run_sweep(
-            sweep, ResultStore(tmp_path / "sharded"),
-            weights_cache_dir=weights_cache, executor="sharded", shards=2,
-        )
-        assert sharded.stats.computed == sharded.stats.total == 2
-        assert record_bytes(sharded) == record_bytes(serial)
-        assert store_listing(ResultStore(tmp_path / "sharded")) == \
-               store_listing(ResultStore(tmp_path / "serial"))
-
-    def test_sharded_executor_batches_monte_carlo_trials(
-        self, tmp_path, weights_cache
-    ):
-        """Each shard's manifest carries the sweep's ``trial_batch``, so
-        every Monte Carlo job runs batched and matches a per-trial serial
-        run byte for byte."""
-        serial_store = ResultStore(tmp_path / "serial")
-        serial = run_sweep(tiny_mc_sweep(), serial_store, weights_cache_dir=weights_cache)
-        runner_module.clear_runner_memos()
-        store = ResultStore(tmp_path / "sharded")
-        sharded = run_sweep(
-            tiny_mc_sweep(), store, weights_cache_dir=weights_cache,
-            executor="sharded", shards=2, trial_batch=3,
-        )
-        assert record_bytes(sharded) == record_bytes(serial)
-        assert store_listing(store) == store_listing(serial_store)
-        mc_jobs = [job for job in tiny_mc_sweep().expand() if job.kind == "monte_carlo"]
-        assert mc_jobs
-        for job in mc_jobs:
-            meta = json.loads(store.meta_path(job_key(job)).read_text())
-            assert meta["trial_batch"] == 3
 
 
 # --------------------------------------------------------------------- #

@@ -2,9 +2,9 @@
 
 The contracts pinned here:
 
-* Telemetry is strictly out-of-band: serial, process-pool, sharded and
-  resumed runs with ``trace`` on produce aggregate records and store
-  contents byte-identical to an untraced serial run.
+* Telemetry is strictly out-of-band: serial, process-pool, resumed and
+  traced ``shard run`` runs produce aggregate records and store contents
+  byte-identical to an untraced serial run.
 * The merged event stream accounts for every executed job exactly once
   (one start + one finish pair per content address, bracketing that job's
   own work — trial-batched Monte Carlo jobs included), and cache-hit
@@ -23,7 +23,7 @@ The contracts pinned here:
 * The live tailer follows a *growing* run directory without locks —
   partial last lines are held back, streams appearing mid-watch are
   picked up, cross-stream ``t_mono`` reordering can't regress a status —
-  and a watch on a live two-shard sweep reaches completion with the same
+  and a watch on a live two-worker sweep reaches completion with the same
   job counts the offline summary reports.
 * An abnormal unwind (first-failure abort, exceeded failure budget)
   records a terminal ``sweep_abort`` event before executor teardown.
@@ -44,13 +44,15 @@ import pytest
 from repro.experiments import (
     NoiseScenario,
     ResultStore,
-    ShardedExecutor,
     SweepSpec,
     WorkloadSpec,
     build_preset,
     execute_job,
     job_key,
+    load_shard_manifest,
+    run_shard_manifest,
     run_sweep,
+    write_shard_manifests,
 )
 from repro.experiments import runner as runner_module
 from repro.experiments.cli import main as cli_main
@@ -314,7 +316,7 @@ class TestMetaSidecar:
 # Traced execution across every executor
 # --------------------------------------------------------------------- #
 def _traced_runs(experiment, tmp_path, weights_cache):
-    """Serial/process/sharded/resumed runs of one sweep, all traced."""
+    """Serial/process/resumed runs of one sweep, all traced."""
     sweep = experiment.sweep
     runs = {}
 
@@ -327,12 +329,6 @@ def _traced_runs(experiment, tmp_path, weights_cache):
     runner_module.clear_runner_memos()
     runs["process"] = run_sweep(
         sweep, ResultStore(tmp_path / "process"), jobs=2, executor="process",
-        weights_cache_dir=weights_cache, experiment=experiment, trace=True,
-    )
-
-    runner_module.clear_runner_memos()
-    runs["sharded"] = run_sweep(
-        sweep, ResultStore(tmp_path / "sharded"), executor="sharded", shards=2,
         weights_cache_dir=weights_cache, experiment=experiment, trace=True,
     )
 
@@ -442,13 +438,46 @@ class TestTracedExecutors:
             samples = trace.select(ev.RESOURCE_SAMPLE)
             assert samples, mode
             assert all(s["max_rss_kb"] > 0 for s in samples), mode
-            if mode in ("process", "sharded"):
-                # The parent samples, and so does at least one worker /
-                # shard subprocess — distinct streams prove it.
+            if mode == "process":
+                # The parent samples, and so does at least one worker —
+                # distinct streams prove it.
                 assert len({s["stream"] for s in samples}) > 1, mode
             summary = resource_summary(trace)
             assert summary["samples"] == len(samples), mode
             assert summary["peak_rss_kb"] > 0, mode
+
+    def test_traced_shards_account_for_every_job_once(self, traced, weights_cache):
+        """Both manifests of a two-shard emit, traced into one run
+        directory: every executed job opens and closes exactly once, each
+        job event names the shard that ran it, and the store matches the
+        untraced serial run byte for byte."""
+        tmp_path = traced["tmp_path"]
+        store = ResultStore(tmp_path / "shards")
+        trace_dir = tmp_path / "shard-trace"
+        shard_of = {}  # (key, status) -> shard_index of the manifest run
+        paths = write_shard_manifests(traced["reference"].sweep, 2, tmp_path / "manifests")
+        for path in paths:
+            manifest = load_shard_manifest(path)
+            runner_module.clear_runner_memos()  # each shard is a fresh process
+            statuses = run_shard_manifest(
+                manifest, store, weights_cache, trace_dir=trace_dir,
+            )
+            for status in statuses:
+                shard_of[status["key"], status["status"]] = manifest["shard_index"]
+        assert {status for _, status in shard_of} <= {"done", "cached"}
+        assert store_listing(store) == store_listing(ResultStore(tmp_path / "reference"))
+
+        trace = load_run(trace_dir)
+        executions = trace.executions()
+        assert sorted(e.key for e in executions) == sorted(
+            key for key, status in shard_of if status == "done"
+        )
+        assert all(e.closed for e in executions)
+        assert trace.duplicate_keys() == []
+        for event in trace.select(ev.JOB_START, ev.JOB_FINISH):
+            assert event["shard"] == shard_of[event["key"], "done"]
+        for event in trace.select(ev.JOB_CACHED):
+            assert event["shard"] == shard_of[event["key"], "cached"]
 
 
 class TestCacheCounters:
@@ -703,6 +732,27 @@ class TestResourceMetrics:
         assert all(e["max_rss_kb"] > 0 for e in events)
 
     @needs_resources
+    def test_shard_run_samples_only_while_it_runs(self, tmp_path, weights_cache):
+        """An in-process traced ``run_shard_manifest`` starts its own
+        sampler and stops it on return, with one last sample after the last
+        job, so the caller is left with no sampling thread."""
+        (path,) = write_shard_manifests(tiny_mc_sweep("sampled-shard"), 1, tmp_path)
+        before = set(threading.enumerate())
+        run_shard_manifest(
+            load_shard_manifest(path), ResultStore(tmp_path / "store"),
+            weights_cache, trace_dir=tmp_path / "trace",
+        )
+        assert [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.name == "repro-resource-sampler"
+        ] == []
+        events = load_run(tmp_path / "trace").events
+        samples = [i for i, e in enumerate(events) if e["event"] == ev.RESOURCE_SAMPLE]
+        jobs = [i for i, e in enumerate(events) if e["event"] in (ev.JOB_START, ev.JOB_FINISH)]
+        assert len(jobs) == 6  # three jobs, each started and finished
+        assert samples[0] < jobs[0] and samples[-1] > jobs[-1]
+
+    @needs_resources
     def test_traced_run_attaches_resources_everywhere(
         self, tmp_path, weights_cache
     ):
@@ -781,7 +831,7 @@ class TestSweepState:
     def _started(self, scheduled=2):
         state = SweepState()
         state.apply({"event": ev.SWEEP_START, "run_id": "r", "sweep": "s",
-                     "executor": "sharded", "scheduled": scheduled,
+                     "executor": "process", "scheduled": scheduled,
                      "t_mono": 0.0})
         return state
 
@@ -867,59 +917,7 @@ class TestSweepState:
 
 
 # --------------------------------------------------------------------- #
-# Shard dispatch events of the sharded executor
-# --------------------------------------------------------------------- #
-class TestShardDispatchEvents:
-    @staticmethod
-    def _wave_shards(trace, shards=2):
-        """Every (wave, shard) pair the executor must dispatch: each wave
-        round-robins its runnable jobs into at most ``shards`` groups."""
-        return sorted(
-            (event["wave"], shard)
-            for event in trace.select(ev.WAVE_START)
-            for shard in range(min(event["jobs"], shards))
-        )
-
-    def test_one_dispatch_per_wave_and_shard(self, tmp_path, weights_cache):
-        run = run_sweep(
-            tiny_mc_sweep("dispatch-sweep"), ResultStore(tmp_path / "store"),
-            weights_cache_dir=weights_cache, executor="sharded", shards=2,
-            trace=True,
-        )
-        trace = load_run(run.telemetry_dir)
-        dispatches = trace.select(ev.SHARD_DISPATCH)
-        expected = self._wave_shards(trace)
-        assert len(expected) == 3  # the clean reference, then two MC shards
-        assert sorted((e["wave"], e["shard"]) for e in dispatches) == expected
-        assert {e["transport"] for e in dispatches} == {"local"}
-        assert {e["attempt"] for e in dispatches} == {0}
-        assert trace.select(ev.SHARD_REDISPATCH) == []
-
-    def test_forced_redispatch_backs_up_every_shard(self, tmp_path, weights_cache):
-        sweep = tiny_mc_sweep("forced-dispatch-sweep")
-        serial_store = ResultStore(tmp_path / "serial")
-        serial = run_sweep(sweep, serial_store, weights_cache_dir=weights_cache)
-        runner_module.clear_runner_memos()
-        store = ResultStore(tmp_path / "store")
-        run = run_sweep(
-            sweep, store, weights_cache_dir=weights_cache, trace=True,
-            executor=ShardedExecutor(shards=2, force_redispatch=True),
-        )
-        assert record_bytes(run) == record_bytes(serial)
-        assert store_listing(store) == store_listing(serial_store)
-        trace = load_run(run.telemetry_dir)
-        expected = self._wave_shards(trace)
-        redispatches = trace.select(ev.SHARD_REDISPATCH)
-        assert sorted((e["wave"], e["shard"]) for e in redispatches) == expected
-        assert {e["reason"] for e in redispatches} == {"forced"}
-        assert {e["attempt"] for e in redispatches} == {1}
-        assert sorted(
-            (e["wave"], e["shard"]) for e in trace.select(ev.SHARD_DISPATCH)
-        ) == expected
-
-
-# --------------------------------------------------------------------- #
-# Watching a live two-shard run to completion
+# Watching a live two-worker run to completion
 # --------------------------------------------------------------------- #
 class TestLiveWatch:
     def _launch(self, sweep, store, run_id, weights_cache):
@@ -928,7 +926,7 @@ class TestLiveWatch:
         def _execute():
             try:
                 run_sweep(sweep, store, weights_cache_dir=weights_cache,
-                          executor="sharded", shards=2, trace=run_id)
+                          jobs=2, trace=run_id)
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
@@ -936,10 +934,10 @@ class TestLiveWatch:
         thread.start()
         return thread, errors
 
-    def test_watch_follows_a_two_shard_run_to_completion(
+    def test_watch_follows_a_two_worker_run_to_completion(
         self, tmp_path, weights_cache
     ):
-        sweep = tiny_mc_sweep("live-shard-sweep")
+        sweep = tiny_mc_sweep("live-pool-sweep")
         store = ResultStore(tmp_path / "store")
         directory = run_directory(store.root, "live-run")
         thread, errors = self._launch(sweep, store, "live-run", weights_cache)
