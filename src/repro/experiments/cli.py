@@ -14,9 +14,8 @@
     python -m repro.experiments shard run shards/fig6-shard1of2.json
     python -m repro.experiments shard merge shards/ --out fig6_sweep.json
 
-    # Observability: live progress, recorded traces, perf history.
-    python -m repro.experiments run --preset fig6 --smoke --progress
-    python -m repro.experiments trace watch            # follow the newest run
+    # Observability: record a trace, read it after the run, perf history.
+    python -m repro.experiments run --preset fig6 --smoke --trace
     python -m repro.experiments trace summary --json
     python -m repro.experiments trace history
     python -m repro.experiments trace regress --baseline first
@@ -55,10 +54,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
-import threading
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from repro.experiments.executors import (
     EXECUTOR_NAMES,
@@ -84,12 +83,10 @@ from repro.experiments.store import (
 )
 from repro.telemetry import analysis as trace_analysis
 from repro.telemetry import history as trace_history
-from repro.telemetry import live as trace_live
 from repro.telemetry.tracer import (
     latest_run,
     list_runs,
     load_run_manifest,
-    new_run_id,
     run_directory,
     stream_paths,
 )
@@ -102,25 +99,32 @@ DEFAULT_SHARD_DIR = Path("benchmarks") / "results" / "shards"
 DEFAULT_HISTORY = trace_history.default_history_path(DEFAULT_OUT_DIR)
 
 
-def _int_at_least(low: int):
-    """The argparse type of count flags: an integer >= ``low``."""
+def _at_least(low: int, kind=int):
+    """The argparse type of count flags (``kind=int``) and of the trace
+    gates (``kind=float``): a finite number >= ``low``."""
+    noun = "an integer" if kind is int else "a finite number"
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            value = low - 1  # rejected below, like any other value < low
-        if value < low:
+            value = math.nan  # rejected below, like any other bad value
+        if not low <= value < math.inf:
             raise argparse.ArgumentTypeError(
-                f"must be an integer >= {low}, got {text!r}"
+                f"must be {noun} >= {low}, got {text!r}"
             )
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-_non_negative_int = _int_at_least(0)
+_positive_int = _at_least(1)
+_non_negative_int = _at_least(0)
+# The two-gate thresholds of ``trace summary`` and ``trace regress``
+# (``exceeds_gates``): a factor below 1 or a negative gap switches one gate
+# off, and a NaN in either means that nothing is ever flagged.
+_gate_factor = _at_least(1, float)
+_gate_gap = _at_least(0, float)
 
 
 def load_experiment(spec: str, smoke: bool = False) -> ExperimentSpec:
@@ -287,11 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="record sweep telemetry (JSONL event streams) to "
                           "<store>/telemetry/<run id>/; inspect with the "
                           "'trace' subcommands")
-    run.add_argument("--progress", action="store_true",
-                     help="render live sweep progress (per-wave counts, "
-                          "running-job ages, ETA) while the sweep executes; "
-                          "implies --trace.  Uses ANSI redraw on a TTY and "
-                          "plain snapshot lines otherwise (or with --ascii)")
     run.add_argument("--history", type=Path, default=None, metavar="PATH",
                      help="perf-history JSONL log a traced run appends its "
                           f"summary record to (default {DEFAULT_HISTORY}; "
@@ -400,8 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
                "event stream, 'summary' the reconstructed timeline "
                "(utilization, stragglers, cache efficiency), "
                "'critical-path' the dependency chain that bounded the "
-               "sweep's wall-clock, 'watch' follows a run live, and "
-               "'history'/'regress' read the durable perf-history log.  "
+               "sweep's wall-clock, and 'history'/'regress' read the "
+               "durable perf-history log.  "
                "See docs/observability.md.",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_show.add_argument("--event", action="append", default=None,
                             metavar="NAME",
                             help="only events of this name (repeatable)")
-    trace_show.add_argument("--limit", type=int, default=None, metavar="N",
+    trace_show.add_argument("--limit", type=_positive_int, default=None, metavar="N",
                             help="print only the first N matching events")
 
     trace_summary = trace_sub.add_parser(
@@ -428,12 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarise a run: jobs, waves, utilization, stragglers, cache")
     _add_verbosity_arguments(trace_summary)
     _add_trace_selection_arguments(trace_summary)
-    trace_summary.add_argument("--straggler-factor", type=float, default=2.0,
+    trace_summary.add_argument("--straggler-factor", type=_gate_factor, default=2.0,
                                metavar="F",
                                help="flag a worker when its per-wave busy "
                                     "time exceeds F x the wave median "
                                     "(default 2.0)")
-    trace_summary.add_argument("--straggler-min-gap", type=float, default=5.0,
+    trace_summary.add_argument("--straggler-min-gap", type=_gate_gap, default=5.0,
                                metavar="SECONDS",
                                help="...and the absolute gap exceeds SECONDS "
                                     "(default 5.0; keeps seconds-fast smoke "
@@ -452,31 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print the chain as one JSON object instead "
                                "of text")
 
-    trace_watch = trace_sub.add_parser(
-        "watch",
-        help="follow a (possibly still running) trace run live",
-        epilog="Tails the run's event streams as they grow — torn tails and "
-               "streams appearing mid-run are fine; no locks are taken — and "
-               "redraws a progress snapshot until the sweep records a "
-               "terminal event (sweep_finish/sweep_abort).  Exits 0 on "
-               "completion, 1 when --timeout expires first.",
-    )
-    _add_verbosity_arguments(trace_watch)
-    _add_trace_selection_arguments(trace_watch)
-    trace_watch.add_argument("--interval", type=float, default=0.5,
-                             metavar="SECONDS",
-                             help="polling interval (default 0.5)")
-    trace_watch.add_argument("--timeout", type=float, default=None,
-                             metavar="SECONDS",
-                             help="give up after SECONDS without a terminal "
-                                  "event (default: wait indefinitely)")
-    trace_watch.add_argument("--ascii", action="store_true",
-                             help="plain snapshot lines instead of ANSI "
-                                  "redraw (automatic off a TTY)")
-    trace_watch.add_argument("--json", action="store_true",
-                             help="print only the final state snapshot as "
-                                  "one JSON object")
-
     trace_hist = trace_sub.add_parser(
         "history",
         help="list the perf-history log's sweep trajectories")
@@ -486,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help=f"history JSONL path (default {DEFAULT_HISTORY})")
     trace_hist.add_argument("--sweep", default=None, metavar="NAME",
                             help="only records of this sweep")
-    trace_hist.add_argument("--limit", type=int, default=None, metavar="N",
+    trace_hist.add_argument("--limit", type=_positive_int, default=None, metavar="N",
                             help="only the newest N records")
     trace_hist.add_argument("--json", action="store_true",
                             help="print the records as a JSON array")
@@ -510,18 +484,18 @@ def build_parser() -> argparse.ArgumentParser:
                                help="baseline record: 'first' (default), an "
                                     "integer index into the record list "
                                     "(negatives from the end), or a run id")
-    trace_regress.add_argument("--factor", type=float, default=1.5,
+    trace_regress.add_argument("--factor", type=_gate_factor, default=1.5,
                                metavar="F",
                                help="relative gate for elapsed/critical-path "
                                     "(default 1.5)")
-    trace_regress.add_argument("--min-gap", type=float, default=5.0,
+    trace_regress.add_argument("--min-gap", type=_gate_gap, default=5.0,
                                metavar="SECONDS",
                                help="absolute gate for elapsed/critical-path "
                                     "(default 5.0)")
-    trace_regress.add_argument("--rss-factor", type=float, default=1.5,
+    trace_regress.add_argument("--rss-factor", type=_gate_factor, default=1.5,
                                metavar="F",
                                help="relative gate for peak RSS (default 1.5)")
-    trace_regress.add_argument("--rss-min-gap", type=float, default=262144.0,
+    trace_regress.add_argument("--rss-min-gap", type=_gate_gap, default=262144.0,
                                metavar="KB",
                                help="absolute gate for peak RSS in KiB "
                                     "(default 262144 = 256 MiB)")
@@ -628,64 +602,6 @@ def _cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_watch_loop(
-    directory: Path,
-    ascii_only: bool,
-    stop: Optional[threading.Event] = None,
-    interval_s: float = 0.25,
-    timeout_s: Optional[float] = None,
-    quiet: bool = False,
-) -> dict:
-    """Poll a (growing) trace run and redraw its snapshot until terminal.
-
-    The shared engine of ``run --progress`` (driven on a background thread
-    with ``stop`` set once the sweep returns) and ``trace watch`` (driven
-    on the main thread with an optional timeout).  On a TTY the previous
-    snapshot is erased with ANSI cursor movement; otherwise (or in ASCII
-    mode) changed snapshots print as plain blocks.  Returns the final
-    state snapshot.
-    """
-    import time as _time
-
-    tailer = trace_live.RunTailer(directory)
-    state = trace_live.SweepState()
-    manifest = tailer.manifest()
-    if manifest.get("sweep"):
-        state.sweep = str(manifest["sweep"])
-    if manifest.get("executor"):
-        state.executor = str(manifest["executor"])
-    is_tty = sys.stdout.isatty()
-    ascii_only = ascii_only or not is_tty
-    previous_lines = 0
-    last_text: Optional[str] = None
-    deadline = _time.monotonic() + timeout_s if timeout_s is not None else None
-    while True:
-        for event in tailer.poll():
-            state.apply(event)
-        if tailer.graph:
-            state.ingest_graph(tailer.graph)
-        snapshot = state.snapshot()
-        if not quiet:
-            text = trace_live.render(snapshot, ascii_only=ascii_only)
-            if text != last_text:
-                if is_tty and previous_lines:
-                    sys.stdout.write(f"\x1b[{previous_lines}F\x1b[0J")
-                sys.stdout.write(text + "\n")
-                sys.stdout.flush()
-                previous_lines = text.count("\n") + 1
-                last_text = text
-        if state.terminal:
-            return snapshot
-        if stop is not None and stop.is_set():
-            return snapshot  # sweep returned without a terminal event
-        if deadline is not None and _time.monotonic() >= deadline:
-            return snapshot
-        if stop is not None:
-            stop.wait(interval_s)
-        else:
-            _time.sleep(interval_s)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     spec_arg = _resolve_spec(args)
     experiment = load_experiment(spec_arg, smoke=args.smoke)
@@ -703,26 +619,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out = args.out
     if out is None:
         out = _default_out_path(experiment.experiment_id)
-    traced = args.trace or args.progress
     # The history log is an opt-out companion of tracing: every traced run
     # appends its summary record unless --no-history.
     history: Optional[Path] = None
-    if traced and not args.no_history:
+    if args.trace and not args.no_history:
         history = args.history if args.history is not None else DEFAULT_HISTORY
-    trace_arg: Union[bool, str] = traced
-    watcher: Optional[threading.Thread] = None
-    watcher_stop = threading.Event()
-    if args.progress:
-        # Name the run id up front so the watcher knows the directory
-        # before run_sweep creates it; the tailer tolerates the wait.
-        run_id = new_run_id()
-        trace_arg = run_id
-        watcher = threading.Thread(
-            target=_render_watch_loop,
-            args=(Path(run_directory(store.root, run_id)), args.ascii, watcher_stop),
-            daemon=True,
-        )
-        watcher.start()
     try:
         run = run_sweep(
             sweep,
@@ -731,12 +632,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             force=args.force,
             weights_cache_dir=str(args.cache_dir),
             experiment=experiment,
-            # The live renderer replaces the textual progress lines.
-            progress=None if args.progress else print,
+            progress=print,
             max_failures=args.max_failures,
             inject_failures=args.inject_failure or (),
             executor=args.executor,
-            trace=trace_arg,
+            trace=args.trace,
             history=history,
             trial_batch=args.trial_batch,
         )
@@ -751,10 +651,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"\nABORTED: {error}", file=sys.stderr)
         print(f"inspect failures: {show_hint}", file=sys.stderr)
         return 3
-    finally:
-        if watcher is not None:
-            watcher_stop.set()
-            watcher.join(timeout=5.0)
     print()
     print(run.record.to_table())
     run.record.save(out)
@@ -1128,40 +1024,6 @@ def _cmd_trace_critical_path(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_watch(args: argparse.Namespace) -> int:
-    # Unlike the offline subcommands, watch may target a run that has not
-    # materialised yet (a sweep just launched elsewhere) — an explicit
-    # --run/--dir is followed as soon as it appears.
-    if args.dir is not None:
-        directory = Path(args.dir)
-    elif args.run is not None:
-        directory = Path(run_directory(args.store, args.run))
-    else:
-        found = latest_run(args.store, sweep=args.sweep)
-        if found is None:
-            raise SystemExit(
-                "no telemetry recorded"
-                + (f" for sweep '{args.sweep}'" if args.sweep else "")
-                + f" under {args.store}/telemetry — start a traced sweep "
-                "('run ... --trace') or name one with --run/--dir"
-            )
-        directory = Path(found)
-    snapshot = _render_watch_loop(
-        directory, args.ascii,
-        interval_s=args.interval, timeout_s=args.timeout, quiet=args.json,
-    )
-    if args.json:
-        print(json.dumps(snapshot, sort_keys=True))
-    if not snapshot.get("terminal"):
-        print(
-            f"watch gave up after {args.timeout}s without a terminal event "
-            "(sweep still running? re-watch, or raise --timeout)",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _format_history_line(record: dict) -> str:
     recorded = str(record.get("recorded_at", "?"))[:19]
     sweep = record.get("sweep") or "?"
@@ -1257,8 +1119,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return _cmd_trace_show(args)
     if args.trace_command == "summary":
         return _cmd_trace_summary(args)
-    if args.trace_command == "watch":
-        return _cmd_trace_watch(args)
     if args.trace_command == "history":
         return _cmd_trace_history(args)
     if args.trace_command == "regress":

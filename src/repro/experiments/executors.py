@@ -70,11 +70,11 @@ class ExecutionContext:
 
     The telemetry fields travel in two forms: ``tracer`` is the *live*
     tracer of the driving process (never pickled — executors that fan out
-    to other processes must not ship it), while ``trace_dir`` /
-    ``trace_run_id`` are the plain-string coordinates a pool worker uses
-    to open its **own** stream in the same run directory.  ``wave`` is
-    maintained by :func:`repro.experiments.runner.execute_graph` as it
-    walks the topology; ``shard`` is set by :func:`run_shard_manifest`.
+    to other processes must not ship it), while ``trace_dir`` is the
+    plain-string run directory in which a pool worker opens its **own**
+    stream.  ``wave`` is maintained by
+    :func:`repro.experiments.runner.execute_graph` as it walks the
+    topology; ``shard`` is set by :func:`run_shard_manifest`.
     """
 
     store: ResultStore
@@ -83,7 +83,6 @@ class ExecutionContext:
     inject: frozenset = frozenset()
     tracer: Tracer = NULL_TRACER
     trace_dir: Optional[str] = None
-    trace_run_id: Optional[str] = None
     wave: Optional[int] = None
     shard: Optional[int] = None
     #: Monte Carlo trials per batched kernel invocation.  ``1`` keeps the
@@ -122,15 +121,8 @@ class ExecutionContext:
             return None
         return {
             "dir": self.trace_dir,
-            "run_id": self.trace_run_id,
             **self.job_trace_fields(node, submitted_mono=submitted_mono),
         }
-
-
-def _injected_error(job: JobSpec) -> RuntimeError:
-    return RuntimeError(
-        f"injected failure (--inject-failure) for {job.kind} job {job.label_dict}"
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -144,8 +136,8 @@ class Executor:
     base contract the runner relies on.  The runner :meth:`bind`\\ s the
     execution context before entering, which lets an exceptional
     ``__exit__`` emit the terminal ``sweep_abort`` event — without it,
-    a Ctrl-C'd trace would leave its in-flight jobs looking
-    forever-running to ``trace watch``/``trace show``.
+    the trace analysis would count a Ctrl-C'd run's in-flight jobs as
+    still running, not aborted.
     """
 
     name: str = "executor"
@@ -245,13 +237,12 @@ class SerialExecutor(Executor):
         submitted = time.monotonic()
         for node in wave:
             try:
-                if context.should_inject(node):
-                    raise _injected_error(node.job)
                 execute_job(
                     node.job, context.store, context.weights_cache_dir, context.salt,
                     tracer=context.tracer,
                     trace_fields=context.job_trace_fields(node, submitted_mono=submitted),
                     trial_batch=context.trial_batch,
+                    inject_failure=context.should_inject(node),
                 )
             except KeyboardInterrupt:
                 raise

@@ -512,6 +512,7 @@ def execute_job(
     tracer: Tracer = NULL_TRACER,
     trace_fields: Optional[Dict[str, object]] = None,
     trial_batch: int = 1,
+    inject_failure: bool = False,
 ) -> str:
     """Execute one atomic job, persist its artifact, return its key.
 
@@ -530,11 +531,16 @@ def execute_job(
     batched kernel invocation (other job kinds ignore it).  It is an
     execution knob, never part of the job's content address: every value
     writes byte-identical artifacts.
+
+    ``inject_failure`` (``--inject-failure``, a testing aid) makes the job
+    raise instead of computing, even on a store hit, between its
+    ``job_start`` and ``job_failed`` events like any real failure.  Every
+    executor and ``shard run`` inject here.
     """
     key = job_key(job, salt)
     fields = dict(trace_fields or {})
     submitted = fields.pop("submitted_mono", None)
-    if store.has(key):
+    if store.has(key) and not inject_failure:
         tracer.emit(
             telemetry_events.JOB_CACHED,
             key=key, kind=job.kind,
@@ -553,6 +559,11 @@ def execute_job(
     probe = JobResourceProbe()
     started = time.perf_counter()
     try:
+        if inject_failure:
+            raise RuntimeError(
+                f"injected failure (--inject-failure) for {job.kind} job "
+                f"{job.label_dict}"
+            )
         if job.kind == "evaluate":
             if job.datapath == "pim":
                 _execute_evaluate(job, store, weights_cache_dir, salt, key)
@@ -615,25 +626,22 @@ def _worker_execute(
     run directory plus the job's scheduling context; the worker opens its
     own per-process stream there (one file per pool worker, reused across
     jobs and waves).  ``None`` means the run is untraced.  ``trial_batch``
-    is the sweep's Monte Carlo batching knob (see :func:`execute_job`).
+    and ``inject_failure`` are passed on to :func:`execute_job`.
     """
-    from repro.experiments.executors import _injected_error
-
     job = JobSpec.from_dict(job_dict)
     tracer: Tracer = NULL_TRACER
     trace_fields: Optional[Dict[str, object]] = None
     if trace:
         trace = dict(trace)
-        tracer = process_tracer(trace.pop("dir"), trace.pop("run_id", None))
+        tracer = process_tracer(trace.pop("dir"))
         # One resource-sampling thread per pool worker, started on the
         # worker's first traced job and living as long as the pool does.
         ensure_process_sampler(tracer)
         trace_fields = trace
-    if inject_failure:
-        raise _injected_error(job)
     return execute_job(
         job, ResultStore(store_root), weights_cache_dir, salt,
         tracer=tracer, trace_fields=trace_fields, trial_batch=trial_batch,
+        inject_failure=inject_failure,
     )
 
 
@@ -891,7 +899,7 @@ def run_sweep(
     max_failures: Optional[int] = None,
     inject_failures: Collection[int] = (),
     executor: Union[str, Executor, None] = None,
-    trace: Union[bool, str, Tracer, None] = None,
+    trace: bool = False,
     history: Union[str, Path, None] = None,
     trial_batch: int = 1,
 ) -> SweepRun:
@@ -934,11 +942,10 @@ def run_sweep(
         (``shard emit`` / ``run`` / ``merge``).
     trace:
         Telemetry: ``True`` records the sweep to a fresh run directory
-        under ``<store>/telemetry/``, a string names the run id, a
-        :class:`~repro.telemetry.tracer.Tracer` is used as-is, and
-        ``None``/``False`` (default) disables tracing entirely (the no-op
-        tracer costs one dynamic call per would-be event).  Tracing is
-        strictly out-of-band: rows, records and store artifacts are
+        under ``<store>/telemetry/<new run id>/`` (``SweepRun.telemetry_dir``
+        names it); ``False`` (default) disables tracing entirely (the
+        no-op tracer costs one dynamic call per would-be event).  Tracing
+        is strictly out-of-band: rows, records and store artifacts are
         byte-identical with it on or off.
     history:
         Path of a perf-history JSONL log (see
@@ -975,9 +982,7 @@ def run_sweep(
     store.sweep_stale_tmps()
     exec_instance = resolve_executor(executor, jobs=jobs)
     tracer = resolve_tracer(trace, store.root)
-    telemetry_dir: Optional[str] = None
-    if tracer.enabled and getattr(tracer, "directory", None) is not None:
-        telemetry_dir = str(tracer.directory)
+    telemetry_dir = str(tracer.directory) if tracer.enabled else None
     started = time.perf_counter()
     keys = [job_key(job, salt) for job in expanded]
     failure_log = FailureLog(store)
@@ -1001,31 +1006,30 @@ def run_sweep(
     graph = build_job_graph(pending, store, salt)
 
     if tracer.enabled:
-        if telemetry_dir is not None:
-            write_run_manifest(
+        write_run_manifest(
+            telemetry_dir,
+            run_id=tracer.run_id,
+            sweep=sweep.name,
+            executor=exec_instance.name,
+            jobs=jobs,
+            salt=salt if salt is not None else code_version_salt(),
+            total=stats.total,
+        )
+        if len(graph):
+            # The exact scheduled adjacency, for offline critical-path
+            # analysis (job events carry deps too; this is the whole
+            # graph in one read).
+            write_graph(
                 telemetry_dir,
-                run_id=getattr(tracer, "run_id", None),
-                sweep=sweep.name,
-                executor=exec_instance.name,
-                jobs=jobs,
-                salt=salt if salt is not None else code_version_salt(),
-                total=stats.total,
+                {
+                    node.key: {
+                        "kind": node.job.kind,
+                        "index": node.index,
+                        "deps": list(node.dependencies),
+                    }
+                    for node in graph
+                },
             )
-            if len(graph):
-                # The exact scheduled adjacency, for offline critical-path
-                # analysis (job events carry deps too; this is the whole
-                # graph in one read).
-                write_graph(
-                    telemetry_dir,
-                    {
-                        node.key: {
-                            "kind": node.job.kind,
-                            "index": node.index,
-                            "deps": list(node.dependencies),
-                        }
-                        for node in graph
-                    },
-                )
         tracer.emit(
             telemetry_events.SWEEP_START,
             sweep=sweep.name, executor=exec_instance.name, jobs=jobs,
@@ -1121,7 +1125,6 @@ def run_sweep(
                 inject=inject,
                 tracer=tracer,
                 trace_dir=telemetry_dir,
-                trace_run_id=getattr(tracer, "run_id", None),
                 trial_batch=trial_batch,
             )
             execute_graph(graph, exec_instance, context, on_result, progress)
@@ -1138,11 +1141,8 @@ def run_sweep(
             )
             tracer.counter(telemetry_events.COUNTER_JOBS_COMPUTED, stats.computed)
             tracer.counter(telemetry_events.COUNTER_JOBS_FAILED, stats.failed)
-            tracer.flush()
-            if telemetry_dir is not None:
-                merge_events(telemetry_dir)
-        if not isinstance(trace, Tracer):
-            tracer.close()  # we created it (or it is the shared no-op)
+            tracer.close()
+            merge_events(telemetry_dir)
 
     run = aggregate_sweep(
         sweep, store, salt=salt, experiment=experiment,

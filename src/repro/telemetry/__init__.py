@@ -1,6 +1,6 @@
-"""Out-of-band sweep telemetry: tracing, metrics, live monitoring, history.
+"""Out-of-band sweep telemetry: tracing, metrics, analysis, history.
 
-Six layers:
+Five layers:
 
 * :mod:`repro.telemetry.events` — the event schema (names, envelope
   fields, counter names).
@@ -13,15 +13,13 @@ Six layers:
 * :mod:`repro.telemetry.analysis` — reconstruction: pairs job events into
   a timeline, extracts the critical path, computes per-wave utilization,
   finds stragglers, and summarises cache efficiency.
-* :mod:`repro.telemetry.live` — live monitoring: an incremental tailer
-  over a growing run directory folded into sweep-state snapshots
-  (``trace watch``, ``run --progress``).
 * :mod:`repro.telemetry.history` — durable perf history: one JSONL
   record per traced sweep plus two-gate regression comparison
   (``trace history``, ``trace regress``).
 
-Telemetry never feeds back into job addressing or stored artifacts —
-traced and untraced sweeps produce byte-identical aggregates.
+A trace is read once its run has ended.  Telemetry never feeds back into
+job addressing or stored artifacts — traced and untraced sweeps produce
+byte-identical aggregates.
 """
 
 from repro.telemetry.analysis import (
@@ -50,13 +48,6 @@ from repro.telemetry.history import (
     find_baseline,
     history_record,
     load_history,
-)
-from repro.telemetry.live import (
-    RunTailer,
-    StreamTailer,
-    SweepState,
-    render,
-    watch,
 )
 from repro.telemetry.resources import (
     JobResourceProbe,
@@ -91,10 +82,7 @@ __all__ = [
     "NULL_TRACER",
     "Regression",
     "ResourceSampler",
-    "RunTailer",
-    "StreamTailer",
     "Straggler",
-    "SweepState",
     "TraceRun",
     "Tracer",
     "WaveStats",
@@ -118,7 +106,6 @@ __all__ = [
     "new_run_id",
     "process_tracer",
     "quantile",
-    "render",
     "resolve_tracer",
     "resource_summary",
     "resources_supported",
@@ -127,7 +114,6 @@ __all__ = [
     "summarize",
     "summary_to_jsonable",
     "telemetry_root",
-    "watch",
     "wave_stats",
     "write_graph",
     "write_run_manifest",

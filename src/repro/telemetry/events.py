@@ -110,11 +110,6 @@ ALL_EVENTS = (
     COUNTER, RESOURCE_SAMPLE,
 )
 
-#: Events that terminate a run for live consumers (``trace watch``, the
-#: in-process ``run --progress`` renderer): once one is observed, no
-#: further job events are coming from this sweep.
-TERMINAL_EVENTS = (SWEEP_FINISH, SWEEP_ABORT)
-
 #: Counter names the runner emits (the analysis layer recognises these;
 #: arbitrary additional counters are allowed and surfaced verbatim).
 COUNTER_CACHE_HITS = "store.cache_hits"

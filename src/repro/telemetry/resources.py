@@ -9,8 +9,9 @@ addressing or stored artifact bytes):
   to the ``<store>/meta/<key>.json`` sidecar.
 * :class:`ResourceSampler` is a daemon thread emitting periodic
   ``resource_sample`` events on a tracer — one per executor process
-  (the ``run_sweep`` parent, each pool worker, each shard subprocess), so
-  a live watcher can chart memory/CPU while a sweep runs.
+  (the ``run_sweep`` parent, each pool worker, each shard subprocess).
+  They feed the ``resources`` block of ``trace summary --json`` (peak RSS,
+  CPU totals) and the peak RSS that ``trace regress`` gates on.
 
 Sources are stdlib-only and degrade gracefully:
 

@@ -173,36 +173,37 @@ class JsonlTracer(Tracer):
 
 
 # Per-process tracer memo for pool workers / shard subprocesses: one stream
-# per (directory, run, pid).  Keyed on the pid so a forked child never
-# reuses (and interleaves into) its parent's inherited stream.
+# per (directory, pid).  Keyed on the pid so a forked child never reuses
+# (and interleaves into) its parent's inherited stream.
 _PROCESS_TRACERS: Dict[tuple, JsonlTracer] = {}
 
 
-def process_tracer(directory: Union[str, Path], run_id: Optional[str] = None) -> JsonlTracer:
-    """The calling process's tracer for ``directory`` (created on first use)."""
-    key = (str(directory), run_id, os.getpid())
+def process_tracer(directory: Union[str, Path]) -> JsonlTracer:
+    """The calling process's tracer for ``directory`` (created on first use).
+
+    Its run id is the directory's name, as for every run ``run_sweep``
+    starts.
+    """
+    key = (str(directory), os.getpid())
     tracer = _PROCESS_TRACERS.get(key)
     if tracer is None:
-        tracer = JsonlTracer(directory, run_id=run_id)
+        tracer = JsonlTracer(directory)
         _PROCESS_TRACERS[key] = tracer
     return tracer
 
 
-def resolve_tracer(
-    trace: Union[bool, str, Tracer, None],
-    store_root: Union[str, Path],
-) -> Tracer:
-    """Resolve ``run_sweep``'s ``trace`` argument to a tracer instance.
+def resolve_tracer(trace: Optional[bool], store_root: Union[str, Path]) -> Tracer:
+    """Resolve ``run_sweep``'s ``trace`` flag to a tracer instance.
 
     ``None``/``False`` → the no-op tracer; ``True`` → a fresh run under
-    ``<store>/telemetry/<new run id>``; a string → that run id under the
-    same root; a :class:`Tracer` → used as-is.
+    ``<store>/telemetry/<new run id>``.  Anything else (a run id, a tracer)
+    is a ``TypeError``: every traced sweep starts its own run.
     """
-    if isinstance(trace, Tracer):
-        return trace
     if trace is None or trace is False:
         return NULL_TRACER
-    run_id = trace if isinstance(trace, str) else new_run_id()
+    if trace is not True:
+        raise TypeError(f"trace must be a bool, got {trace!r}")
+    run_id = new_run_id()
     return JsonlTracer(run_directory(store_root, run_id), run_id=run_id)
 
 
@@ -234,24 +235,16 @@ def load_run_manifest(directory: Union[str, Path]) -> Dict[str, object]:
 def write_graph(
     directory: Union[str, Path], adjacency: Dict[str, Dict[str, object]]
 ) -> Path:
-    """Persist the scheduled dependency graph next to the event streams.
+    """Write a run's ``graph.json``: the scheduled dependency graph.
 
     ``adjacency`` maps each scheduled key to ``{"kind", "index", "deps"}``.
-    ``shard run`` processes append their local graphs under distinct file
-    names is unnecessary: each writer that knows a graph calls this, and
-    later writers merge over earlier content (same content-addressed keys).
+    ``run_sweep`` writes it once, into the fresh run directory it traces
+    to; ``shard run`` writes none (its job events carry ``deps`` instead).
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / GRAPH_NAME
-    merged: Dict[str, Dict[str, object]] = {}
-    if path.exists():
-        try:
-            merged = json.loads(path.read_text())
-        except json.JSONDecodeError:
-            merged = {}
-    merged.update(adjacency)
-    path.write_text(json.dumps(merged, indent=2, sort_keys=True))
+    path.write_text(json.dumps(adjacency, indent=2, sort_keys=True))
     return path
 
 
@@ -334,8 +327,7 @@ def latest_run(
     """The newest run directory (optionally: of one sweep) or ``None``.
 
     Run ids sort chronologically by construction; runs without a manifest
-    (bare ``shard run --trace-dir`` directories) match any sweep filter
-    only when no named run does.
+    (bare ``shard run --trace-dir`` directories) match no sweep filter.
     """
     runs = list_runs(store_root)
     if sweep is not None:

@@ -1,14 +1,18 @@
 """Bad command-line input fails at the parser or as a one-line error.
 
-Count flags (``run --jobs``, ``--trial-batch`` and ``shard emit
---shards``) take integers >= 1 and exit 2 naming the flag, instead of
-raising a ``ValueError`` traceback from inside the run.  A shard manifest
-that ``shard merge`` or ``shard run`` refuses, a JSON spec that ``run`` or
-``show`` cannot parse, and an ``--inject-failure`` index outside the sweep
-end the command with the checker's message, not a traceback, before any
-job runs.  ``shard merge`` refuses manifests of two sweeps the same way.
-``--max-failures`` takes an integer >= 0, and ``run`` has no flag of the
-deleted shard dispatcher.
+Count flags (``run --jobs``, ``--trial-batch``, ``shard emit --shards``
+and the ``--limit`` of ``trace show`` and ``trace history``) take
+integers >= 1 and exit 2 naming the flag, instead of raising a
+``ValueError`` traceback from inside the run or printing the wrong number
+of lines.  The two-gate thresholds of ``trace summary`` and ``trace
+regress`` take finite numbers, factors >= 1 and gaps >= 0, the same way.
+A shard manifest that ``shard merge`` or ``shard run`` refuses, a JSON
+spec that ``run`` or ``show`` cannot parse, and an ``--inject-failure``
+index outside the sweep end the command with the checker's message, not a
+traceback, before any job runs.  ``shard merge`` refuses manifests of two sweeps the same way.
+``--max-failures`` takes an integer >= 0, and neither the flags of the
+deleted shard dispatcher nor those of the deleted live monitor
+(``run --progress``, ``trace watch``) parse.
 """
 
 from __future__ import annotations
@@ -31,6 +35,10 @@ RUN = ["run", "--preset", "fig6", "--smoke"]
         (RUN + ["--jobs", "0"], "--jobs"),
         (RUN + ["--jobs", "two"], "--jobs"),
         (["shard", "emit", "--preset", "fig6", "--smoke", "--shards", "0"], "--shards"),
+        (["trace", "show", "--limit", "0"], "--limit"),
+        (["trace", "show", "--limit", "-1"], "--limit"),
+        (["trace", "history", "--limit", "0"], "--limit"),
+        (["trace", "history", "--limit", "-1"], "--limit"),
     ],
 )
 def test_count_flags_must_be_positive_integers(argv, flag, capsys):
@@ -38,6 +46,31 @@ def test_count_flags_must_be_positive_integers(argv, flag, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "below"])
+@pytest.mark.parametrize(
+    "command,flag,low",
+    [
+        ("summary", "--straggler-factor", 1),
+        ("summary", "--straggler-min-gap", 0),
+        ("regress", "--factor", 1),
+        ("regress", "--min-gap", 0),
+        ("regress", "--rss-factor", 1),
+        ("regress", "--rss-min-gap", 0),
+    ],
+)
+def test_gate_flags_must_be_finite_and_in_range(command, flag, low, value, capsys):
+    """A NaN gate flags nothing (``trace regress --factor nan`` passed a
+    100x slowdown), so each gate flag is checked at the parser."""
+    text = str(low - 0.5) if value == "below" else value
+    with pytest.raises(SystemExit) as exit_info:
+        main(["trace", command, flag, text])
+    assert exit_info.value.code == 2
+    assert (
+        f"argument {flag}: must be a finite number >= {low}, got {text!r}"
+        in capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(
@@ -51,6 +84,23 @@ def test_count_flags_must_be_positive_integers(argv, flag, capsys):
 def test_run_has_no_sharding_flags(argv, message, capsys):
     """``run`` parallelises through ``--jobs`` only; sharding is the
     ``shard`` subcommands' job, so these are parser errors, not aliases."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (RUN + ["--progress"], "unrecognized arguments: --progress"),
+        (["trace", "watch"], "argument trace_command: invalid choice: 'watch'"),
+    ],
+    ids=["run-progress", "trace-watch"],
+)
+def test_live_monitoring_is_gone(argv, message, capsys):
+    """A trace is read after its run (``trace summary``); nothing follows a
+    run while it grows, so these are parser errors, not aliases."""
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

@@ -600,7 +600,10 @@ class TestShardRunFailure:
         assert cli_main([
             "shard", "run", str(injected_path), *shard_args, "--trace-dir", str(trace_dir),
         ]) == 4
-        (skipped,) = load_run(trace_dir).select(ev.JOB_UPSTREAM_FAILED)
+        trace = load_run(trace_dir)
+        (failed,) = trace.select(ev.JOB_FAILED)
+        assert (failed["index"], failed["shard"], failed["key"]) == (0, 0, clean_key)
+        (skipped,) = trace.select(ev.JOB_UPSTREAM_FAILED)
         assert (skipped["index"], skipped["shard"], skipped["cause_key"]) == (2, 0, clean_key)
         failures = FailureLog(store)
         entry = failures.load(clean_key)

@@ -20,11 +20,8 @@ The contracts pinned here:
 * Resource metrics ride along out-of-band: every ``job_finish`` event and
   meta sidecar carries ``cpu_s``/``max_rss_kb``, every executor process
   emits ``resource_sample`` events, and none of it perturbs artifacts.
-* The live tailer follows a *growing* run directory without locks —
-  partial last lines are held back, streams appearing mid-watch are
-  picked up, cross-stream ``t_mono`` reordering can't regress a status —
-  and a watch on a live two-worker sweep reaches completion with the same
-  job counts the offline summary reports.
+* An injected failure is traced like a real one: ``job_start`` then
+  ``job_failed`` on every executor, so ``summarize`` counts it.
 * An abnormal unwind (first-failure abort, exceeded failure budget)
   records a terminal ``sweep_abort`` event before executor teardown.
 * Perf history appends one record per traced sweep and ``trace regress``
@@ -37,7 +34,6 @@ import json
 import logging
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -59,27 +55,22 @@ from repro.experiments.cli import main as cli_main
 from repro.telemetry import (
     NULL_TRACER,
     JsonlTracer,
-    RunTailer,
-    StreamTailer,
-    SweepState,
     TraceRun,
     append_history,
     compare_records,
     critical_path,
     find_baseline,
     find_stragglers,
+    latest_run,
     load_events,
     load_history,
     load_run,
     merge_events,
-    render,
     resolve_tracer,
     resource_summary,
     resources_supported,
-    run_directory,
     sample_resources,
     summarize,
-    watch,
     wave_stats,
 )
 from repro.telemetry import events as ev
@@ -194,14 +185,14 @@ class TestTracer:
     def test_resolve_tracer_mapping(self, tmp_path):
         assert resolve_tracer(None, tmp_path) is NULL_TRACER
         assert resolve_tracer(False, tmp_path) is NULL_TRACER
-        own = JsonlTracer(tmp_path / "mine")
-        assert resolve_tracer(own, tmp_path) is own
         fresh = resolve_tracer(True, tmp_path)
         assert fresh.enabled
         assert fresh.directory.parent == tmp_path / "telemetry"
-        named = resolve_tracer("run-42", tmp_path)
-        assert named.directory == tmp_path / "telemetry" / "run-42"
-        assert named.run_id == "run-42"
+        assert fresh.run_id == fresh.directory.name
+        # Every traced sweep starts its own run: no run id, no caller tracer.
+        for other in ("run-42", JsonlTracer(tmp_path / "mine")):
+            with pytest.raises(TypeError, match="trace must be a bool"):
+                resolve_tracer(other, tmp_path)
 
     def test_load_events_merges_streams_and_skips_torn_tail(self, tmp_path):
         write_stream(tmp_path, "a", [{"event": "x", "t_mono": 2.0}])
@@ -529,22 +520,45 @@ class TestMonteCarloLifecycle:
 
 
 class TestFailureEvents:
+    @pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "process"])
     def test_injected_failure_marks_dependents_upstream_failed(
-        self, tmp_path, weights_cache
+        self, tmp_path, weights_cache, jobs
     ):
         sweep = tiny_mc_sweep("fail-trace")
         # Index 0 is the zero-noise evaluate — the shared clean reference
         # of both Monte Carlo jobs.
         run = run_sweep(
             sweep, ResultStore(tmp_path), weights_cache_dir=weights_cache,
-            inject_failures=[0], max_failures=1, trace=True,
+            inject_failures=[0], max_failures=1, trace=True, jobs=jobs,
         )
         assert run.stats.failed == 3  # the root + two dependents
         trace = load_run(run.telemetry_dir)
+        # The injected root is traced like a real failure: started, failed.
+        (failed,) = trace.select(ev.JOB_FAILED)
+        assert failed["key"] == job_key(sweep.expand()[0])
+        assert "injected failure" in failed["error"]
+        assert [e["key"] for e in trace.select(ev.JOB_START)] == [failed["key"]]
+        assert summarize(trace)["failed"] == 1
         assert len(trace.upstream_failed_keys()) == 2
         finishes = trace.select(ev.SWEEP_FINISH)
         assert len(finishes) == 1 and finishes[0]["failed"] == 3
         assert trace.counters()[ev.COUNTER_JOBS_FAILED] == 3
+
+    def test_a_store_hit_does_not_skip_the_injection(self, tmp_path):
+        """``execute_job`` checks the injection before its store-hit
+        return: an injected job fails, traced, even when it is stored."""
+        job = tiny_mc_sweep().expand()[0]
+        store = ResultStore(tmp_path / "store")
+        key = job_key(job)
+        store.save(key, {"key": key})
+        tracer = JsonlTracer(tmp_path / "trace")
+        with pytest.raises(RuntimeError, match="injected failure"):
+            execute_job(job, store, tracer=tracer, inject_failure=True)
+        assert execute_job(job, store, tracer=tracer) == key  # a plain hit
+        tracer.close()
+        assert [e["event"] for e in load_events(tmp_path / "trace")] == [
+            ev.JOB_START, ev.JOB_FAILED, ev.JOB_CACHED,
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -673,16 +687,6 @@ class TestCliTelemetry:
         assert kinds.index("evaluate") < kinds.index("monte_carlo")
         assert payload["critical_path_s"] <= payload["elapsed_s"] + 1e-6
 
-    def test_trace_watch_on_a_finished_run_exits_zero(self, traced_store, capsys):
-        run_id = Path(traced_store["run"].telemetry_dir).name
-        assert cli_main([
-            "trace", "watch", "--store", str(traced_store["store"].root),
-            "--run", run_id, "--ascii", "--interval", "0.05", "--timeout", "30",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "sweep finished" in out
-        assert all(ord(char) < 128 for char in out)  # --ascii means ASCII
-
 
 # --------------------------------------------------------------------- #
 # Resource metrics (per-job probes + per-process samplers)
@@ -777,213 +781,6 @@ class TestResourceMetrics:
 
 
 # --------------------------------------------------------------------- #
-# Live tailing (growing files, torn tails, appearing streams)
-# --------------------------------------------------------------------- #
-class TestStreamTailer:
-    def test_partial_final_line_is_held_until_complete(self, tmp_path):
-        path = tmp_path / "events-s.jsonl"
-        tailer = StreamTailer(path)
-        assert tailer.poll() == []  # file not created yet
-        with open(path, "wb") as handle:
-            handle.write(b'{"event": "a"}\n{"event": "b"')
-        assert [e["event"] for e in tailer.poll()] == ["a"]
-        assert tailer.poll() == []  # still torn: nothing new
-        with open(path, "ab") as handle:
-            handle.write(b"}\n")
-        assert [e["event"] for e in tailer.poll()] == ["b"]
-
-    def test_unparseable_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "events-s.jsonl"
-        path.write_bytes(b'garbage\n{"event": "ok"}\n')
-        assert [e["event"] for e in StreamTailer(path).poll()] == ["ok"]
-
-
-class TestRunTailer:
-    def test_streams_appearing_mid_watch_are_picked_up(self, tmp_path):
-        directory = tmp_path / "run"
-        tailer = RunTailer(directory)
-        assert tailer.poll() == []  # directory not materialised yet
-        write_stream(directory, "a", [{"event": "x", "t_mono": 1.0}])
-        assert [e["event"] for e in tailer.poll()] == ["x"]
-        # A new stream appears and the old one grows: one batch, ordered
-        # by t_mono across both.
-        write_stream(directory, "b", [{"event": "y", "t_mono": 0.5}])
-        with open(directory / "events-a.jsonl", "a") as handle:
-            handle.write(json.dumps(
-                {"event": "z", "stream": "a", "seq": 2, "t_mono": 2.0}
-            ) + "\n")
-        assert [e["event"] for e in tailer.poll()] == ["y", "z"]
-
-    def test_graph_is_refreshed_when_it_appears(self, tmp_path):
-        directory = tmp_path / "run"
-        directory.mkdir()
-        tailer = RunTailer(directory)
-        tailer.poll()
-        assert tailer.graph == {}
-        (directory / "graph.json").write_text(json.dumps(
-            {"k1": {"kind": "evaluate", "index": 0, "deps": []}}
-        ))
-        tailer.poll()
-        assert tailer.graph["k1"]["kind"] == "evaluate"
-
-
-class TestSweepState:
-    def _started(self, scheduled=2):
-        state = SweepState()
-        state.apply({"event": ev.SWEEP_START, "run_id": "r", "sweep": "s",
-                     "executor": "process", "scheduled": scheduled,
-                     "t_mono": 0.0})
-        return state
-
-    def test_out_of_order_close_beats_late_start(self):
-        # Shard B's finish flushes before shard A's start of the same key
-        # is observed: the status lattice must not regress to "running".
-        state = self._started()
-        state.apply({"event": ev.JOB_FINISH, "key": "k1", "kind": "evaluate",
-                     "duration_s": 1.0, "stream": "b", "t_mono": 2.0})
-        state.apply({"event": ev.JOB_START, "key": "k1", "kind": "evaluate",
-                     "stream": "a", "t_mono": 1.0})
-        snapshot = state.snapshot()
-        assert snapshot["counts"]["ok"] == 1
-        assert snapshot["counts"]["running"] == 0
-        assert snapshot["running_jobs"] == []
-
-    def test_graph_ingest_counts_unstarted_jobs_as_pending(self):
-        state = self._started(scheduled=3)
-        state.ingest_graph({
-            "k1": {"kind": "evaluate"}, "k2": {"kind": "monte_carlo"},
-            "k3": {"kind": "monte_carlo"},
-        })
-        state.apply({"event": ev.JOB_START, "key": "k1", "kind": "evaluate",
-                     "stream": "a", "t_mono": 1.0})
-        snapshot = state.snapshot()
-        assert snapshot["total"] == 3
-        assert snapshot["counts"]["pending"] == 2
-        assert snapshot["counts"]["running"] == 1
-        assert snapshot["eta_s"] is None  # no duration observed yet
-
-    def test_eta_uses_per_kind_means(self):
-        state = self._started(scheduled=3)
-        state.ingest_graph({
-            "k1": {"kind": "evaluate"}, "k2": {"kind": "evaluate"},
-            "k3": {"kind": "evaluate"},
-        })
-        state.apply({"event": ev.JOB_START, "key": "k1", "kind": "evaluate",
-                     "stream": "a", "t_mono": 0.0})
-        state.apply({"event": ev.JOB_FINISH, "key": "k1", "kind": "evaluate",
-                     "duration_s": 2.0, "stream": "a", "t_mono": 2.0})
-        # Two pending evaluates at the observed 2 s mean over one stream.
-        assert state.snapshot()["eta_s"] == pytest.approx(4.0)
-
-    def test_fully_cached_rerun_counts_cached_jobs_in_total(self):
-        # `scheduled` excludes cache hits (they never enter the graph);
-        # the denominator must still cover their job_cached events.
-        state = self._started(scheduled=0)
-        for index in range(3):
-            state.apply({"event": ev.JOB_CACHED, "key": f"k{index}",
-                         "kind": "evaluate", "t_mono": 1.0})
-        snapshot = state.snapshot()
-        assert snapshot["total"] == snapshot["done"] == 3
-        assert snapshot["counts"]["cached"] == 3
-
-    def test_abort_marks_running_jobs_and_wins_over_late_finish(self):
-        state = self._started()
-        state.apply({"event": ev.WAVE_START, "wave": 1, "jobs": 2,
-                     "t_mono": 0.5})
-        state.apply({"event": ev.JOB_START, "key": "k1", "kind": "evaluate",
-                     "stream": "a", "t_mono": 1.0, "wave": 1})
-        state.apply({"event": ev.SWEEP_ABORT, "reason": "KeyboardInterrupt",
-                     "t_mono": 2.0})
-        # The runner's cleanup still records sweep_finish after the abort.
-        state.apply({"event": ev.SWEEP_FINISH, "t_mono": 2.1})
-        assert state.terminal and state.outcome == "aborted"
-        snapshot = state.snapshot()
-        assert snapshot["counts"]["aborted"] == 1
-        assert snapshot["counts"]["running"] == 0
-
-    def test_render_ascii_mode_is_pure_ascii(self):
-        state = self._started()
-        state.apply({"event": ev.JOB_START, "key": "k1", "kind": "evaluate",
-                     "stream": "a", "t_mono": 1.0, "wave": 1})
-        state.apply({"event": ev.JOB_FINISH, "key": "k1", "kind": "evaluate",
-                     "duration_s": 1.0, "stream": "a", "t_mono": 2.0})
-        state.apply({"event": ev.SWEEP_FINISH, "t_mono": 2.0})
-        snapshot = state.snapshot()
-        text = render(snapshot)
-        assert "█" in text and "sweep s" in text
-        plain = render(snapshot, ascii_only=True)
-        assert all(ord(char) < 128 for char in plain)
-        assert "sweep finished" in plain
-
-
-# --------------------------------------------------------------------- #
-# Watching a live two-worker run to completion
-# --------------------------------------------------------------------- #
-class TestLiveWatch:
-    def _launch(self, sweep, store, run_id, weights_cache):
-        errors = []
-
-        def _execute():
-            try:
-                run_sweep(sweep, store, weights_cache_dir=weights_cache,
-                          jobs=2, trace=run_id)
-            except BaseException as error:  # noqa: BLE001 - surfaced below
-                errors.append(error)
-
-        thread = threading.Thread(target=_execute, daemon=True)
-        thread.start()
-        return thread, errors
-
-    def test_watch_follows_a_two_worker_run_to_completion(
-        self, tmp_path, weights_cache
-    ):
-        sweep = tiny_mc_sweep("live-pool-sweep")
-        store = ResultStore(tmp_path / "store")
-        directory = run_directory(store.root, "live-run")
-        thread, errors = self._launch(sweep, store, "live-run", weights_cache)
-        try:
-            final = None
-            for snapshot in watch(directory, interval_s=0.1, timeout_s=180.0):
-                final = snapshot
-        finally:
-            thread.join(timeout=180.0)
-        assert errors == []
-        assert final is not None and final["terminal"]
-        assert final["outcome"] == "finished"
-        # The live fold and the offline reconstruction tell one story.
-        summary = summarize(load_run(directory))
-        assert final["counts"]["ok"] == summary["ok"] == final["total"]
-        assert final["counts"]["failed"] == summary["failed"] == 0
-        assert final["counts"]["pending"] == final["counts"]["running"] == 0
-        assert final["done"] == final["total"]
-
-    def test_cli_trace_watch_matches_trace_summary_counts(
-        self, tmp_path, weights_cache, capsys
-    ):
-        sweep = tiny_mc_sweep("cli-watch-sweep")
-        store = ResultStore(tmp_path / "store")
-        thread, errors = self._launch(sweep, store, "cli-watch", weights_cache)
-        try:
-            rc = cli_main([
-                "trace", "watch", "--store", str(store.root),
-                "--run", "cli-watch", "--json",
-                "--interval", "0.1", "--timeout", "180",
-            ])
-        finally:
-            thread.join(timeout=180.0)
-        assert errors == [] and rc == 0
-        snapshot = json.loads(capsys.readouterr().out)
-        assert snapshot["terminal"] is True
-        assert cli_main(["trace", "summary", "--json", "--store",
-                         str(store.root), "--run", "cli-watch"]) == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert snapshot["counts"]["ok"] == summary["ok"]
-        assert snapshot["counts"]["failed"] == summary["failed"]
-        assert snapshot["counts"]["cached"] == summary["cache"]["hits"]
-        assert snapshot["done"] == summary["ok"] + summary["cache"]["hits"]
-
-
-# --------------------------------------------------------------------- #
 # Abnormal termination records a terminal sweep_abort
 # --------------------------------------------------------------------- #
 class TestSweepAbortEvents:
@@ -994,17 +791,13 @@ class TestSweepAbortEvents:
         store = ResultStore(tmp_path)
         with pytest.raises(RuntimeError, match="injected failure"):
             run_sweep(sweep, store, weights_cache_dir=weights_cache,
-                      inject_failures=[0], trace="abort-run")
-        trace = load_run(store.root / "telemetry" / "abort-run")
+                      inject_failures=[0], trace=True)
+        trace = load_run(latest_run(store.root))
         (abort,) = trace.select(ev.SWEEP_ABORT)
         assert abort["reason"] == "RuntimeError"
         assert "injected failure" in abort["error"]
-        # The live fold lands on "aborted" even though the runner's
-        # cleanup still records a sweep_finish afterwards.
-        state = SweepState()
-        for event in trace.events:
-            state.apply(event)
-        assert state.terminal and state.outcome == "aborted"
+        # The failure that caused the abort is in the trace too.
+        assert summarize(trace)["failed"] == 1
 
     def test_exceeded_failure_budget_records_its_own_reason(
         self, tmp_path, weights_cache
@@ -1013,8 +806,8 @@ class TestSweepAbortEvents:
         with pytest.raises(runner_module.MaxFailuresExceeded):
             run_sweep(sweep, ResultStore(tmp_path),
                       weights_cache_dir=weights_cache,
-                      inject_failures=[0], max_failures=0, trace="abort-run")
-        trace = load_run(tmp_path / "telemetry" / "abort-run")
+                      inject_failures=[0], max_failures=0, trace=True)
+        trace = load_run(latest_run(tmp_path))
         (abort,) = trace.select(ev.SWEEP_ABORT)
         assert abort["reason"] == "MaxFailuresExceeded"
 
@@ -1180,23 +973,27 @@ class TestCliHistoryRegress:
 
 
 # --------------------------------------------------------------------- #
-# CLI: run --progress (in-process live renderer)
+# CLI: run --trace --history
 # --------------------------------------------------------------------- #
-class TestCliRunProgress:
-    def test_run_progress_renders_and_appends_history(
+class TestCliRunTrace:
+    def test_run_trace_appends_history_and_prints_the_summary_hint(
         self, tmp_path, weights_cache, capsys
     ):
-        sweep = tiny_mc_sweep("progress-sweep")
+        sweep = tiny_mc_sweep("cli-trace-sweep")
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text(json.dumps(sweep.to_dict()))
+        store = tmp_path / "store"
         history = tmp_path / "history.jsonl"
         assert cli_main([
-            "run", str(spec_path), "--store", str(tmp_path / "store"),
+            "run", str(spec_path), "--store", str(store),
             "--cache-dir", weights_cache, "--out", str(tmp_path / "record.json"),
-            "--progress", "--ascii", "--history", str(history),
+            "--trace", "--history", str(history),
         ]) == 0
         out = capsys.readouterr().out
-        assert "sweep finished" in out
         (record,) = load_history(history)
-        assert record["sweep"] == "progress-sweep"
+        assert record["sweep"] == "cli-trace-sweep"
         assert (tmp_path / "record.json").exists()
+        run_id = latest_run(store).name
+        assert record["run_id"] == run_id
+        assert ("inspect: python -m repro.experiments trace summary "
+                f"--store {store} --run {run_id}") in out
