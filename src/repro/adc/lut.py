@@ -10,6 +10,9 @@ sample lands in — can therefore be tabulated *once* per layer over
 replacing the per-element float round/clip/compare arithmetic of
 ``convert``.  Region and conversion totals come from ``np.bincount`` on the
 same integer codes, so the statistics are exact, not re-derived from floats.
+A converter whose every input costs the same number of operations and that
+has no region table (the uniform SAR ADC) needs no histogram at all: its
+totals are the number of values converted times that cost.
 
 Two tabulations are kept side by side:
 
@@ -39,8 +42,9 @@ layout it tabulates differences instead of levels: the table ``D[i·B + j]
 v⁻`` of a positive/negative column pair into the signed level difference
 the merge consumes, so one ``bincount`` into ``B²`` joint bins and one
 ``take`` replace the two conversions of the pair.  A trial's per-value
-counts are the row sums plus the column sums of its joint histogram, so
-every statistic is exactly that of converting each column on its own.
+counts are the row sums plus the column sums of its joint histogram
+(:func:`fold_pair_counts`), so every statistic is exactly that of
+converting each column on its own.
 
 On the column layout it folds static device noise into the tables: when
 every noise model maps each (segment, column) through a fixed integer map
@@ -164,6 +168,17 @@ def signed_dtype_for(bound: int) -> np.dtype:
     raise OverflowError(f"no integer dtype holds ±{bound}")
 
 
+def fold_pair_counts(joint: np.ndarray, base: int) -> np.ndarray:
+    """Per-value counts behind a joint histogram of pair codes ``B·v⁺ + v⁻``.
+
+    ``joint`` holds ``B²`` bins on its last axis.  Every pair code counts
+    one value ``v⁺`` and one value ``v⁻``, so entry ``v`` of the result is
+    row sum ``v`` plus column sum ``v`` of the ``B × B`` histogram.
+    """
+    joint = joint.reshape(joint.shape[:-1] + (base, base))
+    return joint.sum(axis=-1) + joint.sum(axis=-2)
+
+
 def difference_table(levels: np.ndarray, dtype) -> np.ndarray:
     """``D[i·B + j] = levels[i] − levels[j]`` over ``0 … B−1`` (``B = levels.size``).
 
@@ -216,6 +231,12 @@ class TrialLutGather:
       :meth:`record_trials` records it as the separate layout's.  A code
       cannot alias into the next column because ``B − 1`` bounds every
       ideal value.
+
+    When every trial's LUT charges one constant cost per conversion and has
+    no region table (:attr:`costs`, the uniform SAR ADC), no layout keeps a
+    histogram: :meth:`gather` only gathers, with one max scan as its bound
+    check, and ``counts`` holds each trial's number of conversions (two per
+    pair code).
     """
 
     def __init__(
@@ -259,6 +280,14 @@ class TrialLutGather:
             ).astype(np.int64)
         else:
             self._in_r1 = None
+        #: Each trial's A/D operations per conversion when every LUT charges
+        #: one cost for all values and has no region table, else ``None``.
+        self.costs: Optional[np.ndarray] = None
+        costs = np.array([lut.ops_per_value[0] for lut in self.luts], dtype=np.int64)
+        if self._in_r1 is None and all(
+            (lut.ops_per_value == cost).all() for lut, cost in zip(self.luts, costs)
+        ):
+            self.costs = costs
 
     def _column_tables(self, column_values) -> list:
         """The column tables ``L[g(c, v)]``, segment-major.
@@ -307,60 +336,65 @@ class TrialLutGather:
         """The combined per-value histogram behind a gather histogram.
 
         The identity for the separate and column layouts (the column
-        layout folds in :meth:`gather`).  For the pair layout, every
-        pair code counts one conversion of ``v⁺`` and one of ``v⁻``: a
-        trial's per-value counts are the row sums plus the column sums of
-        its ``B × B`` joint histogram (zero above ``B − 1``).
+        layout folds in :meth:`gather`).  For the pair layout, a trial's
+        per-value counts are :func:`fold_pair_counts` of its ``B × B``
+        joint histogram (zero above ``B − 1``).
         """
         if self.pair_base is None:
             return counts
         base = self.pair_base
-        joint = counts.reshape(len(self.luts), base, base)
-        folded = joint.sum(axis=2) + joint.sum(axis=1)
+        folded = fold_pair_counts(counts.reshape(len(self.luts), base * base), base)
         values = np.zeros(sum(self._value_sizes), dtype=np.int64)
         for t, start in enumerate(self._value_offsets):
             values[start : start + base] = folded[t]
         return values
 
     def record_trials(self, counts, adcs) -> list:
-        """Record every trial's conversion statistics from the histogram.
+        """Record every trial's conversion statistics from ``counts``.
 
         Equivalent to calling ``adcs[t].record_code_counts`` with each
         trial's per-value histogram (:meth:`_value_counts`), but the
-        per-trial reductions run as three ``np.add.reduceat`` segment sums
-        over the combined histogram — all integer, hence bit-exact — leaving
-        only the constant-time counter updates in Python.  Returns the
-        per-trial A/D-operation totals.
+        per-trial reductions run as ``np.add.reduceat`` segment sums over
+        the combined histogram — all integer, hence bit-exact — leaving
+        only the constant-time counter updates in Python.  With constant
+        :attr:`costs`, ``counts`` is already each trial's number of
+        conversions and the operations are that number times the cost.
+        Returns the per-trial A/D-operation totals.
         """
-        counts = self._value_counts(counts)
-        if self._in_r1 is None:
-            return [
-                adc.record_code_counts(self.trial_counts(counts, t), lut)
-                for t, (adc, lut) in enumerate(zip(adcs, self.luts))
-            ]
-        conversions = np.add.reduceat(counts, self._value_offsets)
-        total_ops = np.add.reduceat(counts * self._ops_per_value, self._value_offsets)
-        num_r1 = np.add.reduceat(counts * self._in_r1, self._value_offsets)
-        for t, (adc, lut) in enumerate(zip(adcs, self.luts)):
-            adc.stats.record(
-                conversions=int(conversions[t]),
-                operations=int(total_ops[t]),
-                detection_operations=int(conversions[t]) * lut.detection_ops,
-                in_r1=int(num_r1[t]),
-                in_r2=int(conversions[t] - num_r1[t]),
+        if self.costs is not None:
+            conversions = counts
+            total_ops = counts * self.costs
+            num_r1 = None
+        else:
+            counts = self._value_counts(counts)
+            conversions = np.add.reduceat(counts, self._value_offsets)
+            total_ops = np.add.reduceat(counts * self._ops_per_value, self._value_offsets)
+            num_r1 = (
+                None if self._in_r1 is None
+                else np.add.reduceat(counts * self._in_r1, self._value_offsets)
             )
+        for t, (adc, lut) in enumerate(zip(adcs, self.luts)):
+            if num_r1 is None:
+                adc.stats.record(conversions=int(conversions[t]), operations=int(total_ops[t]))
+            else:
+                adc.stats.record(
+                    conversions=int(conversions[t]),
+                    operations=int(total_ops[t]),
+                    detection_operations=int(conversions[t]) * lut.detection_ops,
+                    in_r1=int(num_r1[t]),
+                    in_r2=int(conversions[t] - num_r1[t]),
+                )
         return [int(ops) for ops in total_ops]
 
     def new_counts(self) -> np.ndarray:
-        """A zeroed combined histogram to accumulate across gathers."""
+        """Zeroed ``counts`` to accumulate across gathers: per-trial
+        conversion counts with constant :attr:`costs`, else the combined
+        histogram."""
+        if self.costs is not None:
+            return np.zeros(len(self.luts), dtype=np.int64)
         if self.column_shape is not None:
             return np.zeros(sum(self._value_sizes), dtype=np.int64)
         return np.zeros(self.total_size, dtype=np.int64)
-
-    def trial_counts(self, counts: np.ndarray, trial: int) -> np.ndarray:
-        """Trial ``trial``'s slice of a combined per-value histogram."""
-        start = int(self._value_offsets[trial])
-        return counts[start : start + self._value_sizes[trial]]
 
     def gather(
         self,
@@ -370,7 +404,7 @@ class TrialLutGather:
         tile: int = GATHER_TILE,
         segment: int = 0,
     ) -> None:
-        """Gather all trials' table entries and accumulate the histogram.
+        """Gather all trials' table entries and accumulate ``counts``.
 
         ``values`` holds exact integer codes (bit-line values, or pair codes
         in the pair layout) with the trial axis leading (``(trials, …)``);
@@ -386,17 +420,19 @@ class TrialLutGather:
             return
         trials = values.shape[0]
         flat_per_trial = values.reshape(trials, -1)
+        histogram = self.costs is None
+        # One table with a histogram needs no max scan: the histogram
+        # length is the bound check.
+        if (trials > 1 or not histogram) and flat_per_trial.shape[1]:
+            maxes = flat_per_trial.max(axis=1).astype(np.int64)
+            bad = np.nonzero(maxes > self._max_values)[0]
+            if bad.size:
+                self._raise_bound(int(maxes[bad[0]]), int(bad[0]))
         if trials == 1:
-            # One table: no offsets to add, and the histogram length is the
-            # bound check, so the values need no separate max scan; each
-            # tile is cast on its own to stay cache-resident.
+            # No offsets to add: each tile is cast on its own to stay
+            # cache-resident.
             flat_codes = flat_per_trial[0]
         else:
-            if flat_per_trial.shape[1]:
-                maxes = flat_per_trial.max(axis=1).astype(np.int64)
-                bad = np.nonzero(maxes > self._max_values)[0]
-                if bad.size:
-                    self._raise_bound(int(maxes[bad[0]]), int(bad[0]))
             codes = flat_per_trial.astype(np.int64)
             codes += self.offsets[:, None]
             flat_codes = codes.reshape(-1)
@@ -404,11 +440,14 @@ class TrialLutGather:
         for start in range(0, flat_codes.size, tile):
             stop = min(start + tile, flat_codes.size)
             tile_codes = flat_codes[start:stop].astype(np.int64, copy=False)
-            tile_counts = np.bincount(tile_codes, minlength=self.total_size)
-            if tile_counts.size > self.total_size:
-                self._raise_bound(int(tile_codes.max()), 0)
-            counts += tile_counts
+            if histogram:
+                tile_counts = np.bincount(tile_codes, minlength=self.total_size)
+                if tile_counts.size > self.total_size:
+                    self._raise_bound(int(tile_codes.max()), 0)
+                counts += tile_counts
             np.take(self.levels, tile_codes, out=flat_levels[start:stop])
+        if not histogram:
+            counts += (1 if self.pair_base is None else 2) * flat_per_trial.shape[1]
 
     def _gather_columns(self, values, counts, out_levels, segment, tile) -> None:
         """The column layout's gather over ``(1 or trials, blocks, rows, C)``.
@@ -434,19 +473,27 @@ class TrialLutGather:
         table = self.levels[segment * trials * bins : (segment + 1) * trials * bins]
         tile_rows = max(1, tile // max(1, trials * blocks * cols))
         codes_buf = np.empty(trials * blocks * min(tile_rows, rows) * cols, dtype=np.int64)
-        histogram = np.zeros(sources * bins, dtype=np.int64)
+        histogram = None
+        if self.costs is None:
+            histogram = np.zeros(sources * bins, dtype=np.int64)
+        elif values.size and values.max() >= base:
+            raise ValueError(_bound_message("bit-line value", int(values.max()), base - 1))
         for start in range(0, rows, tile_rows):
             stop = min(start + tile_rows, rows)
             codes = codes_buf[: trials * blocks * (stop - start) * cols].reshape(
                 trials, blocks, stop - start, cols
             )
             np.add(values[:, :, start:stop], self._column_offsets, out=codes, casting="unsafe")
-            tile_counts = np.bincount(codes[:sources].reshape(-1), minlength=histogram.size)
-            if tile_counts.size > histogram.size:
-                top = int(codes[:sources].max()) - (histogram.size - base)
-                raise ValueError(_bound_message("bit-line value", top, base - 1))
-            histogram += tile_counts
+            if histogram is not None:
+                tile_counts = np.bincount(codes[:sources].reshape(-1), minlength=histogram.size)
+                if tile_counts.size > histogram.size:
+                    top = int(codes[:sources].max()) - (histogram.size - base)
+                    raise ValueError(_bound_message("bit-line value", top, base - 1))
+                histogram += tile_counts
             np.take(table, codes, out=out_levels[:, :, start:stop])
+        if histogram is None:
+            counts += out_levels[0].size
+            return
         index = self._column_maps[segment]
         if trials > 1:
             index = index + self._value_offsets[:, None]

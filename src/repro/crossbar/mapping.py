@@ -24,12 +24,21 @@ max_bitline_value + 1``.  Its matmul output is the *pair code* ``B·v⁺ +
 v⁻`` of one positive/negative column pair: an exact integer below ``B²``,
 which cannot alias because ``B − 1`` bounds every bit-line value.  The pair
 layout is chosen when a LUT conversion sees its bit-line values unperturbed
-(no noise, or a pure value map folded into the LUTs), nobody observes them
-and ``B²`` fits a measured cache-sized bound
-(``MappedMVMLayer._PAIR_MAX_BINS``); the default 128-row, 1-bit topology
-has ``B ≤ 129`` and always qualifies.  Observed runs, device noise other
-than a pure value map, ideal conversion and the element-wise fallback keep
-the plane matrix.
+(no noise, or a pure value map folded into the LUTs) and ``B²`` fits a
+measured cache-sized bound (``MappedMVMLayer._PAIR_MAX_BINS``); the default
+128-row, 1-bit topology has ``B ≤ 129`` and always qualifies.  Device noise
+other than a pure value map and the element-wise fallback keep the plane
+matrix.
+
+Ideal conversion without noise needs neither matrix: the shift-and-add
+merge of lossless conversions is the integer product ``codes @ W`` of the
+activation codes and the signed weight codes, computed as one float64 GEMM.
+The constructor checks ``(2^Ki − 1) · max_c Σ_r |W_rc| < 2^53``, so every
+partial sum of that GEMM is an exact integer on any BLAS kernel.  A
+bit-line capture (paper Fig. 3a) runs on that route too: its observer
+receives, per call, one int64 count vector of the ideal bit-line values,
+which the fast engine takes from one ``B²``-bin joint histogram of the pair
+GEMM (the plane GEMM's values above ``_PAIR_MAX_BINS``).
 
 Static device noise (every model integer-domain and cycle-invariant:
 quantized variation, stuck-at faults, drift) maps each (segment, column)
@@ -55,7 +64,8 @@ Simulation engines
   values are exact non-negative integers bounded by ``segment_rows ·
   (2^RDA − 1) · (2^Rcell − 1)``, so LUT-capable ADCs (see
   :mod:`repro.adc.lut`) convert them with one integer gather and derive exact
-  region/op totals from ``np.bincount`` instead of per-element float math.
+  region/op totals from ``np.bincount`` instead of per-element float math
+  (a uniform converter's constant cost needs only the number of values).
   On the pair layout one gather from a difference table ``L[i] − L[j]``
   converts both columns of a pair, and the joint histogram folds back into
   the exact per-value counts.  The merge is exact integer Horner
@@ -99,11 +109,10 @@ converters without a level grid and ideal conversion under such noise take
 the element-wise fallback, which replays the reference loop's float merge
 order.
 
-Observable differences are limited to the optional ``partial_observer``
-(one trial only): the reference engine emits blocks cycle-major, the fast
-engine segment-major with the input cycle innermost (block shapes, values
-and dtypes are identical), and fast-engine blocks are transient views into
-reused scratch buffers — observers must copy what they keep.
+Only ideal, noise-free runs can be observed.  The observer sees count
+vectors, not blocks: entry ``v`` counts the conversions whose ideal
+bit-line value is ``v``.  The reference engine hands it one vector per
+(cycle, segment) block, the fast engine one per call; their sums are equal.
 """
 
 from __future__ import annotations
@@ -114,7 +123,13 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.adc.lut import TrialLutGather, compose_transfer_lut, signed_dtype_for
+from repro.adc.lut import (
+    GATHER_TILE,
+    TrialLutGather,
+    compose_transfer_lut,
+    fold_pair_counts,
+    signed_dtype_for,
+)
 from repro.crossbar.slicing import (
     num_slices,
     slice_inputs_temporal,
@@ -150,6 +165,15 @@ class CrossbarTopology:
 
 
 DEFAULT_TOPOLOGY = CrossbarTopology()
+
+
+def _check_observable(adc, noise, partial_observer) -> None:
+    """Observers see ideal bit-line values, so only ideal, noise-free runs
+    (the bit-line captures) take one."""
+    if partial_observer is not None and (adc is not None or noise is not None):
+        raise ValueError(
+            "a partial_observer needs ideal conversion without noise (a bit-line capture)"
+        )
 
 
 def _static_noise(noise: Optional[TrialNoiseStates]) -> bool:
@@ -200,6 +224,15 @@ class MappedMVMLayer:
         weight_codes = np.asarray(weight_codes, dtype=np.int64)
         if weight_codes.ndim != 2:
             raise ValueError(f"weight_codes must be 2-D, got {weight_codes.shape}")
+        # Ideal conversion is one float64 GEMM (:meth:`_matmul_identity`),
+        # exact in any summation order only while no partial sum reaches 2^53.
+        input_max = (1 << quant_config.activation_bits) - 1
+        column_sum = int(np.abs(weight_codes).sum(axis=0).max(initial=0))
+        if input_max * column_sum >= 1 << 53:
+            raise OverflowError(
+                f"(2^{quant_config.activation_bits} - 1) * {column_sum} is not below "
+                "2^53: this layer's MVM is not exact in float64"
+            )
         self.quant_config = quant_config
         self.topology = topology
         self.in_features, self.out_features = weight_codes.shape
@@ -344,9 +377,11 @@ class MappedMVMLayer:
             omitted the conversion is ideal (lossless) and the returned op
             count assumes the baseline ``RADC`` operations per conversion.
         partial_observer:
-            Optional callable receiving every raw bit-line block (used to
-            capture the value distributions of paper Fig. 3a).  Observers see
-            the *ideal* (pre-noise) values.
+            Optional callable receiving int64 count vectors of the ideal
+            bit-line values (entry ``v`` counts the conversions whose value
+            is ``v``): the value distributions of paper Fig. 3a.  Only an
+            ideal, noise-free run can be observed; the reference engine
+            counts each (cycle, segment) block, the fast engine each call.
         engine:
             ``"reference"`` (per-cycle/segment loop, the oracle) or ``"fast"``
             (the fused kernel of :meth:`matmul_trials` at one trial).  Both
@@ -369,6 +404,7 @@ class MappedMVMLayer:
             raise ValueError(
                 f"input_codes must be (batch, {self.in_features}), got {input_codes.shape}"
             )
+        _check_observable(adc, noise, partial_observer)
         if engine == "reference":
             cycles = slice_inputs_temporal(
                 input_codes, self.quant_config.activation_bits, self.topology.dac_bits
@@ -384,6 +420,25 @@ class MappedMVMLayer:
             return outputs[0], total_ops[0]
         raise ValueError(f"unknown engine {engine!r} (expected 'fast' or 'reference')")
 
+    def _check_codes(self, input_codes: np.ndarray) -> np.ndarray:
+        """The activation codes as integers, range-checked with the errors of
+        :func:`repro.crossbar.slicing.slice_inputs_temporal`.
+
+        Integer codes pass through uncopied (the backend hands over the
+        narrowest unsigned dtype); anything else is cast to int64.
+        """
+        codes = input_codes
+        if codes.dtype.kind not in "ui":
+            codes = codes.astype(np.int64)
+        if codes.size:
+            activation_bits = self.quant_config.activation_bits
+            if codes.dtype.kind == "i" and codes.min() < 0:
+                raise ValueError("bit_slice expects non-negative integers")
+            top = codes.max()
+            if top >= (1 << activation_bits):
+                raise ValueError(f"values exceed {activation_bits} bits (max={top})")
+        return codes
+
     def _stack_cycles(self, input_codes: np.ndarray) -> np.ndarray:
         """Temporal slicing fused with cycle stacking for the fast engine.
 
@@ -392,24 +447,20 @@ class MappedMVMLayer:
         the same range validation and slice values as
         :func:`repro.crossbar.slicing.slice_inputs_temporal`.  The codes are
         sliced in the smallest unsigned dtype holding ``activation_bits``
-        (uint8 by default): one shift of every cycle into a reused buffer,
-        then one mask of the low DAC bits into the operand.
+        (uint8 by default, the dtype the backend quantizes into): one shift
+        of every cycle into a reused buffer, then one mask of the low DAC
+        bits into the operand.
         """
         activation_bits = self.quant_config.activation_bits
         dac_bits = self.topology.dac_bits
         num_cycles = self.num_input_cycles
         batch = input_codes.shape[0]
-        codes = input_codes.astype(np.int64, copy=False)
-        if codes.size:
-            if codes.min() < 0:
-                raise ValueError("bit_slice expects non-negative integers")
-            if codes.max() >= (1 << activation_bits):
-                raise ValueError(
-                    f"values exceed {activation_bits} bits (max={codes.max()})"
-                )
+        codes = self._check_codes(input_codes)
         narrow_dtype = np.min_scalar_type((1 << activation_bits) - 1)
-        narrow = self._fast_buffer("codes", codes.shape, narrow_dtype)
-        np.copyto(narrow, codes, casting="unsafe")  # exact: range checked above
+        narrow = codes
+        if codes.dtype != narrow_dtype:
+            narrow = self._fast_buffer("codes", codes.shape, narrow_dtype)
+            np.copyto(narrow, codes, casting="unsafe")  # exact: range checked above
         shifts = np.arange(0, num_cycles * dac_bits, dac_bits, dtype=narrow_dtype)
         slices = self._fast_buffer("slices", (num_cycles,) + codes.shape, narrow_dtype)
         np.right_shift(narrow, shifts[:, None, None], out=slices)
@@ -439,8 +490,9 @@ class MappedMVMLayer:
         and applies the step scale once per output — the integer-domain
         semantics of the datapath — which can differ from scaling each
         reconstructed value individually by ~1 ulp per sample.  Noise, when
-        given, perturbs each raw block after the observer and before
-        conversion, via the keyed sampling that both engines share.
+        given, perturbs each raw block before conversion, via the keyed
+        sampling that both engines share.  An observer receives the
+        ``np.bincount`` of every block.
         """
         batch = cycles.shape[1]
         accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
@@ -455,7 +507,7 @@ class MappedMVMLayer:
             for segment_index in range(self.num_segments):
                 partials = self.bitline_partials(cycle_slice, segment_index)
                 if partial_observer is not None:
-                    partial_observer(partials)
+                    partial_observer(np.bincount(partials.astype(np.int64).ravel()))
                 if noise is not None:
                     partials = noise.perturb_block(partials, segment_index, cycle_index)
                 if adc is None:
@@ -507,7 +559,7 @@ class MappedMVMLayer:
             oracle per trial (transparent, for verification).
         partial_observer:
             Optional bit-line observer as in :meth:`matmul`; only a single
-            trial can be observed.
+            ideal, noise-free trial can be observed.
 
         Returns
         -------
@@ -534,6 +586,7 @@ class MappedMVMLayer:
             )
         if partial_observer is not None and trials != 1:
             raise ValueError("a partial_observer can only observe a single trial")
+        _check_observable(adcs, noise, partial_observer)
         if engine == "reference":
             outputs = np.empty(
                 (trials, input_codes.shape[1], self.out_features), dtype=np.float64
@@ -568,20 +621,18 @@ class MappedMVMLayer:
     #: bound also keeps every pair code below ``2^24``, exact in float32.
     _PAIR_MAX_BINS = 1 << 18
 
-    def _use_pair_layout(self, luts, perturbed: bool, observed: bool) -> bool:
+    def _use_pair_layout(self, luts, perturbed: bool) -> bool:
         """Whether a LUT conversion runs on the pair layout.
 
         The pair GEMM never materialises ``v⁺`` and ``v⁻`` apart, so it
         needs a conversion that sees each bit-line value unperturbed (no
-        noise, or a pure value map folded into the LUTs) and that nobody
-        observes; ``B²`` must fit :attr:`_PAIR_MAX_BINS`, and every LUT
-        must cover ``0 … B − 1``.
+        noise, or a pure value map folded into the LUTs); ``B²`` must fit
+        :attr:`_PAIR_MAX_BINS`, and every LUT must cover ``0 … B − 1``.
         """
         base = self._max_bitline + 1
         return (
             luts is not None
             and not perturbed
-            and not observed
             and base * base <= self._PAIR_MAX_BINS
             and all(lut.levels.size >= base for lut in luts)
         )
@@ -603,6 +654,95 @@ class MappedMVMLayer:
                 base * self._plane_matrix[:, :width] + self._plane_matrix[:, width:]
             )
         return matrix
+
+    def _identity_matrix(self) -> np.ndarray:
+        """The signed weight codes ``W = Σ_p 2^(p·Rcell) (W⁺_p − W⁻_p)``.
+
+        ``(in_features, out_features)`` float64, rebuilt from the plane
+        matrix with the merge's plane factors, so it is exactly the weight
+        the crossbars store.  Built on first use and kept for the layer's
+        lifetime.
+        """
+        matrix = self.__dict__.get("_identity_matrix_cache")
+        if matrix is None:
+            planes = self._plane_matrix.reshape(
+                self.in_features, 2, self.num_weight_planes, self.out_features
+            )
+            matrix = self._identity_matrix_cache = np.einsum(
+                "ispo,sp->io", planes.astype(np.float64), self._merge_factors
+            )
+        return matrix
+
+    def _baseline_ops(self, rows: int) -> int:
+        """A/D operations of ``rows`` MVMs at the full-resolution baseline."""
+        conversions = (
+            self.num_segments * self.num_input_cycles * rows
+            * 2 * self.num_weight_planes * self.out_features
+        )
+        return conversions * self.topology.ideal_adc_resolution
+
+    def _matmul_identity(
+        self,
+        input_codes: np.ndarray,
+        shared_input: bool,
+        partial_observer: Optional[Callable[[np.ndarray], None]],
+    ) -> Tuple[np.ndarray, List[int]]:
+        """Ideal conversion without noise as one exact integer GEMM.
+
+        Lossless conversion passes every bit-line value through, so the
+        shift-and-add merge ``Σ_c Σ_p 2^(c·RDA + p·Rcell) (v⁺ − v⁻)`` is
+        the integer product ``codes @ W`` (:meth:`_identity_matrix`).  One
+        float64 GEMM computes it exactly on any BLAS kernel: the
+        constructor checked that no partial sum reaches ``2^53``.  Adding
+        it to zeros keeps a signed zero out of the outputs, as the merge
+        does.  The codes keep :meth:`_stack_cycles`' range errors, and the
+        operation count is the full-resolution baseline.  An observer
+        receives :meth:`_bitline_counts` of the call.
+        """
+        trials, batch = input_codes.shape[0], input_codes.shape[1]
+        rows = (
+            input_codes[0]
+            if shared_input
+            else input_codes.reshape(trials * batch, self.in_features)
+        )
+        codes = self._check_codes(rows)
+        if partial_observer is not None:
+            partial_observer(self._bitline_counts(codes))
+        outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
+        outputs += (codes.astype(np.float64) @ self._identity_matrix()).reshape(
+            -1, batch, self.out_features
+        )
+        return outputs, [self._baseline_ops(batch)] * trials
+
+    def _bitline_counts(self, input_codes: np.ndarray) -> np.ndarray:
+        """Counts of the ideal bit-line values of one ``(rows, in_features)``
+        block of codes: entry ``v`` counts the conversions whose value is
+        ``v``.
+
+        The half-width pair GEMM gives the pair code ``B·v⁺ + v⁻`` of every
+        positive/negative column pair; one joint ``bincount`` over ``B²``
+        bins, in cache-sized tiles, folds into the per-value counts
+        (:func:`~repro.adc.lut.fold_pair_counts`, as
+        :meth:`~repro.adc.lut.TrialLutGather.record_trials` folds).  Layers
+        whose ``B²`` exceeds :attr:`_PAIR_MAX_BINS` bincount the plane
+        GEMM's values instead.
+        """
+        stacked = self._stack_cycles(input_codes)
+        base = self._max_bitline + 1
+        pair = base * base <= self._PAIR_MAX_BINS
+        matrix = self._pair_matrix() if pair else self._plane_matrix
+        bins = base * base if pair else base
+        partials = self._fast_buffer(
+            "partials", (stacked.shape[0], matrix.shape[1]), np.float32
+        )
+        flat = partials.reshape(-1)
+        counts = np.zeros(bins, dtype=np.int64)
+        for segment in self._segments:
+            np.matmul(stacked[:, segment], matrix[segment], out=partials)
+            for start in range(0, flat.size, GATHER_TILE):
+                tile = flat[start : start + GATHER_TILE].astype(np.int64)
+                counts += np.bincount(tile, minlength=bins)
+        return fold_pair_counts(counts, base) if pair else counts
 
     #: Largest per-segment column table (``trials × columns × B`` entries,
     #: ``B = max_bitline_value + 1``) the column layout may use: 2 MiB of
@@ -646,7 +786,6 @@ class MappedMVMLayer:
         self,
         adcs: Optional[List[object]],
         noise: Optional[TrialNoiseStates],
-        observed: bool = False,
     ) -> tuple:
         """Per-trial conversion setup: ``(luts, value_mapped, gather)``.
 
@@ -659,17 +798,17 @@ class MappedMVMLayer:
         The setup — value maps, per-trial transfer LUTs, the combined
         gather, difference or column tables — is a pure function of the
         per-trial noise states and ADC instances, both stable across the
-        chunks of one run, and of whether the run is observed.  It is
-        cached on exactly those (never on a :class:`TrialNoiseStates`
-        wrapper, which a solo :meth:`matmul` builds afresh per call),
-        making it a per-run cost instead of a per-chunk one; in the
+        chunks of one run.  It is cached on exactly those (never on a
+        :class:`TrialNoiseStates` wrapper, which a solo :meth:`matmul`
+        builds afresh per call), making it a per-run cost instead of a
+        per-chunk one; in the
         overhead-bound small-row regime this setup would otherwise rival
         the kernel work itself.
         """
         if adcs is None:
             return None, False, None
         states = () if noise is None else noise.states
-        key = (tuple(map(id, states)), tuple(map(id, adcs)), observed)
+        key = (tuple(map(id, states)), tuple(map(id, adcs)))
         cache = self.__dict__.setdefault("_conversion_cache", {})
         entry = cache.get(key)
         if entry is not None:
@@ -699,7 +838,7 @@ class MappedMVMLayer:
             if perturbed and bins <= self._COLUMN_MAX_BINS:
                 gather = TrialLutGather(luts, column_values=self._column_probes(noise))
             else:
-                pair = self._use_pair_layout(luts, perturbed, observed)
+                pair = self._use_pair_layout(luts, perturbed)
                 gather = TrialLutGather(luts, pair_base=self._max_bitline + 1 if pair else None)
         setup = (luts, value_mapped, gather)
         if len(cache) >= 64:
@@ -713,13 +852,14 @@ class MappedMVMLayer:
         self,
         adcs: Optional[List[object]],
         noise: Optional[TrialNoiseStates],
-        observed: bool = False,
     ) -> str:
         """The datapath :meth:`_matmul_fast_trials` takes for a conversion.
 
-        * ``"pair"`` / ``"separate"`` — unperturbed bit lines (no noise, or
-          a pure value map folded into the LUTs) through the pair or the
-          plane matrix; ideal conversion without noise is ``"separate"``;
+        * ``"identity"`` — ideal conversion without noise, observed or not:
+          one exact integer GEMM (:meth:`_matmul_identity`);
+        * ``"pair"`` / ``"separate"`` — LUT conversion of unperturbed bit
+          lines (no noise, or a pure value map folded into the LUTs)
+          through the pair or the plane matrix;
         * ``"column"`` — a static stack folded into per-column tables;
         * ``"perturbed"`` — a static stack applied per element, when the
           column tables exceed :attr:`_COLUMN_MAX_BINS` or the conversion
@@ -731,7 +871,7 @@ class MappedMVMLayer:
           conversion under non-static noise
           (:meth:`_matmul_fast_trials_fallback`).
         """
-        luts, value_mapped, gather = self._conversion_setup(adcs, noise, observed)
+        luts, value_mapped, gather = self._conversion_setup(adcs, noise)
         if gather is not None:
             if gather.column_shape is not None:
                 return "column"
@@ -740,7 +880,7 @@ class MappedMVMLayer:
             return "separate" if noise is None or value_mapped else "perturbed"
         if adcs is None:
             if noise is None:
-                return "separate"
+                return "identity"
             return "perturbed" if _static_noise(noise) else "fallback"
         level_grid = all(hasattr(adc, "convert_levels") for adc in adcs)
         return "continuous" if level_grid else "fallback"
@@ -805,18 +945,21 @@ class MappedMVMLayer:
         segments`` to ``segments``.  :meth:`_kernel_path` picks how the
         bit lines are converted:
 
+        * **identity** — ideal conversion without noise (the ideal-ADC
+          baselines and every bit-line capture) skips the bit lines: one
+          exact integer GEMM (:meth:`_matmul_identity`).
         * **pair** — when :meth:`_use_pair_layout` holds (every noise-free
-          or value-mapped, unobserved LUT run with ``B²`` in bound, which
-          covers every figure and Algorithm 1 evaluation), each segment
+          or value-mapped LUT run with ``B²`` in bound, which covers every
+          figure and Algorithm 1 evaluation), each segment
           multiplies by the half-width pair matrix ``B·W⁺ + W⁻``, whose
           outputs are the exact pair codes ``B·v⁺ + v⁻``.  One ``astype``,
           one ``bincount`` into ``B²`` joint bins and one ``take`` from each
           trial's difference table ``L[i] − L[j]`` replace the two
           conversions of a column pair, and the folded joint histogram
           gives exactly the per-value statistics.
-        * **separate** — the plane matrix, one LUT gather per column (or
-          ideal conversion) and one ``L⁺ − L⁻`` subtraction, for observed
-          runs and whatever the pair layout does not cover.
+        * **separate** — the plane matrix, one LUT gather per column and
+          one ``L⁺ − L⁻`` subtraction, for whatever the pair layout does
+          not cover.
         * **column** — static integer-domain noise (quantized variation,
           stuck-at faults) folded into per-(trial, segment) column tables
           ``L[g(c, v)]``: one gather of the ideal ``c·B + v`` applies the
@@ -856,9 +999,7 @@ class MappedMVMLayer:
           combined :class:`~repro.adc.lut.TrialLutGather` table and merge
           with the same order-free exact integer arithmetic.
 
-        Blocks handed to ``partial_observer`` are transient views into a
-        reused buffer — observers must copy what they keep (the
-        distribution collector does).
+        Only the identity route takes a ``partial_observer``.
         """
         trials, batch = input_codes.shape[0], input_codes.shape[1]
         num_cycles = self.num_input_cycles
@@ -872,13 +1013,12 @@ class MappedMVMLayer:
             shared_input = trials == 2 or bool(
                 (input_codes[2:] == input_codes[:1]).all()
             )
-        observed = partial_observer is not None
-        path = self._kernel_path(adcs, noise, observed)
+        path = self._kernel_path(adcs, noise)
+        if path == "identity":
+            return self._matmul_identity(input_codes, shared_input, partial_observer)
         if path == "fallback":
-            return self._matmul_fast_trials_fallback(
-                input_codes, adcs, noise, shared_input, partial_observer
-            )
-        luts, _, gather = self._conversion_setup(adcs, noise, observed)
+            return self._matmul_fast_trials_fallback(input_codes, adcs, noise, shared_input)
+        luts, _, gather = self._conversion_setup(adcs, noise)
 
         eff = 1 if shared_input else trials
         stacked = self._stack_cycles(
@@ -897,7 +1037,8 @@ class MappedMVMLayer:
         elif luts is not None:
             level_bound = gather.level_bound
         else:
-            level_bound = self._max_bitline if noise is None else max(noise.lut_bounds)
+            # Ideal conversion under static noise.
+            level_bound = max(noise.lut_bounds)
         diff_dtype, sum_dtype, cycle_dtype, plane_dtype = self._merge_dtypes(level_bound)
         # Cache blocking: the per-trial loop incidentally works on small,
         # cache-resident blocks; a naive trial batch would drag every
@@ -935,9 +1076,6 @@ class MappedMVMLayer:
         for segment_index, segment in enumerate(self._segments):
             np.matmul(stacked[:, segment], matrix[segment], out=partials_buf)
             raw = partials_buf.reshape(num_cycles, eff, batch, cols)
-            if observed:
-                for cycle_index in range(num_cycles):
-                    partial_observer(raw[cycle_index, 0])
             for start in range(0, batch, row_blk):
                 stop = min(start + row_blk, batch)
                 rows = stop - start
@@ -1009,8 +1147,7 @@ class MappedMVMLayer:
             scales = [lut.scale for lut in luts]
         else:
             # Ideal conversion charges the full-resolution baseline.
-            conversions = self.num_segments * num_cycles * batch * 2 * width
-            return outputs, [conversions * self.topology.ideal_adc_resolution] * trials
+            return outputs, [self._baseline_ops(batch)] * trials
         for t, scale in enumerate(scales):
             if scale != 1.0:
                 outputs[t] *= scale
@@ -1101,7 +1238,6 @@ class MappedMVMLayer:
         adcs: Optional[List[object]],
         noise: Optional[TrialNoiseStates],
         shared_input: bool,
-        partial_observer: Optional[Callable[[np.ndarray], None]] = None,
     ) -> Tuple[np.ndarray, List[int]]:
         """Fused-GEMM path for converters without a level grid (e.g. the
         non-uniform baseline) and for ideal conversion under non-static noise.
@@ -1135,9 +1271,6 @@ class MappedMVMLayer:
         for segment_index, segment in enumerate(self._segments):
             partials = np.matmul(stacked[:, segment], self._plane_matrix[segment])
             blocks = partials.reshape(num_cycles, eff, batch, cols)
-            if partial_observer is not None:
-                for cycle_index in range(num_cycles):
-                    partial_observer(blocks[cycle_index, 0])
             noisy_all = None
             if noise is not None and noise.cycle_invariant:
                 # Same cycle-axis fold as the LUT path: static stacks

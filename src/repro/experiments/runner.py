@@ -77,7 +77,6 @@ from repro.telemetry.resources import (
 from repro.telemetry.tracer import (
     NULL_TRACER,
     Tracer,
-    merge_events,
     process_tracer,
     resolve_tracer,
     write_graph,
@@ -1142,7 +1141,6 @@ def run_sweep(
             tracer.counter(telemetry_events.COUNTER_JOBS_COMPUTED, stats.computed)
             tracer.counter(telemetry_events.COUNTER_JOBS_FAILED, stats.failed)
             tracer.close()
-            merge_events(telemetry_dir)
 
     run = aggregate_sweep(
         sweep, store, salt=salt, experiment=experiment,

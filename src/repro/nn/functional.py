@@ -54,15 +54,19 @@ def im2col(
     kernel_size: IntOrPair,
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
+    pad_value: float = 0.0,
 ) -> Tuple[np.ndarray, Tuple[int, int]]:
     """Unfold sliding windows of ``x`` into a 2-D matrix.
 
     Parameters
     ----------
     x:
-        Input activations of shape ``(N, C, H, W)``.
+        Input activations of shape ``(N, C, H, W)``, of any dtype (the PIM
+        backend unfolds integer activation codes).
     kernel_size, stride, padding:
         Convolution geometry.
+    pad_value:
+        The value of the padding (the code of 0.0 for quantized inputs).
 
     Returns
     -------
@@ -84,7 +88,7 @@ def im2col(
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
 
-    xp = pad_nchw(x, (ph, pw))
+    xp = pad_nchw(x, (ph, pw), pad_value)
     # Strided view: (N, C, OH, OW, KH, KW) without copying.
     s0, s1, s2, s3 = xp.strides
     windows = np.lib.stride_tricks.as_strided(

@@ -11,7 +11,12 @@ re-routes inference through the full bit-sliced datapath:
     bias add
 
 while accumulating per-layer conversion statistics and, optionally, feeding a
-:class:`repro.sim.capture.DistributionCollector` with the raw bit-line values.
+:class:`repro.sim.capture.DistributionCollector` with the counts of the
+ideal bit-line values.  Inputs are quantized before im2col, once per
+activation rather than once per window that copies it: quantization works
+element by element and im2col only copies elements (padding with the code
+of 0.0), so the codes are the same.  They travel in the narrowest unsigned
+dtype that holds the layer's ``qmax`` (uint8 for 8-bit activations).
 
 Engines
 -------
@@ -40,8 +45,9 @@ inputs tiled trial-major and runs them through one
 per chunk (per trial sub-group for large groups).  Every trial carries its
 own noise replica, ADC instances and statistics, so its outputs are
 bit-identical to a run of that trial alone.  A bit-line collector observes
-a single-trial run; the fast engine hands it blocks segment-major, with
-the input cycle innermost.
+a single ideal, noise-free trial: it receives one count vector per kernel
+call on the fast engine, and one per (cycle, segment) block on the
+reference engine.
 """
 
 from __future__ import annotations
@@ -110,8 +116,8 @@ class PimBackend:
         (:func:`throughput_chunk_size`).
     collector:
         Optional bit-line value collector (paper Fig. 3a / calibration) for
-        a single-trial run.  Observers always see the ideal (pre-noise)
-        values.
+        an ideal, noise-free single-trial run; any other run raises
+        ``ValueError``.  It receives count vectors of the bit-line values.
     noise:
         One :class:`repro.nonideal.NonIdealityStack` per Monte Carlo trial,
         applied to bit-line values before conversion, or ``None`` for a
@@ -247,10 +253,28 @@ class PimBackend:
     # ------------------------------------------------------------------ #
     # core execution
     # ------------------------------------------------------------------ #
-    def _execute(self, name: str, kind: str, x_rows: np.ndarray) -> np.ndarray:
-        """Run ``x_rows`` (MVM input vectors, one per row) through the datapath.
+    def _input_codes(self, name: str, x: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Quantize a layer's input activations: ``(codes, padding code)``.
 
-        ``x_rows`` is the trial-major tiling of the per-trial rows: rows
+        The codes are in the narrowest unsigned dtype holding the input
+        grid's ``qmax``; the padding code is ``quantize(0.0)``, the code
+        im2col pads with.  Signed inputs raise before anything is computed.
+        """
+        params = self.quantized.layer(name).input_params
+        if params.signed:
+            raise NotImplementedError(
+                f"layer '{name}' has signed inputs; the differential crossbar "
+                "mapping implemented here expects non-negative MVM inputs "
+                "(images or post-ReLU activations)"
+            )
+        codes = params.quantize(x).astype(np.min_scalar_type(params.qmax))
+        return codes, int(params.quantize(0.0))
+
+    def _execute(self, name: str, kind: str, codes: np.ndarray) -> np.ndarray:
+        """Run ``codes`` (MVM input codes, one vector per row) through the
+        datapath.
+
+        ``codes`` is the trial-major tiling of the per-trial rows: rows
         ``[t·R, (t+1)·R)`` are what a run of trial ``t`` alone would see.
         Every trial walks the same chunk grid — chunk indices key the noise
         draws — with the trials' chunk counters advancing in lockstep.
@@ -260,27 +284,20 @@ class PimBackend:
         statistics are bit-identical to running each trial alone.
         """
         lq = self.quantized.layer(name)
-        if lq.input_params.signed:
-            raise NotImplementedError(
-                f"layer '{name}' has signed inputs; the differential crossbar "
-                "mapping implemented here expects non-negative MVM inputs "
-                "(images or post-ReLU activations)"
-            )
         mapped = self._mapped_layer(name, kind)
         adcs = self._trial_adcs_for(name)
         noise = self._trial_noise_for(name, mapped)
         if self.collector is not None:
             self.collector.set_layer(name)
         trials = self.trials
-        rows = x_rows.shape[0]
+        rows = codes.shape[0]
         if rows % trials:
             raise ValueError(
                 f"input rows ({rows}) are not divisible by the trial count ({trials})"
             )
         solo_rows = rows // trials
 
-        input_codes = lq.input_params.quantize(x_rows)
-        codes = input_codes.reshape(trials, solo_rows, mapped.in_features)
+        codes = codes.reshape(trials, solo_rows, mapped.in_features)
         outputs = np.empty(
             (trials, solo_rows, mapped.out_features), dtype=np.float64
         )
@@ -355,7 +372,8 @@ class PimBackend:
         padding: Tuple[int, int],
     ) -> np.ndarray:
         name = self._layer_name(layer)
-        cols, (oh, ow) = F.im2col(x, layer.kernel_size, stride, padding)
+        codes, pad_code = self._input_codes(name, x)
+        cols, (oh, ow) = F.im2col(codes, layer.kernel_size, stride, padding, pad_code)
         out = self._execute(name, "conv", cols)
         if bias is not None:
             out = out + bias
@@ -370,7 +388,7 @@ class PimBackend:
         bias: Optional[np.ndarray],
     ) -> np.ndarray:
         name = self._layer_name(layer)
-        out = self._execute(name, "linear", x)
+        out = self._execute(name, "linear", self._input_codes(name, x)[0])
         if bias is not None:
             out = out + bias
         return out

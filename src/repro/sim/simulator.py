@@ -18,8 +18,8 @@ degradation statistics.  Trials are exactly reproducible under a fixed seed.
 and :meth:`~PimSimulator.monte_carlo_trial_results` share one forward loop:
 every run is a group of trials through one backend and one fused kernel
 with a leading trials axis, and a single evaluation or capture is a group
-of one (the capture's collector receives blocks segment-major, with the
-input cycle innermost).
+of one (the capture's collector receives one count vector of the ideal
+bit-line values per kernel call).
 """
 
 from __future__ import annotations

@@ -63,7 +63,6 @@ from repro.telemetry.tracer import (
     latest_run,
     list_runs,
     load_events,
-    merge_events,
     new_run_id,
     process_tracer,
     resolve_tracer,
@@ -102,7 +101,6 @@ __all__ = [
     "load_events",
     "load_history",
     "load_run",
-    "merge_events",
     "new_run_id",
     "process_tracer",
     "quantile",

@@ -102,14 +102,6 @@ RESOURCE_SAMPLE = "resource_sample"
 JOB_OPEN_EVENTS = (JOB_START,)
 JOB_CLOSE_EVENTS = (JOB_FINISH, JOB_FAILED)
 
-ALL_EVENTS = (
-    SWEEP_START, SWEEP_FINISH, SWEEP_ABORT,
-    PREWARM_START, PREWARM_FINISH,
-    WAVE_START, WAVE_FINISH,
-    JOB_START, JOB_FINISH, JOB_FAILED, JOB_CACHED, JOB_UPSTREAM_FAILED,
-    COUNTER, RESOURCE_SAMPLE,
-)
-
 #: Counter names the runner emits (the analysis layer recognises these;
 #: arbitrary additional counters are allowed and surfaced verbatim).
 COUNTER_CACHE_HITS = "store.cache_hits"

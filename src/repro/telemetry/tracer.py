@@ -13,8 +13,8 @@ One telemetry *run* is a directory — conventionally
 * ``graph.json`` — the scheduler's dependency adjacency over the run's
   scheduled jobs, written by the orchestrator so analysis can reconstruct
   the timeline against the exact graph that executed.
-* ``merged.jsonl`` — optional: the time-ordered union of every stream
-  (:func:`merge_events`), the single-file form of the event log.
+
+:func:`load_events` reads the streams back as one time-ordered list.
 
 The :class:`Tracer` base class is the **disabled** tracer: every method is
 a no-op, so the fast path pays one dynamic call per would-be event and
@@ -38,7 +38,6 @@ from repro.telemetry.events import TELEMETRY_DIRNAME, TELEMETRY_FORMAT
 
 RUN_MANIFEST_NAME = "run.json"
 GRAPH_NAME = "graph.json"
-MERGED_NAME = "merged.jsonl"
 
 
 def new_run_id() -> str:
@@ -288,29 +287,6 @@ def load_events(directory: Union[str, Path]) -> List[Dict[str, object]]:
         )
     )
     return events
-
-
-def merge_events(
-    directory: Union[str, Path], out: Optional[Union[str, Path]] = None
-) -> Path:
-    """Write the single merged, time-ordered JSONL stream of a run.
-
-    The per-process stream files remain the source of truth; the merged
-    file is the convenient single-artifact form (what CI uploads, what
-    ``trace show`` prints).  Returns the written path.
-    """
-    directory = Path(directory)
-    events = load_events(directory)
-    path = Path(out) if out is not None else directory / MERGED_NAME
-    text = "".join(json.dumps(event, sort_keys=True) + "\n" for event in events)
-    tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-    return path
 
 
 def list_runs(store_root: Union[str, Path]) -> List[Path]:

@@ -1,14 +1,14 @@
 """Bit-line captures are exact histograms, whatever executes them.
 
-A capture runs ideal, noise-free conversion, so every value the collector
-observes is an exact integer and the histogram is a function of the images
-alone: the engine, the batch size, the chunking and the order in which
-blocks arrive cannot change it.  These tests compare captures across
-engines and batch sizes, against ``np.bincount`` of the reference loop's raw
-blocks, and check that a stored capture keeps every layer's true maximum
-(the reservoir it replaced understated it in most layers of the benchmark
-DNNs, and that maximum sets the calibrated-uniform full scale and
-Algorithm 1's ``Rideal``).
+A capture runs ideal, noise-free conversion, and the collector receives
+count vectors of the exact integer bit-line values, so the histogram is a
+function of the images alone: the engine, the batch size, the chunking and
+the order in which counts arrive cannot change it.  These tests compare
+captures across engines and batch sizes, against the reference loop's
+per-block ``np.bincount`` vectors, and check that a stored capture keeps
+every layer's true maximum (the reservoir it replaced understated it in
+most layers of the benchmark DNNs, and that maximum sets the
+calibrated-uniform full scale and Algorithm 1's ``Rideal``).
 """
 
 from __future__ import annotations
@@ -18,9 +18,11 @@ from typing import Dict, List
 import numpy as np
 import pytest
 
+from repro.adc import uniform_config
 from repro.experiments import DistributionParams, JobSpec, ResultStore, WorkloadSpec
 from repro.experiments import runner as runner_module
 from repro.experiments import execute_job, job_key
+from repro.nonideal import GaussianReadNoise, NonIdealityStack
 from repro.sim import DistributionCollector, PimSimulator
 from repro.sim.simulator import CAPTURE_BATCH_SIZE
 from repro.workloads import prepare_workload
@@ -33,7 +35,8 @@ IMAGES = 6
 
 
 class RecordingCollector(DistributionCollector):
-    """A collector that also keeps a copy of every raw block it sees."""
+    """A collector that also keeps a copy of every count vector it receives:
+    one ``np.bincount`` per (cycle, segment) block on the reference engine."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -43,9 +46,14 @@ class RecordingCollector(DistributionCollector):
         super().set_layer(name)
         self.blocks.setdefault(name, [])
 
-    def __call__(self, values: np.ndarray) -> None:
-        self.blocks[self._active_layer].append(np.array(values, dtype=np.float64))
-        super().__call__(values)
+    def __call__(self, counts: np.ndarray) -> None:
+        self.blocks[self._active_layer].append(np.array(counts))
+        super().__call__(counts)
+
+
+def largest_value(block_counts: np.ndarray) -> int:
+    """The largest bit-line value a block's count vector counts."""
+    return int(np.flatnonzero(block_counts)[-1])
 
 
 def capture(simulator: PimSimulator, images, batch_size=CAPTURE_BATCH_SIZE):
@@ -77,17 +85,21 @@ class TestCaptureInvariance:
         fast = lenet_workload.simulator.collect_bitline_distributions(images)
         assert_same_histograms(fast, reference_capture.histograms())
 
-    def test_histograms_equal_bincount_of_the_reference_raw_blocks(
+    def test_histograms_equal_the_sum_of_the_reference_block_counts(
         self, lenet_workload, images, reference_capture
     ):
         fast = lenet_workload.simulator.collect_bitline_distributions(images)
+        footprints = lenet_workload.simulator.mapping_summary()
         for name, blocks in reference_capture.blocks.items():
-            raw = np.concatenate([block.ravel() for block in blocks])
-            # The observer contract the collector relies on: ideal partial
-            # sums are exact non-negative integers.
-            np.testing.assert_array_equal(raw, np.round(raw))
-            assert raw.min() >= 0
-            np.testing.assert_array_equal(fast[name], np.bincount(raw.astype(np.int64)))
+            # The observer contract the collector relies on: one int64
+            # bincount of every (cycle, segment) block of ideal values.
+            footprint = footprints[name]
+            assert len(blocks) % (footprint.num_input_cycles * footprint.num_segments) == 0
+            assert all(block.dtype == np.int64 and block.ndim == 1 for block in blocks)
+            total = np.zeros(max(block.size for block in blocks), dtype=np.int64)
+            for block in blocks:
+                total[: block.size] += block
+            np.testing.assert_array_equal(fast[name], np.trim_zeros(total, "b"))
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_histograms_do_not_depend_on_batch_size_or_chunking(
@@ -111,6 +123,16 @@ class TestCaptureInvariance:
             assert histogram.sum() == ideal.layer_stats[name].conversions
 
 
+    def test_captures_need_ideal_noise_free_runs(self, lenet_workload, images):
+        simulator = lenet_workload.simulator
+        configs = {name: uniform_config(resolution=8, bits=4) for name in simulator.layer_names()}
+        stack = NonIdealityStack([GaussianReadNoise(sigma=0.5)], seed=1)
+        for adc_configs, stacks in ((configs, None), (None, [stack])):
+            with pytest.raises(ValueError, match="ideal conversion without noise"):
+                simulator._forward(images, None, adc_configs, CAPTURE_BATCH_SIZE, stacks,
+                                   collector=DistributionCollector())
+
+
 class TestStoredCapture:
     def test_each_stored_maximum_is_the_largest_observed_value(self, tmp_path):
         job = JobSpec(
@@ -130,19 +152,21 @@ class TestStoredCapture:
             test_size=TINY.test_size, calibration_images=TINY.calibration_images,
             epochs=TINY.epochs, seed=TINY.seed, cache_dir=cache,
         )
-        observed = capture(prepared.simulator, prepared.calibration.images)
+        observed = capture(
+            PimSimulator(prepared.quantized, engine="reference"), prepared.calibration.images
+        )
         assert list(stored) == list(observed.blocks)
         for name, blocks in observed.blocks.items():
-            largest = max(float(block.max()) for block in blocks)
+            largest = max(largest_value(block) for block in blocks)
             histogram = stored[name]
             assert histogram.dtype == np.int64
             assert histogram.size - 1 == largest and histogram[-1] > 0
             summary = payload["layer_summaries"][name]
             assert summary["max"] == largest
-            assert summary["count"] == sum(block.size for block in blocks)
+            assert summary["count"] == sum(int(block.sum()) for block in blocks)
         assert payload["row"]["pooled_max"] == max(
-            float(block.max()) for blocks in observed.blocks.values() for block in blocks
+            largest_value(block) for blocks in observed.blocks.values() for block in blocks
         )
         assert payload["row"]["total_samples"] == sum(
-            block.size for blocks in observed.blocks.values() for block in blocks
+            int(block.sum()) for blocks in observed.blocks.values() for block in blocks
         )

@@ -226,12 +226,15 @@ class TestMergeAndMapping:
         assert adc.stats.conversions > 0
         assert ops == adc.stats.operations
 
-    def test_mapped_layer_partial_observer_sees_all_values(self, rng):
+    @pytest.mark.parametrize("engine", ["reference", "fast"])
+    def test_mapped_layer_partial_observer_sees_all_values(self, rng, engine):
+        """The observer's count vectors hold one count per conversion."""
         weights = rng.integers(-3, 4, size=(10, 3))
         inputs = rng.integers(0, 4, size=(2, 10))
         layer = MappedMVMLayer(weights, QuantizationConfig(weight_bits=3, activation_bits=2))
         seen = []
-        layer.matmul(inputs, partial_observer=lambda block: seen.append(block.size))
+        layer.matmul(inputs, partial_observer=lambda counts: seen.append(int(counts.sum())),
+                     engine=engine)
         footprint = layer.footprint()
         assert sum(seen) == inputs.shape[0] * footprint.conversions_per_mvm
 

@@ -19,6 +19,7 @@ from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config
 from repro.adc.lut import TrialLutGather
 from repro.core import TRQParams
 from repro.crossbar import CrossbarTopology, MappedMVMLayer
+from repro.crossbar.merge import reference_integer_matmul
 from repro.crossbar.slicing import slice_inputs_temporal
 from repro.nonideal import GaussianReadNoise as KeyedReadNoise
 from repro.nonideal import NonIdealityModel, NonIdealityStack, RetentionDrift
@@ -26,6 +27,25 @@ from repro.nonideal.stack import TrialNoiseStates
 from repro.quantization import QuantizationConfig
 from repro.sim import PimSimulator
 from repro.sim.pim_layer import PimBackend
+
+
+def _summed(vectors):
+    """The sum of count vectors of different lengths, trailing zeros trimmed."""
+    total = np.zeros(max(v.size for v in vectors), dtype=np.int64)
+    for vector in vectors:
+        total[: vector.size] += vector
+    return np.trim_zeros(total, "b")
+
+
+def _assert_counts_agree(layer, inputs):
+    """Fast-engine capture counts equal the reference engine's block counts."""
+    counts = {}
+    for engine in ("reference", "fast"):
+        vectors = []
+        layer.matmul(inputs, partial_observer=vectors.append, engine=engine)
+        counts[engine] = _summed(vectors)
+    np.testing.assert_array_equal(counts["fast"], counts["reference"])
+    return counts["fast"]
 
 
 def _assert_engines_agree(layer, inputs, make_adc):
@@ -86,46 +106,29 @@ class TestEngineEquivalence:
         parts = [layer.matmul(big[i : i + 16], adc=adc, engine="fast")[0] for i in range(0, 64, 16)]
         np.testing.assert_array_equal(whole, np.concatenate(parts, axis=0))
 
-    def test_observer_sees_same_values_in_both_engines(self, rng):
-        """The fast engine hands the observer the reference engine's blocks,
-        segment-major with the input cycle innermost: fast block ``s·C + c``
-        is reference block ``c·S + s``, value for value and dtype for dtype.
-        The reservoir sampler draws one uniform per value in arrival order,
-        so every stored capture depends on this exact sequence.  Holds for
-        the LUT path, the fallback path and ideal conversion, with and
-        without read noise (observers see pre-noise values)."""
+    def test_observers_receive_equal_counts_from_both_engines(self, rng):
+        """An observer receives count vectors of the ideal bit-line values:
+        the reference engine one ``np.bincount`` per (cycle, segment) block,
+        the fast engine one per call.  Both sum to the histogram of every
+        value the blocks hold, recomputed here block by block."""
         layer = MappedMVMLayer(rng.integers(-127, 128, size=(300, 4)))
         inputs = rng.integers(0, 256, size=(5, 300))
         segments, cycles = layer.num_segments, layer.num_input_cycles
         assert segments >= 2 and cycles == 8
-        grid = np.unique(rng.uniform(0.0, layer.max_bitline_value + 1.0, size=13))
-        converters = {
-            "ideal": lambda: None,
-            "twin_range": lambda: TwinRangeAdc(TRQParams(n_r1=2, n_r2=5, m=3)),
-            "nonuniform": lambda: NonUniformAdc(grid),
-        }
-        stack = NonIdealityStack([KeyedReadNoise(sigma=0.5)], seed=1)
-        for converter, make_adc in converters.items():
-            for noisy in (False, True):
-                seen = {}
-                for engine in ("reference", "fast"):
-                    blocks = seen[engine] = []
-                    noise = stack.bind_mapped("fc", layer).next_chunk() if noisy else None
-                    layer.matmul(
-                        inputs,
-                        adc=make_adc(),
-                        partial_observer=lambda block, kept=blocks: kept.append(np.array(block)),
-                        engine=engine,
-                        noise=noise,
-                    )
-                ref, fast = seen["reference"], seen["fast"]
-                case = f"{converter}, noisy={noisy}"
-                assert len(ref) == len(fast) == segments * cycles, case
-                for s in range(segments):
-                    for c in range(cycles):
-                        expected, got = ref[c * segments + s], fast[s * cycles + c]
-                        assert expected.dtype == got.dtype, case
-                        np.testing.assert_array_equal(expected, got, err_msg=case)
+        seen = {}
+        for engine in ("reference", "fast"):
+            vectors = seen[engine] = []
+            layer.matmul(inputs, partial_observer=vectors.append, engine=engine)
+        assert len(seen["reference"]) == segments * cycles
+        assert len(seen["fast"]) == 1
+        expected = np.bincount(np.concatenate([
+            layer.bitline_partials(cycle, s).ravel().astype(np.int64)
+            for cycle in slice_inputs_temporal(inputs, 8, 1)
+            for s in range(segments)
+        ]))
+        for engine, vectors in seen.items():
+            assert all(v.dtype == np.int64 and v.ndim == 1 for v in vectors), engine
+            np.testing.assert_array_equal(_summed(vectors), expected, err_msg=engine)
 
     def test_unknown_engine_rejected(self, rng):
         layer = MappedMVMLayer(rng.integers(-3, 4, size=(4, 2)),
@@ -235,17 +238,18 @@ class TestPairLayout:
         inputs = rng.integers(0, 256, size=(6, rows))
         for make_adc in (lambda: UniformAdc(bits=5, delta=7.0), _trq_window):
             luts = layer._conversion_setup([make_adc()], None)[0]
-            assert layer._use_pair_layout(luts, perturbed=False, observed=False) is pair
+            assert layer._use_pair_layout(luts, perturbed=False) is pair
             _assert_engines_agree(layer, inputs, make_adc)
+        # A capture counts on the pair GEMM within the same bound.
+        _assert_counts_agree(layer, inputs)
 
-    def test_observed_and_perturbed_runs_take_the_separate_layout(self):
+    def test_perturbed_runs_take_the_separate_layout(self):
         rng = np.random.default_rng(8)
         layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
         luts = layer._conversion_setup([_trq_window()], None)[0]
-        assert layer._use_pair_layout(luts, perturbed=False, observed=False)
-        assert not layer._use_pair_layout(luts, perturbed=True, observed=False)
-        assert not layer._use_pair_layout(luts, perturbed=False, observed=True)
-        assert not layer._use_pair_layout(None, perturbed=False, observed=False)
+        assert layer._use_pair_layout(luts, perturbed=False)
+        assert not layer._use_pair_layout(luts, perturbed=True)
+        assert not layer._use_pair_layout(None, perturbed=False)
 
     @pytest.mark.parametrize("small_merge", [0, 1 << 30])
     @pytest.mark.parametrize("topology", [
@@ -292,18 +296,16 @@ class TestPairLayout:
     @pytest.mark.parametrize("crossbar_size,bits_per_cell,dac_bits", TOPOLOGIES)
     def test_max_bitline_value_is_tight(self, crossbar_size, bits_per_cell, dac_bits):
         """The LUT size and the pair base both rest on this bound: all-max
-        input codes drive some bit line to exactly ``max_bitline_value``."""
+        input codes drive some bit line to exactly ``max_bitline_value``,
+        the highest value a capture counts, and no bit line above it."""
         rng = np.random.default_rng(crossbar_size + bits_per_cell + dac_bits)
         topology = CrossbarTopology(crossbar_size, bits_per_cell, dac_bits)
         layer = MappedMVMLayer(rng.integers(-127, 128, size=(90, 6)),
                                QuantizationConfig(), topology)
-        seen = []
-        layer.matmul(
-            np.full((3, 90), 255),
-            partial_observer=lambda block: seen.append(float(block.max())),
-            engine="fast",
-        )
-        assert max(seen) == layer.max_bitline_value
+        for engine in ("reference", "fast"):
+            seen = []
+            layer.matmul(np.full((3, 90), 255), partial_observer=seen.append, engine=engine)
+            assert np.flatnonzero(_summed(seen))[-1] == layer.max_bitline_value, engine
 
     def test_codes_beyond_the_table_raise(self):
         lut = UniformAdc(bits=4, delta=1.0).transfer_lut(9)
@@ -400,7 +402,7 @@ class TestKernelPaths:
         def noise(specs):
             return TrialNoiseStates([NonIdealityStack(specs, seed=1).bind_mapped("fc", layer)])
 
-        assert layer._kernel_path(None, None) == "separate"
+        assert layer._kernel_path(None, None) == "identity"
         assert layer._kernel_path(None, noise(STATIC_SPECS)) == "perturbed"
         assert layer._kernel_path(None, noise(READ_SPECS)) == "fallback"
         drift = [{"model": "retention_drift", "time": 9.0, "nu": 0.1}]
@@ -457,6 +459,159 @@ class TestKernelPaths:
             layer.matmul_trials(
                 np.full((1, 4, 200), 255), [_trq_window()], noise.next_chunk()
             )
+
+
+DRIFT_SPECS = [{"model": "retention_drift", "time": 9.0, "nu": 0.1}]
+
+#: Kernel path of every (converter, noise) case.  Observers see ideal
+#: values, so only the ideal, noise-free case accepts one; every other case
+#: refuses it on both engines.
+ROUTES = {
+    (None, None): "identity",
+    (None, "drift"): "perturbed",
+    (None, "static"): "perturbed",
+    (None, "read"): "fallback",
+    **{
+        (adc, noise): path
+        for adc in ("uniform", "trq")
+        for noise, path in (
+            (None, "pair"), ("drift", "pair"), ("static", "column"), ("read", "continuous"),
+        )
+    },
+    **{("nonuniform", noise): "fallback" for noise in (None, "drift", "static", "read")},
+}
+
+
+class TestExactShortcuts:
+    """Ideal conversion as one integer GEMM, uniform converters without a
+    histogram and captures on the pair GEMM: each is chosen from the
+    converter, the noise and the observer alone, and each is bit-identical
+    to the reference engine."""
+
+    @staticmethod
+    def _noise(layer, name, trials=1):
+        specs = {"drift": DRIFT_SPECS, "static": STATIC_SPECS, "read": READ_SPECS}[name]
+        stack = NonIdealityStack(specs, seed=1)
+        return TrialNoiseStates(
+            [stack.reseeded(t).bind_mapped("fc", layer) for t in range(trials)]
+        )
+
+    @pytest.mark.parametrize("observed", [False, True])
+    @pytest.mark.parametrize("adc,noise", sorted(ROUTES, key=str))
+    def test_each_case_takes_its_route(self, adc, noise, observed):
+        rng = np.random.default_rng(3)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        adcs = None if adc is None else [_make_adc(adc)]
+        states = None if noise is None else self._noise(layer, noise)
+        assert layer._kernel_path(adcs, states) == ROUTES[adc, noise]
+        if not observed:
+            return
+        inputs = rng.integers(0, 256, size=(1, 4, 200))
+        if adc is None and noise is None:
+            counts = []
+            layer.matmul_trials(inputs, adcs, states, partial_observer=counts.append)
+            assert len(counts) == 1
+            return
+        for engine in ("fast", "reference"):
+            with pytest.raises(ValueError, match="ideal conversion without noise"):
+                layer.matmul_trials(inputs, adcs, states, engine=engine,
+                                    partial_observer=lambda c: None)
+            with pytest.raises(ValueError, match="ideal conversion without noise"):
+                layer.matmul(inputs[0], adc=None if adcs is None else adcs[0],
+                             noise=None if states is None else states.states[0],
+                             engine=engine, partial_observer=lambda c: None)
+
+    @pytest.mark.parametrize("trials,shared", [(1, True), (3, True), (3, False)])
+    @pytest.mark.parametrize("crossbar_size,bits_per_cell,dac_bits", TOPOLOGIES)
+    def test_identity_gemm_matches_reference(
+        self, crossbar_size, bits_per_cell, dac_bits, trials, shared
+    ):
+        rng = np.random.default_rng(crossbar_size + 10 * bits_per_cell + trials + shared)
+        weights = rng.integers(-127, 128, size=(90, 6))
+        layer = MappedMVMLayer(
+            weights, QuantizationConfig(), CrossbarTopology(crossbar_size, bits_per_cell, dac_bits)
+        )
+        inputs = _trial_inputs(rng, trials, shared, 7, 90)
+        inputs[0, 0] = 255  # all-max codes: the largest partial sums
+        outputs, ops = layer.matmul_trials(inputs, None, None)
+        for t in range(trials):
+            ref, ref_ops = layer.matmul(inputs[t], engine="reference")
+            np.testing.assert_array_equal(outputs[t], ref)
+            np.testing.assert_array_equal(outputs[t], reference_integer_matmul(inputs[t], weights))
+            assert ops[t] == ref_ops
+        assert not np.signbit(outputs[outputs == 0]).any()
+
+    @pytest.mark.parametrize("pair_max_bins", [MappedMVMLayer._PAIR_MAX_BINS, 0])
+    @pytest.mark.parametrize("crossbar_size,bits_per_cell,dac_bits", TOPOLOGIES)
+    def test_capture_counts_match_reference(
+        self, crossbar_size, bits_per_cell, dac_bits, pair_max_bins
+    ):
+        """Counts from the pair GEMM's joint histogram (or the plane GEMM's
+        values when ``B²`` is over the bound) equal the reference's, and
+        there is one count per conversion."""
+        rng = np.random.default_rng(crossbar_size + bits_per_cell + dac_bits)
+        topology = CrossbarTopology(crossbar_size, bits_per_cell, dac_bits)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(90, 6)),
+                               QuantizationConfig(), topology)
+        layer._PAIR_MAX_BINS = pair_max_bins
+        inputs = rng.integers(0, 256, size=(7, 90))
+        counts = _assert_counts_agree(layer, inputs)
+        assert counts.sum() == 7 * layer.footprint().conversions_per_mvm
+
+    def test_layers_beyond_exact_float64_are_refused(self):
+        """The identity GEMM is exact while ``(2^Ki − 1)·max_c Σ_r |W_rc|``
+        stays below ``2^53``; a layer over it is refused, not rounded."""
+        config = QuantizationConfig(weight_bits=23, activation_bits=32)
+        top = (1 << 32) - 1
+        layer = MappedMVMLayer(np.array([[1 << 21]]), config, CrossbarTopology(dac_bits=8))
+        out, _ = layer.matmul(np.array([[top]]), engine="fast")
+        ref, _ = layer.matmul(np.array([[top]]), engine="reference")
+        assert out[0, 0] == ref[0, 0] == float(top << 21)
+        with pytest.raises(OverflowError, match="2\\^53"):
+            MappedMVMLayer(np.array([[1 << 21], [1]]), config)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("layout", ["separate", "pair", "column"])
+    def test_uniform_statistics_match_reference(self, layout, trials):
+        rng = np.random.default_rng(40 + trials)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        if layout == "separate":
+            layer._PAIR_MAX_BINS = 0
+        adcs = [UniformAdc(bits=5, delta=3.0) for _ in range(trials)]
+        noise = self._noise(layer, "static", trials) if layout == "column" else None
+        assert layer._kernel_path(adcs, noise) == layout
+        assert layer._conversion_setup(adcs, noise)[2].costs.tolist() == [5] * trials
+        if noise is not None:
+            noise.next_chunk()
+        inputs = _trial_inputs(rng, trials, False, 9, 200)
+        outputs, ops = layer.matmul_trials(inputs, adcs, noise)
+        for t in range(trials):
+            ref_adc = UniformAdc(bits=5, delta=3.0)
+            state = None if noise is None else self._noise(layer, "static", trials).states[t]
+            ref, ref_ops = layer.matmul(
+                inputs[t], adc=ref_adc, engine="reference",
+                noise=None if state is None else state.next_chunk(),
+            )
+            np.testing.assert_array_equal(outputs[t], ref)
+            assert ops[t] == ref_ops
+            assert adcs[t].stats == ref_adc.stats
+            assert ref_adc.stats.conversions == 9 * layer.footprint().conversions_per_mvm
+
+    def test_uniform_codes_beyond_the_table_raise_at_several_trials(self):
+        lut = UniformAdc(bits=4, delta=1.0).transfer_lut(9)
+        cases = (
+            (TrialLutGather([lut] * 3), 10),
+            (TrialLutGather([lut] * 3, pair_base=10), 100),
+            (TrialLutGather([lut] * 3, column_values=[np.zeros((3, 6, 2))]), 6),
+        )
+        for gather, code in cases:
+            assert gather.costs is not None
+            values = np.zeros((3, 1, 1, 2), dtype=np.float32)
+            values[-1, 0, 0, 1] = code
+            with pytest.raises(ValueError, match=f"{code} exceeds the LUT bound"):
+                gather.gather(values, gather.new_counts(),
+                              np.empty(values.shape, gather.levels.dtype))
+        assert TrialLutGather([_trq_window().transfer_lut(9)]).costs is None
 
 
 def _static_models():
@@ -539,8 +694,9 @@ class TestColumnTables:
         np.testing.assert_array_equal(shared_levels, tiled_levels)
         for t, state in enumerate(noise.states):
             perturbed = state.perturb_block(values[0].reshape(-1, cols), 1, 0).astype(np.int64)
+            start = gather._value_offsets[t]
             np.testing.assert_array_equal(
-                gather.trial_counts(shared_counts, t),
+                shared_counts[start : start + luts[t].levels.size],
                 np.bincount(perturbed.reshape(-1), minlength=luts[t].levels.size),
             )
             np.testing.assert_array_equal(

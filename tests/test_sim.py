@@ -9,7 +9,10 @@ from repro.adc import uniform_config, twin_range_config
 from repro.core import TRQParams, uniform_adc_configs
 from repro.nonideal import ConductanceVariation, GaussianReadNoise, NonIdealityStack
 from repro.quantization import FakeQuantBackend, attach_backend, detach_backend, quantize_model
+from repro.nn import functional as F
+from repro.quantization.ptq import find_mvm_layers
 from repro.sim import DistributionCollector, PimSimulator
+from repro.sim.pim_layer import PimBackend
 from repro.sim.stats import LayerSimStats, SimulationResult
 
 
@@ -20,39 +23,45 @@ class TestCapture:
     def test_histogram_counts_every_value(self, rng):
         collector = DistributionCollector()
         collector.set_layer("a")
-        blocks = [rng.integers(0, 20, size=(7, 5)).astype(np.float32) for _ in range(6)]
+        blocks = [rng.integers(0, 20, size=(7, 5)) for _ in range(6)]
         for block in blocks:
-            collector(block)
-        expected = np.bincount(np.concatenate([b.ravel() for b in blocks]).astype(np.int64))
+            collector(np.bincount(block.ravel(), minlength=25))
+        expected = np.bincount(np.concatenate([b.ravel() for b in blocks]))
         np.testing.assert_array_equal(collector.histogram("a"), expected)
         assert collector.histogram("a").sum() == sum(b.size for b in blocks)
 
     def test_histogram_grows_to_the_largest_value(self):
+        """Each histogram ends at its highest counted value, however long
+        the count vectors are."""
         collector = DistributionCollector()
         collector.set_layer("a")
-        collector(np.array([0.0, 1.0, 1.0]))
-        collector(np.array([5.0]))
-        collector(np.array([2.0]))
+        collector(np.array([1, 2, 0, 0]))
+        assert collector.histogram("a").size == 2
+        collector(np.array([0, 0, 0, 0, 0, 1, 0]))
+        collector(np.array([0, 0, 1]))
         np.testing.assert_array_equal(collector.histogram("a"), [1, 2, 1, 0, 0, 1])
 
-    def test_negative_values_raise_and_empty_blocks_count_nothing(self):
+    def test_negative_counts_raise_and_empty_vectors_count_nothing(self):
         collector = DistributionCollector()
         collector.set_layer("a")
-        collector(np.array([]))
-        assert collector.histogram("a").sum() == 0
+        collector(np.zeros(0, dtype=np.int64))
+        collector(np.zeros(4, dtype=np.int64))
+        assert collector.histogram("a").size == 0
         with pytest.raises(ValueError):
-            collector(np.array([3.0, -1.0]))
+            collector(np.array([3, -1]))
+        with pytest.raises(ValueError):
+            collector(np.ones((2, 2), dtype=np.int64))
 
     def test_collector_routes_by_layer(self, rng):
         collector = DistributionCollector()
         with pytest.raises(RuntimeError):
-            collector(np.ones(3))
+            collector(np.array([0, 3]))
         collector.set_layer("a")
-        collector(np.ones(5))
+        collector(np.array([0, 5]))
         collector.set_layer("b")
-        collector(np.zeros(3))
+        collector(np.array([3]))
         collector.set_layer("a")
-        collector(2 * np.ones(2))
+        collector(np.array([0, 0, 2]))
         assert collector.layer_names == ["a", "b"]
         np.testing.assert_array_equal(collector.histogram("a"), [0, 5, 2])
         np.testing.assert_array_equal(collector.histogram("b"), [3])
@@ -205,6 +214,36 @@ class TestSimulator:
 # --------------------------------------------------------------------- #
 # stats containers
 # --------------------------------------------------------------------- #
+class TestBackendInputCodes:
+    @pytest.mark.parametrize("stride,padding", [((1, 1), (0, 0)), ((2, 2), (1, 1)), ((2, 1), (2, 0))])
+    def test_conv2d_quantizes_before_im2col_exactly(self, lenet_workload, rng, stride, padding):
+        """Quantizing each activation once and unfolding its codes, padded
+        with the code of 0.0, gives the codes and the outputs of quantizing
+        every im2col window (the order before the codes came first)."""
+        quantized = lenet_workload.quantized
+        backend = PimBackend(quantized)
+        name, layer = next(
+            (name, layer) for name, layer in find_mvm_layers(quantized.model)
+            if quantized.layer(name).kind == "conv" and layer.in_channels > 1
+        )
+        params = quantized.layer(name).input_params
+        x = rng.uniform(0.0, 1.2 * params.scale * params.qmax, size=(2, layer.in_channels, 9, 10))
+        x[0, 0, 0, :3] = [0.0, 0.5 * params.scale, params.scale * params.qmax]
+        cols, (oh, ow) = F.im2col(x, layer.kernel_size, stride, padding)
+        expected_codes = params.quantize(cols)
+        codes, pad_code = backend._input_codes(name, x)
+        assert codes.dtype == np.uint8 and pad_code == 0
+        unfolded, _ = F.im2col(codes, layer.kernel_size, stride, padding, pad_code)
+        assert unfolded.dtype == np.uint8
+        np.testing.assert_array_equal(unfolded, expected_codes)
+
+        bias = layer.bias.data
+        expected = backend._execute(name, "conv", expected_codes) + bias
+        expected = expected.reshape(2, oh, ow, -1).transpose(0, 3, 1, 2)
+        got = backend.conv2d(layer, x, layer.weight.data, bias, stride, padding)
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestStats:
     def test_layer_stats_fractions(self):
         stats = LayerSimStats(name="l", kind="conv", conversions=100, operations=400)

@@ -65,7 +65,6 @@ from repro.telemetry import (
     load_events,
     load_history,
     load_run,
-    merge_events,
     resolve_tracer,
     resource_summary,
     resources_supported,
@@ -201,13 +200,6 @@ class TestTracer:
             handle.write('{"event": "torn", "t_mo')  # killed mid-write
         events = load_events(tmp_path)
         assert [e["event"] for e in events] == ["y", "x"]  # t_mono order
-
-    def test_merge_events_writes_single_ordered_stream(self, tmp_path):
-        write_stream(tmp_path, "a", [{"event": "x", "t_mono": 2.0}])
-        write_stream(tmp_path, "b", [{"event": "y", "t_mono": 1.0}])
-        merged = merge_events(tmp_path)
-        lines = merged.read_text().splitlines()
-        assert [json.loads(line)["event"] for line in lines] == ["y", "x"]
 
 
 # --------------------------------------------------------------------- #
@@ -373,7 +365,7 @@ class TestTracedExecutors:
             assert trace.events, mode
             assert trace.manifest.get("sweep") == run.sweep.name
 
-    def test_merged_stream_accounts_for_every_executed_job_exactly_once(
+    def test_event_streams_account_for_every_executed_job_exactly_once(
         self, traced
     ):
         for mode, run in traced["runs"].items():
@@ -385,15 +377,12 @@ class TestTracedExecutors:
             cached_keys = set(trace.cached_keys())
             assert len(executions) + len(cached_keys) >= run.stats.total, mode
             assert executed_keys.isdisjoint(cached_keys), mode
-            # The merged single-file stream tells the same story.
-            merged = (trace.directory / "merged.jsonl").read_text().splitlines()
-            merged_events = [json.loads(line) for line in merged]
-            starts = [e for e in merged_events if e["event"] == ev.JOB_START]
-            closes = [
-                e for e in merged_events
-                if e["event"] in (ev.JOB_FINISH, ev.JOB_FAILED)
-            ]
+            # The raw per-process streams tell the same story.
+            events = load_events(trace.directory)
+            starts = [e for e in events if e["event"] == ev.JOB_START]
+            closes = [e for e in events if e["event"] in (ev.JOB_FINISH, ev.JOB_FAILED)]
             assert len(starts) == len(closes) == len(executions), mode
+            assert sorted(e["key"] for e in starts) == sorted(e.key for e in executions), mode
 
     def test_computed_counts_match_the_events(self, traced):
         for mode, run in traced["runs"].items():
