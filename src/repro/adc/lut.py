@@ -17,9 +17,8 @@ totals are the number of values converted times that cost.
 Two tabulations are kept side by side:
 
 * ``values`` — the float quantized outputs, produced by the very same float
-  expressions the element-wise ``convert`` path evaluates, so
-  :meth:`LutConversionMixin.convert_codes` is bit-identical to ``convert`` on
-  integer inputs.
+  expressions the element-wise ``convert`` path evaluates, so ``values[v]``
+  is bit-identical to ``convert`` of the integer input ``v``.
 * ``levels`` — the *integer output levels* ``k`` of the converter, with a
   single scalar ``scale`` giving the decoded value ``scale · k`` (``Δ`` for
   a uniform ADC, ``ΔR1`` for a twin-range ADC; the twin-range level is
@@ -266,9 +265,9 @@ class TrialLutGather:
         self._max_values = np.array(self.sizes, dtype=np.int64) - 1
         # Combined per-value cost/region tables for the vectorised trials
         # statistics pass (:meth:`record_trials`): segment sums over the
-        # combined per-value histogram replace one Python-level
-        # ``record_code_counts`` call per trial.  Integer arithmetic
-        # throughout, so the totals are exactly the per-trial ones.
+        # combined per-value histogram give every trial's totals at once.
+        # Integer arithmetic throughout, so the totals are exactly the
+        # per-trial ones.
         self._value_sizes = [lut.levels.size for lut in self.luts]
         self._value_offsets = _offsets(self._value_sizes)
         self._ops_per_value = np.concatenate(
@@ -352,11 +351,13 @@ class TrialLutGather:
     def record_trials(self, counts, adcs) -> list:
         """Record every trial's conversion statistics from ``counts``.
 
-        Equivalent to calling ``adcs[t].record_code_counts`` with each
-        trial's per-value histogram (:meth:`_value_counts`), but the
-        per-trial reductions run as ``np.add.reduceat`` segment sums over
-        the combined histogram — all integer, hence bit-exact — leaving
-        only the constant-time counter updates in Python.  With constant
+        Each trial's conversions, A/D operations, detection operations and
+        region counts are exactly those the element-wise ``convert`` would
+        accumulate over the values its per-value histogram
+        (:meth:`_value_counts`) counts.  The per-trial reductions run as
+        ``np.add.reduceat`` segment sums over the combined histogram — all
+        integer, hence bit-exact — leaving only the constant-time counter
+        updates in Python.  With constant
         :attr:`costs`, ``counts`` is already each trial's number of
         conversions and the operations are that number times the cost.
         Returns the per-trial A/D-operation totals.
@@ -516,12 +517,12 @@ def _offsets(sizes) -> np.ndarray:
 
 
 class LutConversionMixin:
-    """Adds cached integer-code conversion to a vectorised ADC model.
+    """Adds a cached transfer LUT to a vectorised ADC model.
 
     Subclasses implement :meth:`_build_transfer_lut`; the mixin provides
-    :meth:`transfer_lut` (cached per ``max_value``), :meth:`convert_codes`
-    (the integer-domain twin of ``convert``) and :meth:`record_code_counts`
-    (exact statistics from a code histogram, used by the fused engine).
+    :meth:`transfer_lut` (cached per ``max_value``).  The fused engine
+    converts through these tables with :class:`TrialLutGather`, which also
+    records each converter's statistics.
     """
 
     _lut_cache: Optional[Dict[int, AdcTransferLut]] = None
@@ -540,43 +541,3 @@ class LutConversionMixin:
             lut = self._build_transfer_lut(int(max_value))
             self._lut_cache[max_value] = lut
         return lut
-
-    def convert_codes(self, codes: np.ndarray, max_value: int) -> Tuple[np.ndarray, int]:
-        """Convert an array of exact integer bit-line values via the LUT.
-
-        Bit-identical to ``convert(codes.astype(float))`` — same quantized
-        values, same total operation count, same statistics — but executed as
-        one gather plus one ``bincount`` instead of per-element float math.
-        """
-        lut = self.transfer_lut(max_value)
-        codes = np.asarray(codes)
-        counts = np.bincount(codes.ravel(), minlength=lut.values.size)
-        if counts.size > lut.values.size:
-            raise ValueError(
-                f"bit-line value {int(codes.max())} exceeds the LUT bound {lut.max_value}"
-            )
-        total_ops = self.record_code_counts(counts, lut)
-        return lut.values[codes], total_ops
-
-    def record_code_counts(self, counts: np.ndarray, lut: AdcTransferLut) -> int:
-        """Record statistics for a histogram of converted codes.
-
-        ``counts[v]`` is how many conversions saw bit-line value ``v``.  The
-        operation, detection and region totals derived from the histogram are
-        exactly those the element-wise ``convert`` would have accumulated.
-        Returns the total A/D-operation count.
-        """
-        conversions = int(counts.sum())
-        total_ops = int(counts @ lut.ops_per_value)
-        if lut.in_r1 is not None:
-            num_r1 = int(counts[lut.in_r1].sum())
-            self.stats.record(
-                conversions=conversions,
-                operations=total_ops,
-                detection_operations=conversions * lut.detection_ops,
-                in_r1=num_r1,
-                in_r2=conversions - num_r1,
-            )
-        else:
-            self.stats.record(conversions=conversions, operations=total_ops)
-        return total_ops

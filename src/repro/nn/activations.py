@@ -22,13 +22,16 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        if self.training:
+            self._mask = mask
+        return x * mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise RuntimeError("ReLU.backward called before forward")
-        return grad_out * self._mask
+            raise RuntimeError("ReLU.backward called before a training forward pass")
+        mask, self._mask = self._mask, None
+        return grad_out * mask
 
 
 class LeakyReLU(Module):
@@ -40,13 +43,16 @@ class LeakyReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        mask = x > 0
+        if self.training:
+            self._mask = mask
+        return np.where(mask, x, self.negative_slope * x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
-            raise RuntimeError("LeakyReLU.backward called before forward")
-        return np.where(self._mask, grad_out, self.negative_slope * grad_out)
+            raise RuntimeError("LeakyReLU.backward called before a training forward pass")
+        mask, self._mask = self._mask, None
+        return np.where(mask, grad_out, self.negative_slope * grad_out)
 
 
 class Sigmoid(Module):
@@ -57,13 +63,16 @@ class Sigmoid(Module):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = 1.0 / (1.0 + np.exp(-x))
-        return self._out
+        out = 1.0 / (1.0 + np.exp(-x))
+        if self.training:
+            self._out = out
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
-            raise RuntimeError("Sigmoid.backward called before forward")
-        return grad_out * self._out * (1.0 - self._out)
+            raise RuntimeError("Sigmoid.backward called before a training forward pass")
+        out, self._out = self._out, None
+        return grad_out * out * (1.0 - out)
 
 
 class Tanh(Module):
@@ -74,10 +83,13 @@ class Tanh(Module):
         self._out: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
-        return self._out
+        out = np.tanh(x)
+        if self.training:
+            self._out = out
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
-            raise RuntimeError("Tanh.backward called before forward")
-        return grad_out * (1.0 - self._out**2)
+            raise RuntimeError("Tanh.backward called before a training forward pass")
+        out, self._out = self._out, None
+        return grad_out * (1.0 - out**2)

@@ -7,16 +7,30 @@ one matrix-vector multiplication per output position, paper Fig. 1), which is
 why the PIM simulator in :mod:`repro.sim` can reuse these helpers verbatim.
 
 Shapes follow the PyTorch convention ``(N, C, H, W)`` for activations and
-``(F, C, KH, KW)`` for convolution weights.
+``(F, C, KH, KW)`` for convolution weights.  :func:`conv2d_forward` returns
+its output as a channels-last array viewed as NCHW, so ``im2col`` and
+``col2im`` keep their working buffers channels-last too.
+
+Trained weights depend on these kernels bit for bit, so they keep one
+identity rule against the plain NCHW formulation (``np.pad``, a channel-major
+window view and ``col2im`` accumulator) that ``tests/harness/reference_nn.py``
+keeps as the reference: every GEMM and every reduction receives the same
+operands in the same memory layout, and every elementwise result is the same
+operation on the same values in the same order per element.  Only copies,
+temporaries and gradients that training discards differ, so both train the
+same weights on whichever BLAS kernel they share.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 IntOrPair = Union[int, Tuple[int, int]]
+
+#: Images per block of :func:`col2im`'s accumulation loop.
+_COL2IM_IMAGES = 4
 
 
 def as_pair(value: IntOrPair, name: str = "value") -> Tuple[int, int]:
@@ -37,16 +51,6 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
             f"stride={stride}, padding={padding}"
         )
     return out
-
-
-def pad_nchw(x: np.ndarray, padding: Tuple[int, int], value: float = 0.0) -> np.ndarray:
-    """Zero-pad (or constant-pad) the spatial dimensions of an NCHW tensor."""
-    ph, pw = padding
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(
-        x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant", constant_values=value
-    )
 
 
 def im2col(
@@ -71,10 +75,12 @@ def im2col(
     Returns
     -------
     cols:
-        Array of shape ``(N * OH * OW, C * KH * KW)``.  Row ``i`` holds the
-        flattened receptive field of output pixel ``i`` (N-major, then OH,
-        then OW), which is exactly the input vector fed to the crossbar word
-        lines for that sliding window.
+        Contiguous array of shape ``(N * OH * OW, C * KH * KW)`` and the
+        dtype of ``x``.  Row ``i`` holds the flattened receptive field of
+        output pixel ``i`` (N-major, then OH, then OW; columns C-major, then
+        KH, then KW), which is exactly the input vector fed to the crossbar
+        word lines for that sliding window.  It is built from element copies
+        alone, so its bytes do not depend on the memory layout of ``x``.
     out_hw:
         The spatial output size ``(OH, OW)``.
     """
@@ -88,18 +94,23 @@ def im2col(
     oh = conv_output_size(h, kh, sh, ph)
     ow = conv_output_size(w, kw, sw, pw)
 
-    xp = pad_nchw(x, (ph, pw), pad_value)
-    # Strided view: (N, C, OH, OW, KH, KW) without copying.
-    s0, s1, s2, s3 = xp.strides
+    # Work channels-last, the memory layout conv2d_forward's outputs already
+    # have, so padding copies them without a transpose.
+    xt = x.transpose(0, 2, 3, 1)
+    if ph or pw:
+        padded = np.full((n, h + 2 * ph, w + 2 * pw, c), pad_value, dtype=x.dtype)
+        padded[:, ph : ph + h, pw : pw + w] = xt
+        xt = padded
+    s0, s1, s2, s3 = xt.strides
+    # Strided view (N, OH, OW, C, KH, KW) without copying; the reshape
+    # copies it into the (C, KH, KW) column order.
     windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(s0, s1, s2 * sh, s3 * sw, s2, s3),
+        xt,
+        shape=(n, oh, ow, c, kh, kw),
+        strides=(s0, s1 * sh, s2 * sw, s3, s1, s2),
         writeable=False,
     )
-    # (N, OH, OW, C, KH, KW) -> (N*OH*OW, C*KH*KW)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), (oh, ow)
+    return windows.reshape(n * oh * ow, c * kh * kw), (oh, ow)
 
 
 def col2im(
@@ -112,7 +123,10 @@ def col2im(
     """Fold an ``im2col`` matrix back into an NCHW tensor (adjoint of im2col).
 
     Overlapping windows are *summed*, which is what the convolution backward
-    pass requires.
+    pass requires.  Each element is ``+0.0`` plus its windows' entries in
+    ``(i, j)`` kernel order, accumulated in a channels-last buffer so that
+    ``cols`` is read along its rows; the sums are then copied once into an
+    NCHW padded array, whose interior view is returned.
     """
     kh, kw = as_pair(kernel_size, "kernel_size")
     sh, sw = as_pair(stride, "stride")
@@ -128,16 +142,20 @@ def col2im(
             f"col2im expected shape {(expected_rows, expected_cols)}, got {cols.shape}"
         )
 
-    xp = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    windows = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    for i in range(kh):
-        i_max = i + sh * oh
-        for j in range(kw):
-            j_max = j + sw * ow
-            xp[:, :, i:i_max:sh, j:j_max:sw] += windows[:, :, :, :, i, j]
-    if ph == 0 and pw == 0:
-        return xp
-    return xp[:, :, ph : ph + h, pw : pw + w]
+    windows = cols.reshape(n, oh, ow, c, kh, kw)
+    acc = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=cols.dtype)
+    # A block of images' rows stays in cache across the kh * kw passes.
+    for start in range(0, n, _COL2IM_IMAGES):
+        block = slice(start, start + _COL2IM_IMAGES)
+        for i in range(kh):
+            i_max = i + sh * oh
+            for j in range(kw):
+                j_max = j + sw * ow
+                acc[block, i:i_max:sh, j:j_max:sw] += windows[block, :, :, :, i, j]
+    xp = np.empty((n, c, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    grad_x = xp[:, :, ph : ph + h, pw : pw + w]
+    grad_x[...] = acc[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
+    return grad_x
 
 
 def conv2d_forward(
@@ -158,7 +176,7 @@ def conv2d_forward(
     w_mat = weight.reshape(f, c * kh * kw)
     out = cols @ w_mat.T
     if bias is not None:
-        out = out + bias
+        out += bias
     n = x.shape[0]
     out = out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)
     return out, cols, (oh, ow)
@@ -166,21 +184,29 @@ def conv2d_forward(
 
 def conv2d_backward(
     grad_out: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
+    x_shape: Optional[Tuple[int, int, int, int]],
     cols: np.ndarray,
     weight: np.ndarray,
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    with_bias: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray, Optional[np.ndarray]]:
     """Gradients of :func:`conv2d_forward`.
 
-    Returns ``(grad_x, grad_weight, grad_bias)``.
+    Returns ``(grad_x, grad_weight, grad_bias)``.  A gradient nobody reads is
+    not computed: ``grad_x`` is ``None`` when ``x_shape`` is ``None`` (the
+    layer fed the training batch skips its ``grad_mat @ W`` GEMM and its
+    ``col2im``), and ``grad_bias`` is ``None`` without ``with_bias`` (a
+    convolution without bias skips that reduction).  The gradients that are
+    computed are unchanged.
     """
     f, c, kh, kw = weight.shape
     n, _, oh, ow = grad_out.shape
     grad_mat = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, f)
-    grad_bias = grad_mat.sum(axis=0)
+    grad_bias = grad_mat.sum(axis=0) if with_bias else None
     grad_weight = (grad_mat.T @ cols).reshape(f, c, kh, kw)
+    if x_shape is None:
+        return None, grad_weight, grad_bias
     grad_cols = grad_mat @ weight.reshape(f, c * kh * kw)
     grad_x = col2im(grad_cols, x_shape, (kh, kw), stride, padding)
     return grad_x, grad_weight, grad_bias

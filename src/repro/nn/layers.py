@@ -84,15 +84,28 @@ class Conv2d(Module):
             self._cache = (cols, x.shape)
         return out
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def discard_input_grad(self) -> None:
+        """Skip the input gradient in the backward of the last forward.
+
+        :class:`repro.nn.Trainer` calls this for the layer that received the
+        training batch: nothing reads the batch's gradient, so that
+        ``backward`` returns ``None`` without its ``grad @ W`` GEMM and
+        ``col2im``.  The next forward computes it again.
+        """
+        if self._cache is not None:
+            self._cache = (self._cache[0], None)
+
+    def backward(self, grad_out: np.ndarray) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("Conv2d.backward called before a training forward pass")
         cols, x_shape = self._cache
+        self._cache = None
         grad_x, grad_w, grad_b = F.conv2d_backward(
-            grad_out, x_shape, cols, self.weight.data, self.stride, self.padding
+            grad_out, x_shape, cols, self.weight.data, self.stride, self.padding,
+            with_bias=self.bias is not None,
         )
         self.weight.grad += grad_w
-        if self.bias is not None:
+        if grad_b is not None:
             self.bias.grad += grad_b
         return grad_x
 
@@ -143,7 +156,8 @@ class Linear(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("Linear.backward called before a training forward pass")
-        grad_x, grad_w, grad_b = F.linear_backward(grad_out, self._cache, self.weight.data)
+        x, self._cache = self._cache, None
+        grad_x, grad_w, grad_b = F.linear_backward(grad_out, x, self.weight.data)
         self.weight.grad += grad_w
         if self.bias is not None:
             self.bias.grad += grad_b
@@ -193,6 +207,9 @@ class Dropout(Module):
         return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if not self.training or self.p == 0.0:
             return grad_out
-        return grad_out * self._mask
+        if self._mask is None:
+            raise RuntimeError("Dropout.backward called before a training forward pass")
+        mask, self._mask = self._mask, None
+        return grad_out * mask

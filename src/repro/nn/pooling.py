@@ -21,13 +21,14 @@ class MaxPool2d(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out, argmax, _ = F.max_pool2d_forward(x, self.kernel_size, self.stride)
-        self._cache = (argmax, x.shape)
+        if self.training:
+            self._cache = (argmax, x.shape)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("MaxPool2d.backward called before forward")
-        argmax, x_shape = self._cache
+            raise RuntimeError("MaxPool2d.backward called before a training forward pass")
+        (argmax, x_shape), self._cache = self._cache, None
         return F.max_pool2d_backward(grad_out, argmax, x_shape, self.kernel_size, self.stride)
 
 

@@ -14,6 +14,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.nn.layers import Conv2d
 from repro.nn.loss import CrossEntropyLoss, Loss
 from repro.nn.metrics import top1_accuracy
 from repro.nn.module import Module
@@ -66,6 +67,10 @@ class TrainingHistory:
 class Trainer:
     """Minimal supervised-classification training loop.
 
+    Training computes no gradient it throws away (see :meth:`train_epoch`),
+    and each layer's ``backward`` drops the activations its forward cached,
+    so a trained model holds none.
+
     Parameters
     ----------
     model:
@@ -92,20 +97,48 @@ class Trainer:
         self.scheduler = scheduler
 
     def train_epoch(self, loader) -> EpochStats:
-        """Run one pass over ``loader`` (an iterable of ``(images, labels)``)."""
+        """Run one pass over ``loader`` (an iterable of ``(images, labels)``).
+
+        Nothing reads the gradient with respect to the batch, so the
+        :class:`Conv2d` that receives it skips its input gradient
+        (:meth:`Conv2d.discard_input_grad`).  A forward hook on every leaf
+        module finds that layer by matching the batch object.  When several
+        leaves receive the batch (a residual block's two branches), the
+        model's backward adds their input gradients, so all are computed.
+        Every parameter gradient is computed as before.
+        """
         self.model.train()
+        images = None
+        fed: List[Module] = []
+
+        def record_batch_consumer(module: Module, x: np.ndarray, out: np.ndarray) -> None:
+            if x is images:
+                fed.append(module)
+
+        handles = [
+            module.register_forward_hook(record_batch_consumer)
+            for module in self.model.modules()
+            if next(module.children(), None) is None
+        ]
         losses: List[float] = []
         accuracies: List[float] = []
         start = time.perf_counter()
-        for images, labels in loader:
-            self.optimizer.zero_grad()
-            logits = self.model(images)
-            loss = self.loss_fn(logits, labels)
-            grad = self.loss_fn.backward()
-            self.model.backward(grad)
-            self.optimizer.step()
-            losses.append(loss)
-            accuracies.append(top1_accuracy(logits, labels))
+        try:
+            for images, labels in loader:
+                fed.clear()
+                self.optimizer.zero_grad()
+                logits = self.model(images)
+                if len(fed) == 1 and isinstance(fed[0], Conv2d):
+                    fed[0].discard_input_grad()
+                loss = self.loss_fn(logits, labels)
+                grad = self.loss_fn.backward()
+                self.model.backward(grad)
+                self.optimizer.step()
+                losses.append(loss)
+                accuracies.append(top1_accuracy(logits, labels))
+        finally:
+            for handle in handles:
+                handle.remove()
         return EpochStats(
             epoch=0,
             train_loss=float(np.mean(losses)) if losses else float("nan"),

@@ -20,6 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harness.adc_lut import lut_convert
 from repro.adc import SarAdc, TwinRangeAdc, TwinRangeSarAdc, UniformAdc
 from repro.core import TRQParams
 
@@ -58,12 +59,12 @@ class TestUniformFuzz:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=30, deadline=None)
-    def test_lut_convert_codes_matches_cycle_accurate(self, bits, delta, seed):
+    def test_lut_gather_matches_cycle_accurate(self, bits, delta, seed):
         """Integer-domain LUT conversion == per-element SAR search."""
         rng = np.random.default_rng(seed)
         max_value = int(((1 << bits) - 1) * delta) + 3
         codes = rng.integers(0, max_value + 1, size=50)
-        quantized, total_ops = UniformAdc(bits, delta).convert_codes(codes, max_value)
+        quantized, total_ops = lut_convert(UniformAdc(bits, delta), codes, max_value)
         traces = [SarAdc(bits, delta).convert(float(v)) for v in codes]
         np.testing.assert_array_equal(quantized, [t.output_value for t in traces])
         assert total_ops == sum(t.operations for t in traces)
@@ -142,14 +143,14 @@ class TestTwinRangeFuzz:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_lut_convert_codes_matches_cycle_accurate(self, n_r1, n_r2, m, bias, seed):
+    def test_lut_gather_matches_cycle_accurate(self, n_r1, n_r2, m, bias, seed):
         """Integer-domain LUT conversion == per-element twin-range search."""
         params = TRQParams(n_r1=n_r1, n_r2=n_r2, m=m, delta_r1=1.0, bias=bias)
         rng = np.random.default_rng(seed)
         max_value = int(max(params.r2_max, params.r1_high)) + 4
         codes = rng.integers(0, max_value + 1, size=50)
         adc = TwinRangeAdc(params)
-        quantized, total_ops = adc.convert_codes(codes, max_value)
+        quantized, total_ops = lut_convert(adc, codes, max_value)
         traces = [TwinRangeSarAdc(params).convert(float(v)) for v in codes]
         np.testing.assert_array_equal(quantized, [t.output_value for t in traces])
         assert total_ops == sum(t.operations for t in traces)

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from harness.adc_lut import lut_convert
 from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
 from repro.adc.lut import TrialLutGather
 from repro.core import TRQParams
@@ -745,21 +746,21 @@ class TestSimulatorEngineEquivalence:
 
 
 class TestAdcLut:
-    def test_convert_codes_matches_convert_bitwise(self, rng):
+    def test_lut_gather_matches_convert_bitwise(self, rng):
         params = TRQParams(n_r1=3, n_r2=5, m=2, delta_r1=0.7, bias=1)
         values = rng.integers(0, 129, size=(64, 33))
         a, b = TwinRangeAdc(params), TwinRangeAdc(params)
         ref, ref_ops = a.convert(values.astype(np.float64))
-        lut_q, lut_ops = b.convert_codes(values, 128)
+        lut_q, lut_ops = lut_convert(b, values, 128)
         np.testing.assert_array_equal(ref, lut_q)
         assert ref_ops == lut_ops
         assert a.stats == b.stats
 
-    def test_uniform_convert_codes_matches_convert(self, rng):
+    def test_uniform_lut_gather_matches_convert(self, rng):
         adc_a, adc_b = UniformAdc(bits=4, delta=2.3), UniformAdc(bits=4, delta=2.3)
         values = rng.integers(0, 129, size=200)
         ref, _ = adc_a.convert(values.astype(np.float64))
-        lut_q, _ = adc_b.convert_codes(values, 128)
+        lut_q, _ = lut_convert(adc_b, values, 128)
         np.testing.assert_array_equal(ref, lut_q)
 
     def test_levels_times_scale_reconstruct_quantized(self):
@@ -775,7 +776,7 @@ class TestAdcLut:
 
     def test_lut_bound_violation_raises(self):
         adc = UniformAdc(bits=4, delta=1.0)
-        with pytest.raises(ValueError):
-            adc.convert_codes(np.array([200]), 128)
+        with pytest.raises(ValueError, match="exceeds the LUT bound 128"):
+            lut_convert(adc, np.array([200]), 128)
         with pytest.raises(ValueError):
             adc.transfer_lut(-1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from harness import reference_nn
 from repro.nn import functional as F
 
 
@@ -42,13 +43,6 @@ class TestGeometryHelpers:
         with pytest.raises(ValueError):
             F.conv_output_size(2, 5, 1, 0)
 
-    def test_pad_nchw_noop_and_value(self):
-        x = np.ones((1, 1, 2, 2))
-        assert F.pad_nchw(x, (0, 0)) is x
-        padded = F.pad_nchw(x, (1, 2), value=7.0)
-        assert padded.shape == (1, 1, 4, 6)
-        assert padded[0, 0, 0, 0] == 7.0
-
 
 class TestIm2Col:
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1), ((2, 1), (0, 1))])
@@ -81,6 +75,80 @@ class TestIm2Col:
     def test_col2im_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             F.col2im(np.zeros((4, 4)), (1, 1, 6, 6), 3)
+
+
+def channels_last(x):
+    """``x`` with channels-last memory, viewed as NCHW (like a conv output)."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_same_array(actual, expected):
+    """Same dtype, shape, strides and bytes (so also the sign of every zero)."""
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.tobytes() == expected.tobytes()
+
+
+GEOMETRIES = [(k, s, p) for k in (1, 3, 5) for s in (1, 2) for p in (0, 1, 2)]
+
+
+class TestReferenceKernels:
+    """im2col/col2im/conv2d_backward equal the plain NCHW kernels bit for bit."""
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+    def test_im2col_float_matches_reference(self, rng, layout, kernel, stride, padding):
+        x = rng.normal(size=(2, 3, 7, 6))
+        x[0, 1, 2] = -0.0
+        if layout == "channels_last":
+            x = channels_last(x)
+        cols, out_hw = F.im2col(x, kernel, stride, padding)
+        expected, expected_hw = reference_nn.im2col(x, kernel, stride, padding)
+        assert out_hw == expected_hw
+        assert cols.flags.c_contiguous
+        assert_same_array(cols, expected)
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+    def test_im2col_codes_match_reference(self, rng, layout, kernel, stride, padding):
+        codes = rng.integers(0, 256, size=(2, 4, 7, 6), dtype=np.uint8)
+        if layout == "channels_last":
+            codes = channels_last(codes)
+        cols, _ = F.im2col(codes, kernel, stride, padding, pad_value=7)
+        expected, _ = reference_nn.im2col(codes, kernel, stride, padding, 7)
+        assert_same_array(cols, expected)
+        if padding:
+            assert cols[0, 0] == 7  # the first window's top-left tap is padding
+
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+    def test_col2im_matches_reference(self, rng, kernel, stride, padding):
+        x_shape = (5, 3, 7, 6)  # 5 images: one full block of 4 and a partial one
+        _, (oh, ow) = F.im2col(np.zeros(x_shape), kernel, stride, padding)
+        cols = rng.normal(size=(5 * oh * ow, 3 * kernel * kernel))
+        cols[: oh * ow] = -0.0  # image 0: sums of negative zeros are +0.0
+        folded = F.col2im(cols, x_shape, kernel, stride, padding)
+        expected = reference_nn.col2im(cols, x_shape, kernel, stride, padding)
+        assert_same_array(folded, expected)
+        assert not np.signbit(folded[0]).any()
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 2, 0), (5, 1, 2)])
+    def test_conv2d_backward_matches_reference(self, rng, kernel, stride, padding):
+        x = channels_last(rng.normal(size=(3, 4, 8, 7)))
+        w = rng.normal(size=(5, 4, kernel, kernel))
+        out, cols, _ = F.conv2d_forward(x, w, rng.normal(size=5), stride, padding)
+        grad_out = rng.normal(size=out.shape)
+        expected = reference_nn.conv2d_backward(grad_out, x.shape, cols, w, stride, padding)
+        for actual, want in zip(
+            F.conv2d_backward(grad_out, x.shape, cols, w, stride, padding), expected
+        ):
+            assert_same_array(actual, want)
+
+        grad_x, grad_w, grad_b = F.conv2d_backward(
+            grad_out, None, cols, w, stride, padding, with_bias=False
+        )
+        assert grad_x is None and grad_b is None
+        assert_same_array(grad_w, expected[1])
 
 
 class TestConvBackward:

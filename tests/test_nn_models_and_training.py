@@ -16,7 +16,9 @@ from repro.datasets import (
     synthetic_imagenet,
     synthetic_mnist,
 )
-from repro.nn import Adam, CrossEntropyLoss, SGD, Trainer
+from harness import reference_nn
+from repro.nn import Adam, Conv2d, CrossEntropyLoss, GlobalAvgPool2d, Linear, SGD, Sequential, Trainer
+from repro.nn import functional as F
 from repro.nn.models import (
     BasicBlock,
     Fire,
@@ -209,3 +211,60 @@ class TestTrainer:
         metrics = trainer.evaluate(DataLoader(ds.test, 16))
         assert set(metrics) == {"loss", "accuracy"}
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+
+def _basic_block_stem(rng):
+    """A model whose batch feeds two convolutions (residual branch and skip)."""
+    return Sequential(
+        BasicBlock(3, 4, stride=2, seed=rng), GlobalAvgPool2d(), Linear(4, 10, rng=rng)
+    )
+
+
+def _train_two_epochs(name):
+    dataset = build_dataset(
+        "mnist" if name == "lenet5" else "cifar10", train_size=80, test_size=16, seed=1
+    )
+    if name == "basic_block_stem":
+        model = _basic_block_stem(3)
+    else:
+        model = build_model(name, preset="tiny", rng=3)
+    trainer = Trainer(model, Adam(model.parameters(), lr=3e-3))
+    # Batches of 32, 32 and 16 images.
+    trainer.fit(lambda: DataLoader(dataset.train, 32, shuffle=True, seed=5), epochs=2)
+    return model
+
+
+class TestTrainingIdentity:
+    """Training gives the same weights as the plain NCHW reference kernels."""
+
+    @pytest.mark.parametrize("name", ["lenet5", "resnet20", "squeezenet1_1", "basic_block_stem"])
+    def test_state_dict_bytes_equal_reference_training(self, name, monkeypatch):
+        reference_nn.install(monkeypatch)
+        expected = _train_two_epochs(name).state_dict()
+        monkeypatch.undo()
+        actual = _train_two_epochs(name).state_dict()
+        assert list(actual) == list(expected)
+        for key, value in expected.items():
+            assert actual[key].dtype == value.dtype, key
+            assert actual[key].tobytes() == value.tobytes(), key
+
+    def test_one_resnet20_step_folds_every_conv_but_the_batch_one(self, rng, monkeypatch):
+        model = build_model("resnet20", preset="tiny", rng=0)
+        convs = [m for m in model.modules() if isinstance(m, Conv2d)]
+        folded = []
+        col2im = F.col2im
+        monkeypatch.setattr(
+            F, "col2im", lambda cols, x_shape, *args: folded.append(x_shape) or col2im(cols, x_shape, *args)
+        )
+        images = rng.normal(size=(4, 3, 32, 32))
+        Trainer(model, SGD(model.parameters(), lr=0.01)).train_epoch([(images, np.arange(4))])
+        assert len(folded) == len(convs) - 1
+        assert images.shape not in folded
+
+    def test_fit_leaves_no_activations_and_eval_stores_none(self, rng):
+        model = _train_two_epochs("resnet20")
+        assert not model.training
+        assert {name: reference_nn.held_arrays(m) for name, m in model.named_modules()
+                if reference_nn.held_arrays(m)} == {}
+        model(rng.normal(size=(2, 3, 32, 32)))
+        assert all(reference_nn.held_arrays(m) == [] for m in model.modules())

@@ -29,6 +29,8 @@ from repro.nn import (
     Tanh,
     top1_accuracy,
 )
+from harness import reference_nn
+from repro.nn import functional as F
 from repro.nn.metrics import classification_report, confusion_matrix, topk_accuracy
 
 
@@ -202,6 +204,101 @@ class TestLayerGradients:
         assert abs(out.mean()) < 0.5  # roughly normalised using running stats
         with pytest.raises(ValueError):
             bn(rng.normal(size=(2, 3, 4, 4)))
+
+
+def _channels_last(x):
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _assert_same_array(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestBatchNormReference:
+    """BatchNorm2d equals ``np.var`` and the textbook formulas bit for bit."""
+
+    @pytest.mark.parametrize("grad_layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("x_layout", ["nchw", "channels_last"])
+    def test_training_and_eval_match_reference(self, rng, x_layout, grad_layout):
+        bn, reference = BatchNorm2d(3), BatchNorm2d(3)
+        for layer in (bn, reference):
+            layer.weight.data[:] = [0.5, 1.5, -2.0]
+            layer.bias.data[:] = [0.1, -0.3, 0.0]
+        for _ in range(2):  # the second step starts from updated running stats
+            x = rng.normal(loc=0.7, scale=2.0, size=(4, 3, 5, 6))
+            grad_out = rng.normal(size=x.shape)
+            if x_layout == "channels_last":
+                x = _channels_last(x)
+            if grad_layout == "channels_last":
+                grad_out = _channels_last(grad_out)
+
+            _assert_same_array(bn(x), reference_nn.batchnorm_forward(reference, x))
+            _assert_same_array(bn._cache[0], reference._cache[0])  # x_hat
+            assert bn._cache[1].tobytes() == reference._cache[1].tobytes()  # std_inv
+            for name in ("running_mean", "running_var"):
+                assert bn._buffers[name].tobytes() == reference._buffers[name].tobytes()
+
+            _assert_same_array(
+                bn.backward(grad_out), reference_nn.batchnorm_backward(reference, grad_out)
+            )
+            assert bn.weight.grad.tobytes() == reference.weight.grad.tobytes()
+            assert bn.bias.grad.tobytes() == reference.bias.grad.tobytes()
+
+        bn.eval()
+        reference.eval()
+        _assert_same_array(bn(x), reference_nn.batchnorm_forward(reference, x))
+
+
+def _training_layers():
+    return [
+        (Conv2d(2, 3, 3, padding=1, rng=0), (2, 2, 5, 5)),
+        (Linear(6, 4, rng=0), (3, 6)),
+        (BatchNorm2d(3), (4, 3, 5, 5)),
+        (ReLU(), (3, 4)),
+        (LeakyReLU(0.1), (3, 4)),
+        (Sigmoid(), (3, 4)),
+        (Tanh(), (3, 4)),
+        (MaxPool2d(2), (2, 2, 4, 4)),
+        (Dropout(0.5, rng=0), (3, 4)),
+    ]
+
+
+class TestTrainingCaches:
+    @pytest.mark.parametrize("layer,x_shape", _training_layers())
+    def test_backward_drops_the_cache_it_consumes(self, rng, layer, x_shape):
+        x = rng.normal(size=x_shape)
+        out = layer(x)
+        assert reference_nn.held_arrays(layer)  # the training forward cached
+        layer.backward(np.ones_like(out))
+        assert reference_nn.held_arrays(layer) == []
+        with pytest.raises(RuntimeError, match="before a training forward"):
+            layer.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("layer,x_shape", _training_layers())
+    def test_eval_forward_stores_nothing(self, rng, layer, x_shape):
+        layer.eval()
+        layer(rng.normal(size=x_shape))
+        assert reference_nn.held_arrays(layer) == []
+
+    def test_conv_on_its_own_returns_its_input_grad(self, rng):
+        conv = Conv2d(3, 4, 3, stride=2, padding=1, rng=0)
+        x = rng.normal(size=(2, 3, 7, 7))
+        upstream = rng.normal(size=(2, 4, 4, 4))
+        _, cols, _ = F.conv2d_forward(x, conv.weight.data, conv.bias.data, 2, 1)
+        expected = reference_nn.conv2d_backward(upstream, x.shape, cols, conv.weight.data, 2, 1)
+
+        conv(x)
+        _assert_same_array(conv.backward(upstream), expected[0])
+        conv(x)
+        conv.discard_input_grad()
+        assert conv.backward(upstream) is None
+        conv(x)  # the next forward needs its input gradient again
+        _assert_same_array(conv.backward(upstream), expected[0])
+        np.testing.assert_array_equal(conv.weight.grad, 3 * expected[1])
+        np.testing.assert_array_equal(conv.bias.grad, 3 * expected[2])
 
 
 # --------------------------------------------------------------------- #
