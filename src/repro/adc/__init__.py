@@ -1,4 +1,4 @@
-"""SAR ADC substrate: uniform / non-uniform / twin-range converters.
+"""SAR ADC substrate: uniform and twin-range converters.
 
 The cycle-accurate models (:mod:`repro.adc.sar`) define the behaviour; the
 vectorised models (:mod:`repro.adc.uniform`, :mod:`repro.adc.trq`) are the
@@ -15,7 +15,6 @@ from repro.adc.energy import (
     ideal_adc_resolution,
 )
 from repro.adc.lut import AdcTransferLut, LutConversionMixin
-from repro.adc.nonuniform import NonUniformAdc
 from repro.adc.sar import ConversionTrace, SarAdc, TwinRangeSarAdc, build_cycle_accurate_adc
 from repro.adc.trq import TwinRangeAdc, build_adc
 from repro.adc.uniform import UniformAdc, ideal_adc_for_resolution
@@ -29,7 +28,6 @@ __all__ = [
     "ConversionStats",
     "ConversionTrace",
     "DEFAULT_ADC_ENERGY",
-    "NonUniformAdc",
     "SarAdc",
     "TwinRangeAdc",
     "TwinRangeSarAdc",

@@ -31,8 +31,7 @@ Two tabulations are kept side by side:
   the element-wise reconstruction in ``values``, so the two may differ by
   ≤ 1 ulp for non-power-of-two steps; both engines use the *level*
   semantics in the MVM datapath, so the difference never appears between
-  engines.  Converters without a uniform level grid (e.g. the non-uniform
-  baseline) publish ``levels=None`` and take the element-wise fallback path.
+  engines.
 
 The fused kernel gathers through :class:`TrialLutGather`, which
 concatenates the trials' tables at per-trial offsets.  On the kernel's pair
@@ -87,12 +86,11 @@ class AdcTransferLut:
         ``(max_value + 1,)`` int64 total A/D operations charged for converting
         the corresponding input (detection phase included).
     levels:
-        Optional ``(max_value + 1,)`` unsigned-integer output levels ``k``
-        whose decoded value is ``scale · k`` (within 1 ulp of ``values``;
-        see the module docstring); ``None`` for converters without a
-        uniform level grid.
+        ``(max_value + 1,)`` unsigned-integer output levels ``k`` whose
+        decoded value is ``scale · k`` (within 1 ulp of ``values``; see the
+        module docstring).
     scale:
-        The level step (``Δ`` / ``ΔR1``); 1.0 when ``levels`` is ``None``.
+        The level step (``Δ`` / ``ΔR1``).
     in_r1:
         Optional ``(max_value + 1,)`` boolean mask — True where the input is
         resolved in the dense range R1 (twin-range converters only).
@@ -103,7 +101,7 @@ class AdcTransferLut:
 
     values: np.ndarray
     ops_per_value: np.ndarray
-    levels: Optional[np.ndarray] = None
+    levels: np.ndarray
     scale: float = 1.0
     in_r1: Optional[np.ndarray] = None
     detection_ops: int = 0
@@ -137,7 +135,7 @@ def compose_transfer_lut(lut: AdcTransferLut, value_map: np.ndarray) -> AdcTrans
     return AdcTransferLut(
         values=lut.values[value_map],
         ops_per_value=lut.ops_per_value[value_map],
-        levels=None if lut.levels is None else lut.levels[value_map],
+        levels=lut.levels[value_map],
         scale=lut.scale,
         in_r1=None if lut.in_r1 is None else lut.in_r1[value_map],
         detection_ops=lut.detection_ops,

@@ -19,7 +19,13 @@ import numpy as np
 from repro.adc.config import AdcConfig, AdcMode
 from repro.adc.counters import ConversionStats
 from repro.adc.lut import AdcTransferLut, LutConversionMixin, compact_levels
-from repro.core.trq import TRQParams, classify_regions, twin_range_levels, twin_range_quantize
+from repro.core.trq import (
+    TRQParams,
+    classify_regions,
+    twin_range_levels,
+    twin_range_levels_into,
+    twin_range_quantize,
+)
 
 
 class TwinRangeAdc(LutConversionMixin):
@@ -39,19 +45,24 @@ class TwinRangeAdc(LutConversionMixin):
         """Convert an array of bit-line values; returns ``(quantized, ops)``."""
         values = np.asarray(values, dtype=np.float64)
         quantized, in_r1 = twin_range_quantize(values, self.params)
-        num_r1 = int(np.count_nonzero(in_r1))
-        num_r2 = int(values.size - num_r1)
-        detection = values.size * self.params.detection_ops
-        search = num_r1 * self.params.n_r1 + num_r2 * self.params.n_r2
-        total = detection + search
-        self.stats.record(
-            conversions=values.size,
-            operations=total,
+        stats = self._conversion_stats(values.size, int(np.count_nonzero(in_r1)))
+        self.stats.merge(stats)
+        return quantized, stats.operations
+
+    def _conversion_stats(self, conversions: int, num_r1: int) -> ConversionStats:
+        """The statistics of ``conversions`` values, ``num_r1`` of them in R1
+        (paper Eq. 9: ``ν`` detection operations each, plus ``NR1`` or
+        ``NR2`` search operations)."""
+        p = self.params
+        num_r2 = conversions - num_r1
+        detection = conversions * p.detection_ops
+        return ConversionStats(
+            conversions=conversions,
+            operations=detection + num_r1 * p.n_r1 + num_r2 * p.n_r2,
             detection_operations=detection,
             in_r1=num_r1,
             in_r2=num_r2,
         )
-        return quantized, total
 
     @property
     def level_scale(self) -> float:
@@ -65,27 +76,34 @@ class TwinRangeAdc(LutConversionMixin):
         p = self.params
         return max(((p.bias + 1) << p.n_r1) - 1, ((1 << p.n_r2) - 1) << p.m)
 
+    def levels_into(
+        self, values: np.ndarray, out: np.ndarray, work: np.ndarray, mask: np.ndarray
+    ) -> ConversionStats:
+        """Integer output levels of ``values`` written into ``out``.
+
+        Allocates nothing and records nothing: the buffers are those of
+        :func:`repro.core.trq.twin_range_levels_into` (``out`` may be
+        ``values``), and the conversions' statistics are returned for the
+        caller to merge, so threads can convert side by side.
+        """
+        num_r1 = twin_range_levels_into(values, self.params, out, work, mask)
+        return self._conversion_stats(values.size, num_r1)
+
     def convert_levels(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
         """Convert to integer output levels; returns ``(levels, ops)``.
 
-        Same statistics and operation count as :meth:`convert`; the quantized
-        value is exactly ``level_scale · level`` (see
-        :func:`repro.core.trq.twin_range_levels`).
+        :meth:`levels_into` on fresh buffers, its statistics recorded: the
+        same statistics and operation count as :meth:`convert`, and the
+        quantized value is exactly ``level_scale · level``.
         """
         values = np.asarray(values, dtype=np.float64)
-        levels, in_r1 = twin_range_levels(values, self.params)
-        num_r1 = int(np.count_nonzero(in_r1))
-        num_r2 = int(values.size - num_r1)
-        detection = values.size * self.params.detection_ops
-        total = detection + num_r1 * self.params.n_r1 + num_r2 * self.params.n_r2
-        self.stats.record(
-            conversions=values.size,
-            operations=total,
-            detection_operations=detection,
-            in_r1=num_r1,
-            in_r2=num_r2,
+        levels = np.empty_like(values)
+        stats = self.levels_into(
+            values, levels,
+            np.empty((2,) + values.shape), np.empty((2,) + values.shape, dtype=bool),
         )
-        return levels, total
+        self.stats.merge(stats)
+        return levels, stats.operations
 
     def _build_transfer_lut(self, max_value: int) -> AdcTransferLut:
         """Tabulate the twin-range transfer function and per-region op costs."""

@@ -16,7 +16,7 @@ import numpy as np
 from repro.adc.config import AdcConfig, AdcMode, uniform_config
 from repro.adc.counters import ConversionStats
 from repro.adc.lut import AdcTransferLut, LutConversionMixin, compact_levels
-from repro.utils.numeric import round_half_up
+from repro.utils.numeric import round_half_up, round_half_up_quotient_into
 
 
 class UniformAdc(LutConversionMixin):
@@ -81,18 +81,34 @@ class UniformAdc(LutConversionMixin):
         """Largest output level of any input (the top code)."""
         return self.max_code
 
+    def levels_into(
+        self, values: np.ndarray, out: np.ndarray, work: np.ndarray, mask: np.ndarray
+    ) -> ConversionStats:
+        """Integer output levels (codes) of ``values`` written into ``out``.
+
+        The level function of every level-grid converter: it allocates
+        nothing and returns the conversions' statistics instead of recording
+        them.  ``out`` may be ``values``; this converter needs neither the
+        ``work`` nor the ``mask`` scratch of
+        :meth:`~repro.adc.trq.TwinRangeAdc.levels_into`.
+        """
+        round_half_up_quotient_into(values, self.delta, out)
+        np.clip(out, 0, self.max_code, out=out)
+        return ConversionStats(conversions=values.size, operations=values.size * self.bits)
+
     def convert_levels(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
         """Convert to integer output levels (codes); returns ``(levels, ops)``.
 
-        Same statistics and operation count as :meth:`convert`; the quantized
-        value is exactly ``level_scale · level``.  Levels are returned as
+        :meth:`levels_into` on a fresh buffer, its statistics recorded: the
+        same statistics and operation count as :meth:`convert`, and the
+        quantized value is exactly ``level_scale · level``.  Levels are
         float64 holding exact integers, ready for exact shift-and-add merging.
         """
         values = np.asarray(values, dtype=np.float64)
-        codes = np.clip(round_half_up(values / self.delta), 0, self.max_code)
-        ops = values.size * self.bits
-        self.stats.record(conversions=values.size, operations=ops)
-        return codes, ops
+        levels = np.empty_like(values)
+        stats = self.levels_into(values, levels, None, None)
+        self.stats.merge(stats)
+        return levels, stats.operations
 
     def _build_transfer_lut(self, max_value: int) -> AdcTransferLut:
         """Tabulate the K-step binary-search transfer function (integer inputs)."""

@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.utils.numeric import round_half_up
+from repro.utils.numeric import round_half_up, round_half_up_quotient_into
 from repro.utils.validation import check_in_range, check_integer, check_positive
 
 
@@ -177,6 +177,52 @@ def twin_range_levels(
     offset = float(params.bias << params.n_r1)
     levels = np.where(in_r1, offset + codes_r1, codes_r2 * float(1 << params.m))
     return levels, in_r1
+
+
+def twin_range_levels_into(
+    values: np.ndarray,
+    params: TRQParams,
+    out: np.ndarray,
+    work: np.ndarray,
+    mask: np.ndarray,
+) -> int:
+    """:func:`twin_range_levels` into caller-provided buffers; returns the
+    number of values in R1.
+
+    ``values`` and ``out`` are float64 of one shape (``out`` may be
+    ``values``), ``work`` float64 and ``mask`` bool, each of that shape
+    with a leading axis of 2.  Nothing is allocated, so threads can convert
+    side by side on their own buffers.  The levels are those of
+    :func:`twin_range_levels` bit for bit: the same float operations
+    produce both ranges' codes (:func:`~repro.utils.numeric.
+    round_half_up_quotient_into`), and the R1 select is the exact blend
+    ``L2 + [in R1]·(L1 − L2)`` of two integers, which costs a fraction of
+    a masked copy.  No-op steps (subtracting a zero ``r1_low``, adding a
+    zero offset, scaling by ``2^0``) are skipped.
+    """
+    r1, select = work[0], work[1]
+    in_r1 = mask[0]
+    np.less(values, params.r1_high, out=in_r1)
+    if params.bias:
+        np.greater_equal(values, params.r1_low, out=mask[1])
+        np.logical_and(in_r1, mask[1], out=in_r1)
+    np.copyto(select, in_r1)
+    source = values
+    if params.bias:
+        source = np.subtract(values, params.r1_low, out=r1)
+    round_half_up_quotient_into(source, params.delta_r1, r1)
+    np.clip(r1, 0, (1 << params.n_r1) - 1, out=r1)
+    if params.bias:
+        np.add(r1, float(params.bias << params.n_r1), out=r1)
+    # ``values`` is read for the last time here: ``out`` may alias it.
+    round_half_up_quotient_into(values, params.delta_r2, out)
+    np.clip(out, 0, (1 << params.n_r2) - 1, out=out)
+    if params.m:
+        np.multiply(out, float(1 << params.m), out=out)
+    np.subtract(r1, out, out=r1)
+    np.multiply(r1, select, out=r1)
+    np.add(out, r1, out=out)
+    return int(np.count_nonzero(in_r1))
 
 
 def encode(values: np.ndarray, params: TRQParams) -> np.ndarray:

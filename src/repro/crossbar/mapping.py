@@ -86,9 +86,9 @@ engine's integer merge and the reference loop's float64 accumulation both
 compute the exact result in *any* order.  Both engines therefore compute the
 same exact integers, scale them once per output, and produce bit-identical
 results with identical operation counts (asserted by the test suite and by
-``benchmarks/bench_engine_fastpath.py``).  Converters without a level grid
-(e.g. the non-uniform baseline) take an element-wise fallback inside the
-fused kernel that replays the reference merge semantics and order.
+``benchmarks/bench_engine_fastpath.py``).  Every converter needs such a grid
+(``TwinRangeAdc``, ``UniformAdc``); both engines refuse any other with a
+``ValueError``.
 
 Device non-idealities (the optional ``noise`` argument, a
 :class:`repro.nonideal.stack.LayerNoiseState`) perturb the raw bit-line
@@ -101,11 +101,16 @@ retention drift) keep the fused LUT conversion path — pure per-value maps
 are folded into the transfer LUT itself
 (:func:`repro.adc.lut.compose_transfer_lut`), per-column maps into the
 column tables above.  Continuous perturbations (read noise, analog
-variation, IR drop) stay in the fused kernel too when the converters have
-an integer level grid: each (trial, cycle) block is drawn into a reused
-buffer with the reference loop's keys and shape, clamped, converted by the
-ADC's own ``convert_levels`` and merged as exact integer levels.  Only
-converters without a level grid and ideal conversion under such noise take
+variation, IR drop) stay in the fused kernel too: each (trial, cycle) block
+is drawn into a reused buffer with the reference loop's keys and shape,
+clamped, converted by the ADC's allocation-free level function
+(``levels_into``, which the reference loop's ``convert_levels`` wraps) and
+merged as exact integer levels.  The blocks are independent and their draws
+and conversions release the GIL, so they run side by side on every CPU the
+process may use (:mod:`repro.utils.threads`): the calling thread allocates
+each lane's buffers, a block writes only its own slice of the result and
+returns its statistics, and the calling thread merges them, so every thread
+count gives the same bytes.  Only ideal conversion under such noise takes
 the element-wise fallback, which replays the reference loop's float merge
 order.
 
@@ -123,6 +128,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.adc.counters import ConversionStats
 from repro.adc.lut import (
     GATHER_TILE,
     TrialLutGather,
@@ -137,6 +143,7 @@ from repro.crossbar.slicing import (
 )
 from repro.nonideal.stack import TrialNoiseStates
 from repro.quantization.qconfig import DEFAULT_QUANT_CONFIG, QuantizationConfig
+from repro.utils import threads
 from repro.utils.validation import check_in_range, check_integer
 
 
@@ -174,6 +181,23 @@ def _check_observable(adc, noise, partial_observer) -> None:
         raise ValueError(
             "a partial_observer needs ideal conversion without noise (a bit-line capture)"
         )
+
+
+def _check_level_grid(adcs: List[object]) -> None:
+    """Both engines convert through a level grid: integer output levels
+    (``levels_into``, ``convert_levels``), their step (``level_scale``) and
+    their bound (``max_level``)."""
+    for adc in adcs:
+        missing = [
+            name for name in ("levels_into", "convert_levels", "level_scale", "max_level")
+            if not hasattr(adc, name)
+        ]
+        if missing:
+            raise ValueError(
+                f"{type(adc).__name__} has no integer level grid (missing "
+                f"{', '.join(missing)}); the crossbar engines convert with "
+                "level-grid ADCs only (TwinRangeAdc, UniformAdc)"
+            )
 
 
 def _static_noise(noise: Optional[TrialNoiseStates]) -> bool:
@@ -372,10 +396,11 @@ class MappedMVMLayer:
         input_codes:
             ``(batch, in_features)`` unsigned activation codes (``Ki`` bits).
         adc:
-            Optional ADC model with a vectorised
-            ``convert(values) -> (quantized_values, total_ops)`` method; when
-            omitted the conversion is ideal (lossless) and the returned op
-            count assumes the baseline ``RADC`` operations per conversion.
+            Optional ADC model with an integer level grid
+            (:class:`~repro.adc.trq.TwinRangeAdc`,
+            :class:`~repro.adc.uniform.UniformAdc`); when omitted the
+            conversion is ideal (lossless) and the returned op count assumes
+            the baseline ``RADC`` operations per conversion.
         partial_observer:
             Optional callable receiving int64 count vectors of the ideal
             bit-line values (entry ``v`` counts the conversions whose value
@@ -483,13 +508,12 @@ class MappedMVMLayer:
         """The per-``(cycle, segment)`` block loop (oracle path).
 
         LUT-free by construction: conversions go through the ADC's
-        transparent per-element float formulas (``convert_levels`` when the
-        converter has an integer level grid, ``convert`` otherwise), so this
-        path independently defines the behaviour the fused engine must
-        reproduce.  For level-grid converters the loop merges integer levels
-        and applies the step scale once per output — the integer-domain
-        semantics of the datapath — which can differ from scaling each
-        reconstructed value individually by ~1 ulp per sample.  Noise, when
+        per-element float formulas (``convert_levels``), so this path
+        independently defines the behaviour the fused engine's LUT paths
+        must reproduce.  The loop merges integer levels and applies the step
+        scale once per output — the integer-domain semantics of the datapath
+        — which can differ from scaling each reconstructed value
+        individually by ~1 ulp per sample.  Noise, when
         given, perturbs each raw block before conversion, via the keyed
         sampling that both engines share.  An observer receives the
         ``np.bincount`` of every block.
@@ -498,8 +522,9 @@ class MappedMVMLayer:
         accumulator = np.zeros((batch, self.out_features), dtype=np.float64)
         total_ops = 0
         baseline_ops = self.topology.ideal_adc_resolution
-        convert_levels = getattr(adc, "convert_levels", None)
-        scale = float(adc.level_scale) if convert_levels is not None else 1.0
+        if adc is not None:
+            _check_level_grid([adc])
+        scale = 1.0 if adc is None else float(adc.level_scale)
 
         for cycle_index in range(cycles.shape[0]):
             cycle_factor = float(1 << (cycle_index * self.topology.dac_bits))
@@ -512,11 +537,8 @@ class MappedMVMLayer:
                     partials = noise.perturb_block(partials, segment_index, cycle_index)
                 if adc is None:
                     total_ops += partials.size * baseline_ops
-                elif convert_levels is not None:
-                    partials, ops = convert_levels(partials)
-                    total_ops += int(ops)
                 else:
-                    partials, ops = adc.convert(partials)
+                    partials, ops = adc.convert_levels(partials)
                     total_ops += int(ops)
                 accumulator += cycle_factor * self.merge_partials(partials)
         if scale != 1.0:
@@ -789,9 +811,9 @@ class MappedMVMLayer:
     ) -> tuple:
         """Per-trial conversion setup: ``(luts, value_mapped, gather)``.
 
-        ``luts`` is ``None`` when a converter has no integer level grid or
-        the noise is not static integer-domain noise (every model
-        ``integer_domain`` and ``cycle_invariant``).  ``gather`` is the
+        ``luts`` is ``None`` for ideal conversion, a converter without a
+        transfer LUT, or noise that is not static integer-domain noise
+        (every model ``integer_domain`` and ``cycle_invariant``).  ``gather`` is the
         :class:`~repro.adc.lut.TrialLutGather` of the chosen layout: pair
         (:meth:`_use_pair_layout`), column (a static stack that is not a
         pure value map, within :attr:`_COLUMN_MAX_BINS`) or separate.
@@ -820,17 +842,13 @@ class MappedMVMLayer:
             vmaps = None if noise is None else noise.pure_value_maps()
             if vmaps is not None:
                 luts = [
-                    adc.transfer_lut(int(vmap.max(initial=0)))
+                    compose_transfer_lut(adc.transfer_lut(int(vmap.max(initial=0))), vmap)
                     for adc, vmap in zip(adcs, vmaps)
                 ]
-                if all(lut.levels is not None for lut in luts):
-                    luts = [compose_transfer_lut(lut, vmap) for lut, vmap in zip(luts, vmaps)]
-                    value_mapped = True
+                value_mapped = True
             else:
                 bounds = [self._max_bitline] * len(adcs) if noise is None else noise.lut_bounds
                 luts = [adc.transfer_lut(bound) for adc, bound in zip(adcs, bounds)]
-            if any(lut.levels is None for lut in luts):
-                luts = None
         gather = None
         if luts is not None:
             perturbed = noise is not None and not value_mapped
@@ -864,13 +882,17 @@ class MappedMVMLayer:
         * ``"perturbed"`` — a static stack applied per element, when the
           column tables exceed :attr:`_COLUMN_MAX_BINS` or the conversion
           is ideal;
-        * ``"continuous"`` — any other noise ahead of converters with an
-          integer level grid (``convert_levels``, ``level_scale`` and
-          ``max_level``), drawn, clamped and converted in the kernel;
-        * ``"fallback"`` — converters without a level grid, and ideal
-          conversion under non-static noise
+        * ``"continuous"`` — any other noise ahead of the converters, drawn,
+          clamped and converted in the kernel;
+        * ``"fallback"`` — ideal conversion under non-static noise
           (:meth:`_matmul_fast_trials_fallback`).
+
+        Every converter needs an integer level grid (``levels_into``,
+        ``convert_levels``, ``level_scale`` and ``max_level``); any other
+        raises ``ValueError``.
         """
+        if adcs is not None:
+            _check_level_grid(adcs)
         luts, value_mapped, gather = self._conversion_setup(adcs, noise)
         if gather is not None:
             if gather.column_shape is not None:
@@ -882,12 +904,19 @@ class MappedMVMLayer:
             if noise is None:
                 return "identity"
             return "perturbed" if _static_noise(noise) else "fallback"
-        level_grid = all(hasattr(adc, "convert_levels") for adc in adcs)
-        return "continuous" if level_grid else "fallback"
+        return "continuous"
 
-    #: Elements per ``convert_levels`` tile of the continuous path; sized so
-    #: the converter's float64 temporaries stay in one core's L2 cache.
-    _CONVERT_TILE = 1 << 14
+    #: Elements per conversion tile of the continuous path; each lane's
+    #: level buffers hold one tile (1.6 MiB with its slice of the noisy
+    #: block).  Measured on a 2-vCPU Xeon (CPython 3.11, numpy 2.4), wall
+    #: time of the continuous path in the perfbench ``montecarlo`` sweep
+    #: (seed 0, 3 interleaved rounds): on 2 lanes 3.33–3.76 s at 16 Ki,
+    #: 2.88–2.96 s at 32 Ki, 2.93–3.13 s at 64 Ki and 2.87–3.02 s at
+    #: 128 Ki; on 1 lane 4.40–5.38 s at 16 Ki and 4.35–4.95 s at 64 Ki.
+    #: Small tiles make each lane hand the GIL back and forth between ~17
+    #: short numpy calls per tile; from 128 Ki a lane's buffers outgrow one
+    #: core's 2 MiB L2 cache.
+    _CONVERT_TILE = 1 << 16
 
     def _continuous_differences(
         self,
@@ -901,35 +930,62 @@ class MappedMVMLayer:
         """Draw, clamp and convert one segment's blocks in the kernel.
 
         ``raw`` is the segment's ``(cycles, eff, batch, columns)`` bit-line
-        block.  Each (cycle, trial) block runs its trial's whole stack
-        through one reused float64 buffer
+        block.  Each (cycle, trial) block is one task: it runs its trial's
+        whole stack through its lane's float64 buffer
         (:meth:`~repro.nonideal.stack.LayerNoiseState.perturb_block` with
-        ``out``): the keys and the ``(batch, columns)`` shape of every
-        draw are the reference loop's, so the noisy values are its values
-        bit for bit.  The converter's own ``convert_levels`` then runs on
-        cache-sized row tiles, and ``L⁺ − L⁻`` goes into ``diff``
-        (``(trials, cycles, batch, width)``, exact integers) for the
-        integer merge.  The per-tile statistics sum to the reference's.
+        ``out``) — the keys and the ``(batch, columns)`` shape of every draw
+        are the reference loop's, so the noisy values are its values bit for
+        bit — then converts it in place, one row tile at a time, with the
+        converter's allocation-free ``levels_into``, and writes ``L⁺ − L⁻``
+        into its own slice ``diff[t, cycle]`` (``diff`` is ``(trials,
+        cycles, batch, width)``, exact integers) for the integer merge.
+
+        The tasks are independent, and the keyed draws and the conversions
+        are numpy calls that release the GIL, so they run on
+        :func:`~repro.utils.threads.run_lanes` across the process's kernel
+        threads (inline on a budget of one).  This thread allocates every
+        lane's buffers, through the layer's scratch cache; a task touches
+        only its lane's buffers and its own ``diff`` slice, and returns its
+        statistics, which this thread merges into the converters and
+        ``total_ops`` — integer sums, equal to the reference's.
         """
         num_cycles, eff, batch, cols = raw.shape
         width = cols // 2
-        noisy = self._fast_buffer("noisy", (batch, cols), np.float64)
-        tile_rows = max(1, self._CONVERT_TILE // max(1, cols))
-        for cycle_index in range(num_cycles):
-            for t, adc in enumerate(adcs):
-                block = raw[cycle_index, 0 if eff == 1 else t]
-                if noise is None:
-                    np.copyto(noisy, block)
-                else:
-                    noise.states[t].perturb_block(block, segment_index, cycle_index, out=noisy)
-                for start in range(0, batch, tile_rows):
-                    stop = min(start + tile_rows, batch)
-                    levels, ops = adc.convert_levels(noisy[start:stop])
-                    total_ops[t] += int(ops)
-                    np.subtract(
-                        levels[:, :width], levels[:, width:],
-                        out=diff[t, cycle_index, start:stop], casting="unsafe",
-                    )
+        blocks = [(cycle_index, t) for cycle_index in range(num_cycles) for t in range(len(adcs))]
+        lanes = min(threads.kernel_threads(), len(blocks))
+        tile_rows = max(1, min(batch, self._CONVERT_TILE // max(1, cols)))
+        scratch = [
+            (
+                self._fast_buffer(f"noisy{lane}", (batch, cols), np.float64),
+                self._fast_buffer(f"level_work{lane}", (2, tile_rows, cols), np.float64),
+                self._fast_buffer(f"level_mask{lane}", (2, tile_rows, cols), np.bool_),
+            )
+            for lane in range(lanes)
+        ]
+
+        def convert(lane: int, block_index: Tuple[int, int]) -> ConversionStats:
+            cycle_index, t = block_index
+            noisy, work, mask = scratch[lane]
+            block = raw[cycle_index, 0 if eff == 1 else t]
+            if noise is None:
+                np.copyto(noisy, block)
+            else:
+                noise.states[t].perturb_block(block, segment_index, cycle_index, out=noisy)
+            stats = ConversionStats()
+            for start in range(0, batch, tile_rows):
+                stop = min(start + tile_rows, batch)
+                levels = noisy[start:stop]
+                rows = stop - start
+                stats.merge(adcs[t].levels_into(levels, levels, work[:, :rows], mask[:, :rows]))
+                np.subtract(
+                    levels[:, :width], levels[:, width:],
+                    out=diff[t, cycle_index, start:stop], casting="unsafe",
+                )
+            return stats
+
+        for (_, t), stats in zip(blocks, threads.run_lanes(convert, blocks, lanes)):
+            adcs[t].stats.merge(stats)
+            total_ops[t] += stats.operations
 
     def _matmul_fast_trials(
         self,
@@ -972,7 +1028,8 @@ class MappedMVMLayer:
           and for ideal conversion.
         * **continuous** — read noise, analog variation, IR drop and mixed
           stacks ahead of TRQ or uniform converters: each (trial, cycle)
-          block is drawn, clamped and converted in the kernel
+          block is drawn, clamped and converted in the kernel, the blocks
+          side by side on the process's kernel threads
           (:meth:`_continuous_differences`).
 
         Every path merges the signed level differences by exact integer
@@ -980,8 +1037,8 @@ class MappedMVMLayer:
         power of two and the accumulators are sized from the layer's exact
         bounds (the continuous path's from the converters' ``max_level``),
         so the result is bit-identical to the reference loop regardless of
-        order.  Converters without a level grid and ideal conversion under
-        non-static noise take :meth:`_matmul_fast_trials_fallback`.
+        order.  Ideal conversion under non-static noise takes
+        :meth:`_matmul_fast_trials_fallback`.
 
         The leading trial axis rides through the same integer-exact
         datapath, which is why every trial is bit-identical to a solo run:
@@ -1017,7 +1074,7 @@ class MappedMVMLayer:
         if path == "identity":
             return self._matmul_identity(input_codes, shared_input, partial_observer)
         if path == "fallback":
-            return self._matmul_fast_trials_fallback(input_codes, adcs, noise, shared_input)
+            return self._matmul_fast_trials_fallback(input_codes, noise, shared_input)
         luts, _, gather = self._conversion_setup(adcs, noise)
 
         eff = 1 if shared_input else trials
@@ -1235,23 +1292,20 @@ class MappedMVMLayer:
     def _matmul_fast_trials_fallback(
         self,
         input_codes: np.ndarray,
-        adcs: Optional[List[object]],
-        noise: Optional[TrialNoiseStates],
+        noise: TrialNoiseStates,
         shared_input: bool,
     ) -> Tuple[np.ndarray, List[int]]:
-        """Fused-GEMM path for converters without a level grid (e.g. the
-        non-uniform baseline) and for ideal conversion under non-static noise.
+        """Fused-GEMM path for ideal conversion under non-static noise.
 
         One matmul per segment is kept, shared across trials whenever the
-        inputs are; conversion runs per (trial, cycle, segment) block — the
-        same blocks, values and keyed noise draws as the reference loop — so
-        every trial matches the loop bit for bit whenever the converter is
-        deterministic.  Keyed noise runs as one ``(trials, rows, cols)``
-        batched pass per block (per segment for cycle-invariant stacks).
-        These conversions merge floats, where summation order matters, so
-        the ``cycles × segments`` contributions are replayed in the
-        reference (cycle-major) order, trading memory for bit-parity at
-        large ``chunk_size`` — shrink the chunk if that matters.
+        inputs are; each (trial, cycle, segment) block is perturbed with the
+        same values and keyed noise draws as the reference loop.  Keyed
+        noise runs as one ``(trials, rows, cols)`` batched pass per block
+        (per segment for cycle-invariant stacks).  The noisy values are
+        merged as floats, where summation order matters, so the ``cycles ×
+        segments`` contributions are replayed in the reference
+        (cycle-major) order, trading memory for bit-parity at large
+        ``chunk_size`` — shrink the chunk if that matters.
         """
         trials, batch = input_codes.shape[0], input_codes.shape[1]
         num_cycles = self.num_input_cycles
@@ -1262,9 +1316,7 @@ class MappedMVMLayer:
             if shared_input
             else input_codes.reshape(trials * batch, self.in_features)
         )
-        baseline_ops = self.topology.ideal_adc_resolution
         outputs = np.zeros((trials, batch, self.out_features), dtype=np.float64)
-        total_ops = [0] * trials
         contributions: List[List[List[np.ndarray]]] = [
             [[] for _ in range(num_cycles)] for _ in range(trials)
         ]
@@ -1272,7 +1324,7 @@ class MappedMVMLayer:
             partials = np.matmul(stacked[:, segment], self._plane_matrix[segment])
             blocks = partials.reshape(num_cycles, eff, batch, cols)
             noisy_all = None
-            if noise is not None and noise.cycle_invariant:
+            if noise.cycle_invariant:
                 # Same cycle-axis fold as the LUT path: static stacks
                 # perturb the segment's cycles in one batched pass.
                 if eff == 1:
@@ -1294,25 +1346,18 @@ class MappedMVMLayer:
                     noisy = blocks[cycle_index]
                     if eff == 1:
                         noisy = np.broadcast_to(noisy[0], (trials, batch, cols))
-                    if noise is not None:
-                        noisy = noise.perturb_trials(noisy, segment_index, cycle_index)
+                    noisy = noise.perturb_trials(noisy, segment_index, cycle_index)
                 cycle_factor = float(1 << (cycle_index * self.topology.dac_bits))
                 for t in range(trials):
-                    block = noisy[t]
-                    if adcs is None:
-                        quantized = block
-                        total_ops[t] += block.size * baseline_ops
-                    else:
-                        quantized, ops = adcs[t].convert(block)
-                        total_ops[t] += int(ops)
                     contributions[t][cycle_index].append(
-                        cycle_factor * self.merge_partials(quantized)
+                        cycle_factor * self.merge_partials(noisy[t])
                     )
         for t in range(trials):
             for per_cycle in contributions[t]:
                 for contribution in per_cycle:
                     outputs[t] += contribution
-        return outputs, total_ops
+        # Ideal conversion charges the full-resolution baseline.
+        return outputs, [self._baseline_ops(batch)] * trials
 
     def _fast_buffer(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """A reusable scratch buffer (avoids large re-allocations per chunk).

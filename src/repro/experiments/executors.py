@@ -10,6 +10,11 @@ in *which order*; an :class:`Executor` decides *where*.  Two built-ins:
   Derived-seed determinism makes worker results bit-identical to in-process
   ones; the store's atomic writes make concurrent completion safe.
 
+Both run the fused kernel's continuous-noise conversions on kernel threads
+(:mod:`repro.utils.threads`): the serial executor (and ``shard run``) on
+every CPU the process may use, each of ``N`` pool workers on ``max(1,
+cpus // N)`` of them.  Results are byte-identical at every thread count.
+
 Runs across machines use *shard manifests* (JSON job lists) instead of an
 executor: ``shard emit`` → N × ``shard run`` → ``shard merge``.  Each
 ``shard run`` executes one manifest serially against a shared
@@ -49,6 +54,7 @@ from repro.experiments.store import (
 from repro.telemetry import events as telemetry_events
 from repro.telemetry.resources import ResourceSampler
 from repro.telemetry.tracer import NULL_TRACER, Tracer, process_tracer
+from repro.utils import threads
 
 EXECUTOR_NAMES = ("serial", "process")
 
@@ -145,6 +151,11 @@ class Executor:
     #: workload weights into the on-disk cache before fan-out.
     needs_prewarm: bool = False
     _context: Optional[ExecutionContext] = None
+
+    @property
+    def kernel_threads(self) -> int:
+        """The kernel thread budget of each process that runs jobs."""
+        return threads.kernel_threads()
 
     def bind(self, context: ExecutionContext) -> "Executor":
         """Attach the execution context for the duration of one graph run."""
@@ -273,9 +284,16 @@ class ProcessPoolExecutor(Executor):
         self.max_workers = max_workers
         self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
 
+    @property
+    def kernel_threads(self) -> int:
+        """Each worker's share of the CPUs: ``max(1, cpus // max_workers)``."""
+        return threads.thread_budget(self.max_workers)
+
     def __enter__(self) -> "ProcessPoolExecutor":
         self._pool = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.max_workers
+            max_workers=self.max_workers,
+            initializer=threads.init_pool_worker,
+            initargs=(self.max_workers,),
         )
         return self
 

@@ -95,6 +95,7 @@ from repro.core.distribution import add_histograms
 from repro.report.experiments import ExperimentRecord
 from repro.report.figures import distribution_statistics
 from repro.sim.stats import SimulationResult
+from repro.utils import threads
 from repro.utils.logging import get_logger
 
 logger = get_logger("experiments.runner")
@@ -518,8 +519,8 @@ def execute_job(
     Idempotent: if the store already holds the key, nothing is computed.
     Timing and resource usage are recorded out-of-band either way: a
     ``<store>/meta/<key>.json`` sidecar (``duration_s``, ``worker``, the
-    ``trial_batch`` of Monte Carlo jobs, plus ``cpu_s``/``max_rss_kb`` where
-    the platform reports them) always, and
+    ``trial_batch`` and ``kernel_threads`` of Monte Carlo jobs, plus
+    ``cpu_s``/``max_rss_kb`` where the platform reports them) always, and
     job lifecycle events on ``tracer`` when tracing.  ``trace_fields`` carries scheduling
     context (index/wave/shard/deps) onto the events; its ``submitted_mono``
     entry — the monotonic instant the job's wave was handed to the
@@ -591,7 +592,10 @@ def execute_job(
         raise
     duration = time.perf_counter() - started
     resources = probe.finish()
-    execution = {"trial_batch": int(trial_batch)} if job.kind == "monte_carlo" else {}
+    execution = (
+        {"trial_batch": int(trial_batch), "kernel_threads": threads.kernel_threads()}
+        if job.kind == "monte_carlo" else {}
+    )
     tracer.emit(
         telemetry_events.JOB_FINISH,
         key=key, kind=job.kind, duration_s=duration, outcome="computed",
@@ -1161,6 +1165,7 @@ def run_sweep(
                 summary_to_jsonable(summarize(load_run(telemetry_dir))),
                 executor=exec_instance.name,
                 trial_batch=trial_batch,
+                kernel_threads=exec_instance.kernel_threads,
             )
             append_history(history, record)
         except Exception as error:  # noqa: BLE001 - history is advisory

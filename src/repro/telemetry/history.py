@@ -47,6 +47,7 @@ def history_record(
     summary: Dict[str, object],
     executor: Optional[str] = None,
     trial_batch: Optional[int] = None,
+    kernel_threads: Optional[int] = None,
 ) -> Dict[str, object]:
     """One compact history record from a jsonable trace summary.
 
@@ -55,9 +56,10 @@ def history_record(
     detail stays in the telemetry run directory, addressed by the
     recorded ``run_id``.
 
-    ``trial_batch`` is the sweep's Monte Carlo batching knob: it changes
-    wall time without changing results, so the record keeps it next to
-    the timings it explains.
+    ``trial_batch`` is the sweep's Monte Carlo batching knob and
+    ``kernel_threads`` the thread budget of each process that ran jobs:
+    both change wall time without changing results, so the record keeps
+    them next to the timings they explain.
     """
     waves = [
         {
@@ -76,6 +78,7 @@ def history_record(
         "sweep": summary.get("sweep"),
         "executor": executor,
         "trial_batch": trial_batch,
+        "kernel_threads": kernel_threads,
         "elapsed_s": summary.get("elapsed_s"),
         "critical_path_s": summary.get("critical_path_s"),
         "critical_path_fraction": summary.get("critical_path_fraction"),

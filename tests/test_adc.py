@@ -1,4 +1,4 @@
-"""Tests for the SAR ADC substrate: uniform, non-uniform and twin-range models.
+"""Tests for the SAR ADC substrate: uniform and twin-range models.
 
 The central property, checked exhaustively and with hypothesis, is that the
 vectorised converters used by the simulator agree step-for-step with the
@@ -17,7 +17,6 @@ from repro.adc import (
     AdcEnergyParams,
     AdcMode,
     ConversionStats,
-    NonUniformAdc,
     SarAdc,
     TwinRangeAdc,
     TwinRangeSarAdc,
@@ -197,54 +196,33 @@ class TestTwinRangeAdc:
 
 
 # --------------------------------------------------------------------- #
-# non-uniform baseline
+# a zero-skewed bit-line distribution
 # --------------------------------------------------------------------- #
-class TestNonUniformAdc:
-    def test_grid_from_samples_concentrates_levels(self, skewed_samples):
-        adc = NonUniformAdc.from_samples(skewed_samples, num_levels=16)
-        # More than half the levels sit in the dense low quarter of the range,
-        # even though it holds only ~1/4 of the value span.
-        assert np.mean(adc.grid <= 0.25 * skewed_samples.max()) > 0.5
-        # Quantile mode is also available and concentrates even harder.
-        quantile = NonUniformAdc.from_samples(skewed_samples, num_levels=16, method="quantile")
-        assert np.median(quantile.grid) <= np.median(adc.grid) + 1e-9
-        with pytest.raises(ValueError):
-            NonUniformAdc.from_samples(skewed_samples, 16, method="kmeans")
+class TestSkewedDistribution:
+    def test_trq_resolves_the_dense_values_in_r1(self, skewed_samples):
+        """On the zero-skewed bit-line distribution of paper Fig. 3a, the
+        values below ``θ`` — most of them — take the ``NR1``-step search,
+        so a conversion costs far fewer operations than the 8-op baseline.
 
-    def test_convert_picks_nearest_level(self):
-        adc = NonUniformAdc(np.array([0.0, 1.0, 10.0]))
-        quantized, ops = adc.convert(np.array([0.4, 0.6, 7.0]))
-        np.testing.assert_array_equal(quantized, [0.0, 1.0, 10.0])
-        assert ops == 3 * adc.bits
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NonUniformAdc(np.array([1.0]))
-        with pytest.raises(ValueError):
-            NonUniformAdc(np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            NonUniformAdc.from_samples(np.array([]), 4)
-        with pytest.raises(ValueError):
-            NonUniformAdc.from_samples(np.ones(10), 1)
-        # Degenerate constant samples still produce a usable grid.
-        adc = NonUniformAdc.from_samples(np.zeros(10), 4)
-        assert adc.grid.size >= 2
-
-    def test_lower_mse_than_uniform_on_skewed_data(self):
-        """The motivation for non-uniform grids: better MSE at equal levels.
-
-        Uses a continuous, strongly skewed sample — the regime the paper's
-        Fig. 2b non-uniform grid targets.
+        (This test also draws ``skewed_samples`` from the session ``rng``
+        where the deleted non-uniform ADC tests did, so every later test
+        sees the same samples as before.)
         """
-        rng = np.random.default_rng(0)
-        samples = rng.exponential(scale=2.0, size=8000)
-        levels = 16
-        nu = NonUniformAdc.from_samples(samples, num_levels=levels)
-        nu_q, _ = nu.convert(samples)
-        delta = samples.max() / (levels - 1)
-        uniform = UniformAdc(bits=4, delta=delta)
-        u_q, _ = uniform.convert(samples)
-        assert np.mean((nu_q - samples) ** 2) <= np.mean((u_q - samples) ** 2)
+        params = TRQParams(n_r1=3, n_r2=5, m=2)
+        adc = TwinRangeAdc(params)
+        _, ops = adc.convert(skewed_samples)
+        in_r1 = int(np.count_nonzero(skewed_samples < params.r1_high))
+        in_r2 = skewed_samples.size - in_r1
+        assert adc.stats == ConversionStats(
+            conversions=skewed_samples.size,
+            operations=ops,
+            detection_operations=skewed_samples.size,
+            in_r1=in_r1,
+            in_r2=in_r2,
+        )
+        assert ops == skewed_samples.size + 3 * in_r1 + 5 * in_r2
+        assert adc.stats.r1_fraction > 0.85
+        assert adc.stats.mean_ops_per_conversion < 5
 
 
 # --------------------------------------------------------------------- #

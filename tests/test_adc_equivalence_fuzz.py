@@ -16,13 +16,16 @@ integers or exact threshold multiples, so value agreement is required to be
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from harness.adc_lut import lut_convert
-from repro.adc import SarAdc, TwinRangeAdc, TwinRangeSarAdc, UniformAdc
-from repro.core import TRQParams
+from repro.adc import ConversionStats, SarAdc, TwinRangeAdc, TwinRangeSarAdc, UniformAdc
+from repro.core import TRQParams, twin_range_levels
+from repro.utils.numeric import round_half_up
 
 #: Step sizes with exact binary representations (including a non-power-of-two)
 #: so float comparisons against SAR thresholds cannot straddle a rounding edge.
@@ -70,6 +73,34 @@ class TestUniformFuzz:
         assert total_ops == sum(t.operations for t in traces)
 
 
+def _level_buffers(values: np.ndarray):
+    """Fresh ``(out, work, mask)`` buffers of a level function."""
+    shape = (2,) + values.shape
+    return np.empty_like(values), np.empty(shape), np.empty(shape, dtype=bool)
+
+
+class TestUniformLevelsFuzz:
+    @given(
+        bits=st.integers(min_value=1, max_value=8),
+        delta=st.sampled_from(DELTAS),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_levels_into_matches_cycle_accurate(self, bits, delta, seed):
+        """The allocation-free level function == per-element SAR search,
+        and it returns its statistics without recording them."""
+        values = _uniform_inputs(np.random.default_rng(seed), bits, delta)
+        adc = UniformAdc(bits, delta)
+        levels, work, mask = _level_buffers(values)
+        stats = adc.levels_into(values, levels, work, mask)
+        traces = [SarAdc(bits, delta).convert(v) for v in values]
+        np.testing.assert_array_equal(levels * adc.level_scale, [t.output_value for t in traces])
+        assert stats == ConversionStats(
+            conversions=values.size, operations=sum(t.operations for t in traces)
+        )
+        assert adc.stats == ConversionStats()
+
+
 def _trq_inputs(rng: np.random.Generator, params: TRQParams) -> np.ndarray:
     top = max(params.r2_max, params.r1_high)
     integers = rng.integers(-4, int(top) + 8, size=40).astype(np.float64)
@@ -111,6 +142,36 @@ class TestTwinRangeFuzz:
         assert vectorised.stats.detection_operations == sum(
             t.detection_operations for t in traces
         )
+
+    @given(
+        n_r1=st.integers(min_value=1, max_value=6),
+        n_r2=st.integers(min_value=1, max_value=7),
+        m=st.integers(min_value=0, max_value=5),
+        bias=st.integers(min_value=0, max_value=3),
+        delta=st.sampled_from(DELTAS),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_levels_into_matches_cycle_accurate(self, n_r1, n_r2, m, bias, delta, seed):
+        """The allocation-free level function == per-element twin-range
+        search, value, region and operation counts alike, and it returns
+        its statistics without recording them."""
+        params = TRQParams(n_r1=n_r1, n_r2=n_r2, m=m, delta_r1=delta, bias=bias)
+        values = _trq_inputs(np.random.default_rng(seed), params)
+        adc = TwinRangeAdc(params)
+        levels, work, mask = _level_buffers(values)
+        stats = adc.levels_into(values, levels, work, mask)
+        traces = [TwinRangeSarAdc(params).convert(v) for v in values]
+        np.testing.assert_array_equal(levels * adc.level_scale, [t.output_value for t in traces])
+        in_r1 = sum(t.in_r1 for t in traces)
+        assert stats == ConversionStats(
+            conversions=values.size,
+            operations=sum(t.operations for t in traces),
+            detection_operations=sum(t.detection_operations for t in traces),
+            in_r1=in_r1,
+            in_r2=values.size - in_r1,
+        )
+        assert adc.stats == ConversionStats()
 
     def test_negative_inputs_follow_hardware_detection(self):
         """With ``bias == 0`` the detection phase is a single comparison
@@ -155,3 +216,98 @@ class TestTwinRangeFuzz:
         np.testing.assert_array_equal(quantized, [t.output_value for t in traces])
         assert total_ops == sum(t.operations for t in traces)
         assert adc.stats.in_r1 == sum(t.in_r1 for t in traces)
+
+
+#: Steps of the level-function equality checks: the exact grid plus steps
+#: whose quotients round.
+STEPS = DELTAS + (0.1, 0.9, 3.7)
+
+
+def _wide_inputs(rng: np.random.Generator, step: float, top: float) -> np.ndarray:
+    """Integers, exact halves of the step, noisy floats of both signs, both
+    zeros, values below 0 and above ``top``, infinities and NaN."""
+    integers = rng.integers(-8, int(top) + 16, size=40).astype(np.float64)
+    halves = (rng.integers(-4, int(top / step) + 8, size=16) + 0.5) * step
+    noisy = rng.normal(top / 2, top, size=24)
+    specials = np.array([0.0, -0.0, -step, -0.5 * step, top, top + step, 2 * top + 1,
+                         np.inf, -np.inf, np.nan])
+    return np.concatenate([integers, halves, noisy, specials])
+
+
+class TestLevelFunctions:
+    """The allocation-free level functions equal the allocating formulas
+    (``twin_range_levels`` and the uniform ``clip(round_half_up(v / Δ))``)
+    bit for bit, in place too, signs of zero included."""
+
+    @staticmethod
+    def _assert_same_bits(actual, expected):
+        np.testing.assert_array_equal(actual, expected)
+        np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+    @given(
+        n_r1=st.integers(min_value=1, max_value=6),
+        n_r2=st.integers(min_value=1, max_value=7),
+        m=st.integers(min_value=0, max_value=5),
+        bias=st.integers(min_value=0, max_value=3),
+        step=st.sampled_from(STEPS),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_twin_range_levels_into_equals_twin_range_levels(
+        self, n_r1, n_r2, m, bias, step, seed
+    ):
+        params = TRQParams(n_r1=n_r1, n_r2=n_r2, m=m, delta_r1=step, bias=bias)
+        top = max(params.r2_max, params.r1_high)
+        values = _wide_inputs(np.random.default_rng(seed), step, top).reshape(9, 10)
+        expected, in_r1 = twin_range_levels(values, params)
+        adc = TwinRangeAdc(params)
+        levels, work, mask = _level_buffers(values)
+        stats = adc.levels_into(values, levels, work, mask)
+        self._assert_same_bits(levels, expected)
+        assert stats.in_r1 == int(in_r1.sum())
+        in_place = values.copy()
+        assert adc.levels_into(in_place, in_place, work, mask) == stats
+        self._assert_same_bits(in_place, expected)
+
+    @given(
+        bits=st.integers(min_value=1, max_value=8),
+        step=st.sampled_from(STEPS),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_uniform_levels_into_equals_the_uniform_formula(self, bits, step, seed):
+        adc = UniformAdc(bits, step)
+        values = _wide_inputs(np.random.default_rng(seed), step, adc.full_scale)
+        expected = np.clip(round_half_up(values / step), 0, adc.max_code)
+        levels, work, mask = _level_buffers(values)
+        adc.levels_into(values, levels, work, mask)
+        self._assert_same_bits(levels, expected)
+        in_place = values.copy()
+        adc.levels_into(in_place, in_place, work, mask)
+        self._assert_same_bits(in_place, expected)
+
+    def test_convert_levels_wraps_the_level_function(self):
+        """``convert_levels`` records what ``levels_into`` returns."""
+        values = _wide_inputs(np.random.default_rng(3), 1.0, 40.0)[:-3]
+        for adc in (TwinRangeAdc(TRQParams(n_r1=3, n_r2=4, m=2, bias=1)), UniformAdc(5, 1.0)):
+            levels, work, mask = _level_buffers(values)
+            stats = adc.levels_into(values, levels, work, mask)
+            converted, ops = adc.convert_levels(values)
+            np.testing.assert_array_equal(converted, levels)
+            assert ops == stats.operations and adc.stats == stats
+
+    def test_level_functions_allocate_no_array(self):
+        """A 64 Ki-value tile converts without one array-sized allocation:
+        what is traced is the returned statistics object, not data."""
+        values = np.random.default_rng(5).normal(20.0, 30.0, size=(1024, 64))
+        levels, work, mask = _level_buffers(values)
+        for adc in (TwinRangeAdc(TRQParams(n_r1=2, n_r2=5, m=3, delta_r1=0.7, bias=1)),
+                    TwinRangeAdc(TRQParams(n_r1=2, n_r2=5, m=3)), UniformAdc(6, 3.7)):
+            adc.levels_into(values, levels, work, mask)  # warm up
+            tracemalloc.start()
+            try:
+                adc.levels_into(values, levels, work, mask)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4096, (type(adc).__name__, peak)

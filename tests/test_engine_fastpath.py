@@ -11,12 +11,19 @@ tests pin that contract at the mapped-layer level and end-to-end through
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from harness.adc_lut import lut_convert
-from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
+from repro.adc import (
+    ConversionStats,
+    TwinRangeAdc,
+    UniformAdc,
+    twin_range_config,
+    uniform_config,
+)
 from repro.adc.lut import TrialLutGather
 from repro.core import TRQParams
 from repro.crossbar import CrossbarTopology, MappedMVMLayer
@@ -28,6 +35,7 @@ from repro.nonideal.stack import TrialNoiseStates
 from repro.quantization import QuantizationConfig
 from repro.sim import PimSimulator
 from repro.sim.pim_layer import PimBackend
+from repro.utils import threads
 
 
 def _summed(vectors):
@@ -76,15 +84,6 @@ class TestEngineEquivalence:
         inputs = rng.integers(0, 256, size=(13, 200))
         params = TRQParams(n_r1=2, n_r2=5, m=3, delta_r1=0.9, bias=3)
         _assert_engines_agree(layer, inputs, lambda: TwinRangeAdc(params))
-
-    def test_nonuniform_adc_bit_identical(self, rng):
-        """Converters without an integer level grid use the element-wise
-        fallback inside the fused kernel and must still match exactly."""
-        layer = MappedMVMLayer(rng.integers(-7, 8, size=(30, 4)),
-                               QuantizationConfig(weight_bits=4, activation_bits=4))
-        inputs = rng.integers(0, 16, size=(9, 30))
-        grid = np.unique(rng.uniform(0.0, layer.max_bitline_value + 1.0, size=13))
-        _assert_engines_agree(layer, inputs, lambda: NonUniformAdc(grid))
 
     @pytest.mark.parametrize("crossbar_size,bits_per_cell,dac_bits", [
         (16, 1, 1), (64, 2, 1), (128, 1, 2), (32, 2, 2),
@@ -330,19 +329,31 @@ LEVEL_ADCS = {
     "uniform": lambda: UniformAdc(bits=5, delta=3.0),
 }
 
-#: (expected kernel path, converter, noise) of each routed case.
+#: (expected kernel path, converter, noise) of each routed case; ``None``
+#: is ideal conversion.
 ROUTED_CASES = (
     [("column", name, STATIC_SPECS) for name in LEVEL_ADCS]
     + [("perturbed", name, STATIC_SPECS) for name in LEVEL_ADCS]
     + [("continuous", name, READ_SPECS) for name in LEVEL_ADCS]
-    + [("fallback", "nonuniform", READ_SPECS)]
+    + [("fallback", None, READ_SPECS)]
 )
 
 
 def _make_adc(name):
-    if name == "nonuniform":
-        return NonUniformAdc(np.array([0.0, 2.0, 5.0, 9.0, 14.0, 22.0, 35.0]))
     return LEVEL_ADCS[name]()
+
+
+def _make_adcs(name, trials):
+    """``trials`` fresh converters, or ``None`` for ideal conversion."""
+    return None if name is None else [_make_adc(name) for _ in range(trials)]
+
+
+class _GridLess:
+    """A converter with an element-wise ``convert`` but no level grid."""
+
+    def convert(self, values):
+        values = np.asarray(values, dtype=np.float64)
+        return values, values.size
 
 
 def _trial_inputs(rng, trials, shared, rows, in_features):
@@ -353,48 +364,99 @@ def _trial_inputs(rng, trials, shared, rows, in_features):
     ])
 
 
+class _OwnedStats(ConversionStats):
+    """Conversion statistics that remember which threads recorded into them."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.recorders = set()
+
+    def record(self, *args, **kwargs) -> None:
+        self.recorders.add(threading.get_ident())
+        super().record(*args, **kwargs)
+
+    def merge(self, other) -> None:
+        self.recorders.add(threading.get_ident())
+        super().merge(other)
+
+
+def _assert_routed_case_matches_reference(path, adc, specs, trials, shared, segments):
+    """One routed case over two chunks, against the reference engine: equal
+    outputs, operation counts and statistics, recorded by this thread only."""
+    rng = np.random.default_rng(100 * segments + 10 * trials + shared)
+    in_features = 128 * segments - 37
+    layer = MappedMVMLayer(rng.integers(-127, 128, size=(in_features, 5)))
+    assert layer.num_segments == segments
+    cols = 2 * layer.num_weight_planes * layer.out_features
+    bins = trials * cols * (layer.max_bitline_value + 1)
+    # The column layout holds exactly at the bound; one bin less sends
+    # the same stack to the per-element path.
+    layer._COLUMN_MAX_BINS = bins - 1 if path == "perturbed" else bins
+    stack = NonIdealityStack(specs, seed=7)
+
+    def bind(t):
+        return stack.reseeded(t).bind_mapped("fc", layer)
+
+    adcs = _make_adcs(adc, trials)
+    ref_adcs = _make_adcs(adc, trials)
+    for converter in (adcs or []) + (ref_adcs or []):
+        converter.stats = _OwnedStats()
+    noise = TrialNoiseStates([bind(t) for t in range(trials)])
+    ref_states = [bind(t) for t in range(trials)]
+    assert layer._kernel_path(adcs, noise) == path
+    # Two chunks: per-read draws are keyed by the chunk, and the second
+    # call reuses the cached column tables.
+    for chunk_rows in (9, 4):
+        noise.next_chunk()
+        inputs = _trial_inputs(rng, trials, shared, chunk_rows, in_features)
+        outputs, ops = layer.matmul_trials(inputs, adcs, noise)
+        for t in range(trials):
+            ref, ref_ops = layer.matmul(
+                inputs[t], adc=None if adc is None else ref_adcs[t],
+                engine="reference", noise=ref_states[t].next_chunk(),
+            )
+            np.testing.assert_array_equal(outputs[t], ref)
+            assert ops[t] == ref_ops
+            if adc is not None:
+                assert adcs[t].stats == ref_adcs[t].stats
+                assert adcs[t].stats.recorders == {threading.get_ident()}
+
+
 class TestKernelPaths:
     """Static stacks fold into column tables, continuous noise converts in
-    the kernel, and only converters without a level grid take the float
-    fallback; every path is bit-identical to the reference engine."""
+    the kernel, and only ideal conversion under continuous noise takes the
+    float fallback; every path is bit-identical to the reference engine."""
 
     @pytest.mark.parametrize("segments", [1, 3])
     @pytest.mark.parametrize("trials,shared", [(1, True), (3, True), (3, False)])
     @pytest.mark.parametrize("path,adc,specs", ROUTED_CASES)
     def test_routed_paths_match_reference(self, path, adc, specs, trials, shared, segments):
-        rng = np.random.default_rng(100 * segments + 10 * trials + shared)
-        in_features = 128 * segments - 37
-        layer = MappedMVMLayer(rng.integers(-127, 128, size=(in_features, 5)))
-        assert layer.num_segments == segments
-        cols = 2 * layer.num_weight_planes * layer.out_features
-        bins = trials * cols * (layer.max_bitline_value + 1)
-        # The column layout holds exactly at the bound; one bin less sends
-        # the same stack to the per-element path.
-        layer._COLUMN_MAX_BINS = bins - 1 if path == "perturbed" else bins
-        stack = NonIdealityStack(specs, seed=7)
+        _assert_routed_case_matches_reference(path, adc, specs, trials, shared, segments)
 
-        def bind(t):
-            return stack.reseeded(t).bind_mapped("fc", layer)
-
-        adcs = [_make_adc(adc) for _ in range(trials)]
-        ref_adcs = [_make_adc(adc) for _ in range(trials)]
-        noise = TrialNoiseStates([bind(t) for t in range(trials)])
-        ref_states = [bind(t) for t in range(trials)]
-        assert layer._kernel_path(adcs, noise) == path
-        # Two chunks: per-read draws are keyed by the chunk, and the second
-        # call reuses the cached column tables.
-        for chunk_rows in (9, 4):
-            noise.next_chunk()
-            inputs = _trial_inputs(rng, trials, shared, chunk_rows, in_features)
-            outputs, ops = layer.matmul_trials(inputs, adcs, noise)
-            for t in range(trials):
-                ref, ref_ops = layer.matmul(
-                    inputs[t], adc=ref_adcs[t], engine="reference",
-                    noise=ref_states[t].next_chunk(),
-                )
-                np.testing.assert_array_equal(outputs[t], ref)
-                assert ops[t] == ref_ops
-                assert adcs[t].stats == ref_adcs[t].stats
+    @pytest.mark.parametrize("segments", [1, 3])
+    @pytest.mark.parametrize("trials,shared", [(1, True), (3, True), (3, False)])
+    @pytest.mark.parametrize("adc", sorted(LEVEL_ADCS))
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    def test_continuous_cases_match_reference_at_every_thread_budget(
+        self, budget, adc, trials, shared, segments, monkeypatch, fresh_kernel_pool
+    ):
+        """The continuous path's (cycle, trial) blocks run on ``budget``
+        lanes: outputs, operation counts and statistics equal the reference
+        engine's at every budget, only the calling thread records into the
+        converters, a budget of one creates no thread and a budget of ``n``
+        starts exactly ``n − 1`` pool threads beside the calling thread."""
+        monkeypatch.setattr(threads, "kernel_threads", lambda: budget)
+        _assert_routed_case_matches_reference(
+            "continuous", adc, READ_SPECS, trials, shared, segments
+        )
+        pool_threads = [
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-kernel")
+        ]
+        if budget == 1:
+            assert threads._pool is None and pool_threads == []
+        else:
+            assert len(pool_threads) == budget - 1
 
     def test_ideal_conversion_routes(self):
         rng = np.random.default_rng(3)
@@ -408,7 +470,28 @@ class TestKernelPaths:
         assert layer._kernel_path(None, noise(READ_SPECS)) == "fallback"
         drift = [{"model": "retention_drift", "time": 9.0, "nu": 0.1}]
         assert layer._kernel_path([_trq_window()], noise(drift)) == "pair"
-        assert layer._kernel_path([_make_adc("nonuniform")], noise(STATIC_SPECS)) == "fallback"
+
+    @pytest.mark.parametrize("specs", [None, STATIC_SPECS, READ_SPECS])
+    def test_converter_without_level_grid_is_refused(self, specs):
+        """There is no grid-less conversion path: both engines refuse such
+        a converter with the same error, whatever the noise."""
+        rng = np.random.default_rng(5)
+        layer = MappedMVMLayer(rng.integers(-127, 128, size=(200, 5)))
+        stack = None if specs is None else NonIdealityStack(specs, seed=1)
+        state = None if stack is None else stack.bind_mapped("fc", layer).next_chunk()
+        noise = None if state is None else TrialNoiseStates([state])
+        message = (
+            r"_GridLess has no integer level grid \(missing levels_into, "
+            r"convert_levels, level_scale, max_level\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            layer._kernel_path([_GridLess()], noise)
+        inputs = rng.integers(0, 256, size=(1, 4, 200))
+        with pytest.raises(ValueError, match=message):
+            layer.matmul_trials(inputs, [_GridLess()], noise)
+        for engine in ("fast", "reference"):
+            with pytest.raises(ValueError, match=message):
+                layer.matmul(inputs[0], adc=_GridLess(), noise=state, engine=engine)
 
     def test_continuous_merge_dtypes_come_from_max_level(self):
         rng = np.random.default_rng(4)
@@ -479,7 +562,6 @@ ROUTES = {
             (None, "pair"), ("drift", "pair"), ("static", "column"), ("read", "continuous"),
         )
     },
-    **{("nonuniform", noise): "fallback" for noise in (None, "drift", "static", "read")},
 }
 
 

@@ -35,6 +35,7 @@ from repro.experiments import (
 from repro.experiments import runner as runner_module
 from repro.experiments.presets import available_presets, build_preset
 from repro.experiments.store import code_version_salt
+from repro.utils import threads
 from repro.workloads import _cache_path, workload_fingerprint
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -377,6 +378,7 @@ class TestMonteCarloCoalescing:
         for key in mc_keys:
             meta = json.loads(store.meta_path(key).read_text())
             assert meta["trial_batch"] == 3
+            assert meta["kernel_threads"] == threads.kernel_threads()
 
     def mc_metas(self, root) -> list:
         store = ResultStore(root)
@@ -405,6 +407,7 @@ class TestMonteCarloCoalescing:
         assert len(metas) == 2
         for meta in metas:
             assert meta["trial_batch"] == 3
+            assert meta["kernel_threads"] == threads.thread_budget(2)
             assert "coalesced" not in meta
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adc import NonUniformAdc, TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
+from repro.adc import TwinRangeAdc, UniformAdc, twin_range_config, uniform_config
 from repro.core import TRQParams
 from repro.crossbar import MappedMVMLayer
 from repro.nonideal import (
@@ -122,18 +122,6 @@ class TestMappedLayerNoiseEquivalence:
             small_layer, small_inputs, ADC_FACTORIES["twin_range"], stack, chunks=3
         )
         assert not np.array_equal(whole, split)
-
-    def test_noisy_nonuniform_adc_bit_identical(self, rng):
-        """Converters without a level grid use the element-wise fallback;
-        keyed noise must keep them bit-identical as well."""
-        from repro.quantization import QuantizationConfig
-
-        layer = MappedMVMLayer(rng.integers(-7, 8, size=(30, 4)),
-                               QuantizationConfig(weight_bits=4, activation_bits=4))
-        inputs = rng.integers(0, 16, size=(9, 30))
-        grid = np.unique(rng.uniform(0.0, layer.max_bitline_value + 1.0, size=13))
-        stack = NonIdealityStack([GaussianReadNoise(sigma=0.3)], seed=1)
-        _assert_engines_agree_with_noise(layer, inputs, lambda: NonUniformAdc(grid), stack)
 
     def test_pure_value_map_uses_composed_lut(self, small_layer, small_inputs):
         """A drift-only stack must keep the fast engine's LUT path (the

@@ -74,6 +74,7 @@ from repro.telemetry import (
 )
 from repro.telemetry import events as ev
 from repro.telemetry import resources as resources_module
+from repro.utils import threads
 from repro.utils.logging import set_verbosity, verbosity_to_level
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -501,6 +502,7 @@ class TestMonteCarloLifecycle:
             assert len(starts) == len(finishes) == 1, key
             finish = finishes[0]
             assert finish["trial_batch"] == 3
+            assert finish["kernel_threads"] == threads.kernel_threads()
             gap = finish["t_mono"] - starts[0]["t_mono"]
             assert abs(gap - finish["duration_s"]) <= 0.01 + 0.1 * finish["duration_s"], (
                 key, gap, finish["duration_s"],
@@ -862,6 +864,8 @@ class TestPerfHistory:
         first, second = load_history(path)
         assert first["sweep"] == second["sweep"] == "history-sweep"
         assert first["executor"] == "serial"
+        assert first["trial_batch"] == 1
+        assert first["kernel_threads"] == threads.kernel_threads()
         assert first["jobs"]["executed"] == 3 and first["cache"]["hits"] == 0
         assert first["elapsed_s"] > 0.0 and first["critical_path_s"] > 0.0
         assert first["waves"] and first["waves"][0]["jobs"] >= 1
