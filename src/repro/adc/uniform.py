@@ -16,7 +16,7 @@ import numpy as np
 from repro.adc.config import AdcConfig, AdcMode, uniform_config
 from repro.adc.counters import ConversionStats
 from repro.adc.lut import AdcTransferLut, LutConversionMixin, compact_levels
-from repro.utils.numeric import round_half_up, round_half_up_quotient_into
+from repro.utils.numeric import round_half_up_quotient_into
 
 
 class UniformAdc(LutConversionMixin):
@@ -64,12 +64,8 @@ class UniformAdc(LutConversionMixin):
 
     def convert(self, values: np.ndarray) -> Tuple[np.ndarray, int]:
         """Convert an array of values; returns ``(quantized, total_ops)``."""
-        values = np.asarray(values, dtype=np.float64)
-        codes = np.clip(round_half_up(values / self.delta), 0, self.max_code)
-        quantized = codes * self.delta
-        ops = values.size * self.bits
-        self.stats.record(conversions=values.size, operations=ops)
-        return quantized, ops
+        codes, ops = self.convert_levels(values)
+        return codes * self.delta, ops
 
     @property
     def level_scale(self) -> float:
@@ -86,11 +82,12 @@ class UniformAdc(LutConversionMixin):
     ) -> ConversionStats:
         """Integer output levels (codes) of ``values`` written into ``out``.
 
-        The level function of every level-grid converter: it allocates
-        nothing and returns the conversions' statistics instead of recording
-        them.  ``out`` may be ``values``; this converter needs neither the
-        ``work`` nor the ``mask`` scratch of
-        :meth:`~repro.adc.trq.TwinRangeAdc.levels_into`.
+        The converter's one formulation, ``clip(round_half_up(v / Δ), 0,
+        2^K − 1)``, which :meth:`convert`, :meth:`convert_levels` and the
+        transfer LUT all go through.  It allocates nothing and returns the
+        conversions' statistics instead of recording them.  ``out`` may be
+        ``values``; this converter needs neither the ``work`` nor the
+        ``mask`` scratch of :meth:`~repro.adc.trq.TwinRangeAdc.levels_into`.
         """
         round_half_up_quotient_into(values, self.delta, out)
         np.clip(out, 0, self.max_code, out=out)
@@ -112,8 +109,8 @@ class UniformAdc(LutConversionMixin):
 
     def _build_transfer_lut(self, max_value: int) -> AdcTransferLut:
         """Tabulate the K-step binary-search transfer function (integer inputs)."""
-        inputs = np.arange(max_value + 1, dtype=np.float64)
-        codes = np.clip(round_half_up(inputs / self.delta), 0, self.max_code)
+        codes = np.arange(max_value + 1, dtype=np.float64)
+        self.levels_into(codes, codes, None, None)
         return AdcTransferLut(
             values=codes * self.delta,
             ops_per_value=np.full(max_value + 1, self.bits, dtype=np.int64),

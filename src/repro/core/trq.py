@@ -164,19 +164,13 @@ def twin_range_levels(
     engine's bit-reproducibility (see :mod:`repro.crossbar.mapping`).
 
     Returns ``(levels, in_r1)``; ``levels`` is float64 but holds exact
-    integers.
+    integers.  This is :func:`twin_range_levels_into` on fresh buffers.
     """
     values = np.asarray(values, dtype=np.float64)
-    in_r1 = classify_regions(values, params)
-
-    max_code_r1 = (1 << params.n_r1) - 1
-    codes_r1 = np.clip(round_half_up((values - params.r1_low) / params.delta_r1), 0, max_code_r1)
-    max_code_r2 = (1 << params.n_r2) - 1
-    codes_r2 = np.clip(round_half_up(values / params.delta_r2), 0, max_code_r2)
-
-    offset = float(params.bias << params.n_r1)
-    levels = np.where(in_r1, offset + codes_r1, codes_r2 * float(1 << params.m))
-    return levels, in_r1
+    levels = np.empty_like(values)
+    mask = np.empty((2,) + values.shape, dtype=bool)
+    twin_range_levels_into(values, params, levels, np.empty((2,) + values.shape), mask)
+    return levels, mask[0]
 
 
 def twin_range_levels_into(
@@ -186,19 +180,19 @@ def twin_range_levels_into(
     work: np.ndarray,
     mask: np.ndarray,
 ) -> int:
-    """:func:`twin_range_levels` into caller-provided buffers; returns the
-    number of values in R1.
+    """The TRQ level function (:func:`twin_range_levels`) into
+    caller-provided buffers; returns the number of values in R1, whose mask
+    it leaves in ``mask[0]``.
 
     ``values`` and ``out`` are float64 of one shape (``out`` may be
     ``values``), ``work`` float64 and ``mask`` bool, each of that shape
     with a leading axis of 2.  Nothing is allocated, so threads can convert
-    side by side on their own buffers.  The levels are those of
-    :func:`twin_range_levels` bit for bit: the same float operations
-    produce both ranges' codes (:func:`~repro.utils.numeric.
-    round_half_up_quotient_into`), and the R1 select is the exact blend
-    ``L2 + [in R1]·(L1 − L2)`` of two integers, which costs a fraction of
-    a masked copy.  No-op steps (subtracting a zero ``r1_low``, adding a
-    zero offset, scaling by ``2^0``) are skipped.
+    side by side on their own buffers.  Each range's code is
+    ``clip(round_half_up(v / Δ), 0, 2^N − 1)`` (R1 on ``v − r1_low``;
+    :func:`~repro.utils.numeric.round_half_up_quotient_into`), and the R1
+    select is the exact blend ``L2 + [in R1]·(L1 − L2)`` of two integers,
+    which costs a fraction of a masked copy.  No-op steps (subtracting a
+    zero ``r1_low``, adding a zero offset, scaling by ``2^0``) are skipped.
     """
     r1, select = work[0], work[1]
     in_r1 = mask[0]

@@ -931,32 +931,39 @@ class MappedMVMLayer:
 
         ``raw`` is the segment's ``(cycles, eff, batch, columns)`` bit-line
         block.  Each (cycle, trial) block is one task: it runs its trial's
-        whole stack through its lane's float64 buffer
+        whole stack in place through its lane's float64 buffer
         (:meth:`~repro.nonideal.stack.LayerNoiseState.perturb_block` with
-        ``out``) — the keys and the ``(batch, columns)`` shape of every draw
-        are the reference loop's, so the noisy values are its values bit for
-        bit — then converts it in place, one row tile at a time, with the
-        converter's allocation-free ``levels_into``, and writes ``L⁺ − L⁻``
-        into its own slice ``diff[t, cycle]`` (``diff`` is ``(trials,
-        cycles, batch, width)``, exact integers) for the integer merge.
+        ``out``, and a second buffer for a read-noise draw that follows
+        another model) — the keys and the ``(batch, columns)`` shape of
+        every draw are the reference loop's, so the noisy values are its
+        values bit for bit — then converts it in place, one row tile at a
+        time, with the converter's allocation-free ``levels_into``, and
+        writes ``L⁺ − L⁻`` into its own slice ``diff[t, cycle]`` (``diff``
+        is ``(trials, cycles, batch, width)``, exact integers) for the
+        integer merge.
 
         The tasks are independent, and the keyed draws and the conversions
         are numpy calls that release the GIL, so they run on
         :func:`~repro.utils.threads.run_lanes` across the process's kernel
-        threads (inline on a budget of one).  This thread allocates every
-        lane's buffers, through the layer's scratch cache; a task touches
-        only its lane's buffers and its own ``diff`` slice, and returns its
-        statistics, which this thread merges into the converters and
-        ``total_ops`` — integer sums, equal to the reference's.
+        threads (inline on a budget of one; the threads end with the call).
+        This thread allocates every lane's buffers, through the layer's
+        scratch cache; a task touches only its lane's buffers and its own
+        ``diff`` slice, and returns its statistics, which this thread merges
+        into the converters and ``total_ops`` — integer sums, equal to the
+        reference's.
         """
         num_cycles, eff, batch, cols = raw.shape
         width = cols // 2
         blocks = [(cycle_index, t) for cycle_index in range(num_cycles) for t in range(len(adcs))]
         lanes = min(threads.kernel_threads(), len(blocks))
         tile_rows = max(1, min(batch, self._CONVERT_TILE // max(1, cols)))
+        # A model after the first finds its input already in the lane's
+        # buffer; read noise then draws beside it, into ``draw``.
+        chained = noise is not None and noise.num_models > 1
         scratch = [
             (
                 self._fast_buffer(f"noisy{lane}", (batch, cols), np.float64),
+                self._fast_buffer(f"draw{lane}", (batch, cols), np.float64) if chained else None,
                 self._fast_buffer(f"level_work{lane}", (2, tile_rows, cols), np.float64),
                 self._fast_buffer(f"level_mask{lane}", (2, tile_rows, cols), np.bool_),
             )
@@ -965,12 +972,14 @@ class MappedMVMLayer:
 
         def convert(lane: int, block_index: Tuple[int, int]) -> ConversionStats:
             cycle_index, t = block_index
-            noisy, work, mask = scratch[lane]
+            noisy, draw, work, mask = scratch[lane]
             block = raw[cycle_index, 0 if eff == 1 else t]
             if noise is None:
                 np.copyto(noisy, block)
             else:
-                noise.states[t].perturb_block(block, segment_index, cycle_index, out=noisy)
+                noise.states[t].perturb_block(
+                    block, segment_index, cycle_index, out=noisy, scratch=draw
+                )
             stats = ConversionStats()
             for start in range(0, batch, tile_rows):
                 stop = min(start + tile_rows, batch)

@@ -30,8 +30,8 @@ returns a :class:`BoundModel` holding any pre-drawn static state.  Bound
 models expose the capabilities the engines exploit:
 
 * ``perturb`` — perturb one raw bit-line block (works for every model), and
-  ``perturb_into``, the same values written into a reused buffer (the fast
-  engine's per-block path for continuous noise);
+  ``perturb_into``, the same values written into a reused buffer in place
+  (the fast engine's per-block path for continuous noise);
 * ``integer_domain`` — the perturbation maps exact integer bit-line values
   to exact integer values, so the fast engine can stay on its integer-LUT
   conversion path (with the LUT bound enlarged to ``output_bound``);
@@ -167,16 +167,25 @@ class BoundModel:
         return values
 
     def perturb_into(
-        self, values: np.ndarray, segment: int, cycle: int, chunk: int, out: np.ndarray
+        self,
+        values: np.ndarray,
+        segment: int,
+        cycle: int,
+        chunk: int,
+        out: np.ndarray,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """``perturb`` with the result written into ``out`` and returned.
 
         ``out`` is a float64 buffer of the block's shape and may be
         ``values`` itself, so a stack chains through one reused buffer
-        (:meth:`~repro.nonideal.stack.LayerNoiseState.perturb_block`).  The
+        (:meth:`~repro.nonideal.stack.LayerNoiseState.perturb_block`).
+        ``scratch``, when given, is another such buffer the model may
+        overwrite (read noise draws there when ``values`` is ``out``).  The
         values must equal ``perturb``'s bit for bit; this default computes
-        ``perturb`` and copies, and models override it to skip the
-        temporaries.
+        ``perturb`` and copies, and every registered model overrides it to
+        write in place, so the fast engine's kernel threads make no
+        block-sized temporary.
         """
         result = self.perturb(np.asarray(values, dtype=np.float64), segment, cycle, chunk)
         if result is not out:

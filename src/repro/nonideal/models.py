@@ -18,9 +18,11 @@ retention drift *into* the LUT (a perturbed
 per-column models into per-(segment, column) tables tabulated once per run
 from their own ``perturb_trials``.  Continuous models (read noise, analog
 variation, IR drop) leave the integer domain; the fast engine then runs the
-stack on each block in a reused buffer (``perturb_into``; read noise draws
-straight into it) and converts through the ADC's own level function, still
-bit-identical to the reference engine.
+stack on each block in a reused buffer (every model's ``perturb_into``
+writes there in place; read noise draws straight into it, or into the
+caller's scratch when an earlier model already filled it) and converts
+through the ADC's own level function, still bit-identical to the reference
+engine.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.nonideal.base import (
     stacked_trial_state,
 )
 from repro.nonideal.registry import register_model
-from repro.utils.numeric import round_half_up
+from repro.utils.numeric import round_half_up, round_half_up_into
 from repro.utils.rng import keyed_normal_into, new_rng
 from repro.utils.validation import check_in_range
 
@@ -60,6 +62,11 @@ class _IdentityBound(BoundModel):
 
     def value_map(self, input_bound: int) -> Optional[np.ndarray]:
         return np.arange(input_bound + 1, dtype=np.int64)
+
+    def perturb_into(self, values, segment, cycle, chunk, out, scratch=None):
+        if values is not out:
+            np.copyto(out, values)
+        return out
 
     @staticmethod
     def perturb_trials(siblings, values, segment, cycle, chunk):
@@ -91,13 +98,13 @@ class _BoundGaussianRead(BoundModel):
         # Bit-line currents are physically non-negative.
         return np.maximum(np.asarray(values, dtype=np.float64) + noise, 0.0)
 
-    def perturb_into(self, values, segment, cycle, chunk, out):
-        if np.shares_memory(values, out):
-            noise = self._draw(values.shape, segment, cycle, chunk)
-        else:
-            # Draw straight into ``out``: addition commutes bit for bit, so
-            # ``noise + values`` is ``perturb``'s ``values + noise``.
-            noise = self._draw(values.shape, segment, cycle, chunk, out=out)
+    def perturb_into(self, values, segment, cycle, chunk, out, scratch=None):
+        # Draw straight into ``out``, or beside it when ``out`` already holds
+        # the input (a model ahead of this one in the stack wrote it there):
+        # addition commutes bit for bit, so ``noise + values`` is
+        # ``perturb``'s ``values + noise``.
+        target = scratch if np.shares_memory(values, out) else out
+        noise = self._draw(values.shape, segment, cycle, chunk, out=target)
         np.add(noise, values, out=out)
         return np.maximum(out, 0.0, out=out)
 
@@ -179,6 +186,12 @@ class _BoundConductanceVariation(BoundModel):
             return np.maximum(round_half_up(scaled), 0.0)
         return scaled
 
+    def perturb_into(self, values, segment, cycle, chunk, out, scratch=None):
+        np.multiply(values, self._factors[segment], out=out)
+        if self.quantize:
+            np.maximum(round_half_up_into(out, out), 0.0, out=out)
+        return out
+
     @staticmethod
     def perturb_trials(siblings, values, segment, cycle, chunk):
         # One multiply against the stacked static factors; every step is
@@ -255,6 +268,10 @@ class _BoundStuckAt(BoundModel):
             np.asarray(values, dtype=np.float64) + self._delta[segment], 0.0
         )
 
+    def perturb_into(self, values, segment, cycle, chunk, out, scratch=None):
+        np.add(values, self._delta[segment], out=out)
+        return np.maximum(out, 0.0, out=out)
+
     @staticmethod
     def perturb_trials(siblings, values, segment, cycle, chunk):
         delta = stacked_trial_state(
@@ -324,6 +341,9 @@ class _BoundRetentionDrift(BoundModel):
         # Must equal value_map element for element on exact integers.
         return round_half_up(np.asarray(values, dtype=np.float64) * self.factor)
 
+    def perturb_into(self, values, segment, cycle, chunk, out, scratch=None):
+        return round_half_up_into(np.multiply(values, self.factor, out=out), out)
+
     @staticmethod
     def perturb_trials(siblings, values, segment, cycle, chunk):
         # ``factor`` is parameter-derived (seed-free): identical across trials.
@@ -385,6 +405,9 @@ class _BoundIRDrop(BoundModel):
 
     def perturb(self, values, segment, cycle, chunk):
         return np.asarray(values, dtype=np.float64) * self._factors
+
+    def perturb_into(self, values, segment, cycle, chunk, out, scratch=None):
+        return np.multiply(values, self._factors, out=out)
 
     @staticmethod
     def perturb_trials(siblings, values, segment, cycle, chunk):

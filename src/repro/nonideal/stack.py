@@ -94,6 +94,7 @@ class LayerNoiseState:
         segment: int,
         cycle: int,
         out: Optional[np.ndarray] = None,
+        scratch: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Apply every model, in stack order, to one raw bit-line block.
 
@@ -101,13 +102,14 @@ class LayerNoiseState:
         float64 (exact integers throughout for integer-domain stacks).  With
         ``out`` (float64, ``values``' shape) the chain runs through that
         reused buffer (:meth:`~repro.nonideal.base.BoundModel.perturb_into`)
-        and returns it, holding the same values.
+        and returns it, holding the same values; ``scratch`` (another such
+        buffer) spares the models after the first any temporary.
         """
         chunk = self._chunk
         if out is not None:
             result = values
             for model in self._bound:
-                result = model.perturb_into(result, segment, cycle, chunk, out)
+                result = model.perturb_into(result, segment, cycle, chunk, out, scratch)
             if result is not out:  # an empty stack
                 np.copyto(out, result)
             return out
@@ -151,6 +153,11 @@ class TrialNoiseStates:
     def trials(self) -> int:
         return len(self.states)
 
+    @property
+    def num_models(self) -> int:
+        """Models in each trial's stack (the same classes in every trial)."""
+        return len(self.states[0]._bound)
+
     def next_chunk(self) -> "TrialNoiseStates":
         """Advance every trial's chunk counter in lockstep."""
         for state in self.states:
@@ -182,8 +189,7 @@ class TrialNoiseStates:
         """
         out = np.asarray(values, dtype=np.float64)
         chunk = self.states[0].chunk
-        num_models = len(self.states[0]._bound)
-        for index in range(num_models):
+        for index in range(self.num_models):
             siblings = [state._bound[index] for state in self.states]
             out = type(siblings[0]).perturb_trials(
                 siblings, out, segment, cycle, chunk

@@ -21,27 +21,29 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x, dtype=np.float64) + 0.5)
 
 
+def round_half_up_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``round_half_up(values)`` written into ``out`` (which may be
+    ``values``), bit for bit, without allocating."""
+    np.add(values, 0.5, out=out)
+    return np.floor(out, out=out)
+
+
 def round_half_up_quotient_into(
     values: np.ndarray, step: float, out: np.ndarray
 ) -> np.ndarray:
     """``round_half_up(values / step)`` written into ``out``, bit for bit.
 
-    Allocates nothing (``out`` may be ``values``).  A unit step skips the
-    division (``x / 1.0`` is ``x``), and a power-of-two step whose
-    reciprocal is a power of two too multiplies by that exact reciprocal:
-    the product is the same correctly rounded quotient, at a third of a
-    division's cost.
+    Allocates nothing (``out`` may be ``values``).  A power-of-two step
+    whose reciprocal is a power of two too multiplies by that exact
+    reciprocal: the product is the same correctly rounded quotient, at a
+    third of a division's cost.
     """
-    if step == 1.0:
-        np.add(values, 0.5, out=out)
+    reciprocal = 1.0 / step
+    if math.frexp(step)[0] == 0.5 and math.frexp(reciprocal)[0] == 0.5:
+        np.multiply(values, reciprocal, out=out)
     else:
-        reciprocal = 1.0 / step
-        if math.frexp(step)[0] == 0.5 and math.frexp(reciprocal)[0] == 0.5:
-            np.multiply(values, reciprocal, out=out)
-        else:
-            np.divide(values, step, out=out)
-        np.add(out, 0.5, out=out)
-    return np.floor(out, out=out)
+        np.divide(values, step, out=out)
+    return round_half_up_into(out, out)
 
 
 def clamp(x: np.ndarray, low: float, high: float) -> np.ndarray:

@@ -1,29 +1,26 @@
-"""The per-process kernel thread pool.
+"""Kernel threads: the fused kernel's continuous-noise blocks side by side.
 
 The fused crossbar kernel converts continuous device noise in independent
 (cycle, trial) blocks (:meth:`repro.crossbar.mapping.MappedMVMLayer.
 _continuous_differences`).  Every block has its own keyed draw and writes
 its own slice of the output, and the draws and conversions are numpy calls
-that release the GIL, so the blocks run side by side on *lanes*: lane 0 is
-the calling thread, lanes ``1 … n − 1`` are threads of one pool per process.
+that release the GIL, so the blocks run side by side on *lanes*
+(:func:`run_lanes`): lane 0 is the calling thread, lanes ``1 … n − 1`` are
+threads started for the call and joined before it returns.  No kernel
+thread outlives a call, so a process forked between calls inherits none.
 
 The thread budget is the number of CPUs the process may use
 (:func:`available_cpus`).  A process that is one of ``N`` pool workers
 (``--jobs N``) gets ``max(1, cpus // N)`` (:func:`init_pool_worker`); a
-budget of 1 runs every block inline and never creates a thread.  Nothing
+budget of 1 runs every block inline and never starts a thread.  Nothing
 else sets it: no option, environment variable or constructor argument.
-
-A fork copies the pool object but none of its threads, so work submitted
-to it in the child would never run.  The child therefore forgets the pool
-(``os.register_at_fork``) and builds its own on first use.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import threading
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -31,8 +28,6 @@ R = TypeVar("R")
 #: How many processes share this process's CPUs: 1, or ``N`` in a
 #: ``--jobs N`` pool worker (set by :func:`init_pool_worker`).
 _sharers = 1
-_pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
-_pool_workers = 0
 
 
 def available_cpus() -> int:
@@ -60,67 +55,43 @@ def init_pool_worker(jobs: int) -> None:
     _sharers = max(1, int(jobs))
 
 
-def _forget_pool() -> None:
-    global _pool, _pool_workers
-    _pool, _pool_workers = None, 0
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _worker_pool(workers: int) -> concurrent.futures.ThreadPoolExecutor:
-    """The process's pool, with room for at least ``workers`` threads.
-
-    Threads start only as work is submitted, so a pool never runs more
-    threads than the largest call asked for.  Only the calling thread of a
-    kernel call gets here (a layer's scratch is not shared across callers
-    either), so the pool needs no lock.
-    """
-    global _pool, _pool_workers
-    if _pool is None or _pool_workers < workers:
-        if _pool is not None:
-            _pool.shutdown(wait=True)
-        _pool = concurrent.futures.ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-kernel"
-        )
-        _pool_workers = workers
-    return _pool
-
-
 def run_lanes(work: Callable[[int, T], R], items: Sequence[T], lanes: int) -> List[R]:
     """``[work(lane, item) for item in items]`` on ``lanes`` lanes.
 
-    Lane 0 is the calling thread and lanes ``1 … lanes − 1`` are pool
-    threads; each lane takes the next item as it frees up, and ``lane``
-    tells ``work`` which lane's scratch it may use.  The results come back
-    in ``items`` order.  Every item a lane started finishes before the
-    error of the earliest failed item is raised, so no straggler is left
-    writing into memory the caller reuses; after a failure no lane starts
-    another item.  With one lane the items run inline, in order.
+    Lane ``k`` runs items ``k, k + lanes, …`` in order (the kernel's items
+    are blocks of one size, so the static split balances them): lane 0 on
+    the calling thread, every other lane on a thread started for this call.
+    ``lane`` tells ``work`` which lane's scratch it may use.  The results
+    come back in ``items`` order.  A lane stops at its first failed item,
+    and every thread is joined before the earliest failed item's error is
+    raised, so no straggler is left writing into memory the caller reuses.
+    With one lane (or one item) the items run inline and no thread starts.
     """
-    if lanes <= 1 or len(items) <= 1:
+    lanes = min(lanes, len(items))
+    if lanes <= 1:
         return [work(0, item) for item in items]
     results: List[Optional[R]] = [None] * len(items)
-    errors = {}
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
+    errors: Dict[int, BaseException] = {}
 
     def drain(lane: int) -> None:
-        while True:
-            with lock:
-                index = None if errors else next(pending, None)
-            if index is None:
-                return
+        for index in range(lane, len(items), lanes):
             try:
                 results[index] = work(lane, items[index])
             except BaseException as error:  # re-raised by the caller
-                with lock:
-                    errors[index] = error
+                errors[index] = error
+                return
 
-    pool = _worker_pool(lanes - 1)
-    futures = [pool.submit(drain, lane) for lane in range(1, lanes)]
-    drain(0)
-    concurrent.futures.wait(futures)
+    workers = [
+        threading.Thread(target=drain, args=(lane,), name=f"repro-kernel-{lane}")
+        for lane in range(1, lanes)
+    ]
+    for worker in workers:
+        worker.start()
+    try:
+        drain(0)
+    finally:
+        for worker in workers:
+            worker.join()
     if errors:
         raise errors[min(errors)]
     return results  # type: ignore[return-value]

@@ -10,28 +10,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils import threads
 from repro.workloads import PreparedWorkload, prepare_workload
 
 
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
-
-
-@pytest.fixture()
-def fresh_kernel_pool():
-    """The test starts without a kernel thread pool and stops the one it
-    made, so counts of live kernel threads are the test's own."""
-
-    def stop() -> None:
-        if threads._pool is not None:
-            threads._pool.shutdown(wait=True)
-        threads._forget_pool()
-
-    stop()
-    yield
-    stop()
 
 
 @pytest.fixture(scope="session")

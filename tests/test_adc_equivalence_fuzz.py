@@ -234,10 +234,36 @@ def _wide_inputs(rng: np.random.Generator, step: float, top: float) -> np.ndarra
     return np.concatenate([integers, halves, noisy, specials])
 
 
+def _reference_twin_range_levels(values, params):
+    """The TRQ level formula in its plain allocating form, verbatim: the
+    bit-identity reference of every TRQ level path (``twin_range_levels``,
+    ``levels_into``, ``convert_levels`` and the transfer LUT)."""
+    values = np.asarray(values, dtype=np.float64)
+    in_r1 = values < params.r1_high
+    if params.bias != 0:
+        in_r1 = in_r1 & (values >= params.r1_low)
+
+    max_code_r1 = (1 << params.n_r1) - 1
+    codes_r1 = np.clip(round_half_up((values - params.r1_low) / params.delta_r1), 0, max_code_r1)
+    max_code_r2 = (1 << params.n_r2) - 1
+    codes_r2 = np.clip(round_half_up(values / params.delta_r2), 0, max_code_r2)
+
+    offset = float(params.bias << params.n_r1)
+    levels = np.where(in_r1, offset + codes_r1, codes_r2 * float(1 << params.m))
+    return levels, in_r1
+
+
+def _reference_uniform_codes(values, adc):
+    """The uniform code formula in its plain allocating form, verbatim: the
+    reference of ``levels_into``, ``convert_levels``, ``convert`` and the
+    transfer LUT."""
+    return np.clip(round_half_up(values / adc.delta), 0, adc.max_code)
+
+
 class TestLevelFunctions:
-    """The allocation-free level functions equal the allocating formulas
-    (``twin_range_levels`` and the uniform ``clip(round_half_up(v / Δ))``)
-    bit for bit, in place too, signs of zero included."""
+    """Every level path of both converters goes through one allocation-free
+    level function and equals the plain formula bit for bit, in place too,
+    signs of zero included."""
 
     @staticmethod
     def _assert_same_bits(actual, expected):
@@ -253,21 +279,32 @@ class TestLevelFunctions:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=120, deadline=None)
-    def test_twin_range_levels_into_equals_twin_range_levels(
+    def test_every_twin_range_level_path_equals_the_formula(
         self, n_r1, n_r2, m, bias, step, seed
     ):
         params = TRQParams(n_r1=n_r1, n_r2=n_r2, m=m, delta_r1=step, bias=bias)
         top = max(params.r2_max, params.r1_high)
         values = _wide_inputs(np.random.default_rng(seed), step, top).reshape(9, 10)
-        expected, in_r1 = twin_range_levels(values, params)
+        expected, expected_r1 = _reference_twin_range_levels(values, params)
+        levels, in_r1 = twin_range_levels(values, params)
+        self._assert_same_bits(levels, expected)
+        np.testing.assert_array_equal(in_r1, expected_r1)
         adc = TwinRangeAdc(params)
         levels, work, mask = _level_buffers(values)
         stats = adc.levels_into(values, levels, work, mask)
         self._assert_same_bits(levels, expected)
-        assert stats.in_r1 == int(in_r1.sum())
+        assert stats.in_r1 == int(expected_r1.sum())
         in_place = values.copy()
         assert adc.levels_into(in_place, in_place, work, mask) == stats
         self._assert_same_bits(in_place, expected)
+        converted, ops = adc.convert_levels(values)
+        self._assert_same_bits(converted, expected)
+        assert ops == stats.operations and adc.stats == stats
+        inputs = np.arange(int(top) + 3, dtype=np.float64)
+        np.testing.assert_array_equal(
+            adc.transfer_lut(int(top) + 2).levels,
+            _reference_twin_range_levels(inputs, params)[0],
+        )
 
     @given(
         bits=st.integers(min_value=1, max_value=8),
@@ -275,16 +312,26 @@ class TestLevelFunctions:
         seed=st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_uniform_levels_into_equals_the_uniform_formula(self, bits, step, seed):
+    def test_every_uniform_level_path_equals_the_formula(self, bits, step, seed):
         adc = UniformAdc(bits, step)
         values = _wide_inputs(np.random.default_rng(seed), step, adc.full_scale)
-        expected = np.clip(round_half_up(values / step), 0, adc.max_code)
+        expected = _reference_uniform_codes(values, adc)
         levels, work, mask = _level_buffers(values)
-        adc.levels_into(values, levels, work, mask)
+        stats = adc.levels_into(values, levels, work, mask)
         self._assert_same_bits(levels, expected)
         in_place = values.copy()
         adc.levels_into(in_place, in_place, work, mask)
         self._assert_same_bits(in_place, expected)
+        converted, ops = adc.convert_levels(values)
+        self._assert_same_bits(converted, expected)
+        quantized, convert_ops = adc.convert(values)
+        self._assert_same_bits(quantized, expected * step)
+        assert ops == convert_ops == stats.operations
+        inputs = np.arange(int(adc.full_scale) + 3, dtype=np.float64)
+        lut = adc.transfer_lut(inputs.size - 1)
+        reference = _reference_uniform_codes(inputs, adc)
+        np.testing.assert_array_equal(lut.levels, reference)
+        self._assert_same_bits(lut.values, reference * step)
 
     def test_convert_levels_wraps_the_level_function(self):
         """``convert_levels`` records what ``levels_into`` returns."""

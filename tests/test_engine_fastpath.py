@@ -31,7 +31,7 @@ from repro.crossbar.merge import reference_integer_matmul
 from repro.crossbar.slicing import slice_inputs_temporal
 from repro.nonideal import GaussianReadNoise as KeyedReadNoise
 from repro.nonideal import NonIdealityModel, NonIdealityStack, RetentionDrift
-from repro.nonideal.stack import TrialNoiseStates
+from repro.nonideal.stack import LayerNoiseState, TrialNoiseStates
 from repro.quantization import QuantizationConfig
 from repro.sim import PimSimulator
 from repro.sim.pim_layer import PimBackend
@@ -321,6 +321,14 @@ STATIC_SPECS = [
     {"model": "stuck_at_faults", "rate_on": 0.02, "rate_off": 0.01},
 ]
 READ_SPECS = [{"model": "gaussian_read_noise", "sigma": 0.8}]
+#: A continuous stack whose read noise follows another model, so it finds
+#: its input already in the kernel's buffer and draws into the scratch.
+CHAINED_SPECS = [
+    {"model": "stuck_at_faults", "rate_on": 0.02},
+    {"model": "gaussian_read_noise", "sigma": 0.8},
+    {"model": "ir_drop", "alpha": 0.1},
+    {"model": "conductance_variation", "sigma": 0.05},
+]
 
 #: Converters of the routed cases: TRQ with ``bias`` 0 and > 0, uniform.
 LEVEL_ADCS = {
@@ -437,26 +445,63 @@ class TestKernelPaths:
     @pytest.mark.parametrize("trials,shared", [(1, True), (3, True), (3, False)])
     @pytest.mark.parametrize("adc", sorted(LEVEL_ADCS))
     @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("specs", [READ_SPECS, CHAINED_SPECS], ids=["read", "chained"])
     def test_continuous_cases_match_reference_at_every_thread_budget(
-        self, budget, adc, trials, shared, segments, monkeypatch, fresh_kernel_pool
+        self, specs, budget, adc, trials, shared, segments, monkeypatch
     ):
         """The continuous path's (cycle, trial) blocks run on ``budget``
         lanes: outputs, operation counts and statistics equal the reference
         engine's at every budget, only the calling thread records into the
-        converters, a budget of one creates no thread and a budget of ``n``
-        starts exactly ``n − 1`` pool threads beside the calling thread."""
+        converters, every call runs ``min(budget, blocks)`` lanes — the
+        calling thread as lane 0, one further thread per other lane — no
+        thread outlives its call, and a chained stack perturbs with the
+        lane's scratch buffer."""
         monkeypatch.setattr(threads, "kernel_threads", lambda: budget)
+        perturb_block = LayerNoiseState.perturb_block
+        scratches = []
+
+        def record_scratch(self, values, segment, cycle, out=None, scratch=None):
+            if out is not None:
+                scratches.append(scratch is not None)
+            return perturb_block(self, values, segment, cycle, out, scratch)
+
+        monkeypatch.setattr(LayerNoiseState, "perturb_block", record_scratch)
+        caller = threading.get_ident()
+        before = threading.active_count()
+        calls, started = [], []
+        run_lanes = threads.run_lanes
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        def spy(work, items, lanes):
+            ran_on, first = {}, len(started)
+
+            def traced(lane, item):
+                ran_on.setdefault(lane, set()).add(threading.get_ident())
+                return work(lane, item)
+
+            results = run_lanes(traced, items, lanes)
+            calls.append((len(items), lanes, ran_on, len(started) - first))
+            assert threading.active_count() == before
+            return results
+
+        monkeypatch.setattr(threads, "run_lanes", spy)
+        monkeypatch.setattr(threads.threading, "Thread", Recorded)
         _assert_routed_case_matches_reference(
-            "continuous", adc, READ_SPECS, trials, shared, segments
+            "continuous", adc, specs, trials, shared, segments
         )
-        pool_threads = [
-            thread for thread in threading.enumerate()
-            if thread.name.startswith("repro-kernel")
-        ]
-        if budget == 1:
-            assert threads._pool is None and pool_threads == []
-        else:
-            assert len(pool_threads) == budget - 1
+        assert calls
+        assert scratches and set(scratches) == {specs is CHAINED_SPECS}
+        for blocks, lanes, ran_on, new_threads in calls:
+            assert lanes == min(budget, blocks)
+            assert new_threads == lanes - 1
+            assert sorted(ran_on) == list(range(lanes))
+            assert ran_on[0] == {caller}
+            assert all(len(ran_on[lane]) == 1 and caller not in ran_on[lane]
+                       for lane in range(1, lanes))
 
     def test_ideal_conversion_routes(self):
         rng = np.random.default_rng(3)

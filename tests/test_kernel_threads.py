@@ -1,24 +1,21 @@
-"""The per-process kernel thread pool (:mod:`repro.utils.threads`).
+"""Kernel threads (:mod:`repro.utils.threads`).
 
 The fused kernel's continuous-noise blocks run on lanes: the calling thread
-plus the process's pool threads.  These tests pin the contract the kernel
-relies on — results in item order, every started item finished before an
-error is raised, no thread at a budget of one and never more than the
-budget — the budget rules (the CPUs the process may use, ``max(1, cpus //
-N)`` in each of ``N`` pool workers) and fork safety: a forked child must
-not inherit a pool whose threads stayed behind in the parent.
+plus threads started for the call.  These tests pin the contract the kernel
+relies on — results in item order, a static split of the items over the
+lanes, every thread joined before an error is raised or the call returns,
+no thread at a budget of one and never more than the budget — and the
+budget rules (the CPUs the process may use, ``max(1, cpus // N)`` in each
+of ``N`` pool workers).  No kernel thread outlives a call, so a process
+forked between calls (a ``--jobs N`` pool worker) inherits none.
 """
 
 from __future__ import annotations
 
 import os
-import signal
-import subprocess
 import sys
-import textwrap
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -27,31 +24,44 @@ from repro.utils import threads
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 
+@pytest.fixture()
+def started_threads(monkeypatch):
+    """Every thread started during the test, in start order."""
+    started = []
 
-def _kernel_pool_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("repro-kernel")]
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threads.threading, "Thread", Recorded)
+    return started
 
 
 class TestRunLanes:
     @pytest.mark.parametrize("lanes", [1, 2, 3, 5])
-    def test_results_come_back_in_item_order(self, lanes, fresh_kernel_pool):
+    def test_results_come_back_in_item_order(self, lanes):
         items = list(range(9))
-        seen = []
 
         def work(lane, item):
-            seen.append((lane, item))
             time.sleep(0.001 * (item % 3))
             return item * item
 
         assert threads.run_lanes(work, items, lanes) == [item * item for item in items]
-        assert sorted(item for _, item in seen) == items
-        assert {lane for lane, _ in seen} <= set(range(lanes))
 
-    def test_every_item_runs_once_under_contention(self, fresh_kernel_pool):
-        """More lanes than cores and a tiny switch interval: lanes race for
-        the next item, yet each runs exactly once and lands in its slot."""
+    @pytest.mark.parametrize("lanes", [2, 3, 4])
+    def test_lane_k_runs_items_k_mod_lanes_in_order(self, lanes):
+        items = list(range(11))
+        seen = {}
+        threads.run_lanes(lambda lane, item: seen.setdefault(lane, []).append(item),
+                          items, lanes)
+        assert seen == {lane: items[lane::lanes] for lane in range(lanes)}
+
+    def test_every_item_runs_once_under_contention(self):
+        """More lanes than cores and a tiny switch interval: the lanes write
+        their results into one list side by side, yet each item runs
+        exactly once and lands in its slot."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -62,59 +72,82 @@ class TestRunLanes:
                     lambda lane, item: seen.append(item) or (item, lane), items, 6
                 )
                 assert sorted(seen) == items
-                assert [item for item, _ in results] == items
+                assert results == [(item, item % 6) for item in items]
         finally:
             sys.setswitchinterval(interval)
 
-    def test_lane_zero_is_the_calling_thread(self, fresh_kernel_pool):
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_lanes_run_side_by_side_on_lanes_minus_one_new_threads(
+        self, lanes, started_threads
+    ):
+        """Each lane's first item waits for every other lane's: they only
+        all get there if ``lanes`` threads run at once — the caller as lane
+        0 and exactly ``lanes − 1`` threads started for the call."""
+        barrier = threading.Barrier(lanes, timeout=10.0)
         caller = threading.get_ident()
-        owners = {}
 
         def work(lane, item):
-            owners.setdefault(lane, set()).add(threading.get_ident())
-            time.sleep(0.01)
+            if item < lanes:
+                barrier.wait()
+            return lane, threading.get_ident()
+
+        ran_on = threads.run_lanes(work, list(range(3 * lanes)), lanes)
+        owners = {}
+        for lane, ident in ran_on:
+            owners.setdefault(lane, set()).add(ident)
+        assert owners[0] == {caller}
+        others = [idents for lane, idents in owners.items() if lane]
+        assert len(others) == lanes - 1 and all(len(idents) == 1 for idents in others)
+        assert len(set.union(*owners.values())) == lanes
+        assert len(started_threads) == lanes - 1
+
+    def test_no_thread_outlives_the_call(self, started_threads):
+        """The calling thread's lane finishes first, yet the call returns
+        only once the slower lanes' threads have ended."""
+        before = threading.active_count()
+
+        def work(lane, item):
+            time.sleep(0.05 if lane else 0.0)
             return item
 
-        threads.run_lanes(work, list(range(6)), 3)
-        assert owners[0] == {caller}
-        assert all(caller not in idents for lane, idents in owners.items() if lane)
+        for lanes in (2, 3):
+            assert threads.run_lanes(work, list(range(6)), lanes) == list(range(6))
+            assert threading.active_count() == before
+        assert len(started_threads) == 3
+        assert not any(thread.is_alive() for thread in started_threads)
 
-    def test_one_lane_runs_inline_and_creates_no_thread(self, fresh_kernel_pool):
+    @pytest.mark.parametrize("lanes,items", [(1, 4), (4, 1), (3, 0)])
+    def test_one_lane_or_item_runs_inline_and_starts_no_thread(
+        self, lanes, items, started_threads
+    ):
         caller = threading.get_ident()
         ran_on = threads.run_lanes(lambda lane, item: (lane, threading.get_ident()),
-                                   list(range(4)), 1)
-        assert ran_on == [(0, caller)] * 4
-        assert threads._pool is None and _kernel_pool_threads() == []
+                                   list(range(items)), lanes)
+        assert ran_on == [(0, caller)] * items
+        assert started_threads == []
 
-    @pytest.mark.parametrize("lanes", [2, 3])
-    def test_never_more_pool_threads_than_lanes_beyond_the_caller(
-        self, lanes, fresh_kernel_pool
-    ):
-        for _ in range(3):
-            threads.run_lanes(lambda lane, item: time.sleep(0.005), list(range(8)), lanes)
-        assert len(_kernel_pool_threads()) == lanes - 1
-
-    def test_errors_wait_for_every_started_item(self, fresh_kernel_pool):
+    def test_errors_wait_for_every_lane(self, started_threads):
         """The earliest failed item's error is raised only after the item
-        another lane is still running has finished; no item starts after
-        the failure."""
+        the other lane is still running has finished; a lane stops at its
+        first failure (lane 0 runs 0, 2, 4 and lane 1 runs 1, 3, 5)."""
         started, finished = [], []
-        gate = threading.Event()
+        failed = threading.Event()
 
         def work(lane, item):
             started.append(item)
-            if item == 0:
-                gate.wait(5.0)  # the slow item keeps its lane busy
+            if item == 1:
+                failed.wait(5.0)  # the slow item keeps lane 1 busy
                 time.sleep(0.05)
                 finished.append(item)
                 return item
-            gate.set()
+            failed.set()
             raise ValueError(f"item {item}")
 
-        with pytest.raises(ValueError, match="^item 1$"):
+        with pytest.raises(ValueError, match="^item 0$"):
             threads.run_lanes(work, list(range(6)), 2)
-        assert finished == [0]
-        assert sorted(started) == [0, 1]
+        assert finished == [1]
+        assert sorted(started) == [0, 1, 3]
+        assert not any(thread.is_alive() for thread in started_threads)
 
 
 class TestBudget:
@@ -144,65 +177,3 @@ class TestBudget:
             }
             assert executor.kernel_threads == max(1, 4 // jobs)
         assert budgets == {max(1, 4 // jobs)}
-
-
-FORK_SCRIPT = textwrap.dedent(
-    """
-    import hashlib, json, sys
-    from pathlib import Path
-
-    from repro.experiments import NoiseScenario, ResultStore, SweepSpec, WorkloadSpec, run_sweep
-    from repro.experiments import runner
-    from repro.utils import threads
-
-    # Four CPUs: the serial run converts on 4 lanes and each of the two
-    # pool workers on 2, so both sides of the fork use a pool.
-    threads.available_cpus = lambda: 4
-    root = Path(sys.argv[1])
-    sweep = SweepSpec(
-        name="fork-safety", kind="monte_carlo",
-        workloads=[WorkloadSpec("lenet5", preset="tiny", train_size=48, test_size=16,
-                                calibration_images=8, epochs=2, seed=11)],
-        noises=[NoiseScenario(models=[{"model": "gaussian_read_noise", "sigma": 0.5}],
-                              label={"sigma": 0.5})],
-        mc_seeds=[0, 1], trials=2, images=4, batch_size=4,
-    )
-    cache = str(root / "weights")
-
-    def digests(store_root):
-        return {
-            str(path.relative_to(store_root)): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(store_root.rglob("*"))
-            if path.is_file() and path.relative_to(store_root).parts[0] != "meta"
-            and path.name != ".lock"
-        }
-
-    run_sweep(sweep, ResultStore(root / "serial"), weights_cache_dir=cache)
-    assert threads._pool is not None, "the serial run used no kernel pool"
-    runner.clear_runner_memos()
-    run_sweep(sweep, ResultStore(root / "pool"), weights_cache_dir=cache, jobs=2)
-    serial, pool = digests(root / "serial"), digests(root / "pool")
-    assert serial and serial == pool, (serial, pool)
-    print(json.dumps({"artifacts": len(serial)}))
-    """
-)
-
-
-def test_forked_pool_workers_do_not_inherit_the_kernel_pool(tmp_path):
-    """Use the kernel pool in-process, then fork a ``--jobs 2`` read-noise
-    sweep: it finishes (a child that kept the parent's pool would wait
-    forever on threads it does not have) and writes the serial bytes."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    process = subprocess.Popen(
-        [sys.executable, "-c", FORK_SCRIPT, str(tmp_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
-        start_new_session=True,
-    )
-    try:
-        out, err = process.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(process.pid, signal.SIGKILL)
-        process.communicate()
-        pytest.fail("the --jobs 2 sweep hung after the kernel pool was used in-process")
-    assert process.returncode == 0, err
-    assert '"artifacts": ' in out

@@ -9,6 +9,7 @@ pure value maps, the CellConfig migration, and the Monte Carlo statistics
 
 from __future__ import annotations
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -540,15 +541,46 @@ class TestInPlaceDraws:
         [],
     ])
     def test_perturb_block_into_a_buffer_equals_the_allocating_chain(self, rng, specs):
+        """With or without a scratch buffer beside ``out``."""
         stack = NonIdealityStack(specs, seed=4)
         state = _state(stack, columns=24, segments=(16, 10), max_bitline=40).next_chunk()
         values = rng.integers(0, 41, size=(13, 24)).astype(np.float32)
         expected = state.perturb_block(values, 1, 3)
-        out = np.full((13, 24), np.nan)
-        got = state.perturb_block(values, 1, 3, out=out)
+        for scratch in (None, np.full((13, 24), np.nan)):
+            out = np.full((13, 24), np.nan)
+            got = state.perturb_block(values, 1, 3, out=out, scratch=scratch)
+            assert got is out
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("chained", [False, True])
+    @pytest.mark.parametrize("model", ALL_MODELS + [GaussianReadNoise(sigma=0.0)],
+                             ids=lambda m: repr(m))
+    def test_every_model_perturbs_in_place(self, model, chained):
+        """``perturb_into`` equals ``perturb`` bit for bit, from the raw
+        float32 block and chained (``values`` is ``out``, with a scratch
+        buffer), and makes no block-sized temporary: what it allocates stays
+        within numpy's fixed per-call iterator buffers (8192 elements
+        each), an eighth of the 2 MiB float64 block."""
+        state = _state(NonIdealityStack([model], seed=3), columns=64).next_chunk()
+        bound = state._bound[0]
+        raw = np.random.default_rng(1).integers(0, 65, size=(4096, 64)).astype(np.float32)
+        expected = bound.perturb(raw.astype(np.float64), 1, 2, state.chunk)
+        out, scratch = np.full(raw.shape, np.nan), np.full(raw.shape, np.nan)
+        values = raw
+        if chained:
+            values = out
+            np.copyto(out, raw)
+        tracemalloc.start()
+        try:
+            got = bound.perturb_into(values, 1, 2, state.chunk, out, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert got is out
         np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+        assert peak < out.nbytes // 8, peak
 
     def test_custom_model_without_perturb_into_chains_into_a_buffer(self):
         class Halver(NonIdealityModel):
