@@ -444,7 +444,10 @@ class TrialLutGather:
                 if tile_counts.size > self.total_size:
                     self._raise_bound(int(tile_codes.max()), 0)
                 counts += tile_counts
-            np.take(self.levels, tile_codes, out=flat_levels[start:stop])
+            # Every code was bounds-checked above (histogram length or max
+            # scan), so ``clip`` never clips; unlike ``raise`` it gathers
+            # straight into ``out`` instead of through a temporary.
+            np.take(self.levels, tile_codes, out=flat_levels[start:stop], mode="clip")
         if not histogram:
             counts += (1 if self.pair_base is None else 2) * flat_per_trial.shape[1]
 
@@ -472,11 +475,13 @@ class TrialLutGather:
         table = self.levels[segment * trials * bins : (segment + 1) * trials * bins]
         tile_rows = max(1, tile // max(1, trials * blocks * cols))
         codes_buf = np.empty(trials * blocks * min(tile_rows, rows) * cols, dtype=np.int64)
+        # A value past ``base`` would read the next column's (or trial's)
+        # table, which no histogram length can tell apart.
+        if values.size and values.max() >= base:
+            raise ValueError(_bound_message("bit-line value", int(values.max()), base - 1))
         histogram = None
         if self.costs is None:
             histogram = np.zeros(sources * bins, dtype=np.int64)
-        elif values.size and values.max() >= base:
-            raise ValueError(_bound_message("bit-line value", int(values.max()), base - 1))
         for start in range(0, rows, tile_rows):
             stop = min(start + tile_rows, rows)
             codes = codes_buf[: trials * blocks * (stop - start) * cols].reshape(
@@ -484,12 +489,8 @@ class TrialLutGather:
             )
             np.add(values[:, :, start:stop], self._column_offsets, out=codes, casting="unsafe")
             if histogram is not None:
-                tile_counts = np.bincount(codes[:sources].reshape(-1), minlength=histogram.size)
-                if tile_counts.size > histogram.size:
-                    top = int(codes[:sources].max()) - (histogram.size - base)
-                    raise ValueError(_bound_message("bit-line value", top, base - 1))
-                histogram += tile_counts
-            np.take(table, codes, out=out_levels[:, :, start:stop])
+                histogram += np.bincount(codes[:sources].reshape(-1), minlength=histogram.size)
+            np.take(table, codes, out=out_levels[:, :, start:stop], mode="clip")
         if histogram is None:
             counts += out_levels[0].size
             return

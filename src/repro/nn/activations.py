@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn.module import Module
 
 
@@ -22,16 +23,20 @@ class ReLU(Module):
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
+        arrays = self.step_arrays()
+        mask = np.greater(x, 0, out=arrays.like(x, dtype=bool))
         if self.training:
             self._mask = mask
-        return x * mask
+        return np.multiply(x, mask, out=arrays.like(x, mask))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("ReLU.backward called before a training forward pass")
         mask, self._mask = self._mask, None
-        return grad_out * mask
+        arrays = self.step_arrays()
+        out = arrays.like(grad_out, mask)
+        mask = F.laid_out(arrays, mask, F.elementwise_axes(grad_out, mask))
+        return np.multiply(grad_out, mask, out=out)
 
 
 class LeakyReLU(Module):

@@ -78,7 +78,7 @@ class Conv2d(Module):
                 self, x, self.weight.data, bias, self.stride, self.padding
             )
         out, cols, _ = F.conv2d_forward(
-            x, self.weight.data, bias, self.stride, self.padding
+            x, self.weight.data, bias, self.stride, self.padding, arrays=self.step_arrays()
         )
         if self.training:
             self._cache = (cols, x.shape)
@@ -100,9 +100,10 @@ class Conv2d(Module):
             raise RuntimeError("Conv2d.backward called before a training forward pass")
         cols, x_shape = self._cache
         self._cache = None
+        # The input gradient's GEMM writes over the consumed ``cols``.
         grad_x, grad_w, grad_b = F.conv2d_backward(
             grad_out, x_shape, cols, self.weight.data, self.stride, self.padding,
-            with_bias=self.bias is not None,
+            with_bias=self.bias is not None, arrays=self.step_arrays(),
         )
         self.weight.grad += grad_w
         if grad_b is not None:
@@ -148,7 +149,7 @@ class Linear(Module):
         bias = self.bias.data if self.bias is not None else None
         if self.compute_backend is not None and not self.training:
             return self.compute_backend.linear(self, x, self.weight.data, bias)
-        out = F.linear_forward(x, self.weight.data, bias)
+        out = F.linear_forward(x, self.weight.data, bias, arrays=self.step_arrays())
         if self.training:
             self._cache = x
         return out
@@ -157,7 +158,9 @@ class Linear(Module):
         if self._cache is None:
             raise RuntimeError("Linear.backward called before a training forward pass")
         x, self._cache = self._cache, None
-        grad_x, grad_w, grad_b = F.linear_backward(grad_out, x, self.weight.data)
+        grad_x, grad_w, grad_b = F.linear_backward(
+            grad_out, x, self.weight.data, arrays=self.step_arrays()
+        )
         self.weight.grad += grad_w
         if self.bias is not None:
             self.bias.grad += grad_b

@@ -59,10 +59,14 @@ class BasicBlock(Module):
             self.downsample = Identity()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        # One statement per layer, so each input is released once consumed.
         identity = self.downsample(x)
         out = self.relu1(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
-        return self.relu2(out + identity)
+        out = self.conv2(out)
+        out = self.bn2(out)
+        out = np.add(out, identity, out=self.step_arrays().like(out, identity))
+        del identity
+        return self.relu2(out)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_sum = self.relu2.backward(grad_out)
@@ -74,7 +78,9 @@ class BasicBlock(Module):
         grad_branch = self.conv1.backward(grad_branch)
         # Skip branch.
         grad_skip = self.downsample.backward(grad_sum)
-        return grad_branch + grad_skip
+        return np.add(
+            grad_branch, grad_skip, out=self.step_arrays().like(grad_branch, grad_skip)
+        )
 
 
 class _ResNetBase(Module):

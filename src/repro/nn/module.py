@@ -14,6 +14,11 @@ Two extension points matter for the rest of the library:
 * ``compute_backend`` on MVM layers (``Conv2d``/``Linear``) — used by the PIM
   simulator to re-route the matrix multiplication through the crossbar + ADC
   models without touching the model definition.
+
+In training mode a module tree shares one
+:class:`~repro.nn.functional.StepArrays`: layers write their activation-sized
+caches, outputs and temporaries into its reused memory, so training steps
+after the first allocate none (:meth:`Module.step_arrays`).
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
+
+from repro.nn.functional import FRESH, StepArrays
 
 
 class Parameter:
@@ -70,6 +77,7 @@ class Module:
         self._forward_hooks: Dict[int, ForwardHook] = {}
         self._hook_counter = 0
         self.training = True
+        self._step_arrays: Optional[StepArrays] = None
 
     # ------------------------------------------------------------------ #
     # registration / attribute plumbing
@@ -131,13 +139,36 @@ class Module:
     # train / eval, grads
     # ------------------------------------------------------------------ #
     def train(self, mode: bool = True) -> "Module":
-        self.training = mode
-        for child in self._modules.values():
-            child.train(mode)
+        """Set training mode on the whole tree.
+
+        ``train()`` gives every module of the tree one shared
+        :class:`StepArrays` (the tree's current one if it already trains);
+        ``train(False)`` drops it, and with it every step array.
+        """
+        arrays = None
+        if mode:
+            arrays = self._step_arrays if self.training else None
+            arrays = arrays if arrays is not None else StepArrays()
+        for module in self.modules():
+            module.training = mode
+            module._step_arrays = arrays
         return self
 
     def eval(self) -> "Module":
         return self.train(False)
+
+    def step_arrays(self):
+        """Where this module's activation-sized arrays come from: the tree's
+        :class:`StepArrays` in training mode (one of its own if the module
+        was never put into training mode), else
+        :data:`~repro.nn.functional.FRESH`, which allocates each anew.
+        Either way an array lives as long as something references it.
+        """
+        if not self.training:
+            return FRESH
+        if self._step_arrays is None:
+            self._step_arrays = StepArrays()
+        return self._step_arrays
 
     def zero_grad(self) -> None:
         for param in self.parameters():

@@ -6,6 +6,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.nn import functional as F
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 
@@ -47,17 +48,19 @@ class BatchNorm2d(Module):
             raise ValueError(
                 f"BatchNorm2d expected (N, {self.num_features}, H, W), got {x.shape}"
             )
+        arrays = self.step_arrays()
         if self.training:
             mean = x.mean(axis=(0, 2, 3))
         else:
             mean = self._buffers["running_mean"]
-        centred = x - mean[None, :, None, None]
+        shift = mean[None, :, None, None]
+        centred = np.subtract(x, shift, out=arrays.like(x, shift))
         # The output's buffer: x_hat itself in eval mode, else the squares
         # (np.var(x, axis) evaluated on the same centred array).
         scratch = centred
         if self.training:
             n, _, h, w = x.shape
-            scratch = np.square(centred)
+            scratch = np.square(centred, out=arrays.like(centred))
             var = scratch.sum(axis=(0, 2, 3)) / (n * h * w)
             self._buffers["running_mean"] = (
                 (1 - self.momentum) * self._buffers["running_mean"] + self.momentum * mean
@@ -88,13 +91,17 @@ class BatchNorm2d(Module):
 
         # ``product`` has the layout numpy gives any elementwise result of
         # grad_out (or grad_xhat, which shares its layout) with x_hat, so the
-        # second product and grad_x reuse its buffer.
-        product = grad_out * x_hat
+        # second product and grad_x reuse its buffer; x_hat, consumed here,
+        # is first copied into that layout.
+        arrays = self.step_arrays()
+        product = arrays.like(grad_out, x_hat)
+        x_hat = F.laid_out(arrays, x_hat, F.elementwise_axes(grad_out, x_hat))
+        product = np.multiply(grad_out, x_hat, out=product)
         self.weight.grad += product.sum(axis=(0, 2, 3))
         self.bias.grad += grad_out.sum(axis=(0, 2, 3))
 
         gamma = self.weight.data[None, :, None, None]
-        grad_xhat = grad_out * gamma
+        grad_xhat = np.multiply(grad_out, gamma, out=arrays.like(grad_out, gamma))
         sum_grad_xhat = grad_xhat.sum(axis=(0, 2, 3), keepdims=True)
         np.multiply(grad_xhat, x_hat, out=product)
         sum_grad_xhat_xhat = product.sum(axis=(0, 2, 3), keepdims=True)

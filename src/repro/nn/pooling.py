@@ -20,7 +20,9 @@ class MaxPool2d(Module):
         self._cache: Optional[Tuple[np.ndarray, Tuple[int, ...]]] = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        out, argmax, _ = F.max_pool2d_forward(x, self.kernel_size, self.stride)
+        out, argmax, _ = F.max_pool2d_forward(
+            x, self.kernel_size, self.stride, arrays=self.step_arrays()
+        )
         if self.training:
             self._cache = (argmax, x.shape)
         return out
@@ -29,7 +31,9 @@ class MaxPool2d(Module):
         if self._cache is None:
             raise RuntimeError("MaxPool2d.backward called before a training forward pass")
         (argmax, x_shape), self._cache = self._cache, None
-        return F.max_pool2d_backward(grad_out, argmax, x_shape, self.kernel_size, self.stride)
+        return F.max_pool2d_backward(
+            grad_out, argmax, x_shape, self.kernel_size, self.stride, arrays=self.step_arrays()
+        )
 
 
 class AvgPool2d(Module):
@@ -68,4 +72,6 @@ class GlobalAvgPool2d(Module):
             raise RuntimeError("GlobalAvgPool2d.backward called before forward")
         n, c, h, w = self._x_shape
         grad = grad_out[:, :, None, None] / (h * w)
-        return np.broadcast_to(grad, self._x_shape).copy()
+        out = self.step_arrays().empty(self._x_shape, grad.dtype)
+        out[...] = grad
+        return out

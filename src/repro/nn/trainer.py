@@ -20,6 +20,7 @@ from repro.nn.metrics import top1_accuracy
 from repro.nn.module import Module
 from repro.nn.optim import LRScheduler, Optimizer
 from repro.utils.logging import get_logger
+from repro.utils.memory import release_heap
 
 logger = get_logger("nn.trainer")
 
@@ -67,9 +68,14 @@ class TrainingHistory:
 class Trainer:
     """Minimal supervised-classification training loop.
 
-    Training computes no gradient it throws away (see :meth:`train_epoch`),
-    and each layer's ``backward`` drops the activations its forward cached,
-    so a trained model holds none.
+    Training computes no gradient it throws away (see :meth:`train_epoch`).
+    Its activation-sized caches, outputs and temporaries are views of the
+    step arrays the model shares while training
+    (:meth:`repro.nn.Module.step_arrays`), so steps after the first
+    allocate none.  :meth:`fit` ends in eval mode, which drops them, and
+    then returns the freed heap to the operating system once
+    (:func:`repro.utils.memory.release_heap`), so what runs next starts
+    from the same resident memory whatever the allocator's history.
 
     Parameters
     ----------
@@ -197,4 +203,5 @@ class Trainer:
                     f"{stats.val_accuracy:.3f}" if stats.val_accuracy is not None else "n/a",
                 )
         self.model.eval()
+        release_heap()
         return history

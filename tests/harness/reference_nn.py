@@ -7,7 +7,9 @@ the same layout, and every element is the same operation on the same values,
 as the straightforward formulation below.  These functions are that
 formulation, kept verbatim, and :func:`install` swaps them into ``repro.nn``
 so a test can train the same model both ways in one process and compare the
-weights byte for byte (on whichever BLAS kernel the process uses).
+weights byte for byte (on whichever BLAS kernel the process uses).  The
+reference also allocates every array anew, as plain numpy does, instead of
+writing into the step arrays that ``repro.nn`` reuses.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.nn import functional as F
 from repro.nn.functional import IntOrPair, as_pair, conv_output_size
 from repro.nn.layers import Conv2d
 from repro.nn.metrics import top1_accuracy
+from repro.nn.module import Module
 from repro.nn.normalization import BatchNorm2d
 from repro.nn.trainer import EpochStats, Trainer
 
@@ -105,7 +108,9 @@ def conv2d_forward(
     bias: np.ndarray | None = None,
     stride: IntOrPair = 1,
     padding: IntOrPair = 0,
+    arrays=None,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[int, int]]:
+    """``conv2d_forward``; ``arrays`` is ignored (every array is new)."""
     f, c, kh, kw = weight.shape
     cols, (oh, ow) = im2col(x, (kh, kw), stride, padding)
     w_mat = weight.reshape(f, c * kh * kw)
@@ -237,15 +242,20 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(BatchNorm2d, "forward", batchnorm_forward)
     monkeypatch.setattr(BatchNorm2d, "backward", batchnorm_backward)
     monkeypatch.setattr(Trainer, "train_epoch", train_epoch)
+    monkeypatch.setattr(Module, "step_arrays", lambda self: F.FRESH)
 
 
 def held_arrays(module) -> List[str]:
     """Names of the attributes through which ``module`` itself (not its
-    parameters, buffers or children) still holds an array."""
+    parameters, buffers or children) still holds an array, with
+    ``name[i]`` for each block of a :class:`~repro.nn.functional.StepArrays`."""
     skip = {"_parameters", "_modules", "_buffers", "_forward_hooks"}
     skip.update(getattr(module, "_buffers", {}))
     names = []
     for name, value in vars(module).items():
+        if isinstance(value, F.StepArrays):
+            names.extend(f"{name}[{i}]" for i in range(len(value.blocks)))
+            continue
         values = value if isinstance(value, tuple) else (value,)
         if name not in skip and any(isinstance(v, np.ndarray) for v in values):
             names.append(name)

@@ -831,6 +831,28 @@ class TestColumnTables:
                 shared_levels[t].reshape(-1, cols), luts[t].levels[perturbed]
             )
 
+    @pytest.mark.parametrize("trial", [0, 2])
+    def test_a_code_one_past_its_trials_table_raises_before_the_clipped_take(self, trial):
+        """The gathers take in ``mode="clip"``, which would serve the last
+        level for any code past the table: the histogram length and the max
+        scan must reject the first such code on every layout."""
+        lut = _trq_window().transfer_lut(9)  # keeps a histogram: no max scan at one trial
+        cases = (
+            ("separate", TrialLutGather([lut] * 3), 10, -1),
+            ("separate", TrialLutGather([lut]), 10, -1),
+            ("pair", TrialLutGather([lut] * 3, pair_base=10), 100, -1),
+            ("column", TrialLutGather([lut] * 3, column_values=[np.zeros((3, 6, 2))]), 6, -1),
+        )
+        for layout, gather, code, column in cases:
+            trials = len(gather.luts)
+            values = np.zeros((trials, 1, 1, 2), dtype=np.float32)
+            values[min(trial, trials - 1), 0, 0, column] = code
+            with pytest.raises(ValueError, match=f"{code} exceeds the LUT bound {code - 1}"):
+                gather.gather(values, gather.new_counts(),
+                              np.empty(values.shape, gather.levels.dtype))
+            values[...] = code - 1  # the last entry of every table is served
+            gather.gather(values, gather.new_counts(), np.empty(values.shape, gather.levels.dtype))
+
     def test_codes_beyond_the_columns_raise(self):
         lut = UniformAdc(bits=4, delta=1.0).transfer_lut(9)
         gather = TrialLutGather([lut], column_values=[np.zeros((1, 6, 3))])

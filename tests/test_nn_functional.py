@@ -241,3 +241,74 @@ class TestSoftmaxAndOneHot:
             F.one_hot(np.array([3]), 3)
         with pytest.raises(ValueError):
             F.one_hot(np.array([[1]]), 3)
+
+
+def _layouts(shape):
+    """``shape`` arrays laid out NCHW, channels-last and as a padded interior."""
+    nchw = np.zeros(shape)
+    padded = np.zeros(shape[:2] + (shape[2] + 2, shape[3] + 2))[:, :, 1:-1, 1:-1]
+    return {"nchw": nchw, "channels_last": channels_last(nchw), "padded": padded}
+
+
+class TestStepArrays:
+    """Kernels writing into reused step arrays equal fresh allocations."""
+
+    @pytest.mark.parametrize("first", ["nchw", "channels_last", "padded"])
+    @pytest.mark.parametrize("second", ["nchw", "channels_last", "padded", "channel", "scalar"])
+    def test_elementwise_axes_give_numpys_layout(self, first, second):
+        layouts = _layouts((3, 4, 5, 6))
+        a = layouts[first]
+        b = {"channel": np.zeros(4)[None, :, None, None], "scalar": np.float64(2.0)}.get(second)
+        b = layouts[second] if b is None else b
+        out = F.StepArrays().like(a, b)
+        assert out.strides == (a * b).strides
+        assert out.shape == (a * b).shape and out.dtype == np.float64
+        assert F.StepArrays().like(a[:1]) is None  # a length-1 axis: numpy allocates
+
+    def test_a_block_serves_again_only_once_nothing_views_it(self):
+        arrays = F.StepArrays()
+        first = arrays.empty((4, 8))
+        view = first.T[1:]
+        del first
+        second = arrays.empty((4, 8))
+        assert not np.shares_memory(view, second)  # the view keeps its block in use
+        assert len(arrays.blocks) == 2
+        del view, second
+        arrays.empty((2, 8))  # fits a free block, up to four times its size
+        assert len(arrays.blocks) == 2
+        arrays.empty((4, 8), np.int8)  # a quarter of a block: too small to take one
+        assert [block.nbytes for block in arrays.blocks] == [32, 256, 256]
+
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 1, 1), (3, 2, 1), (1, 2, 0), (5, 1, 2)])
+    def test_conv_kernels_into_reused_arrays_equal_fresh_allocations(self, kernel, stride, padding):
+        gen = np.random.default_rng(kernel * 10 + stride + padding)
+        w = gen.normal(size=(5, 4, kernel, kernel))
+        arrays = F.StepArrays()
+        arrays.empty((1 << 16,))[...] = np.nan  # every block starts dirty
+        blocks = []
+        for step in range(3):  # later passes reuse the blocks of earlier ones
+            x = channels_last(gen.normal(size=(3, 4, 8, 7)))
+            out, cols, _ = F.conv2d_forward(x, w, None, stride, padding, arrays=arrays)
+            want_out, want_cols, _ = F.conv2d_forward(x, w, None, stride, padding)
+            assert_same_array(out, want_out)
+            assert_same_array(cols, want_cols)
+            for grad_out in (gen.normal(size=out.shape), channels_last(gen.normal(size=out.shape))):
+                expected = reference_nn.conv2d_backward(
+                    grad_out, x.shape, want_cols, w, stride, padding
+                )
+                got = F.conv2d_backward(
+                    grad_out, x.shape, cols.copy(), w, stride, padding, arrays=arrays
+                )
+                for actual, want in zip(got, expected):
+                    assert_same_array(actual, want)
+            blocks.append(len(arrays.blocks))
+        assert blocks[2] == blocks[1]  # each pass still holds its predecessor's results
+
+    def test_reused_padding_keeps_its_value(self):
+        arrays = F.StepArrays()
+        gen = np.random.default_rng(7)
+        for step in range(3):
+            codes = gen.integers(0, 256, size=(2, 3, 5, 5), dtype=np.uint8)
+            cols, _ = F.im2col(codes, 3, 1, 1, pad_value=7, arrays=arrays)
+            assert_same_array(cols, reference_nn.im2col(codes, 3, 1, 1, 7)[0])
+            cols[...] = 200  # scribble over the blocks the next pass reuses

@@ -220,7 +220,7 @@ def _basic_block_stem(rng):
     )
 
 
-def _train_two_epochs(name):
+def _train_two_epochs(name, validate=False):
     dataset = build_dataset(
         "mnist" if name == "lenet5" else "cifar10", train_size=80, test_size=16, seed=1
     )
@@ -229,8 +229,12 @@ def _train_two_epochs(name):
     else:
         model = build_model(name, preset="tiny", rng=3)
     trainer = Trainer(model, Adam(model.parameters(), lr=3e-3))
-    # Batches of 32, 32 and 16 images.
-    trainer.fit(lambda: DataLoader(dataset.train, 32, shuffle=True, seed=5), epochs=2)
+    # Batches of 32, 32 and 16 images; an evaluation between epochs drops
+    # the step arrays, so the next epoch allocates them again.
+    trainer.fit(
+        lambda: DataLoader(dataset.train, 32, shuffle=True, seed=5), epochs=2,
+        val_loader_fn=(lambda: DataLoader(dataset.test, 8)) if validate else None,
+    )
     return model
 
 
@@ -248,13 +252,26 @@ class TestTrainingIdentity:
             assert actual[key].dtype == value.dtype, key
             assert actual[key].tobytes() == value.tobytes(), key
 
+    @pytest.mark.parametrize("name", ["lenet5", "resnet20"])
+    def test_state_dict_bytes_equal_reference_training_with_validation(self, name, monkeypatch):
+        reference_nn.install(monkeypatch)
+        expected = _train_two_epochs(name, validate=True).state_dict()
+        monkeypatch.undo()
+        actual = _train_two_epochs(name, validate=True).state_dict()
+        assert list(actual) == list(expected)
+        for key, value in expected.items():
+            assert actual[key].tobytes() == value.tobytes(), key
+
     def test_one_resnet20_step_folds_every_conv_but_the_batch_one(self, rng, monkeypatch):
         model = build_model("resnet20", preset="tiny", rng=0)
         convs = [m for m in model.modules() if isinstance(m, Conv2d)]
         folded = []
         col2im = F.col2im
         monkeypatch.setattr(
-            F, "col2im", lambda cols, x_shape, *args: folded.append(x_shape) or col2im(cols, x_shape, *args)
+            F, "col2im",
+            lambda cols, x_shape, *args, **kwargs: (
+                folded.append(x_shape) or col2im(cols, x_shape, *args, **kwargs)
+            ),
         )
         images = rng.normal(size=(4, 3, 32, 32))
         Trainer(model, SGD(model.parameters(), lr=0.01)).train_epoch([(images, np.arange(4))])
@@ -268,3 +285,50 @@ class TestTrainingIdentity:
                 if reference_nn.held_arrays(m)} == {}
         model(rng.normal(size=(2, 3, 32, 32)))
         assert all(reference_nn.held_arrays(m) == [] for m in model.modules())
+
+
+class TestStepMemory:
+    """After its first pass a training step allocates no activation-sized
+    array, and ``fit`` hands the freed heap back once."""
+
+    @pytest.mark.parametrize(
+        "name,shape", [("lenet5", (32, 1, 28, 28)), ("resnet20", (32, 3, 32, 32))]
+    )
+    def test_a_second_step_peaks_under_2_mib_above_its_start(self, name, shape):
+        import tracemalloc
+
+        gen = np.random.default_rng(0)
+        model = build_model(name, preset="tiny", rng=0)
+        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
+        batch = [(gen.normal(size=shape), gen.integers(0, 10, size=shape[0]))]
+        tracemalloc.start()
+        try:
+            trainer.train_epoch(batch)
+            first_peak = tracemalloc.get_traced_memory()[1]
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trainer.train_epoch(batch)
+            second_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert second_peak - start < 2 * 2**20
+        assert first_peak > 4 * 2**20  # the first step did allocate its arrays
+
+    def test_fit_releases_the_heap_once_after_dropping_the_step_arrays(self, monkeypatch):
+        from repro.nn import trainer as trainer_module
+
+        released = []
+        model = build_model("lenet5", preset="tiny", rng=0)
+        monkeypatch.setattr(
+            trainer_module, "release_heap",
+            lambda: released.append([m._step_arrays for m in model.modules()]),
+        )
+        dataset = build_dataset("mnist", train_size=40, test_size=16, seed=1)
+        trainer = Trainer(model, Adam(model.parameters(), lr=1e-3))
+        for fits in (1, 2):
+            trainer.fit(
+                lambda: DataLoader(dataset.train, 16), epochs=2,
+                val_loader_fn=lambda: DataLoader(dataset.test, 16),
+            )
+            assert len(released) == fits
+            assert set(released[-1]) == {None}

@@ -271,11 +271,15 @@ class TestTrainingCaches:
     def test_backward_drops_the_cache_it_consumes(self, rng, layer, x_shape):
         x = rng.normal(size=x_shape)
         out = layer(x)
-        assert reference_nn.held_arrays(layer)  # the training forward cached
+        cached = reference_nn.held_arrays(layer)
+        assert [name for name in cached if not name.startswith("_step_arrays[")]
         layer.backward(np.ones_like(out))
-        assert reference_nn.held_arrays(layer) == []
+        # Only the step arrays' memory stays, until the layer leaves training.
+        assert all(name.startswith("_step_arrays[") for name in reference_nn.held_arrays(layer))
         with pytest.raises(RuntimeError, match="before a training forward"):
             layer.backward(np.ones_like(out))
+        layer.eval()
+        assert reference_nn.held_arrays(layer) == []
 
     @pytest.mark.parametrize("layer,x_shape", _training_layers())
     def test_eval_forward_stores_nothing(self, rng, layer, x_shape):
@@ -429,3 +433,73 @@ class TestMetrics:
         report = classification_report(predictions, labels, 3)
         assert 0.0 <= report["macro_f1"] <= 1.0
         assert report["accuracy"] == pytest.approx(4 / 6)
+
+
+def _step_layers():
+    """Training layers that write into step arrays, with input shapes whose
+    every axis is longer than 1 (so no array falls back to numpy)."""
+    from repro.nn.models import BasicBlock
+
+    return [
+        (Conv2d(2, 3, 3, padding=1, rng=0), (2, 2, 5, 5)),
+        (Conv2d(4, 3, 3, stride=2, padding=1, rng=0), (2, 4, 6, 7)),
+        (Linear(6, 4, rng=0), (3, 6)),
+        (BatchNorm2d(3), (4, 3, 5, 5)),
+        (ReLU(), (3, 4, 5, 6)),
+        (MaxPool2d(2), (2, 2, 4, 4)),
+        (GlobalAvgPool2d(), (2, 3, 4, 4)),
+        (BasicBlock(3, 4, stride=2, seed=0), (2, 3, 6, 6)),
+        (BasicBlock(3, 3, stride=1, seed=0), (2, 3, 5, 5)),
+    ]
+
+
+class TestStepArrays:
+    """Layers in training mode write into reused step arrays: the same bytes,
+    layouts and parameter gradients as fresh numpy arrays."""
+
+    @pytest.mark.parametrize("layer,x_shape", _step_layers())
+    def test_reused_arrays_equal_fresh_allocations(self, layer, x_shape):
+        import copy
+
+        fresh = copy.deepcopy(layer)
+        fresh.step_arrays = lambda: F.FRESH  # allocates every array anew
+        gen = np.random.default_rng(3)
+        blocks = []
+        for step in range(3):  # later steps reuse the blocks of earlier ones
+            x = gen.normal(size=x_shape)
+            if x.ndim == 4 and step == 1:
+                x = _channels_last(x)
+            out, want = layer(x), fresh(x)
+            _assert_same_array(out, want)
+            grad_out = gen.normal(size=out.shape)
+            got_grad, want_grad = layer.backward(grad_out), fresh.backward(grad_out)
+            _assert_same_array(got_grad, want_grad)
+            del out, want, got_grad, want_grad
+            blocks.append(len(layer._step_arrays.blocks))
+        assert blocks[2] == blocks[1]  # step 1's channels-last input may add blocks
+        for (name, p), (_, q) in zip(layer.named_parameters(), fresh.named_parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), name
+
+    @pytest.mark.parametrize("layer,x_shape", _step_layers())
+    def test_eval_drops_every_step_array(self, layer, x_shape):
+        out_shape = layer(np.random.default_rng(0).normal(size=x_shape)).shape
+        layer.backward(np.ones(out_shape))  # consumes the caches
+        assert layer._step_arrays.blocks
+        layer.eval()
+        assert [m for m in layer.modules() if m._step_arrays is not None] == []
+        assert all(reference_nn.held_arrays(m) == [] for m in layer.modules())
+
+    def test_a_tree_shares_one_pool_and_keeps_it_across_train_calls(self):
+        model = Sequential(
+            Conv2d(1, 2, 3, rng=0), ReLU(), Sequential(Flatten(), Linear(2, 2, rng=0))
+        )
+        model.train()
+        arrays = model._step_arrays
+        assert all(m._step_arrays is arrays for m in model.modules())
+        model.train()
+        assert model._step_arrays is arrays
+        model.eval()
+        model.train()
+        assert model._step_arrays is not arrays
+        assert model.step_arrays() is model._step_arrays
+        assert model.eval().step_arrays() is F.FRESH
