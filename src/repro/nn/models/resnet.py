@@ -59,11 +59,13 @@ class BasicBlock(Module):
             self.downsample = Identity()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        # One statement per layer, so each input is released once consumed.
-        identity = self.downsample(x)
+        # One statement per layer, so each input is released once consumed,
+        # and the skip branch last, so its output is not held across the
+        # residual branch (the branches are independent).
         out = self.relu1(self.bn1(self.conv1(x)))
         out = self.conv2(out)
         out = self.bn2(out)
+        identity = self.downsample(x)
         out = np.add(out, identity, out=self.step_arrays().like(out, identity))
         del identity
         return self.relu2(out)
